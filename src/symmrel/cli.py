@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import __version__
 from .families import FAMILY_NAMES, SYMBOLIC_NAME, get_family
 from .partitions import exponent_vectors, vector_weight
-from .polyring import TermCapExceeded, set_term_cap
+from .polyring import TermCapExceeded, set_term_cap, term_cap_from_environment
 from .relations import (
     PreconditionError,
     extract_y_basis,
@@ -157,7 +157,10 @@ def _build_cases(args) -> list:
             raise UsageError("--family is required for conjectures 1 and 2")
         name = args.family.lower()
         if name != SYMBOLIC_NAME:
-            get_family(name)  # validate
+            try:
+                get_family(name)
+            except KeyError as exc:
+                raise UsageError(exc.args[0]) from None
         for m in m_values:
             if args.conjecture == 1:
                 ns = n_values if n_values is not None else list(range(0, m))
@@ -176,6 +179,8 @@ def _build_cases(args) -> list:
     else:
         if n_values is None:
             raise UsageError("--n is required for conjecture 3")
+        if min(n_values) < 0:
+            raise UsageError("conjecture 3 needs --n >= 0")
         for m in m_values:
             for n in n_values:
                 keys = [_parse_key(args.key)] if args.key else exponent_vectors(n, n if n else 1)
@@ -246,6 +251,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.n < 0:
+        raise UsageError(f"table needs --n >= 0, got {args.n}")
     if not args.allow_large and (args.n > DEFAULT_MAX_N or args.m > DEFAULT_MAX_M):
         raise UsageError(
             f"table n={args.n}, m={args.m} is outside the default bounds; pass --allow-large"
@@ -369,6 +376,8 @@ def cmd_solve_c(args) -> int:
 
 
 def cmd_bernoulli_relations(args) -> int:
+    if args.max_index < 2:
+        raise UsageError(f"bernoulli-relations needs --max-index >= 2, got {args.max_index}")
     nonlinear = verify_nonlinear_bernoulli()
     identity = verify_bernoulli_identity(args.max_index)
     document = {
@@ -488,6 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        term_cap_from_environment()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.term_cap is not None:
         try:
             set_term_cap(args.term_cap)
@@ -496,7 +510,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         return args.handler(args)
-    except (UsageError, PreconditionError, KeyError) as exc:
+    except (UsageError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TermCapExceeded as exc:

@@ -8,16 +8,36 @@ Three variable families exist, ordered x < y < a with ascending index:
 
 A monomial is a tuple of ``(VarId, exponent)`` pairs sorted by variable with
 no zero exponents; a polynomial is a dict monomial -> nonzero coefficient.
-Coefficients are ints or Fractions (both exact; ints are kept as ints for
-speed).  The canonical term order is graded lexicographic: higher total
-degree first, ties broken so that a higher power on an earlier variable
-wins.  Polynomials are immutable values: operations return new objects and
-never mutate their inputs, so instances are safe to share across threads.
+The canonical term order is graded lexicographic: higher total degree first,
+ties broken so that a higher power on an earlier variable wins.  Polynomials
+are immutable values: operations return new objects and never mutate their
+inputs, so instances are safe to share across threads.
+
+Coefficients are exact: ints, or Fractions where a value is not integral.
+Constructors and scalar multiplication store an integral Fraction as the
+int it equals (same value, same hash), and sums and products of ints stay
+ints, so a polynomial built from integral data carries only ints and its
+arithmetic never touches ``Fraction``.  A sum or product of non-integral
+Fractions may still leave an integral Fraction behind; it compares and
+hashes like the int.
+
+Products accumulate on packed monomials (Kronecker substitution, as in
+Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  Each product gives every variable of
+its two factors a bit field wide enough for the largest exponent the
+product can reach, so a monomial packs into one int and multiplying two
+monomials is an integer add that never carries between fields.  The double
+loop then only adds keys, multiplies coefficients and accumulates in a
+dict.  Packed keys are never unpacked: for each output key the loop keeps
+the first pair of monomials that produced it, and each surviving term is
+decoded once, by merging that pair into the canonical tuple.  A factor with
+a single term skips packing, since multiplying by one monomial cannot merge
+two terms.
 
 Expansions are guarded by a configurable term cap (default 10**7 terms,
 overridable via ``set_term_cap`` or the SYMMREL_TERM_CAP environment
 variable); a product whose estimated size exceeds the cap raises
-:class:`TermCapExceeded` instead of exhausting memory.
+:class:`TermCapExceeded` before any work is done.
 """
 
 from __future__ import annotations
@@ -41,6 +61,7 @@ __all__ = [
     "ratfunc_combine",
     "get_term_cap",
     "set_term_cap",
+    "term_cap_from_environment",
 ]
 
 KIND_X = 0
@@ -84,7 +105,31 @@ class MissingVariableError(ValueError):
 
 
 _DEFAULT_TERM_CAP = 10**7
-_term_cap = int(os.environ.get("SYMMREL_TERM_CAP", _DEFAULT_TERM_CAP))
+
+
+def term_cap_from_environment() -> int:
+    """The term cap SYMMREL_TERM_CAP asks for; the default when it is unset.
+
+    Raises ValueError when the variable holds anything but a positive integer.
+    """
+    text = os.environ.get("SYMMREL_TERM_CAP")
+    if text is None:
+        return _DEFAULT_TERM_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"SYMMREL_TERM_CAP must be a positive integer, got {text!r}")
+    return cap
+
+
+try:
+    _term_cap = term_cap_from_environment()
+except ValueError:
+    # Importing never fails on a bad value: the command line rejects it with
+    # exit code 2, and library code keeps the default.
+    _term_cap = _DEFAULT_TERM_CAP
 
 
 def get_term_cap() -> int:
@@ -127,6 +172,30 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(out)
 
 
+def _max_exponents(terms: Iterable) -> dict:
+    top: dict = {}
+    for mono in terms:
+        for v, e in mono:
+            if e > top.get(v, 0):
+                top[v] = e
+    return top
+
+
+def _field_shifts(a: Iterable, b: Iterable) -> dict:
+    """Bit offset of each variable's field in the packed monomials of a * b.
+
+    A field holds the largest exponent the product can reach, so the sum of
+    two packed monomials never carries from one field into the next.
+    """
+    top_a, top_b = _max_exponents(a), _max_exponents(b)
+    shifts = {}
+    shift = 0
+    for v in top_a.keys() | top_b.keys():
+        shifts[v] = shift
+        shift += (top_a.get(v, 0) + top_b.get(v, 0)).bit_length()
+    return shifts
+
+
 def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
@@ -164,7 +233,9 @@ def _mono_quotient(m2: Monomial, m1: Monomial) -> Monomial:
 
 
 def _coerce_scalar(value) -> Scalar:
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
         return value
     raise TypeError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
 
@@ -341,6 +412,9 @@ class MultiPoly:
         factor = _coerce_scalar(factor)
         if factor == 0:
             return MultiPoly.zero()
+        if isinstance(factor, Fraction):
+            # A non-integral factor can still give integral products.
+            return MultiPoly._raw({m: _coerce_scalar(factor * c) for m, c in self._terms.items()})
         return MultiPoly._raw({m: factor * c for m, c in self._terms.items()})
 
     def __mul__(self, other) -> "MultiPoly":
@@ -357,22 +431,35 @@ class MultiPoly:
             raise TermCapExceeded(
                 f"product of {len(a)} x {len(b)} terms exceeds the cap of {_term_cap}"
             )
+        if len(a) == 1:
+            # m1 * m2 is injective in m2, so no two products merge.
+            ((m1, c1),) = a.items()
+            return MultiPoly._raw({_mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()})
+        shifts = _field_shifts(a, b)
+
+        def pack(mono: Monomial) -> int:
+            return sum(e << shifts[v] for v, e in mono)
+
+        packed_b = [(pack(m2), m2, c2) for m2, c2 in b.items()]
         out: dict = {}
+        # The pair that first produced each key, in the insertion order of out.
+        left: list = []
+        right: list = []
         get = out.get
         for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                key = _mono_mul(m1, m2)
-                c = c1 * c2
+            k1 = pack(m1)
+            for k2, m2, c2 in packed_b:
+                key = k1 + k2
                 acc = get(key)
                 if acc is None:
-                    out[key] = c
+                    out[key] = c1 * c2
+                    left.append(m1)
+                    right.append(m2)
                 else:
-                    acc = acc + c
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        return MultiPoly._raw(out)
+                    out[key] = acc + c1 * c2
+        return MultiPoly._raw(
+            {_mono_mul(m1, m2): c for c, m1, m2 in zip(out.values(), left, right) if c}
+        )
 
     __rmul__ = __mul__
 

@@ -121,7 +121,7 @@ def _rows_at(m: int, y_one: bool) -> tuple:
     matrix = build_s_matrix(m)
     if not y_one:
         return matrix.entries
-    ones = {VarId(KIND_Y, i): Fraction(1) for i in range(1, m + 1)}
+    ones = {VarId(KIND_Y, i): 1 for i in range(1, m + 1)}
     return tuple(
         tuple(entry.substitute(ones) for entry in row) for row in matrix.entries
     )

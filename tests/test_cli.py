@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +45,12 @@ class TestVerifyCommand:
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--conjecture", "1", "--family", "gegenbauer", "--m", "2")
         assert code == 2
+        assert err.startswith("error: unknown family 'gegenbauer'")
+
+    def test_negative_key_degree(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--conjecture", "3", "--n", "-1", "--m", "2")
+        assert code == 2
+        assert err.splitlines() == ["error: conjecture 3 needs --n >= 0"]
 
     def test_basis_products(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--conjecture", "3", "--n", "2", "--m", "3")
@@ -126,6 +135,13 @@ class TestTableCommand:
         code, _, err = run_cli(capsys, "table", "Y", "--n", "4", "--m", "2", "--key", "1,1")
         assert code == 2
 
+    @pytest.mark.parametrize("table", ["Z", "Y"])
+    def test_negative_degree(self, capsys, table):
+        code, out, err = run_cli(capsys, "table", table, "--n", "-1", "--m", "2", "--key", "1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: table needs --n >= 0, got -1"]
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "table", "Z", "--n", "1", "--m", "3")
         document = json.loads(out)
@@ -168,6 +184,12 @@ class TestBernoulliRelationsCommand:
         assert code == 0
         assert "a_2" in out and "a_3" not in out
 
+    def test_index_below_two(self, capsys):
+        code, out, err = run_cli(capsys, "bernoulli-relations", "--max-index", "1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: bernoulli-relations needs --max-index >= 2, got 1"]
+
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "bernoulli-relations", "--max-index", "4")
         document = json.loads(out)
@@ -183,15 +205,29 @@ class TestFamiliesCommand:
             assert name in out
 
 
-def test_term_cap_environment_variable():
-    import subprocess
-    import sys
+SRC = Path(__file__).resolve().parent.parent / "src"
 
-    script = "from symmrel.polyring import get_term_cap; print(get_term_cap())"
-    result = subprocess.run(
-        [sys.executable, "-c", script],
+
+def run_subprocess(argv, term_cap):
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "SYMMREL_TERM_CAP": "12345"},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC), "SYMMREL_TERM_CAP": term_cap},
     )
+
+
+def test_term_cap_environment_variable():
+    script = "from symmrel.polyring import get_term_cap; print(get_term_cap())"
+    result = run_subprocess(["-c", script], "12345")
     assert result.stdout.strip() == "12345"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_term_cap_environment_is_usage_error(value):
+    result = run_subprocess(["-m", "symmrel.cli", "families"], value)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: SYMMREL_TERM_CAP must be a positive integer, got {value!r}"
+    ]

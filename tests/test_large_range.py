@@ -1,7 +1,8 @@
-"""Opt-in sweep of the zero relations beyond the default n <= 8, m <= 4 grid.
+"""Opt-in checks beyond the default n <= 8, m <= 4 grid and the n <= 6 solver.
 
-The tabulated claim extends to six variables; these checks are exact but
-take a couple of minutes, so they only run when SYMMREL_LARGE_TESTS is set:
+The tabulated zero-relation claim extends to six variables, and the C
+system is solvable at n = 7; these checks are exact but take a few minutes,
+so they only run when SYMMREL_LARGE_TESTS is set:
 
     SYMMREL_LARGE_TESTS=1 pytest tests/test_large_range.py -s
 """
@@ -13,9 +14,11 @@ import pytest
 from symmrel.families import FAMILY_NAMES
 from symmrel.relations import verify_conjecture1
 
+from test_solver import assert_bernoulli_satisfies_relations
+
 pytestmark = pytest.mark.skipif(
     not os.environ.get("SYMMREL_LARGE_TESTS"),
-    reason="set SYMMREL_LARGE_TESTS=1 to run the m=5,6 sweeps",
+    reason="set SYMMREL_LARGE_TESTS=1 to run the m=5,6 sweeps and the n=7 C system",
 )
 
 
@@ -37,3 +40,7 @@ def test_symbolic_four_variables():
     for n in range(0, 4):
         report = verify_conjecture1("symbolic", n, 4)
         assert report.verified, (n, report.verdict)
+
+
+def test_c_system_degree_seven():
+    assert_bernoulli_satisfies_relations(7)

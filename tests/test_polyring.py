@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symmrel import polyring
+from symmrel.families import family_polynomial
 from symmrel.polyring import (
+    KIND_A,
     KIND_X,
+    KIND_Y,
     MissingVariableError,
     MultiPoly,
     NonDivisibleError,
@@ -16,6 +20,7 @@ from symmrel.polyring import (
     ratfunc_combine,
     set_term_cap,
 )
+from symmrel.relations import _rows_at
 
 x1, x2, x3 = MultiPoly.x(1), MultiPoly.x(2), MultiPoly.x(3)
 y1, y2 = MultiPoly.y(1), MultiPoly.y(2)
@@ -218,6 +223,112 @@ class TestTermCap:
         finally:
             set_term_cap(old)
 
+    def test_cap_checked_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the product did work before checking the cap")
+
+        monkeypatch.setattr(polyring, "_field_shifts", no_work)
+        monkeypatch.setattr(polyring, "_mono_mul", no_work)
+        monkeypatch.setattr(polyring, "_term_cap", 5)
+        with pytest.raises(TermCapExceeded):
+            _ = (x1 + x2 + x3) * (x1 + y1)
+        with pytest.raises(TermCapExceeded):
+            _ = x1 * (x1 + x2 + x3 + y1 + y2 + a1)
+
     def test_cap_validation(self):
         with pytest.raises(ValueError):
             set_term_cap(0)
+
+
+# -- the multiplication kernel against a naive oracle -------------------------
+
+WIDE_VARS = [VarId(kind, i) for kind in (KIND_X, KIND_Y, KIND_A) for i in (1, 2, 3)]
+
+
+def naive_product(p: MultiPoly, q: MultiPoly) -> dict:
+    """Every pair of terms merged on its own and summed into a dict."""
+    out: dict = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            exponents = dict(m1)
+            for v, e in m2:
+                exponents[v] = exponents.get(v, 0) + e
+            mono = tuple(sorted(exponents.items()))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+def assert_canonical(poly: MultiPoly) -> None:
+    for mono, coeff in poly.terms.items():
+        assert coeff != 0
+        assert all(e > 0 for _, e in mono)
+        variables = [v for v, _ in mono]
+        assert variables == sorted(set(variables))
+        assert all(type(v) is VarId for v in variables)
+
+
+@st.composite
+def wide_polys(draw, min_terms=0, max_terms=6):
+    """x, y and a variables; exponents up to 70, so the packed fields of a
+    product are up to 8 bits wide and nine of them pass 64 bits; int and
+    Fraction coefficients."""
+    exponents = st.one_of(st.integers(1, 3), st.integers(60, 70))
+    coeffs = st.one_of(st.integers(-4, 4), rationals()).filter(bool)
+    terms = draw(
+        st.lists(
+            st.tuples(st.dictionaries(st.sampled_from(WIDE_VARS), exponents, max_size=5), coeffs),
+            min_size=min_terms,
+            max_size=max_terms,
+        )
+    )
+    return MultiPoly([(tuple(mono.items()), c) for mono, c in terms])
+
+
+class TestMultiplicationKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(wide_polys(), wide_polys())
+    def test_matches_naive_product(self, p, q):
+        product = p * q
+        assert product.terms == naive_product(p, q)
+        assert_canonical(product)
+
+    @settings(deadline=None)
+    @given(wide_polys(min_terms=1, max_terms=1), wide_polys())
+    def test_single_term_factor(self, p, q):
+        assert len(p) == 1
+        for product in (p * q, q * p):
+            assert product.terms == naive_product(p, q)
+            assert_canonical(product)
+
+    @settings(deadline=None)
+    @given(wide_polys(min_terms=1), wide_polys(min_terms=1))
+    def test_cancelling_products(self, p, q):
+        # (p + q)(p - q): the cross terms cancel pairwise.
+        product = (p + q) * (p - q)
+        assert product.terms == naive_product(p + q, p - q)
+        assert product == p * p - q * q
+        assert_canonical(product)
+        assert (p - p) * q == 0
+
+    def test_exponent_fields_past_64_bits(self):
+        p = MultiPoly([(tuple((v, 70) for v in WIDE_VARS), 3), (((WIDE_VARS[0], 1),), F(1, 2))])
+        q = MultiPoly([(tuple((v, 70) for v in WIDE_VARS), -1), (((WIDE_VARS[-1], 69),), 5)])
+        product = p * q
+        assert product.terms == naive_product(p, q)
+        assert product.coefficient(tuple((v, 140) for v in WIDE_VARS)) == -3
+
+    def test_integer_inputs_give_integer_coefficients(self):
+        for m in range(2, 6):
+            for row in _rows_at(m, True):
+                for entry in row:
+                    assert all(type(c) is int for c in entry.terms.values())
+        for name in ("hermite", "laguerre", "bell"):
+            for n in range(0, 7):
+                poly = family_polynomial(name, n, 3)
+                assert all(type(c) is int for c in poly.terms.values()), (name, n)
+
+    def test_integral_fractions_stored_as_int(self):
+        p = MultiPoly([(((VarId(KIND_X, 1), 1),), F(4, 2))]) + MultiPoly.constant(F(3))
+        assert all(type(c) is int for c in p.terms.values())
+        assert all(type(c) is int for c in (F(1, 2) * (2 * x1 + 4)).terms.values())
+        assert hash(MultiPoly.constant(F(2))) == hash(2)

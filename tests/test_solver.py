@@ -7,6 +7,7 @@ from symmrel.families import family_polynomial
 from symmrel.partitions import exponent_vectors
 from symmrel.polyring import MultiPoly
 from symmrel.relations import extract_y_basis
+from symmrel.symmfunc import to_power_sum_basis
 from symmrel.solver import (
     CSolution,
     ExactMatrix,
@@ -92,6 +93,16 @@ class TestNullspace:
         assert len(basis) == cols - naive_rational_rank([list(r) for r in matrix.entries])
 
 
+def assert_bernoulli_satisfies_relations(n):
+    """The power-sum coefficients of the degree-n Bernoulli member over n
+    variables obey every dependent form of the degree-n solution."""
+    solution = solve_c_coefficients(n)
+    expansion = to_power_sum_basis(family_polynomial("bernoulli", n, n), n, n)
+    for key, form in solution.dependent.items():
+        expected = sum((c * expansion.coefficient(fk) for fk, c in form.items()), F(0))
+        assert expansion.coefficient(key) == expected, key
+
+
 class TestCSolutions:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_reference_relations(self, n):
@@ -133,6 +144,10 @@ class TestCSolutions:
                     for bk, v in extract_y_basis(n, m, key).coefficients.items():
                         total[bk] = total.get(bk, F(0)) + c * F(v)
                 assert all(v == 0 for v in total.values())
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_bernoulli_expansion_satisfies_relations(self, n):
+        assert_bernoulli_satisfies_relations(n)
 
     def test_flagged_n6_relation(self):
         # The published variant of this relation violates the vanishing
