@@ -33,7 +33,6 @@ from .polyring import (
 )
 from .relations import (
     RelationReport,
-    SMatrix,
     build_s_matrix,
     extract_y_basis,
     extract_z,
@@ -43,8 +42,6 @@ from .relations import (
 )
 from .solver import (
     CSolution,
-    ExactMatrix,
-    nullspace,
     reconstruct_s_bar,
     sequential_a_elimination,
     solve_c_coefficients,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -28,7 +29,12 @@ from fractions import Fraction
 from . import __version__
 from .families import FAMILY_NAMES, SYMBOLIC_NAME, get_family
 from .partitions import exponent_vectors, vector_weight
-from .polyring import TermCapExceeded, set_term_cap, term_cap_from_environment
+from .polyring import (
+    TermCapExceeded,
+    get_term_cap,
+    set_term_cap,
+    term_cap_from_environment,
+)
 from .relations import (
     PreconditionError,
     extract_y_basis,
@@ -122,11 +128,19 @@ def _render_json(document) -> str:
 
 
 def _emit(document, fmt: str, text_lines) -> None:
-    if fmt == "json":
-        print(_render_json(document))
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        if fmt == "json":
+            print(_render_json(document))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``| head``).  Send what is left to devnull
+        # so the exit code still reports the verdict, not the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +218,11 @@ def _build_cases(args) -> list:
 def cmd_verify(args) -> int:
     cases = _build_cases(args)
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # Workers started by spawn or forkserver do not inherit the parent's
+        # term cap, so it is passed explicitly.
+        with ProcessPoolExecutor(
+            max_workers=args.jobs, initializer=set_term_cap, initargs=(get_term_cap(),)
+        ) as pool:
             results = list(pool.map(_verify_case, cases))
     else:
         results = [_verify_case(case) for case in cases]

@@ -335,10 +335,6 @@ class MultiPoly:
             return -1
         return max(_mono_degree(m) for m in self._terms)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {_mono_degree(m) for m in self._terms}
-        return len(degrees) <= 1
-
     def constant_term(self) -> Scalar:
         return self._terms.get((), 0)
 
@@ -714,9 +710,6 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
-
-    def equivalent(self, other: "RationalFunction") -> bool:
-        return (self.numerator * other.denominator) == (other.numerator * self.denominator)
 
     def __str__(self) -> str:
         return f"({self.numerator}) / ({self.denominator})"

@@ -29,6 +29,13 @@ pi(x) * prod_i pi(s_i).  Both denominators are products of the same linear
 factors, so residue extraction still divides factor by factor; the public
 :func:`u_function` keeps the full-product form and doubles as an
 independent cross-check of the engine.
+
+Sources: every accepted input becomes one ``_Source``.  A registry family,
+the symbolic family, a power-sum key and a PowerSumExpansion are all held as
+a Q[a]-linear combination of power-sum products (the families through the
+closed form of the complete Bell polynomial); a raw MultiPoly is kept as it
+stands.  The same ``instantiate`` builds the polynomial on the plain
+variables, on the matrix rows and at numeric prescreen points.
 """
 
 from __future__ import annotations
@@ -38,15 +45,11 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, lcm
 from typing import Optional, Sequence
 
-from .families import (
-    SYMBOLIC_NAME,
-    FamilySpec,
-    get_family,
-    symbolic_family_polynomial,
-)
-from .partitions import ExponentVector, check_vector, exponent_vectors
+from .families import SYMBOLIC_NAME, FamilySpec, get_family
+from .partitions import ExponentVector, check_vector, exponent_vectors, vector_weight
 from .polyring import (
     KIND_A,
     KIND_X,
@@ -60,15 +63,14 @@ from .polyring import (
 )
 from .symmfunc import (
     PowerSumExpansion,
-    complete_bell,
     denominator_product,
     is_symmetric,
     power_sums_of,
     to_power_sum_basis,
+    x_degrees,
 )
 
 __all__ = [
-    "SMatrix",
     "RelationReport",
     "PreconditionError",
     "build_s_matrix",
@@ -87,20 +89,11 @@ class PreconditionError(ValueError):
     """The (n, m) regime does not match the requested check."""
 
 
-@dataclass(frozen=True)
-class SMatrix:
-    """The m x m substitution matrix; rows are fed into the polynomial under test."""
+def build_s_matrix(m: int) -> tuple:
+    """Rows of the m x m substitution matrix, each a tuple of MultiPoly.
 
-    m: int
-    entries: tuple  # tuple of m tuples of MultiPoly
-
-    def row(self, i: int) -> tuple:
-        """Row i (1-based)."""
-        return self.entries[i - 1]
-
-
-def build_s_matrix(m: int) -> SMatrix:
-    """Entries s_ij = y_i x_j - y_j x_i + x_i delta_ij; the diagonal is x_i."""
+    Entries s_ij = y_i x_j - y_j x_i + x_i delta_ij; the diagonal is x_i.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     rows = []
@@ -112,19 +105,21 @@ def build_s_matrix(m: int) -> SMatrix:
             else:
                 row.append(MultiPoly.y(i) * MultiPoly.x(j) - MultiPoly.y(j) * MultiPoly.x(i))
         rows.append(tuple(row))
-    return SMatrix(m, tuple(rows))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
 def _rows_at(m: int, y_one: bool) -> tuple:
     """Rows of the substitution matrix, optionally specialized to y = 1."""
-    matrix = build_s_matrix(m)
+    rows = build_s_matrix(m)
     if not y_one:
-        return matrix.entries
+        return rows
     ones = {VarId(KIND_Y, i): 1 for i in range(1, m + 1)}
-    return tuple(
-        tuple(entry.substitute(ones) for entry in row) for row in matrix.entries
-    )
+    return tuple(tuple(entry.substitute(ones) for entry in row) for row in rows)
+
+
+def _x_vars(m: int) -> list:
+    return [MultiPoly.x(i) for i in range(1, m + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -162,174 +157,136 @@ def _cofactor(m: int, i: int, y_one: bool) -> MultiPoly:
 
 
 class _Source:
-    """A degree-n symmetric polynomial that can be instantiated on any
-    component vector (plain variables, matrix rows, or numeric points)."""
+    """A degree-n polynomial that can be instantiated on any component vector.
 
-    kind = "raw"
-    label = "?"
-    n = 0
-    a_indices: tuple = ()
+    A symmetric input is held as a Q[a]-linear combination of power-sum
+    products, ``terms`` = ((key, coeff), ...), with keys trimmed of trailing
+    zeros and every coefficient multiplied by the common ``denominator``: the
+    expansion then sums integral data and divides once at the end.  A raw
+    MultiPoly in x_1..x_m is kept as ``raw`` instead and substituted or
+    evaluated as it stands, since it need not be symmetric.
+    """
 
-    def on_components(self, comps: Sequence) -> MultiPoly:
-        raise NotImplementedError
-
-    def value_at(self, values: Sequence[Fraction], a_values=None) -> Fraction:
-        raise NotImplementedError
-
-    def polynomial(self, m: int) -> MultiPoly:
-        return self.on_components([MultiPoly.x(i) for i in range(1, m + 1)])
-
-
-class _FamilySource(_Source):
-    kind = "family"
-
-    def __init__(self, spec: FamilySpec, n: int):
-        self.spec = spec
+    def __init__(self, n, label, terms=(), raw=None, family=False):
         self.n = n
-        self.label = spec.name
+        self.label = label
+        self.raw = raw
+        self.family = family  # a registry or symbolic family: C1/C2, not C3
+        terms = [(key, coeff) for key, coeff in terms if coeff != 0]
+        self.denominator = lcm(1, *(_denominator(coeff) for _, coeff in terms))
+        self.terms = tuple(
+            (_trim(key), _times(coeff, self.denominator)) for key, coeff in terms
+        )
+        self.top = max((len(key) for key, _ in self.terms), default=0)
+        polys = [raw] if raw is not None else [c for _, c in self.terms if isinstance(c, MultiPoly)]
+        # The a symbols a numeric point must assign, in index order.
+        self.a_indices = tuple(
+            sorted({v.index for p in polys for v in p.variables() if v.kind == KIND_A})
+        )
 
-    def on_components(self, comps):
-        if self.n == 0:
-            return MultiPoly.constant(self.spec.b_norm(0))
-        sums = power_sums_of(list(comps), self.n)
-        f = [self.spec.a_coeff(k) * sums[k - 1] for k in range(1, self.n + 1)]
-        return self.spec.b_norm(self.n) * complete_bell(self.n, f)
+    def instantiate(self, comps: Sequence, a_values=None):
+        """The polynomial at the component vector ``comps``.
 
-    def value_at(self, values, a_values=None):
-        if self.n == 0:
-            return Fraction(self.spec.b_norm(0))
-        sums = power_sums_of([Fraction(v) for v in values], self.n)
-        f = [self.spec.a_coeff(k) * sums[k - 1] for k in range(1, self.n + 1)]
-        return self.spec.b_norm(self.n) * complete_bell(self.n, f)
-
-
-class _SymbolicSource(_Source):
-    kind = "symbolic"
-
-    def __init__(self, n: int):
-        self.n = n
-        self.label = SYMBOLIC_NAME
-        self.a_indices = tuple(range(1, n + 1))
-
-    def on_components(self, comps):
-        if self.n == 0:
-            return MultiPoly.one()
-        sums = power_sums_of(list(comps), self.n)
-        f = [MultiPoly.a(k) * sums[k - 1] for k in range(1, self.n + 1)]
-        result = complete_bell(self.n, f)
-        return result if isinstance(result, MultiPoly) else MultiPoly.constant(result)
-
-    def value_at(self, values, a_values=None):
-        if self.n == 0:
-            return Fraction(1)
-        a_values = a_values or {}
-        sums = power_sums_of([Fraction(v) for v in values], self.n)
-        f = [a_values[k] * sums[k - 1] for k in range(1, self.n + 1)]
-        return complete_bell(self.n, f)
-
-    def polynomial(self, m: int) -> MultiPoly:
-        return symbolic_family_polynomial(self.n, m)
-
-
-class _BasisSource(_Source):
-    kind = "basis"
-
-    def __init__(self, key: ExponentVector):
-        self.key = tuple(key)
-        self.n = sum((i + 1) * e for i, e in enumerate(self.key))
-        check_vector(self.key, self.n)
-        self.label = "P_" + "{" + ",".join(map(str, self.key)) + "}"
-
-    def on_components(self, comps):
-        top = max((i + 1 for i, e in enumerate(self.key) if e), default=0)
-        if top == 0:
-            return MultiPoly.one()
-        sums = power_sums_of(list(comps), top)
-        out = MultiPoly.one()
-        for i, e in enumerate(self.key):
-            if e:
-                out = out * sums[i] ** e
-        return out
-
-    def value_at(self, values, a_values=None):
-        top = max((i + 1 for i, e in enumerate(self.key) if e), default=0)
-        if top == 0:
-            return Fraction(1)
-        sums = power_sums_of([Fraction(v) for v in values], top)
-        out = Fraction(1)
-        for i, e in enumerate(self.key):
-            if e:
-                out *= sums[i] ** e
-        return out
-
-
-class _ExpansionSource(_Source):
-    kind = "expansion"
-
-    def __init__(self, expansion: PowerSumExpansion):
-        self.expansion = expansion
-        self.n = expansion.weight
-        self.label = f"expansion(weight={expansion.weight})"
-
-    def on_components(self, comps):
-        out = MultiPoly.zero()
-        for key, coeff in self.expansion.coefficients.items():
-            out = out + coeff * _BasisSource(key).on_components(comps)
-        return out
-
-    def value_at(self, values, a_values=None):
-        total = Fraction(0)
-        for key, coeff in self.expansion.coefficients.items():
-            if isinstance(coeff, MultiPoly):
-                raise ValueError("numeric evaluation of a symbolic expansion")
-            total += coeff * _BasisSource(key).value_at(values)
+        Components are MultiPoly (plain variables or substitution-matrix
+        rows; the result is a MultiPoly) or exact rationals (a numeric point;
+        the result is a Fraction, and ``a_values`` maps k to the value of a_k).
+        """
+        numeric = not isinstance(comps[0], MultiPoly)
+        a_point = {VarId(KIND_A, k): v for k, v in (a_values or {}).items()}
+        if self.raw is not None:
+            x_map = {VarId(KIND_X, j): c for j, c in enumerate(comps, 1)}
+            if numeric:
+                return self.raw.evaluate({**x_map, **a_point})
+            return self.raw.substitute(x_map)
+        sums = power_sums_of(list(comps), self.top)
+        products = {(): Fraction(1) if numeric else MultiPoly.one()}
+        total = Fraction(0) if numeric else MultiPoly.zero()
+        for key, coeff in self.terms:
+            if numeric and isinstance(coeff, MultiPoly):
+                coeff = coeff.evaluate(a_point)
+            term = _power_product(key, sums, products)
+            if coeff != 1:
+                term = coeff * term
+            total = total + term if total else term
+        if self.denominator != 1:
+            total = total * Fraction(1, self.denominator)
         return total
 
 
-class _RawSource(_Source):
-    kind = "raw"
+def _power_product(key: tuple, sums: Sequence, products: dict):
+    """p_1^k_1 * p_2^k_2 * ... for a trimmed key, from the power sums ``sums``.
 
-    def __init__(self, poly: MultiPoly, m: int):
-        self.poly = poly
-        self.m = m
-        degrees = {
-            sum(e for v, e in mono if v.kind == KIND_X) for mono in poly.terms
-        }
-        if len(degrees) > 1:
-            raise ValueError("raw polynomial must be homogeneous in x")
-        self.n = degrees.pop() if degrees else 0
-        self.label = "raw"
-
-    def on_components(self, comps):
-        mapping = {
-            VarId(KIND_X, j): comps[j - 1] for j in range(1, self.m + 1)
-        }
-        return self.poly.substitute(mapping)
-
-    def value_at(self, values, a_values=None):
-        assignment = {VarId(KIND_X, j): values[j - 1] for j in range(1, self.m + 1)}
-        if a_values:
-            assignment.update({VarId(KIND_A, k): v for k, v in a_values.items()})
-        return self.poly.evaluate(assignment)
+    Each product is a smaller one times a single power sum, memoized in
+    ``products``, so keys that share a head share its product.
+    """
+    if key not in products:
+        head = key[:-1] + (key[-1] - 1,) if key[-1] > 1 else _trim(key[:-1])
+        products[key] = _power_product(head, sums, products) * sums[len(key) - 1]
+    return products[key]
 
 
-def _make_source(poly_source, n: int, m: int) -> _Source:
+def _trim(key: tuple) -> tuple:
+    end = len(key)
+    while end and not key[end - 1]:
+        end -= 1
+    return key[:end]
+
+
+def _denominator(coeff) -> int:
+    if isinstance(coeff, MultiPoly):
+        return lcm(1, *(Fraction(c).denominator for c in coeff.terms.values()))
+    return Fraction(coeff).denominator
+
+
+def _times(coeff, multiple: int):
+    """coeff * multiple, where multiple clears every denominator of coeff."""
+    if isinstance(coeff, MultiPoly):
+        return MultiPoly({mono: c * multiple for mono, c in coeff.terms.items()})
+    return (Fraction(coeff) * multiple).numerator
+
+
+def _bell_terms(n: int, a: Sequence, scale):
+    """Power-sum coefficients of scale * B_n(a_1 p_1, ..., a_n p_n).
+
+    The coefficient of P_k is scale * n! / prod_i (k_i! (i!)^k_i) * prod_i a_i^k_i,
+    the closed form of the complete Bell polynomial.
+    """
+    for key in exponent_vectors(n, max(n, 1)):
+        divisor = 1
+        coeff = scale
+        for i, e in enumerate(key, 1):
+            if e:
+                divisor *= factorial(e) * factorial(i) ** e
+                coeff = coeff * a[i - 1] ** e
+        yield key, factorial(n) // divisor * coeff
+
+
+def _raw_degree(poly: MultiPoly) -> int:
+    degrees = x_degrees(poly)
+    if len(degrees) > 1:
+        raise ValueError("raw polynomial must be homogeneous in x")
+    return degrees.pop() if degrees else 0
+
+
+def _make_source(poly_source, n: int) -> _Source:
     """Normalize the accepted source spellings into a _Source."""
-    if isinstance(poly_source, _Source):
-        source = poly_source
-    elif isinstance(poly_source, FamilySpec):
-        source = _FamilySource(poly_source, n)
-    elif isinstance(poly_source, str):
-        if poly_source.lower() == SYMBOLIC_NAME:
-            source = _SymbolicSource(n)
-        else:
-            source = _FamilySource(get_family(poly_source), n)
+    if isinstance(poly_source, str) and poly_source.lower() == SYMBOLIC_NAME:
+        a = [MultiPoly.a(k) for k in range(1, n + 1)]
+        source = _Source(n, SYMBOLIC_NAME, _bell_terms(n, a, 1), family=True)
+    elif isinstance(poly_source, (str, FamilySpec)):
+        spec = get_family(poly_source) if isinstance(poly_source, str) else poly_source
+        a = [spec.a_coeff(k) for k in range(1, n + 1)]
+        source = _Source(n, spec.name, _bell_terms(n, a, spec.b_norm(n)), family=True)
     elif isinstance(poly_source, PowerSumExpansion):
-        source = _ExpansionSource(poly_source)
+        label = f"expansion(weight={poly_source.weight})"
+        source = _Source(poly_source.weight, label, poly_source.coefficients.items())
     elif isinstance(poly_source, tuple):
-        source = _BasisSource(poly_source)
+        weight = vector_weight(poly_source)
+        check_vector(poly_source, weight)
+        label = "P_" + "{" + ",".join(map(str, poly_source)) + "}"
+        source = _Source(weight, label, [(poly_source, 1)])
     elif isinstance(poly_source, MultiPoly):
-        source = _RawSource(poly_source, m)
+        source = _Source(_raw_degree(poly_source), "raw", raw=poly_source)
     else:
         raise TypeError(f"cannot interpret {poly_source!r} as a polynomial source")
     if source.n != n:
@@ -349,7 +306,8 @@ class Stage:
     seconds: float
 
     def to_json(self):
-        return {"name": self.name, "detail": self.detail, "seconds": round(self.seconds, 6)}
+        # The wall-clock time stays off the document, which is byte-deterministic.
+        return {"name": self.name, "detail": self.detail}
 
 
 @dataclass
@@ -395,14 +353,6 @@ def _witness_json(witness):
     return str(witness)
 
 
-def _zero_conjecture_id(source: _Source) -> str:
-    return "C1" if source.kind in ("family", "symbolic") else "C3-zero"
-
-
-def _poly_conjecture_id(source: _Source) -> str:
-    return "C2" if source.kind in ("family", "symbolic") else "C3-poly"
-
-
 # ---------------------------------------------------------------------------
 # The U function
 # ---------------------------------------------------------------------------
@@ -425,21 +375,16 @@ def u_function(
         raise PreconditionError(
             "general-y U is only defined for n <= m-1; set specialize_y for n >= m"
         )
-    source = _RawSource(s_poly, m)
-    if source.n != n:
-        raise ValueError(f"polynomial has degree {source.n}, expected {n}")
+    degree = _raw_degree(s_poly)
+    if degree != n:
+        raise ValueError(f"polynomial has degree {degree}, expected {n}")
     rows = _rows_at(m, specialize_y)
-    x_vars = [MultiPoly.x(i) for i in range(1, m + 1)]
-    parts = [(MultiPoly.one(), RationalFunction(s_poly, denominator_product(x_vars)))]
+    parts = [(MultiPoly.one(), RationalFunction(s_poly, denominator_product(_x_vars(m))))]
     for i in range(1, m + 1):
-        row = list(rows[i - 1])
+        row = rows[i - 1]
         weight = MultiPoly.one() if specialize_y else MultiPoly.y(i) ** exponent
-        parts.append(
-            (
-                -weight,
-                RationalFunction(source.on_components(row), denominator_product(row)),
-            )
-        )
+        on_row = s_poly.substitute({VarId(KIND_X, j): c for j, c in enumerate(row, 1)})
+        parts.append((-weight, RationalFunction(on_row, denominator_product(row))))
     return ratfunc_combine(parts)
 
 
@@ -453,9 +398,9 @@ def _u_numerator(source: _Source, n: int, m: int, y_one: bool):
     if exponent < 0 and not y_one:
         raise PreconditionError("general-y U requires n <= m-1")
     rows = _rows_at(m, y_one)
-    numerator = source.polynomial(m) * _pair_product(m, y_one)
+    numerator = source.instantiate(_x_vars(m)) * _pair_product(m, y_one)
     for i in range(1, m + 1):
-        term = source.on_components(list(rows[i - 1])) * _cofactor(m, i, y_one)
+        term = source.instantiate(rows[i - 1]) * _cofactor(m, i, y_one)
         if not y_one and exponent > 0:
             term = term * MultiPoly.y(i) ** exponent
         if i % 2:
@@ -509,7 +454,7 @@ def _u_value_at(source: _Source, n: int, m: int, xs, ys, a_values) -> Fraction:
     pi_x = Fraction(1)
     for v in xs:
         pi_x *= v
-    total = source.value_at(xs, a_values) / pi_x
+    total = source.instantiate(xs, a_values) / pi_x
     for i in range(1, m + 1):
         row_vals = []
         pi_row = Fraction(1)
@@ -520,7 +465,7 @@ def _u_value_at(source: _Source, n: int, m: int, xs, ys, a_values) -> Fraction:
                 entry = ys[i - 1] * xs[j - 1] - ys[j - 1] * xs[i - 1]
             row_vals.append(entry)
             pi_row *= entry
-        total -= ys[i - 1] ** exponent * source.value_at(row_vals, a_values) / pi_row
+        total -= ys[i - 1] ** exponent * source.instantiate(row_vals, a_values) / pi_row
     return total
 
 
@@ -568,8 +513,8 @@ def verify_conjecture1(
             f"zero relation needs 0 <= n <= m-1 (got n={n}, m={m}); "
             "use verify_conjecture2 for n >= m"
         )
-    source = _make_source(poly_source, n, m)
-    conjecture = _zero_conjecture_id(source)
+    source = _make_source(poly_source, n)
+    conjecture = "C1" if source.family else "C3-zero"
     report = RelationReport(conjecture, n, m, source.label, "unknown")
     try:
         if prescreen_points > 0:
@@ -614,8 +559,8 @@ def verify_conjecture2(poly_source, n: int, m: int) -> RelationReport:
             f"residue relation needs n >= m (got n={n}, m={m}); "
             "use verify_conjecture1 for n <= m-1"
         )
-    source = _make_source(poly_source, n, m)
-    conjecture = _poly_conjecture_id(source)
+    source = _make_source(poly_source, n)
+    conjecture = "C2" if source.family else "C3-poly"
     report = RelationReport(conjecture, n, m, source.label, "unknown")
     try:
         start = time.perf_counter()
@@ -640,10 +585,7 @@ def verify_conjecture2(poly_source, n: int, m: int) -> RelationReport:
         )
         start = time.perf_counter()
         if not quotient.is_zero():
-            x_degrees = {
-                sum(e for v, e in mono if v.kind == KIND_X) for mono in quotient.terms
-            }
-            if x_degrees != {n - m}:
+            if x_degrees(quotient) != {n - m}:
                 report.verdict = "falsified"
                 report.witness = quotient
                 return report
@@ -682,7 +624,7 @@ def extract_z(n: int, m: int) -> PowerSumExpansion:
         raise ValueError("n must be >= 0")
     if m < 2:
         raise PreconditionError("residues need m >= 2; the m = 1 residue is identically zero")
-    report = verify_conjecture2(_SymbolicSource(n + m), n + m, m)
+    report = verify_conjecture2(SYMBOLIC_NAME, n + m, m)
     if not report.verified:
         raise ArithmeticError(
             f"residue extraction failed for n={n}, m={m}: {report.verdict} ({report.witness})"
@@ -706,7 +648,7 @@ def extract_y_basis(n: int, m: int, k: ExponentVector) -> PowerSumExpansion:
         raise PreconditionError("m must be >= 1")
     if n < m:
         raise PreconditionError(f"residues need n >= m (got n={n}, m={m})")
-    report = verify_conjecture2(_BasisSource(tuple(k)), n, m)
+    report = verify_conjecture2(tuple(k), n, m)
     if not report.verified:
         raise ArithmeticError(
             f"residue extraction failed for n={n}, m={m}, k={k}: "

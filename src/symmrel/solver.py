@@ -1,9 +1,7 @@
-"""Exact rational linear algebra and the coefficient solvers built on it.
+"""The coefficient solvers built on the residue tables.
 
-Three solver layers live here:
+Two solvers live here:
 
-* :func:`nullspace` -- fraction-free (Bareiss) elimination producing a
-  primitive integer basis of the right kernel of an exact matrix;
 * :func:`solve_c_coefficients` -- assembles the homogeneous linear system
   that makes every degree-(n-m) residue vanish for all 2 <= m <= n and
   parametrizes its solutions with the table's free-key convention (earliest
@@ -13,6 +11,9 @@ Three solver layers live here:
   which pins every a_k as a polynomial in a_1 and exposes the nonlinear
   relations among Bernoulli numbers checked by
   :func:`verify_nonlinear_bernoulli`.
+
+Exact linear elimination is :func:`symmrel.symmfunc.gauss_jordan`, the one
+kernel shared with the power-sum basis conversion.
 """
 
 from __future__ import annotations
@@ -20,20 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Mapping, Optional, Sequence
 
 from .exactnum import bernoulli_numbers
 from .partitions import ExponentVector, exponent_vectors
 from .polyring import KIND_A, MultiPoly, VarId
 from .relations import extract_y_basis, extract_z
-from .symmfunc import PowerSumExpansion
+from .symmfunc import PowerSumExpansion, gauss_jordan
 
 __all__ = [
-    "ExactMatrix",
     "CSolution",
     "EliminationError",
-    "nullspace",
     "solve_c_coefficients",
     "reconstruct_s_bar",
     "sequential_a_elimination",
@@ -49,116 +47,6 @@ __all__ = [
 
 class EliminationError(ArithmeticError):
     """The sequential elimination hit an equation it cannot solve."""
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """A dense matrix of exact rationals."""
-
-    entries: tuple  # tuple of row tuples of Fraction
-
-    def __post_init__(self):
-        if not self.entries or not self.entries[0]:
-            raise ValueError("matrix dimensions must be positive")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
-            raise ValueError("ragged matrix")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "ExactMatrix":
-        return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    def multiply_vector(self, vector: Sequence[Fraction]) -> list[Fraction]:
-        return [
-            sum((row[j] * vector[j] for j in range(self.cols)), Fraction(0))
-            for row in self.entries
-        ]
-
-
-def _primitive(vector: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers with positive leading entry."""
-    denom = 1
-    for v in vector:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vector]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(ints)
-
-
-def nullspace(matrix: ExactMatrix) -> list[tuple[int, ...]]:
-    """Basis of the right kernel, computed by fraction-free elimination.
-
-    Rows are first cleared to integers; the Bareiss pivot scheme keeps every
-    intermediate entry an exact integer (each division is exact).  Basis
-    vectors are returned in primitive integer form, one per free column in
-    column order.
-    """
-    rows = []
-    for row in matrix.entries:
-        denom = 1
-        for v in row:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        rows.append([int(v * denom) for v in row])
-    n_rows, n_cols = len(rows), matrix.cols
-
-    pivot_cols: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        pivot = None
-        for i in range(r, n_rows):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, n_rows):
-            if not any(rows[i]):
-                continue
-            for j in range(n_cols):
-                if j == c:
-                    continue
-                rows[i][j] = (rows[i][j] * rows[r][c] - rows[i][c] * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        pivot_cols.append(c)
-        r += 1
-        if r == n_rows:
-            break
-
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        vector = [Fraction(0)] * n_cols
-        vector[free] = Fraction(1)
-        for level in range(len(pivot_cols) - 1, -1, -1):
-            c = pivot_cols[level]
-            row = rows[level]
-            acc = Fraction(0)
-            for j in range(c + 1, n_cols):
-                if row[j]:
-                    acc += row[j] * vector[j]
-            vector[c] = -acc / row[c]
-        basis.append(_primitive(vector))
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -232,42 +120,19 @@ def solve_c_coefficients(n: int) -> CSolution:
 
     Gauss-Jordan elimination processes columns from the last key backwards,
     so pivots land on the latest keys and the leading keys of the listing
-    order (the p_1-dominant products) remain the free parameters.
+    order (the p_1-dominant products) remain the free parameters.  A pivot
+    row is zero in every other pivot column, so each dependent key is a
+    linear form in the free keys alone.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     rows, keys = residue_system(n)
-    n_cols = len(keys)
-    work = [list(map(Fraction, row)) for row in rows]
-    pivot_row_of_col: dict[int, int] = {}
-    used_rows: set[int] = set()
-    for col in range(n_cols - 1, -1, -1):
-        pivot = None
-        for r in range(len(work)):
-            if r not in used_rows and work[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        used_rows.add(pivot)
-        pivot_row_of_col[col] = pivot
-        inv = 1 / work[pivot][col]
-        work[pivot] = [v * inv for v in work[pivot]]
-        for r in range(len(work)):
-            if r != pivot and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [v - factor * p for v, p in zip(work[r], work[pivot])]
-    free_keys = tuple(keys[c] for c in range(n_cols) if c not in pivot_row_of_col)
-    dependent = {}
-    for col, r in pivot_row_of_col.items():
-        row = work[r]
-        form = {}
-        for c2 in range(n_cols):
-            if c2 != col and row[c2] != 0:
-                if c2 in pivot_row_of_col:
-                    raise ArithmeticError("reduction left a dependent key in a pivot row")
-                form[keys[c2]] = -row[c2]
-        dependent[keys[col]] = form
+    pivots, reduced, _ = gauss_jordan(rows, range(len(keys) - 1, -1, -1))
+    free_keys = tuple(key for col, key in enumerate(keys) if col not in pivots)
+    dependent = {
+        keys[col]: {keys[c]: -v for c, v in enumerate(reduced[r]) if c != col and v != 0}
+        for col, r in pivots.items()
+    }
     return CSolution(n, keys, free_keys, dependent, equations=len(rows))
 
 

@@ -7,7 +7,8 @@ polynomials of degree n in m variables; :func:`to_power_sum_basis` inverts
 that basis by an exact linear solve on monomial coefficients.  Coefficients
 may themselves be polynomials in the ``a_i`` symbols (symbolic mode): the
 matrix of the solve is always rational, so elimination never divides by a
-polynomial.
+polynomial.  :func:`gauss_jordan` is the package's one elimination kernel;
+the coefficient solver in ``solver`` uses it too.
 
 The denominator product pi(v) of a variable vector is read as the plain
 product of its components.  This reading is used in every relation built
@@ -35,6 +36,8 @@ __all__ = [
     "denominator_product",
     "to_power_sum_basis",
     "is_symmetric",
+    "x_degrees",
+    "gauss_jordan",
     "NotSymmetricError",
     "NotHomogeneousError",
     "NotRepresentableError",
@@ -88,13 +91,6 @@ class PowerSumExpansion:
                 continue
             out = out + coeff * power_sum_product(key, self.num_vars)
         return out
-
-    def map_coefficients(self, transform) -> "PowerSumExpansion":
-        return PowerSumExpansion(
-            self.weight,
-            self.num_vars,
-            {k: transform(c) for k, c in self.coefficients.items()},
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSumExpansion):
@@ -222,6 +218,11 @@ def is_symmetric(p: MultiPoly, m: int) -> bool:
     return p.substitute(cycle) == p
 
 
+def x_degrees(p: MultiPoly) -> set:
+    """The total degrees in the x variables of the terms of p."""
+    return {sum(e for v, e in mono if v.kind == KIND_X) for mono in p.terms}
+
+
 def _split_x_part(p: MultiPoly):
     """Split every term into its x-monomial and the residual coefficient.
 
@@ -272,12 +273,10 @@ def to_power_sum_basis(
         return PowerSumExpansion(weight, m, {k: Fraction(0) for k in keys})
     # Homogeneity is measured in the x variables only; a-symbol factors in
     # the coefficients carry their own independent grading.
-    x_degrees = {
-        sum(e for v, e in mono if v.kind == KIND_X) for mono in p.terms
-    }
-    if len(x_degrees) > 1:
+    degrees = x_degrees(p)
+    if len(degrees) > 1:
         raise NotHomogeneousError("polynomial is not homogeneous in the x variables")
-    degree = x_degrees.pop()
+    degree = degrees.pop()
     if weight is not None and weight != degree:
         raise ValueError(f"stated weight {weight} does not match degree {degree}")
     if not is_symmetric(p, m):
@@ -301,10 +300,15 @@ def to_power_sum_basis(
     ]
     rhs = [target.get(mono, zero) for mono in monomials]
 
-    solution = _solve_rational_columns(matrix, rhs, len(keys))
-    coefficients = {}
-    for key, value in zip(keys, solution):
-        coefficients[key] = _normalize_coefficient(value)
+    pivots, _, values = gauss_jordan(matrix, range(len(keys)), rhs)
+    if len(pivots) < len(keys):
+        raise NotRepresentableError("basis is not independent: underdetermined column")
+    pivot_rows = set(pivots.values())
+    if any(not _coeff_is_zero(v) for r, v in enumerate(values) if r not in pivot_rows):
+        raise NotRepresentableError("polynomial is outside the span of the requested basis")
+    coefficients = {
+        key: _normalize_coefficient(values[pivots[col]]) for col, key in enumerate(keys)
+    }
     return PowerSumExpansion(degree, m, coefficients)
 
 
@@ -319,48 +323,36 @@ def _normalize_coefficient(value: Coefficient) -> Coefficient:
     return Fraction(value)
 
 
-def _solve_rational_columns(matrix, rhs, n_cols):
-    """Gaussian elimination with a rational matrix and module-valued RHS.
+def gauss_jordan(matrix, columns, rhs=None):
+    """Gauss-Jordan elimination over Q, pivoting on ``columns`` in the order given.
 
-    The RHS entries live in a vector space over the rationals (Fractions or
-    a-symbol polynomials); row operations only ever scale them by exact
-    rationals.  Raises NotRepresentableError on inconsistency and on an
-    underdetermined column.
+    ``matrix`` is a list of rows of rationals.  ``rhs``, if given, has one
+    entry per row from a vector space over Q (Fractions or a-symbol
+    polynomials); row operations only ever scale it by exact rationals.
+    Returns (pivots, rows, rhs): ``pivots`` maps each pivot column to its
+    row, whose entry there is 1 and is 0 in every other row.  The columns
+    without a pivot are the free ones; the rows without a pivot are zero in
+    the matrix part.
     """
-    n_rows = len(matrix)
-    rows = [list(r) for r in matrix]
-    values = list(rhs)
-    pivot_of_col: list = [None] * n_cols
-    pivot_row = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(pivot_row, n_rows):
-            if rows[r][col] != 0:
-                pivot = r
-                break
+    rows = [list(map(Fraction, row)) for row in matrix]
+    values = None if rhs is None else list(rhs)
+    pivots: dict = {}
+    unused = list(range(len(rows)))
+    for col in columns:
+        pivot = next((r for r in unused if rows[r][col] != 0), None)
         if pivot is None:
-            raise NotRepresentableError(
-                "basis is not independent: underdetermined column"
-            )
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        values[pivot_row], values[pivot] = values[pivot], values[pivot_row]
-        inv = Fraction(1) / rows[pivot_row][col]
+            continue
+        unused.remove(pivot)
+        pivots[col] = pivot
+        inv = 1 / rows[pivot][col]
         if inv != 1:
-            rows[pivot_row] = [entry * inv for entry in rows[pivot_row]]
-            values[pivot_row] = values[pivot_row] * inv
-        for r in range(n_rows):
-            if r != pivot_row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [
-                    entry - factor * rows[pivot_row][c2]
-                    for c2, entry in enumerate(rows[r])
-                ]
-                values[r] = values[r] - factor * values[pivot_row]
-        pivot_of_col[col] = pivot_row
-        pivot_row += 1
-    for r in range(pivot_row, n_rows):
-        if not _coeff_is_zero(values[r]):
-            raise NotRepresentableError(
-                "polynomial is outside the span of the requested basis"
-            )
-    return [values[pivot_of_col[col]] for col in range(n_cols)]
+            rows[pivot] = [entry * inv for entry in rows[pivot]]
+            if values is not None:
+                values[pivot] = values[pivot] * inv
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if r != pivot and factor != 0:
+                rows[r] = [entry - factor * p for entry, p in zip(row, rows[pivot])]
+                if values is not None:
+                    values[r] = values[r] - factor * values[pivot]
+    return pivots, rows, values

@@ -95,6 +95,14 @@ class TestVerifyCommand:
         assert document["summary"]["verified"] == 2
         assert all(case["verdict"] == "verified" for case in document["cases"])
 
+    def test_json_is_byte_deterministic(self, capsys):
+        argv = ("--format", "json", "verify", "--conjecture", "1", "--family", "bernoulli", "--m", "2..3")
+        _, first, _ = run_cli(capsys, *argv)
+        _, second, _ = run_cli(capsys, *argv)
+        assert first == second
+        stages = [s for case in json.loads(first)["cases"] for s in case["stages"]]
+        assert stages and all(set(s) == {"name", "detail"} for s in stages)
+
 
 class TestTableCommand:
     def test_z_entry(self, capsys):
@@ -215,6 +223,37 @@ def run_subprocess(argv, term_cap):
         text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC), "SYMMREL_TERM_CAP": term_cap},
     )
+
+
+def test_term_cap_reaches_spawned_workers():
+    # Spawned workers start from a fresh import; the cap must be passed to them.
+    script = (
+        "import multiprocessing, sys\n"
+        "from symmrel.cli import main\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('spawn')\n"
+        "    sys.exit(main(['--term-cap', '1', '--jobs', '2', 'verify', '--conjecture', '1',\n"
+        "                   '--family', 'bernoulli', '--m', '3']))\n"
+    )
+    result = run_subprocess(["-c", script], "10000000")
+    assert result.returncode == 3, result.stderr
+    assert "resource-limited" in result.stdout
+
+
+def test_closed_pipe_keeps_verdict_exit_code():
+    process = subprocess.Popen(
+        [sys.executable, "-m", "symmrel.cli", "verify", "--conjecture", "3", "--n", "6", "--m", "2..4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)},
+    )
+    process.stdout.close()  # the reader leaves before any output is written
+    try:
+        _, err = process.communicate(timeout=120)
+    finally:
+        process.kill()
+    assert process.returncode == 0
+    assert b"Traceback" not in err
 
 
 def test_term_cap_environment_variable():

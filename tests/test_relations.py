@@ -3,15 +3,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from symmrel.families import family_polynomial, symbolic_coefficient_values
+from symmrel.families import (
+    FAMILY_NAMES,
+    family_polynomial,
+    symbolic_coefficient_values,
+    symbolic_family_polynomial,
+)
 from symmrel.partitions import exponent_vectors
-from symmrel.polyring import MultiPoly
+from symmrel.polyring import KIND_A, KIND_X, MultiPoly, VarId
 from symmrel.relations import (
     PreconditionError,
-    _BasisSource,
+    _make_source,
     _pair_product,
+    _rows_at,
     _u_numerator,
-    _RawSource,
     build_s_matrix,
     extract_y_basis,
     extract_z,
@@ -34,21 +39,20 @@ y1, y2 = MultiPoly.y(1), MultiPoly.y(2)
 
 class TestSMatrix:
     def test_single_variable(self):
-        matrix = build_s_matrix(1)
-        assert matrix.entries == ((x1,),)
+        assert build_s_matrix(1) == ((x1,),)
 
     def test_two_variables(self):
-        matrix = build_s_matrix(2)
-        assert matrix.row(1)[1] == y1 * x2 - y2 * x1
-        assert matrix.row(2)[1] == x2
-        assert matrix.row(2)[0] == y2 * x1 - y1 * x2
+        rows = build_s_matrix(2)
+        assert rows[0][1] == y1 * x2 - y2 * x1
+        assert rows[1][1] == x2
+        assert rows[1][0] == y2 * x1 - y1 * x2
 
     def test_antisymmetry_off_diagonal(self):
-        matrix = build_s_matrix(4)
-        for i in range(1, 5):
-            for j in range(1, 5):
+        rows = build_s_matrix(4)
+        for i in range(4):
+            for j in range(4):
                 if i != j:
-                    assert matrix.row(i)[j - 1] == -matrix.row(j)[i - 1]
+                    assert rows[i][j] == -rows[j][i]
 
 
 class TestUFunction:
@@ -67,7 +71,7 @@ class TestUFunction:
     def test_full_product_denominator(self):
         s = power_sum(1, 2)
         rf = u_function(s, 1, 2)
-        rows = build_s_matrix(2).entries
+        rows = build_s_matrix(2)
         expected = denominator_product([x1, x2])
         for row in rows:
             expected = expected * denominator_product(list(row))
@@ -91,10 +95,60 @@ class TestUFunction:
         ]
         for poly, n, m, y_one in cases:
             rf = u_function(poly, n, m, specialize_y=y_one)
-            num, _, _ = _u_numerator(_RawSource(poly, m), n, m, y_one)
+            num, _, _ = _u_numerator(_make_source(poly, n), n, m, y_one)
             x_vars = [MultiPoly.x(i) for i in range(1, m + 1)]
             lcm_den = denominator_product(x_vars) * _pair_product(m, y_one)
             assert rf.numerator * lcm_den == num * rf.denominator
+
+
+def _x_vars(m):
+    return [MultiPoly.x(i) for i in range(1, m + 1)]
+
+
+def _random_rationals(rng, count):
+    return [F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(count)]
+
+
+class TestSources:
+    """The power-sum sources against the Bell recursion in ``families``."""
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_family_matches_bell_recursion(self, name):
+        for m in range(1, 5):
+            for n in range(0, 7):
+                source = _make_source(name, n)
+                assert source.instantiate(_x_vars(m)) == family_polynomial(name, n, m), (n, m)
+
+    def test_symbolic_matches_bell_recursion(self):
+        for m in range(1, 5):
+            for n in range(0, 7):
+                source = _make_source("symbolic", n)
+                assert source.instantiate(_x_vars(m)) == symbolic_family_polynomial(n, m)
+
+    def test_numeric_instantiation_matches_evaluate(self):
+        rng = random.Random(3)
+        a1 = MultiPoly.a(1)
+        expansion = PowerSumExpansion(2, 2, {(2, 0): a1 * F(1, 3), (0, 1): F(5, 2)})
+        cases = [(name, n) for name in FAMILY_NAMES + ("symbolic",) for n in range(0, 6)]
+        cases += [((1, 2, 0, 0, 0), 5), (expansion, 2), (x1**3 - F(1, 2) * x1 * x2**2, 3)]
+        for spec, n in cases:
+            for m in (2, 3):
+                source = _make_source(spec, n)
+                poly = source.instantiate(_x_vars(m))
+                xs = _random_rationals(rng, m)
+                a_values = dict(enumerate(_random_rationals(rng, max(n, 1)), 1))
+                point = {VarId(KIND_X, j): v for j, v in enumerate(xs, 1)}
+                point.update({VarId(KIND_A, k): v for k, v in a_values.items()})
+                assert source.instantiate(xs, a_values) == poly.evaluate(point), (spec, n, m)
+
+    @pytest.mark.parametrize("name", ["laguerre", "bernoulli"])
+    def test_rows_carry_no_integral_fraction(self, name):
+        for m in (2, 3):
+            for n in range(m, 7):
+                source = _make_source(name, n)
+                for row in _rows_at(m, True):
+                    coeffs = source.instantiate(row).terms.values()
+                    assert not any(isinstance(c, F) and c.denominator == 1 for c in coeffs)
 
 
 class TestZeroRelation:
@@ -174,10 +228,10 @@ class TestResidueRelation:
         assert not report.witness.is_zero()
 
     def test_scale_covariance(self):
-        base = _BasisSource((2, 1, 0, 0))
+        base = _make_source((2, 1, 0, 0), 4)
         num, _, _ = _u_numerator(base, 4, 2, True)
         scaled_poly = power_sum_product((2, 1, 0, 0), 2) * F(7, 3)
-        num_scaled, _, _ = _u_numerator(_RawSource(scaled_poly, 2), 4, 2, True)
+        num_scaled, _, _ = _u_numerator(_make_source(scaled_poly, 4), 4, 2, True)
         assert num_scaled == num * F(7, 3)
 
 

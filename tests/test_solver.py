@@ -7,14 +7,12 @@ from symmrel.families import family_polynomial
 from symmrel.partitions import exponent_vectors
 from symmrel.polyring import MultiPoly
 from symmrel.relations import extract_y_basis
-from symmrel.symmfunc import to_power_sum_basis
+from symmrel.symmfunc import gauss_jordan, to_power_sum_basis
 from symmrel.solver import (
     CSolution,
-    ExactMatrix,
     NONLINEAR_RELATIONS,
     TABULATED_BERNOULLI_FREE_VALUES,
     bernoulli_reconstruction_check,
-    nullspace,
     reconstruct_s_bar,
     residue_system,
     sequential_a_elimination,
@@ -55,42 +53,73 @@ def naive_rational_rank(rows):
     return rank
 
 
+def _random_matrix(rng):
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    # Small entries and a share of zeros make rank-deficient matrices common.
+    entries = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(rows * cols)]
+    return [entries[r * cols : (r + 1) * cols] for r in range(rows)]
+
+
+def kernel_basis(matrix, columns):
+    """The right kernel read off gauss_jordan: one vector per free column."""
+    cols = len(matrix[0])
+    pivots, rows, _ = gauss_jordan(matrix, columns)
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        vector = [F(c == free) for c in range(cols)]
+        for col, r in pivots.items():
+            vector[col] = -rows[r][free]
+        basis.append(tuple(vector))
+    return basis
+
+
 class TestNullspace:
     def test_identity_has_trivial_kernel(self):
-        matrix = ExactMatrix.from_rows([[1, 0], [0, 1]])
-        assert nullspace(matrix) == []
+        assert kernel_basis([[1, 0], [0, 1]], range(2)) == []
 
     def test_zero_matrix(self):
-        matrix = ExactMatrix.from_rows([[0, 0], [0, 0]])
-        assert nullspace(matrix) == [(1, 0), (0, 1)]
+        assert kernel_basis([[0, 0], [0, 0]], range(2)) == [(1, 0), (0, 1)]
 
     def test_single_row(self):
-        matrix = ExactMatrix.from_rows([[1, 3]])
-        assert nullspace(matrix) == [(3, -1)]
-
-    def test_primitive_integer_form(self):
-        matrix = ExactMatrix.from_rows([[F(1, 2), F(1, 3)]])
-        (vector,) = nullspace(matrix)
-        assert vector == (2, -3)
+        assert kernel_basis([[1, 3]], range(2)) == [(-3, 1)]
+        assert kernel_basis([[1, 3]], (1, 0)) == [(1, F(-1, 3))]
 
     @pytest.mark.parametrize("seed", range(30))
     def test_kernel_property_random(self, seed):
         rng = random.Random(seed)
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        matrix = ExactMatrix.from_rows(
-            [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cols)] for _ in range(rows)]
-        )
-        basis = nullspace(matrix)
-        for vector in basis:
-            assert all(v == 0 for v in matrix.multiply_vector([F(x) for x in vector]))
-            from math import gcd
+        matrix = _random_matrix(rng)
+        cols = len(matrix[0])
+        for order in (list(range(cols)), list(range(cols - 1, -1, -1))):
+            basis = kernel_basis(matrix, order)
+            assert len(basis) == cols - naive_rational_rank(matrix)
+            for vector in basis:
+                assert all(sum(e * v for e, v in zip(row, vector)) == 0 for row in matrix)
+            # A column gets a pivot exactly when it raises the rank of the
+            # columns before it in the elimination order.
+            pivots, rows, _ = gauss_jordan(matrix, order)
+            for i, col in enumerate(order):
+                before = [[row[c] for c in order[:i]] for row in matrix]
+                upto = [[row[c] for c in order[: i + 1]] for row in matrix]
+                raises = naive_rational_rank(upto) > naive_rational_rank(before)
+                assert (col in pivots) == raises
+            for col, r in pivots.items():
+                assert [row[col] for row in rows] == [F(i == r) for i in range(len(rows))]
+            pivot_rows = set(pivots.values())
+            assert all(not any(rows[r]) for r in range(len(rows)) if r not in pivot_rows)
 
-            g = 0
-            for v in vector:
-                g = gcd(g, abs(v))
-            assert g in (0, 1)
-        assert len(basis) == cols - naive_rational_rank([list(r) for r in matrix.entries])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_right_hand_side_follows_row_operations(self, seed):
+        rng = random.Random(100 + seed)
+        matrix = _random_matrix(rng)
+        cols = len(matrix[0])
+        solution = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cols)]
+        a1 = MultiPoly.a(1)
+        rhs = [a1 * sum((e * v for e, v in zip(row, solution)), F(0)) for row in matrix]
+        pivots, rows, values = gauss_jordan(matrix, range(cols), rhs)
+        # Every reduced row is a combination of the original rows, so the
+        # reduced system still holds at a1 * solution.
+        for row, value in zip(rows, values):
+            assert value == a1 * sum((e * v for e, v in zip(row, solution)), F(0))
 
 
 def assert_bernoulli_satisfies_relations(n):
@@ -129,8 +158,8 @@ class TestCSolutions:
     def test_nullspace_agrees_with_parametrization(self):
         for n in range(2, 7):
             rows, keys = residue_system(n)
-            basis = nullspace(ExactMatrix.from_rows(rows))
-            assert len(basis) == solve_c_coefficients(n).nullspace_dimension
+            dimension = len(keys) - naive_rational_rank(rows)
+            assert dimension == solve_c_coefficients(n).nullspace_dimension
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_round_trip_residues_vanish(self, n):
