@@ -24,13 +24,14 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from . import __version__
 from .families import FAMILY_NAMES, SYMBOLIC_NAME, get_family
 from .partitions import exponent_vectors, vector_weight
 from .polyring import (
     TermCapExceeded,
+    format_rational,
+    format_terms,
     get_term_cap,
     set_term_cap,
     term_cap_from_environment,
@@ -79,48 +80,22 @@ def _parse_range(spec: str) -> list[int]:
 
 def _parse_key(spec: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in spec.split(","))
+        key = tuple(int(part) for part in spec.split(","))
+        if min(key) < 0:
+            raise ValueError
+        return key
     except ValueError:
-        raise UsageError(f"bad key {spec!r}; expected comma-separated integers") from None
-
-
-def _format_rational(value) -> str:
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+        raise UsageError(f"bad key {spec!r}; expected comma-separated integers >= 0") from None
 
 
 def _format_powersum(expansion) -> str:
     """Render a power-sum expansion as p_1, p_2, ... products."""
-    chunks = []
-    for key, coeff in expansion.coefficients.items():
-        frac = Fraction(coeff) if not hasattr(coeff, "terms") else None
-        if frac is None:
-            raise ValueError("symbolic expansions are rendered per entry")
-        if frac == 0:
-            continue
-        body = "*".join(
-            f"p_{i+1}" if e == 1 else f"p_{i+1}^{e}"
-            for i, e in enumerate(key)
-            if e
-        )
-        sign = "-" if frac < 0 else "+"
-        mag = abs(frac)
-        if not body:
-            text = _format_rational(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{_format_rational(mag)}*{body}"
-        chunks.append((sign, text))
-    if not chunks:
-        return "0"
-    first_sign, first_text = chunks[0]
-    out = first_text if first_sign == "+" else f"-{first_text}"
-    for sign, text in chunks[1:]:
-        out += f" {sign} {text}"
-    return out
+    if any(hasattr(coeff, "terms") for coeff in expansion.coefficients.values()):
+        raise ValueError("symbolic expansions are rendered per entry")
+    return format_terms(
+        ("*".join(f"p_{i}" if e == 1 else f"p_{i}^{e}" for i, e in enumerate(key, 1) if e), coeff)
+        for key, coeff in expansion.coefficients.items()
+    )
 
 
 def _render_json(document) -> str:
@@ -217,11 +192,13 @@ def _build_cases(args) -> list:
 
 def cmd_verify(args) -> int:
     cases = _build_cases(args)
-    if args.jobs > 1:
+    # The pool starts all its workers at once, so never more than can be busy.
+    workers = min(args.jobs, len(cases), os.cpu_count() or 1)
+    if workers > 1:
         # Workers started by spawn or forkserver do not inherit the parent's
         # term cap, so it is passed explicitly.
         with ProcessPoolExecutor(
-            max_workers=args.jobs, initializer=set_term_cap, initargs=(get_term_cap(),)
+            max_workers=workers, initializer=set_term_cap, initargs=(get_term_cap(),)
         ) as pool:
             results = list(pool.map(_verify_case, cases))
     else:
@@ -295,7 +272,7 @@ def cmd_table(args) -> int:
         raise UsageError(f"key {key} does not have weight {args.n}")
     expansion = extract_y_basis(args.n, args.m, key)
     entries = [
-        {"key": list(entry_key), "coeff": _format_rational(coeff)}
+        {"key": list(entry_key), "coeff": format_rational(coeff)}
         for entry_key, coeff in expansion.coefficients.items()
     ]
     document = {
@@ -333,7 +310,7 @@ def cmd_solve_c(args) -> int:
             {
                 "key": list(key),
                 "terms": [
-                    {"free": list(fk), "coeff": _format_rational(c)}
+                    {"free": list(fk), "coeff": format_rational(c)}
                     for fk, c in sorted(form.items(), key=lambda kv: solution.key_order.index(kv[0]))
                 ],
             }
@@ -368,7 +345,7 @@ def cmd_solve_c(args) -> int:
                 elif coeff == -1:
                     parts.append(f"-{_key_text(args.n, fk)}")
                 else:
-                    parts.append(f"{_format_rational(coeff)}*{_key_text(args.n, fk)}")
+                    parts.append(f"{format_rational(coeff)}*{_key_text(args.n, fk)}")
         lines.append(f"{_key_text(args.n, key)} = " + " + ".join(parts).replace("+ -", "- "))
     exit_code = EXIT_OK
     if args.check_bernoulli:
@@ -406,7 +383,7 @@ def cmd_bernoulli_relations(args) -> int:
     }
     lines = []
     for label, value, ok in nonlinear.entries:
-        lines.append(f"{label} = {_format_rational(value)} [{'ok' if ok else 'FAIL'}]")
+        lines.append(f"{label} = {format_rational(value)} [{'ok' if ok else 'FAIL'}]")
     for index, computed, expected, ok in identity.entries:
         lines.append(
             f"a_{index} = {computed} "
@@ -442,8 +419,8 @@ def cmd_families(args) -> int:
                 "name": name,
                 "generating_function": spec.gf_note,
                 "coefficients": _FAMILY_NOTES[name],
-                "s_0": _format_rational(spec.s0),
-                "a_1..a_6": [_format_rational(v) for v in spec.coefficients(6)],
+                "s_0": format_rational(spec.s0),
+                "a_1..a_6": [format_rational(v) for v in spec.coefficients(6)],
             }
         )
     rows.append(
@@ -526,6 +503,9 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+    if args.jobs < 1:
+        print(f"error: --jobs must be a positive integer, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.handler(args)
     except (UsageError, PreconditionError) as exc:

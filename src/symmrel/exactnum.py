@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
 ExactRational = Fraction
 
@@ -43,10 +43,6 @@ class FormalSeries:
         if not coeffs:
             raise ValueError("a series needs at least the degree-0 coefficient")
         self.coefficients = coeffs
-
-    @classmethod
-    def from_function(cls, coeff_of: Callable[[int], object], order: int) -> "FormalSeries":
-        return cls([coeff_of(k) for k in range(order + 1)])
 
     @classmethod
     def zero(cls, order: int) -> "FormalSeries":

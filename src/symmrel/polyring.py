@@ -503,7 +503,9 @@ class MultiPoly:
             if isinstance(repl, (int, Fraction)):
                 repl = MultiPoly.constant(repl)
             replacements[var] = repl
-        out = MultiPoly.zero()
+        # One accumulator for every term's product, as in __add__; adding each
+        # product to a growing MultiPoly would copy the result once per term.
+        out: dict = {}
         power_cache: dict = {}
         for mono, coeff in self._terms.items():
             untouched = []
@@ -521,8 +523,10 @@ class MultiPoly:
             term = MultiPoly._raw({tuple(untouched): coeff})
             for f in factors:
                 term = term * f
-            out = out + term
-        return out
+            for m, c in term._terms.items():
+                acc = out.get(m)
+                out[m] = c if acc is None else acc + c
+        return MultiPoly._raw({m: c for m, c in out.items() if c})
 
     # -- exact division -------------------------------------------------------
 
@@ -650,7 +654,8 @@ class MultiPoly:
         return format_poly(self)
 
 
-def _format_coeff(coeff: Scalar) -> str:
+def format_rational(coeff: Scalar) -> str:
+    """p/q in lowest terms, or the integer when q = 1."""
     frac = Fraction(coeff)
     if frac.denominator == 1:
         return str(frac.numerator)
@@ -667,21 +672,27 @@ def _format_monomial(mono: Monomial) -> str:
 
 def format_poly(poly: MultiPoly) -> str:
     """Canonical text form: graded-lex term order, rationals as p/q."""
-    if poly.is_zero():
-        return "0"
+    return format_terms((_format_monomial(mono), c) for mono, c in poly.sorted_terms())
+
+
+def format_terms(terms: Iterable) -> str:
+    """The sum of coeff * body over (body, coeff) pairs, zero terms left out."""
     chunks = []
-    for mono, coeff in poly.sorted_terms():
+    for body, coeff in terms:
         frac = Fraction(coeff)
+        if frac == 0:
+            continue
         sign = "-" if frac < 0 else "+"
         mag = abs(frac)
-        body = _format_monomial(mono)
         if not body:
-            text = _format_coeff(mag)
+            text = format_rational(mag)
         elif mag == 1:
             text = body
         else:
-            text = f"{_format_coeff(mag)}*{body}"
+            text = f"{format_rational(mag)}*{body}"
         chunks.append((sign, text))
+    if not chunks:
+        return "0"
     first_sign, first_text = chunks[0]
     out = first_text if first_sign == "+" else f"-{first_text}"
     for sign, text in chunks[1:]:

@@ -20,22 +20,26 @@ the polynomial under test, uniformly.  For n >= m the exponent would be
 negative; that regime is only defined here at y = 1, where the weight drops
 out.
 
-Implementation note: every denominator pi(s_i) equals, up to sign,
-x_i times the product of the pair factors w_ij = y_i x_j - y_j x_i that
-involve i.  The least common denominator of U_n is therefore
-pi(x) * W with W = prod_{i<j} w_ij, and the engine expands numerators over
-that product (each w_ij taken once), not over the much larger product
-pi(x) * prod_i pi(s_i).  Both denominators are products of the same linear
-factors, so residue extraction still divides factor by factor; the public
-:func:`u_function` keeps the full-product form and doubles as an
-independent cross-check of the engine.
+Implementation note: pi(s_i) is (-1)^(i-1) x_i times the pair factors
+w_ij = y_i x_j - y_j x_i (i < j) that involve i, so U_n has the least common
+denominator pi(x) * W with W = prod_{i<j} w_ij, not the much larger
+pi(x) * prod_i pi(s_i) that :func:`u_function` keeps as a cross-check.  One
+frame, ``_frame(xs, ys)``, holds the rows, W and the cofactors
+c_i = (-1)^(i-1) pi(x) W / pi(s_i) over polynomials or exact rationals, and
+``_numerator`` forms pi(x) W U_n = S(x) W - sum_i (-1)^(i-1) y_i^(m-n-1)
+S(s_i) c_i on any frame: expanded on a cached polynomial frame, whose linear
+factors residue extraction divides back off, or evaluated at the random
+rational frames of the prescreen.  The basis conversion validates each
+quotient once: one not homogeneous of degree n - m, or not symmetric,
+falsifies the residue relation.
 
 Sources: every accepted input becomes one ``_Source``.  A registry family,
 the symbolic family, a power-sum key and a PowerSumExpansion are all held as
 a Q[a]-linear combination of power-sum products (the families through the
 closed form of the complete Bell polynomial); a raw MultiPoly is kept as it
-stands.  The same ``instantiate`` builds the polynomial on the plain
-variables, on the matrix rows and at numeric prescreen points.
+stands.  ``scaled`` builds it times the common denominator of its
+coefficients on plain variables, matrix rows or numeric points; the
+numerator divides that denominator out once, after every product.
 """
 
 from __future__ import annotations
@@ -45,15 +49,14 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
-from typing import Optional, Sequence
+from math import factorial, lcm, prod
+from typing import NamedTuple, Optional, Sequence
 
 from .families import SYMBOLIC_NAME, FamilySpec, get_family
 from .partitions import ExponentVector, check_vector, exponent_vectors, vector_weight
 from .polyring import (
     KIND_A,
     KIND_X,
-    KIND_Y,
     MultiPoly,
     NonDivisibleError,
     RationalFunction,
@@ -63,8 +66,9 @@ from .polyring import (
 )
 from .symmfunc import (
     PowerSumExpansion,
+    NotHomogeneousError,
+    NotSymmetricError,
     denominator_product,
-    is_symmetric,
     power_sums_of,
     to_power_sum_basis,
     x_degrees,
@@ -96,59 +100,58 @@ def build_s_matrix(m: int) -> tuple:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    rows = []
-    for i in range(1, m + 1):
-        row = []
-        for j in range(1, m + 1):
-            if i == j:
-                row.append(MultiPoly.x(i))
-            else:
-                row.append(MultiPoly.y(i) * MultiPoly.x(j) - MultiPoly.y(j) * MultiPoly.x(i))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _rows_at(m, False)
+
+
+class _Frame(NamedTuple):
+    """The substitution matrix at components (xs, ys) and the pieces of pi(x) * W."""
+
+    xs: tuple
+    ys: tuple
+    rows: tuple  # s_i, each a tuple of m entries
+    pi_x: object  # x_1 * ... * x_m
+    pair_product: object  # W, the product of the pair factors w_ij, i < j
+    cofactors: tuple  # c_i = (-1)^(i-1) * pi(x) * W / pi(s_i)
+
+
+def _frame(xs: Sequence, ys: Sequence) -> _Frame:
+    """The frame of U_n at components that are MultiPoly or exact rationals.
+
+    w_ij = s_ij (i < j) is read off the rows.  As s_ji = -w_ij, c_i is the
+    product of the other x_j and of the pair factors not involving i.
+    """
+    m = len(xs)
+    one = MultiPoly.one() if isinstance(xs[0], MultiPoly) else Fraction(1)
+    rows = tuple(
+        tuple(xs[i] if i == j else ys[i] * xs[j] - ys[j] * xs[i] for j in range(m))
+        for i in range(m)
+    )
+    pairs = {(i, j): rows[i][j] for i in range(m) for j in range(i + 1, m)}
+    cofactors = tuple(
+        prod([x for j, x in enumerate(xs) if j != i], start=one)
+        * prod([w for ij, w in pairs.items() if i not in ij], start=one)
+        for i in range(m)
+    )
+    return _Frame(
+        tuple(xs), tuple(ys), rows, prod(xs, start=one), prod(pairs.values(), start=one), cofactors
+    )
 
 
 @lru_cache(maxsize=None)
+def _symbolic_frame(m: int, y_one: bool) -> _Frame:
+    """The polynomial frame in x_1..x_m and y_1..y_m, or at y = 1."""
+    xs = [MultiPoly.x(i) for i in range(1, m + 1)]
+    ys = [1] * m if y_one else [MultiPoly.y(i) for i in range(1, m + 1)]
+    return _frame(xs, ys)
+
+
 def _rows_at(m: int, y_one: bool) -> tuple:
     """Rows of the substitution matrix, optionally specialized to y = 1."""
-    rows = build_s_matrix(m)
-    if not y_one:
-        return rows
-    ones = {VarId(KIND_Y, i): 1 for i in range(1, m + 1)}
-    return tuple(tuple(entry.substitute(ones) for entry in row) for row in rows)
+    return _symbolic_frame(m, y_one).rows
 
 
-def _x_vars(m: int) -> list:
-    return [MultiPoly.x(i) for i in range(1, m + 1)]
-
-
-@lru_cache(maxsize=None)
-def _pair_factor(i: int, j: int, y_one: bool) -> MultiPoly:
-    """w_ij = y_i x_j - y_j x_i (x_j - x_i at y = 1), for i < j."""
-    if y_one:
-        return MultiPoly.x(j) - MultiPoly.x(i)
-    return MultiPoly.y(i) * MultiPoly.x(j) - MultiPoly.y(j) * MultiPoly.x(i)
-
-
-@lru_cache(maxsize=None)
 def _pair_product(m: int, y_one: bool) -> MultiPoly:
-    out = MultiPoly.one()
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            out = out * _pair_factor(i, j, y_one)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _cofactor(m: int, i: int, y_one: bool) -> MultiPoly:
-    """(prod_{j != i} x_j) * prod of pair factors not involving i."""
-    mono = tuple((VarId(KIND_X, j), 1) for j in range(1, m + 1) if j != i)
-    out = MultiPoly({(mono, 1)})
-    for u in range(1, m + 1):
-        for v in range(u + 1, m + 1):
-            if u != i and v != i:
-                out = out * _pair_factor(u, v, y_one)
-    return out
+    return _symbolic_frame(m, y_one).pair_product
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +194,14 @@ class _Source:
         rows; the result is a MultiPoly) or exact rationals (a numeric point;
         the result is a Fraction, and ``a_values`` maps k to the value of a_k).
         """
+        return self.unscale(self.scaled(comps, a_values))
+
+    def unscale(self, value):
+        """value / denominator, for a value built from ``scaled`` results."""
+        return value / self.denominator if self.denominator != 1 else value
+
+    def scaled(self, comps: Sequence, a_values=None):
+        """denominator * the polynomial at ``comps``: integral for integral data."""
         numeric = not isinstance(comps[0], MultiPoly)
         a_point = {VarId(KIND_A, k): v for k, v in (a_values or {}).items()}
         if self.raw is not None:
@@ -208,8 +219,6 @@ class _Source:
             if coeff != 1:
                 term = coeff * term
             total = total + term if total else term
-        if self.denominator != 1:
-            total = total * Fraction(1, self.denominator)
         return total
 
 
@@ -378,14 +387,30 @@ def u_function(
     degree = _raw_degree(s_poly)
     if degree != n:
         raise ValueError(f"polynomial has degree {degree}, expected {n}")
-    rows = _rows_at(m, specialize_y)
-    parts = [(MultiPoly.one(), RationalFunction(s_poly, denominator_product(_x_vars(m))))]
-    for i in range(1, m + 1):
-        row = rows[i - 1]
+    frame = _symbolic_frame(m, specialize_y)
+    parts = [(MultiPoly.one(), RationalFunction(s_poly, denominator_product(frame.xs)))]
+    for i, row in enumerate(frame.rows, 1):
         weight = MultiPoly.one() if specialize_y else MultiPoly.y(i) ** exponent
         on_row = s_poly.substitute({VarId(KIND_X, j): c for j, c in enumerate(row, 1)})
         parts.append((-weight, RationalFunction(on_row, denominator_product(row))))
     return ratfunc_combine(parts)
+
+
+def _numerator(source: _Source, frame: _Frame, exponent: int, a_values=None):
+    """pi(x) * W * U_n on a frame, with the weights y_i^exponent:
+
+        S(x) * W - sum_i (-1)^(i-1) * y_i^exponent * S(s_i) * c_i.
+
+    Products run on the source's integral ``scaled`` form; its denominator is
+    divided out once, at the end.
+    """
+    total = source.scaled(frame.xs, a_values) * frame.pair_product
+    for i, (row, cofactor) in enumerate(zip(frame.rows, frame.cofactors)):
+        term = source.scaled(row, a_values) * cofactor
+        if exponent:
+            term = term * frame.ys[i] ** exponent
+        total = total - term if i % 2 == 0 else total + term
+    return source.unscale(total)
 
 
 def _u_numerator(source: _Source, n: int, m: int, y_one: bool):
@@ -397,16 +422,7 @@ def _u_numerator(source: _Source, n: int, m: int, y_one: bool):
     exponent = m - n - 1
     if exponent < 0 and not y_one:
         raise PreconditionError("general-y U requires n <= m-1")
-    rows = _rows_at(m, y_one)
-    numerator = source.instantiate(_x_vars(m)) * _pair_product(m, y_one)
-    for i in range(1, m + 1):
-        term = source.instantiate(rows[i - 1]) * _cofactor(m, i, y_one)
-        if not y_one and exponent > 0:
-            term = term * MultiPoly.y(i) ** exponent
-        if i % 2:
-            numerator = numerator - term
-        else:
-            numerator = numerator + term
+    numerator = _numerator(source, _symbolic_frame(m, y_one), 0 if y_one else exponent)
     var_factors = [VarId(KIND_X, i) for i in range(1, m + 1)]
     diff_factors = [
         (VarId(KIND_X, j), VarId(KIND_X, i))
@@ -421,8 +437,8 @@ def _u_numerator(source: _Source, n: int, m: int, y_one: bool):
 # ---------------------------------------------------------------------------
 
 
-def _random_point(rng: random.Random, m: int, y_one: bool):
-    """Distinct nonzero rationals with every denominator factor nonzero."""
+def _random_point(rng: random.Random, m: int) -> _Frame:
+    """The frame at distinct nonzero rationals x and rationals y with W nonzero."""
     for _ in range(200):
         xs = []
         seen = set()
@@ -431,57 +447,26 @@ def _random_point(rng: random.Random, m: int, y_one: bool):
             if value and value not in seen:
                 seen.add(value)
                 xs.append(value)
-        if y_one:
-            ys = [Fraction(1)] * m
-        else:
-            ys = [Fraction(rng.randint(1, 60), rng.randint(1, 7)) for _ in range(m)]
-        ok = True
-        for i in range(m):
-            for j in range(i + 1, m):
-                if ys[i] * xs[j] - ys[j] * xs[i] == 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return xs, ys
+        ys = [Fraction(rng.randint(1, 60), rng.randint(1, 7)) for _ in range(m)]
+        frame = _frame(xs, ys)
+        if frame.pair_product:
+            return frame
     raise RuntimeError("could not sample a valid evaluation point")
-
-
-def _u_value_at(source: _Source, n: int, m: int, xs, ys, a_values) -> Fraction:
-    """Exact value of U_n at a numeric point (no polynomial expansion)."""
-    exponent = m - n - 1
-    pi_x = Fraction(1)
-    for v in xs:
-        pi_x *= v
-    total = source.instantiate(xs, a_values) / pi_x
-    for i in range(1, m + 1):
-        row_vals = []
-        pi_row = Fraction(1)
-        for j in range(1, m + 1):
-            if i == j:
-                entry = xs[i - 1]
-            else:
-                entry = ys[i - 1] * xs[j - 1] - ys[j - 1] * xs[i - 1]
-            row_vals.append(entry)
-            pi_row *= entry
-        total -= ys[i - 1] ** exponent * source.instantiate(row_vals, a_values) / pi_row
-    return total
 
 
 def _prescreen(source: _Source, n: int, m: int, points: int, seed: int):
     """Random-evaluation falsification attempt; sound but not complete."""
     rng = random.Random(seed)
     for _ in range(points):
-        xs, ys = _random_point(rng, m, y_one=False)
+        frame = _random_point(rng, m)
         a_values = {
             k: Fraction(rng.randint(1, 40), rng.randint(1, 5))
             for k in source.a_indices
         }
-        value = _u_value_at(source, n, m, xs, ys, a_values)
+        value = _numerator(source, frame, m - n - 1, a_values) / (frame.pi_x * frame.pair_product)
         if value != 0:
-            witness = {f"x_{i+1}": xs[i] for i in range(m)}
-            witness.update({f"y_{i+1}": ys[i] for i in range(m)})
+            witness = {f"x_{i+1}": x for i, x in enumerate(frame.xs)}
+            witness.update({f"y_{i+1}": y for i, y in enumerate(frame.ys)})
             witness.update({f"a_{k}": v for k, v in a_values.items()})
             witness["value"] = value
             return witness
@@ -584,16 +569,12 @@ def verify_conjecture2(poly_source, n: int, m: int) -> RelationReport:
             Stage("divide", f"{len(quotient)} quotient terms", time.perf_counter() - start)
         )
         start = time.perf_counter()
-        if not quotient.is_zero():
-            if x_degrees(quotient) != {n - m}:
-                report.verdict = "falsified"
-                report.witness = quotient
-                return report
-            if not is_symmetric(quotient, m):
-                report.verdict = "falsified"
-                report.witness = quotient
-                return report
-        extracted = to_power_sum_basis(quotient, m, max_part=m, weight=n - m)
+        try:
+            extracted = to_power_sum_basis(quotient, m, max_part=m, weight=n - m)
+        except (NotHomogeneousError, NotSymmetricError):
+            report.verdict = "falsified"
+            report.witness = quotient
+            return report
         report.stages.append(
             Stage("basis", f"{len(extracted.coefficients)} basis keys", time.perf_counter() - start)
         )
@@ -624,12 +605,7 @@ def extract_z(n: int, m: int) -> PowerSumExpansion:
         raise ValueError("n must be >= 0")
     if m < 2:
         raise PreconditionError("residues need m >= 2; the m = 1 residue is identically zero")
-    report = verify_conjecture2(SYMBOLIC_NAME, n + m, m)
-    if not report.verified:
-        raise ArithmeticError(
-            f"residue extraction failed for n={n}, m={m}: {report.verdict} ({report.witness})"
-        )
-    extracted = report.extracted
+    extracted = _residue(verify_conjecture2(SYMBOLIC_NAME, n + m, m), f"n={n}, m={m}")
     coefficients = {}
     for key in exponent_vectors(n, n if n else 1):
         coefficients[key] = extracted.coefficient(key)
@@ -648,10 +624,15 @@ def extract_y_basis(n: int, m: int, k: ExponentVector) -> PowerSumExpansion:
         raise PreconditionError("m must be >= 1")
     if n < m:
         raise PreconditionError(f"residues need n >= m (got n={n}, m={m})")
-    report = verify_conjecture2(tuple(k), n, m)
+    return _residue(verify_conjecture2(tuple(k), n, m), f"n={n}, m={m}, k={k}")
+
+
+def _residue(report: RelationReport, case: str) -> PowerSumExpansion:
+    """The residue of a verified report; a term-cap hit is raised again."""
+    if report.verdict == "resource-limited":
+        raise TermCapExceeded(f"residue extraction for {case}: {report.stages[-1].detail}")
     if not report.verified:
         raise ArithmeticError(
-            f"residue extraction failed for n={n}, m={m}, k={k}: "
-            f"{report.verdict} ({report.witness})"
+            f"residue extraction failed for {case}: {report.verdict} ({report.witness})"
         )
     return report.extracted

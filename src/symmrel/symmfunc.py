@@ -146,20 +146,12 @@ def power_sums_of(values: Sequence, up_to: int):
     """
     if up_to < 1:
         return []
-    sums = []
     powers = list(values)
-    sums.append(_sum_all(powers))
+    sums = [sum(powers[1:], powers[0])]
     for _ in range(2, up_to + 1):
         powers = [p * v for p, v in zip(powers, values)]
-        sums.append(_sum_all(powers))
+        sums.append(sum(powers[1:], powers[0]))
     return sums
-
-
-def _sum_all(items: Sequence):
-    total = items[0]
-    for item in items[1:]:
-        total = total + item
-    return total
 
 
 def complete_bell(n: int, b: Sequence) -> Coefficient:
@@ -263,8 +255,9 @@ def to_power_sum_basis(
     Solves the exact linear system matching monomial coefficients against
     the basis products with parts <= max_part.  The basis must be
     independent (guaranteed for max_part <= m); an underdetermined system
-    is rejected rather than resolved arbitrarily.  ``weight`` is only
-    needed to fix the degree when p is the zero polynomial.
+    is rejected rather than resolved arbitrarily.  ``weight`` fixes the
+    degree of the zero polynomial; a nonzero p of another degree raises
+    NotHomogeneousError, as a p of mixed degrees does.
     """
     if p.is_zero():
         if weight is None:
@@ -278,7 +271,7 @@ def to_power_sum_basis(
         raise NotHomogeneousError("polynomial is not homogeneous in the x variables")
     degree = degrees.pop()
     if weight is not None and weight != degree:
-        raise ValueError(f"stated weight {weight} does not match degree {degree}")
+        raise NotHomogeneousError(f"stated weight {weight} does not match degree {degree}")
     if not is_symmetric(p, m):
         raise NotSymmetricError(f"polynomial is not symmetric in x_1..x_{m}")
 

@@ -7,6 +7,8 @@ import pytest
 
 from symmrel.cli import main
 from symmrel.polyring import get_term_cap, set_term_cap
+from symmrel.relations import extract_y_basis, extract_z
+from symmrel.solver import solve_c_coefficients
 
 
 @pytest.fixture(autouse=True)
@@ -85,6 +87,50 @@ class TestVerifyCommand:
         assert code == 0
         assert "5/5 verified" in out
 
+    def test_jobs_start_no_more_workers_than_cases(self, capsys, monkeypatch):
+        requested = []
+
+        class RecordingPool:
+            """Records the worker count and runs the cases in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("symmrel.cli.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("symmrel.cli.os.cpu_count", lambda: 64)
+        argv = ("--jobs", "64", "verify", "--conjecture", "1", "--family", "bell", "--m", "2")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "2/2 verified" in out
+        assert requested == [2]
+        monkeypatch.setattr("symmrel.cli.os.cpu_count", lambda: 1)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "2/2 verified" in out
+        assert requested == [2]  # one worker: the cases run serially
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one(self, capsys, jobs):
+        code, out, err = run_cli(
+            capsys, "--jobs", jobs, "verify", "--conjecture", "1", "--family", "bell", "--m", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: --jobs must be a positive integer, got {jobs}"]
+
+    def test_negative_key_entry(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--conjecture", "3", "--n", "2", "--m", "2", "--key=-2,2")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: bad key '-2,2'; expected comma-separated integers >= 0"]
+
     def test_json_document(self, capsys):
         code, out, _ = run_cli(
             capsys, "--format", "json",
@@ -150,10 +196,27 @@ class TestTableCommand:
         assert out == ""
         assert err.splitlines() == ["error: table needs --n >= 0, got -1"]
 
+    def test_negative_key_entry(self, capsys):
+        code, out, err = run_cli(capsys, "table", "Y", "--n", "2", "--m", "2", "--key=-2,2")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: bad key '-2,2'; expected comma-separated integers >= 0"]
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "table", "Z", "--n", "1", "--m", "3")
         document = json.loads(out)
         assert json.dumps(document, indent=2, sort_keys=False) == out.rstrip("\n")
+
+
+@pytest.mark.parametrize("argv", [("table", "Z", "--n", "1", "--m", "2"), ("solve-c", "--n", "3")])
+def test_term_cap_during_extraction(capsys, argv):
+    # Earlier runs may have cached these residues; the cap must meet real work.
+    for cached in (extract_z, extract_y_basis, solve_c_coefficients):
+        cached.cache_clear()
+    code, out, err = run_cli(capsys, "--term-cap", "5", *argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("resource cap: ")
 
 
 class TestSolveCCommand:

@@ -119,14 +119,28 @@ class TestSubstitution:
         }
         assert p1.substitute(rows) == y2 * x1 - y1 * x2 + x2
 
-    @given(polys(max_vars=3, max_degree=3), polys(max_vars=3, max_degree=2, max_terms=3))
+    @given(
+        polys(max_vars=3, max_degree=3),
+        polys(max_vars=3, max_degree=2, max_terms=3),
+        polys(max_vars=3, max_degree=2, max_terms=3),
+        st.booleans(),
+    )
     @settings(max_examples=80, deadline=None)
-    def test_substitute_evaluate_commute(self, p, q):
+    def test_substitute_evaluate_commute(self, p, q, r, cancel):
+        # Rational coefficients, two mapped variables and, with ``cancel``,
+        # an input whose term products cancel: x_1 and x_2 both map to q, so
+        # p * (x_1 - x_2) substitutes to zero.
+        if cancel:
+            p, r = p * (x1 - x2), q
         point = {VarId(KIND_X, i): F(i, i + 2) + 1 for i in range(1, 4)}
-        replaced = p.substitute({VarId(KIND_X, 1): q})
+        replaced = p.substitute({VarId(KIND_X, 1): q, VarId(KIND_X, 2): r})
+        assert_canonical(replaced)
         inner = dict(point)
         inner[VarId(KIND_X, 1)] = q.evaluate(point)
+        inner[VarId(KIND_X, 2)] = r.evaluate(point)
         assert replaced.evaluate(point) == p.evaluate(inner)
+        if cancel:
+            assert replaced.is_zero()
 
 
 class TestExactDivision:

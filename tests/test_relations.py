@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -10,12 +11,16 @@ from symmrel.families import (
     symbolic_family_polynomial,
 )
 from symmrel.partitions import exponent_vectors
-from symmrel.polyring import KIND_A, KIND_X, MultiPoly, VarId
+from symmrel.polyring import KIND_A, KIND_X, KIND_Y, MultiPoly, VarId
 from symmrel.relations import (
     PreconditionError,
+    _frame,
     _make_source,
+    _numerator,
     _pair_product,
+    _random_point,
     _rows_at,
+    _symbolic_frame,
     _u_numerator,
     build_s_matrix,
     extract_y_basis,
@@ -53,6 +58,108 @@ class TestSMatrix:
             for j in range(4):
                 if i != j:
                     assert rows[i][j] == -rows[j][i]
+
+
+class TestFrame:
+    @pytest.mark.parametrize("y_one", [False, True])
+    def test_cofactor_identity(self, y_one):
+        # c_i * pi(s_i) = (-1)^(i-1) * pi(x) * W as polynomials.
+        for m in range(1, 5):
+            frame = _symbolic_frame(m, y_one)
+            lcd = denominator_product(_x_vars(m)) * _pair_product(m, y_one)
+            for i, (row, cofactor) in enumerate(zip(frame.rows, frame.cofactors)):
+                assert cofactor * denominator_product(list(row)) == (-1) ** i * lcd, (m, i)
+
+    def test_numerator_at_points(self):
+        # The numerator at a point over pi(x) * W against the defining sum
+        # S(x)/pi(x) - sum_i y_i^(m-n-1) S(s_i)/pi(s_i), with S evaluated on
+        # the build_s_matrix rows at the point.
+        rng = random.Random(7)
+        raw = x1**3 - F(1, 2) * x1 * x2**2 + 3 * x2**3
+        cases = [
+            ("laguerre", 1, 3, False),
+            ("bernoulli", 5, 3, True),
+            ("symbolic", 1, 4, False),
+            ("symbolic", 4, 2, True),
+            (raw, 3, 2, True),
+            (raw, 3, 4, False),
+            (x1 - 2 * x2, 1, 3, False),
+        ]
+        nonzero = 0
+        for spec, n, m, y_one in cases:
+            if spec == "symbolic":
+                poly = symbolic_family_polynomial(n, m)
+            elif isinstance(spec, str):
+                poly = family_polynomial(spec, n, m)
+            else:
+                poly = spec
+            source = _make_source(spec, n)
+            for _ in range(3):
+                xs = [F(v, rng.randint(1, 5)) for v in rng.sample(range(1, 40), m)]
+                ys = [F(1)] * m if y_one else _random_rationals(rng, m)
+                a_values = dict(enumerate(_random_rationals(rng, n), 1))
+                point = {VarId(KIND_X, j): v for j, v in enumerate(xs, 1)}
+                point.update({VarId(KIND_Y, j): v for j, v in enumerate(ys, 1)})
+                frame = _frame(xs, ys)
+                if not frame.pair_product:
+                    continue
+                exponent = 0 if y_one else m - n - 1
+                value = _numerator(source, frame, exponent, a_values)
+                value /= frame.pi_x * frame.pair_product
+
+                def s_at(components):
+                    assignment = {VarId(KIND_X, j): v for j, v in enumerate(components, 1)}
+                    assignment.update({VarId(KIND_A, k): v for k, v in a_values.items()})
+                    return poly.evaluate(assignment)
+
+                expected = s_at(xs) / prod(xs)
+                for y, row in zip(ys, build_s_matrix(m)):
+                    entries = [entry.evaluate(point) for entry in row]
+                    expected -= y**exponent * s_at(entries) / prod(entries)
+                assert value == expected, (spec, n, m, y_one)
+                nonzero += value != 0
+        assert nonzero
+
+    def test_random_point_skips_zero_pair_product(self):
+        class ScriptedRng:
+            """x = (1, 2), y = (1, 2): w_12 = 0; then x = (1, 2), y = (1, 3)."""
+
+            def __init__(self):
+                self.draws = iter([1, 1, 2, 1, 1, 1, 2, 1] + [1, 1, 2, 1, 1, 1, 3, 1])
+
+            def randint(self, lo, hi):
+                return next(self.draws)
+
+            def choice(self, options):
+                return 1
+
+        frame = _random_point(ScriptedRng(), 2)
+        assert frame.ys == (1, 3)
+        assert frame.pair_product == 1 * 2 - 3 * 1
+
+    @pytest.mark.parametrize("name, n, m", [("laguerre", 3, 5), ("bernoulli", 2, 3)])
+    def test_numerator_products_stay_integral(self, monkeypatch, name, n, m):
+        # The source's common denominator is divided out once, after every
+        # product: no product sees a Fraction.
+        multiply = MultiPoly.__mul__
+        seen = []
+
+        def holds_fraction(operand):
+            if isinstance(operand, MultiPoly):
+                return any(isinstance(c, F) for c in operand.terms.values())
+            return isinstance(operand, F)
+
+        def spy(a, b):
+            seen.append(holds_fraction(a) or holds_fraction(b))
+            return multiply(a, b)
+
+        source = _make_source(name, n)
+        assert source.denominator > 1
+        monkeypatch.setattr(MultiPoly, "__mul__", spy)
+        monkeypatch.setattr(MultiPoly, "__rmul__", spy)
+        numerator, _, _ = _u_numerator(source, n, m, False)
+        assert seen and not any(seen)
+        assert numerator.is_zero()
 
 
 class TestUFunction:
@@ -226,6 +333,18 @@ class TestResidueRelation:
         assert report.verdict == "falsified"
         assert isinstance(report.witness, MultiPoly)
         assert not report.witness.is_zero()
+
+    def test_quotient_that_is_not_symmetric(self):
+        # These numerators divide exactly; the quotient itself is the witness.
+        x3 = MultiPoly.x(3)
+        for poly, n, m, witness in [
+            (x1 * x2**2, 3, 2, x1 - x2),
+            (x1 * x2 * x3**2, 4, 3, x1 + x2 - 2 * x3),
+        ]:
+            report = verify_conjecture2(poly, n, m)
+            assert report.verdict == "falsified"
+            assert report.witness == witness
+            assert [stage.name for stage in report.stages] == ["expand", "divide"]
 
     def test_scale_covariance(self):
         base = _make_source((2, 1, 0, 0), 4)

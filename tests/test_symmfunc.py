@@ -146,6 +146,8 @@ class TestBasisConversion:
     def test_rejects_inhomogeneous(self):
         with pytest.raises(NotHomogeneousError):
             to_power_sum_basis(x1 + x2 + x1 * x2, 2, 2)
+        with pytest.raises(NotHomogeneousError):  # homogeneous, not of the stated weight
+            to_power_sum_basis(x1 * x2, 2, 2, weight=3)
 
     def test_rejects_out_of_span(self):
         from symmrel.symmfunc import NotRepresentableError
