@@ -138,8 +138,11 @@ def _case_label(result) -> str:
 
 
 def _build_cases(args) -> list:
-    m_values = _parse_range(args.m) if args.m else list(range(2, DEFAULT_MAX_M + 1))
-    n_values = _parse_range(args.n) if args.n else None
+    # An empty --n= or --m= is a bad range, not an absent option.
+    m_values = _parse_range(args.m) if args.m is not None else list(range(2, DEFAULT_MAX_M + 1))
+    n_values = _parse_range(args.n) if args.n is not None else None
+    if args.prescreen_points < 0:
+        raise UsageError(f"--prescreen-points must be >= 0, got {args.prescreen_points}")
     cases = []
     if args.conjecture in (1, 2):
         if not args.family:

@@ -28,10 +28,17 @@ frame, ``_frame(xs, ys)``, holds the rows, W and the cofactors
 c_i = (-1)^(i-1) pi(x) W / pi(s_i) over polynomials or exact rationals, and
 ``_numerator`` forms pi(x) W U_n = S(x) W - sum_i (-1)^(i-1) y_i^(m-n-1)
 S(s_i) c_i on any frame: expanded on a cached polynomial frame, whose linear
-factors residue extraction divides back off, or evaluated at the random
+factors ``verify_conjecture2`` divides back off, or evaluated at the random
 rational frames of the prescreen.  The basis conversion validates each
 quotient once: one not homogeneous of degree n - m, or not symmetric,
 falsifies the residue relation.
+
+Residues in closed form: at y = 1, S(s_i) = F(x_i) with F(t) = S(t, x_1 - t,
+..., x_m - t), and pi(s_i) = (-1)^(m-1) x_i prod_{j != i} (x_i - x_j), so the
+sum over i is a divided difference of F(t)/t over x_1..x_m.  F(0) = S(x)
+cancels V(x), and t^(e-1) gives h_{e-m}(x) (Macdonald 1995, I.2-I.3):
+U_n|_{y=1} = (-1)^m sum_{e >= m} [t^e]F(t) h_{e-m}(x), with no division.
+Extraction uses this form; ``verify_conjecture2`` keeps the exact expansion.
 
 Sources: every accepted input becomes one ``_Source``.  A registry family,
 the symbolic family, a power-sum key and a PowerSumExpansion are all held as
@@ -57,6 +64,7 @@ from .partitions import ExponentVector, check_vector, exponent_vectors, vector_w
 from .polyring import (
     KIND_A,
     KIND_X,
+    KIND_Y,
     MultiPoly,
     NonDivisibleError,
     RationalFunction,
@@ -69,6 +77,7 @@ from .symmfunc import (
     NotHomogeneousError,
     NotSymmetricError,
     denominator_product,
+    power_sum,
     power_sums_of,
     to_power_sum_basis,
     x_degrees,
@@ -605,7 +614,7 @@ def extract_z(n: int, m: int) -> PowerSumExpansion:
         raise ValueError("n must be >= 0")
     if m < 2:
         raise PreconditionError("residues need m >= 2; the m = 1 residue is identically zero")
-    extracted = _residue(verify_conjecture2(SYMBOLIC_NAME, n + m, m), f"n={n}, m={m}")
+    extracted = _y_one_residue(_make_source(SYMBOLIC_NAME, n + m), m)
     coefficients = {}
     for key in exponent_vectors(n, n if n else 1):
         coefficients[key] = extracted.coefficient(key)
@@ -624,15 +633,32 @@ def extract_y_basis(n: int, m: int, k: ExponentVector) -> PowerSumExpansion:
         raise PreconditionError("m must be >= 1")
     if n < m:
         raise PreconditionError(f"residues need n >= m (got n={n}, m={m})")
-    return _residue(verify_conjecture2(tuple(k), n, m), f"n={n}, m={m}, k={k}")
+    return _y_one_residue(_make_source(tuple(k), n), m)
 
 
-def _residue(report: RelationReport, case: str) -> PowerSumExpansion:
-    """The residue of a verified report; a term-cap hit is raised again."""
-    if report.verdict == "resource-limited":
-        raise TermCapExceeded(f"residue extraction for {case}: {report.stages[-1].detail}")
-    if not report.verified:
-        raise ArithmeticError(
-            f"residue extraction failed for {case}: {report.verdict} ({report.witness})"
-        )
-    return report.extracted
+def _y_one_residue(source: _Source, m: int) -> PowerSumExpansion:
+    """U_n at y = 1 for a symmetric source, as (-1)^m sum_{e >= m} [t^e]F(t)
+    h_{e-m}(x) with F(t) = S(t, x_1 - t, ..., x_m - t); y_1 stands in for t.
+    """
+    t_var = VarId(KIND_Y, 1)
+    t = MultiPoly.variable(t_var)
+    comps = [t] + [MultiPoly.x(i) - t for i in range(1, m + 1)]
+    by_power: dict = {}
+    for mono, coeff in source.scaled(comps).terms.items():
+        e = dict(mono).get(t_var, 0)
+        if e >= m:
+            by_power.setdefault(e, {})[tuple(f for f in mono if f[0] != t_var)] = coeff
+    residue = sum(
+        (MultiPoly(terms) * _complete(e - m, m) for e, terms in by_power.items()), MultiPoly.zero()
+    )
+    residue = source.unscale(-residue if m % 2 else residue)
+    return to_power_sum_basis(residue, m, max_part=m, weight=source.n - m)
+
+
+@lru_cache(maxsize=None)
+def _complete(d: int, m: int) -> MultiPoly:
+    """h_d(x_1..x_m), from Newton's identity d * h_d = sum_{i <= d} p_i * h_{d-i}."""
+    if d == 0:
+        return MultiPoly.one()
+    terms = (power_sum(i, m) * _complete(d - i, m) for i in range(1, d + 1))
+    return sum(terms, MultiPoly.zero()) / d

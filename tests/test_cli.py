@@ -54,6 +54,39 @@ class TestVerifyCommand:
         assert code == 2
         assert err.splitlines() == ["error: conjecture 3 needs --n >= 0"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--conjecture", "1", "--family", "bell", "--n=", "--m="),
+            ("--conjecture", "1", "--family", "bell", "--m="),
+            ("--conjecture", "2", "--family", "symbolic", "--n=", "--m=2"),
+            ("--conjecture", "3", "--n=", "--m=2"),
+        ],
+    )
+    def test_empty_range(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: bad range ''; expected N or LO..HI"]
+
+    def test_negative_prescreen_points(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--conjecture", "1", "--family", "bell", "--m", "3",
+            "--prescreen-points", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: --prescreen-points must be >= 0, got -1"]
+
+    def test_zero_prescreen_points_skip_the_prescreen(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--format", "json", "verify", "--conjecture", "1", "--family", "bell",
+            "--n", "1", "--m", "3", "--prescreen-points", "0",
+        )
+        assert code == 0
+        (case,) = json.loads(out)["cases"]
+        assert [stage["name"] for stage in case["stages"]] == ["expand"]
+
     def test_basis_products(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--conjecture", "3", "--n", "2", "--m", "3")
         assert code == 0

@@ -10,10 +10,8 @@ from symmrel.cli import main
 from symmrel.polyring import get_term_cap, set_term_cap
 
 # Every degree and variable count stays <= 3, so each example runs well under a
-# second.  An empty --n or --m would select the default verify grid (n up to 8,
-# m up to 4), so verify draws from the values without the empty one.
-BOUNDED = ["-1", "0", "1", "2", "3", "abc", "3..2", "1..3", "2..3"]
-VALUES = BOUNDED + [""]
+# second.  An empty value is a usage error, never the default grid.
+VALUES = ["-1", "0", "1", "2", "3", "abc", "3..2", "1..3", "2..3", ""]
 KEYS = ["-2,2", "2,0", "0,1", "1,1,0", "3,0,0", "1,-1,1", "abc", ""]
 FAMILIES = ["bernoulli", "t", "hermite", "symbolic", "gegenbauer", ""]
 TERM_CAPS = ["abc", "0", "-1", "", "5", "100000"]
@@ -34,7 +32,7 @@ def argvs(draw):
     argv.append(command)
     if command == "verify":
         argv += option("--conjecture", ["1", "2", "3", "4", "abc"])
-        argv += option("--n", BOUNDED) + option("--m", BOUNDED)
+        argv += option("--n", VALUES) + option("--m", VALUES)
         argv += maybe("--family", FAMILIES) + maybe("--key", KEYS)
         argv += maybe("--prescreen-points", ["-1", "0", "1", "abc"])
     elif command == "table":
@@ -53,6 +51,7 @@ def argvs(draw):
 @example(["verify", "--conjecture=3", "--n=2", "--m=2", "--key=-2,2"])
 @example(["table", "Y", "--n=2", "--m=2", "--key=-2,2"])
 @example(["--term-cap=5", "table", "Z", "--n=1", "--m=2"])
+@example(["verify", "--conjecture=2", "--n=", "--m=", "--family=symbolic"])
 def test_exit_code_contract(argv):
     cap = get_term_cap()
     err = io.StringIO()

@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 
+from symmrel import relations
 from symmrel.families import (
     FAMILY_NAMES,
     family_polynomial,
@@ -22,6 +23,7 @@ from symmrel.relations import (
     _rows_at,
     _symbolic_frame,
     _u_numerator,
+    _y_one_residue,
     build_s_matrix,
     extract_y_basis,
     extract_z,
@@ -440,3 +442,57 @@ class TestExtractYBasis:
                         assert coeff.substitute(values) == MultiPoly.zero()
                     else:
                         assert coeff == 0
+
+
+class TestClosedFormResidue:
+    """The divided-difference residue against the exact expansion and division."""
+
+    def test_every_key(self):
+        for n in range(1, 7):
+            for m in range(1, n + 1):
+                for key in exponent_vectors(n, n):
+                    expected = verify_conjecture2(key, n, m).extracted
+                    got = extract_y_basis(n, m, key)
+                    assert got == expected, (n, m, key)
+                    assert list(got.coefficients) == list(expected.coefficients)
+
+    def test_symbolic(self):
+        for m in range(2, 5):
+            for n in range(m, 9):
+                expected = verify_conjecture2("symbolic", n, m).extracted
+                assert _y_one_residue(_make_source("symbolic", n), m) == expected, (n, m)
+                z = extract_z(n - m, m)
+                for key in exponent_vectors(n - m, max(n - m, 1)):
+                    assert z.coefficient(key) == expected.coefficient(key), (n, m, key)
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_families(self, name):
+        for n in range(1, 7):
+            for m in range(1, n + 1):
+                expected = verify_conjecture2(name, n, m).extracted
+                assert _y_one_residue(_make_source(name, n), m) == expected, (n, m)
+
+    def test_extraction_does_not_expand_the_numerator(self, monkeypatch):
+        calls = []
+
+        def refuse(name):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called during extraction")
+
+            return spy
+
+        monkeypatch.setattr(relations, "_u_numerator", refuse("_u_numerator"))
+        monkeypatch.setattr(MultiPoly, "divide_by_difference", refuse("divide_by_difference"))
+        monkeypatch.setattr(MultiPoly, "divide_by_variable", refuse("divide_by_variable"))
+        for cached in (extract_z, extract_y_basis):
+            cached.cache_clear()
+        try:
+            assert extract_y_basis(5, 3, (1, 2, 0, 0, 0)).to_polynomial() == y_tables()[3][
+                (5, (1, 2, 0, 0, 0))
+            ]
+            assert extract_z(2, 2).coefficient((2, 0)) == z_table()[(2, 2)][(2, 0)]
+        finally:
+            for cached in (extract_z, extract_y_basis):
+                cached.cache_clear()
+        assert calls == []

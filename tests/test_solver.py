@@ -174,7 +174,7 @@ class TestCSolutions:
                         total[bk] = total.get(bk, F(0)) + c * F(v)
                 assert all(v == 0 for v in total.values())
 
-    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_bernoulli_expansion_satisfies_relations(self, n):
         assert_bernoulli_satisfies_relations(n)
 
