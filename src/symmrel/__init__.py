@@ -50,7 +50,6 @@ from .solver import (
 )
 from .symmfunc import (
     PowerSumExpansion,
-    complete_bell,
     denominator_product,
     power_sum,
     power_sum_product,

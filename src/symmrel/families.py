@@ -5,7 +5,12 @@ the degree-n member over m variables is
 
     F_n(x_1..x_m) = b_n * BellPoly_n(f_1, ..., f_n),   f_k = a_k * p_k(x)
 
-where p_k is the k-th power sum.  The streams come from the classical
+where p_k is the k-th power sum.  :func:`bell_form` builds it once, in the
+power-sum variables p_k, by the closed form: p_1^k_1 * ... * p_n^k_n has
+coefficient n! / prod_i (k_i! (i!)^k_i) * prod_i a_i^k_i.  The relations
+engine keeps that form; :func:`family_polynomial` and
+:func:`symbolic_family_polynomial` substitute p_k -> p_k(x_1..x_m) into it.
+The streams come from the classical
 exponential generating functions noted on each entry; the shift value s_0
 at which the log-derivative stream was taken is recorded for documentation
 only (the tabulated a_k already bake it in).
@@ -20,11 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .exactnum import FormalSeries, bernoulli_numbers, euler_poly_at_zero
-from .polyring import KIND_A, MultiPoly, VarId
-from .symmfunc import complete_bell, power_sum
+from .partitions import exponent_vectors
+from .polyring import KIND_A, KIND_P, MultiPoly, VarId
+from .symmfunc import power_sum, power_sum_monomial
 
 __all__ = [
     "FamilySpec",
@@ -32,6 +38,8 @@ __all__ = [
     "SYMBOLIC_NAME",
     "get_family",
     "family_coefficients",
+    "bell_form",
+    "family_form",
     "family_polynomial",
     "symbolic_family_polynomial",
     "symbolic_coefficient_values",
@@ -139,19 +147,45 @@ def family_coefficients(family: Union[FamilySpec, str], up_to: int) -> list[Frac
     return family.coefficients(up_to)
 
 
-def family_polynomial(family: Union[FamilySpec, str], n: int, m: int) -> MultiPoly:
-    """The degree-n member of a family over m variables, fully expanded."""
+def bell_form(n: int, a: Sequence, scale=1) -> MultiPoly:
+    """scale * B_n(a_1 p_1, ..., a_n p_n) in the power-sum variables p_k.
+
+    The a_k may be rationals or polynomials in the a symbols.
+    """
+    terms = []
+    for key in exponent_vectors(n, max(n, 1)):
+        divisor = 1
+        coeff = scale
+        for i, e in enumerate(key, 1):
+            if e:
+                divisor *= factorial(e) * factorial(i) ** e
+                coeff = coeff * a[i - 1] ** e
+        terms.extend((factorial(n) // divisor * coeff * power_sum_monomial(key)).terms.items())
+    return MultiPoly(terms)
+
+
+def family_form(family: Union[FamilySpec, str], n: int) -> MultiPoly:
+    """The degree-n member of a registry family in the power-sum variables."""
     if isinstance(family, str):
         family = get_family(family)
+    return bell_form(n, [family.a_coeff(k) for k in range(1, n + 1)], family.b_norm(n))
+
+
+def _in_variables(form: MultiPoly, m: int) -> MultiPoly:
+    """form with each p_k -> p_k(x_1..x_m), substituted into its integral
+    multiple and divided once, so integral results carry ints."""
+    integral, denominator = form.integral_form()
+    sums = {v: power_sum(v.index, m) for v in form.variables() if v.kind == KIND_P}
+    return integral.substitute(sums) / denominator
+
+
+def family_polynomial(family: Union[FamilySpec, str], n: int, m: int) -> MultiPoly:
+    """The degree-n member of a family over m variables, fully expanded."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if m < 1:
         raise ValueError("m must be >= 1")
-    b_n = family.b_norm(n)
-    if n == 0:
-        return MultiPoly.constant(b_n)
-    f = [family.a_coeff(k) * power_sum(k, m) for k in range(1, n + 1)]
-    return b_n * complete_bell(n, f)
+    return _in_variables(family_form(family, n), m)
 
 
 @lru_cache(maxsize=None)
@@ -161,11 +195,7 @@ def symbolic_family_polynomial(n: int, m: int) -> MultiPoly:
         raise ValueError("n must be >= 0")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if n == 0:
-        return MultiPoly.one()
-    f = [MultiPoly.a(k) * power_sum(k, m) for k in range(1, n + 1)]
-    result = complete_bell(n, f)
-    return result if isinstance(result, MultiPoly) else MultiPoly.constant(result)
+    return _in_variables(bell_form(n, [MultiPoly.a(k) for k in range(1, n + 1)]), m)
 
 
 def symbolic_coefficient_values(family: Union[FamilySpec, str], up_to: int) -> dict:

@@ -1,10 +1,13 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Three variable families exist, ordered x < y < a with ascending index:
+Four variable families exist, ordered x < y < a < p with ascending index:
 
 * ``x_i`` -- the main indeterminates of the symmetric polynomials,
 * ``y_i`` -- the auxiliary variables of the row-substitution matrix,
-* ``a_i`` -- free coefficient symbols for fully symbolic expansions.
+* ``a_i`` -- free coefficient symbols for fully symbolic expansions,
+* ``p_k`` -- power sums held as indeterminates, so that a symmetric
+  polynomial can stay in Q[p_1, p_2, ..., a_1, ...] until it is
+  substituted into components or read off as a power-sum expansion.
 
 A monomial is a tuple of ``(VarId, exponent)`` pairs sorted by variable with
 no zero exponents; a polynomial is a dict monomial -> nonzero coefficient.
@@ -45,12 +48,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
     "KIND_X",
     "KIND_Y",
     "KIND_A",
+    "KIND_P",
     "VarId",
     "Monomial",
     "MultiPoly",
@@ -67,7 +72,8 @@ __all__ = [
 KIND_X = 0
 KIND_Y = 1
 KIND_A = 2
-_KIND_NAMES = ("x", "y", "a")
+KIND_P = 3
+_KIND_NAMES = ("x", "y", "a", "p")
 
 Scalar = Union[int, Fraction]
 
@@ -306,6 +312,10 @@ class MultiPoly:
     def a(cls, index: int) -> "MultiPoly":
         return cls.variable(VarId(KIND_A, index))
 
+    @classmethod
+    def p(cls, index: int) -> "MultiPoly":
+        return cls.variable(VarId(KIND_P, index))
+
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -345,6 +355,11 @@ class MultiPoly:
         if not self._terms:
             raise ValueError("the zero polynomial has no leading monomial")
         return min(self._terms, key=term_sort_key)
+
+    def integral_form(self) -> tuple:
+        """(d * self, d), d the least common denominator: d * self has int coefficients."""
+        d = lcm(1, *(c.denominator for c in self._terms.values()))
+        return MultiPoly._raw({m: (c * d).numerator for m, c in self._terms.items()}), d
 
     def sorted_terms(self) -> list:
         return sorted(self._terms.items(), key=lambda kv: term_sort_key(kv[0]))

@@ -38,15 +38,19 @@ Residues in closed form: at y = 1, S(s_i) = F(x_i) with F(t) = S(t, x_1 - t,
 sum over i is a divided difference of F(t)/t over x_1..x_m.  F(0) = S(x)
 cancels V(x), and t^(e-1) gives h_{e-m}(x) (Macdonald 1995, I.2-I.3):
 U_n|_{y=1} = (-1)^m sum_{e >= m} [t^e]F(t) h_{e-m}(x), with no division.
-Extraction uses this form; ``verify_conjecture2`` keeps the exact expansion.
+Extraction computes it in the power sums, with no x monomial:
+p_k(t, x_1 - t, ..., x_m - t) = t^k + sum_{r <= k} C(k, r) (-t)^(k-r) p_r
+(p_0 = m), and Newton's identities give h_d and, with e_i = 0 for i > m,
+every p_r (r > m) in p_1..p_m, where the residue is read off directly.
+``verify_conjecture2`` keeps the exact expansion, division and basis solve.
 
-Sources: every accepted input becomes one ``_Source``.  A registry family,
-the symbolic family, a power-sum key and a PowerSumExpansion are all held as
-a Q[a]-linear combination of power-sum products (the families through the
-closed form of the complete Bell polynomial); a raw MultiPoly is kept as it
-stands.  ``scaled`` builds it times the common denominator of its
-coefficients on plain variables, matrix rows or numeric points; the
-numerator divides that denominator out once, after every product.
+Sources: every accepted input becomes one ``_Source``, a single MultiPoly
+times the common denominator of its coefficients.  A registry family, the
+symbolic family, a power-sum key and a PowerSumExpansion are held in the
+power-sum variables p_k over Q[a] (families by ``families.bell_form``); a
+raw MultiPoly stays in x as it stands.  ``scaled`` substitutes (or, at
+numeric points, evaluates at) the components' power sums, or the components
+themselves; the numerator divides the denominator out once, at the end.
 """
 
 from __future__ import annotations
@@ -56,13 +60,15 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import comb, prod
+from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
-from .families import SYMBOLIC_NAME, FamilySpec, get_family
+from .families import SYMBOLIC_NAME, FamilySpec, bell_form, family_form, get_family
 from .partitions import ExponentVector, check_vector, exponent_vectors, vector_weight
 from .polyring import (
     KIND_A,
+    KIND_P,
     KIND_X,
     KIND_Y,
     MultiPoly,
@@ -77,8 +83,9 @@ from .symmfunc import (
     NotHomogeneousError,
     NotSymmetricError,
     denominator_product,
-    power_sum,
+    power_sum_monomial,
     power_sums_of,
+    read_power_sums,
     to_power_sum_basis,
     x_degrees,
 )
@@ -171,112 +178,42 @@ def _pair_product(m: int, y_one: bool) -> MultiPoly:
 class _Source:
     """A degree-n polynomial that can be instantiated on any component vector.
 
-    A symmetric input is held as a Q[a]-linear combination of power-sum
-    products, ``terms`` = ((key, coeff), ...), with keys trimmed of trailing
-    zeros and every coefficient multiplied by the common ``denominator``: the
-    expansion then sums integral data and divides once at the end.  A raw
-    MultiPoly in x_1..x_m is kept as ``raw`` instead and substituted or
-    evaluated as it stands, since it need not be symmetric.
+    ``poly`` is the polynomial times the common ``denominator`` of its
+    coefficients, so the expansion sums integral data and divides once at
+    the end.  A symmetric input is held in the power-sum variables p_k (and
+    the a_k); a raw MultiPoly in x_1..x_m is held as it stands, since it
+    need not be symmetric.
     """
 
-    def __init__(self, n, label, terms=(), raw=None, family=False):
+    def __init__(self, n, label, poly, family=False):
         self.n = n
         self.label = label
-        self.raw = raw
         self.family = family  # a registry or symbolic family: C1/C2, not C3
-        terms = [(key, coeff) for key, coeff in terms if coeff != 0]
-        self.denominator = lcm(1, *(_denominator(coeff) for _, coeff in terms))
-        self.terms = tuple(
-            (_trim(key), _times(coeff, self.denominator)) for key, coeff in terms
-        )
-        self.top = max((len(key) for key, _ in self.terms), default=0)
-        polys = [raw] if raw is not None else [c for _, c in self.terms if isinstance(c, MultiPoly)]
+        self.poly, self.denominator = poly.integral_form()
+        variables = self.poly.variables()
+        self.top = max((v.index for v in variables if v.kind == KIND_P), default=0)
         # The a symbols a numeric point must assign, in index order.
-        self.a_indices = tuple(
-            sorted({v.index for p in polys for v in p.variables() if v.kind == KIND_A})
-        )
-
-    def instantiate(self, comps: Sequence, a_values=None):
-        """The polynomial at the component vector ``comps``.
-
-        Components are MultiPoly (plain variables or substitution-matrix
-        rows; the result is a MultiPoly) or exact rationals (a numeric point;
-        the result is a Fraction, and ``a_values`` maps k to the value of a_k).
-        """
-        return self.unscale(self.scaled(comps, a_values))
+        self.a_indices = tuple(sorted(v.index for v in variables if v.kind == KIND_A))
 
     def unscale(self, value):
         """value / denominator, for a value built from ``scaled`` results."""
         return value / self.denominator if self.denominator != 1 else value
 
     def scaled(self, comps: Sequence, a_values=None):
-        """denominator * the polynomial at ``comps``: integral for integral data."""
-        numeric = not isinstance(comps[0], MultiPoly)
-        a_point = {VarId(KIND_A, k): v for k, v in (a_values or {}).items()}
-        if self.raw is not None:
-            x_map = {VarId(KIND_X, j): c for j, c in enumerate(comps, 1)}
-            if numeric:
-                return self.raw.evaluate({**x_map, **a_point})
-            return self.raw.substitute(x_map)
-        sums = power_sums_of(list(comps), self.top)
-        products = {(): Fraction(1) if numeric else MultiPoly.one()}
-        total = Fraction(0) if numeric else MultiPoly.zero()
-        for key, coeff in self.terms:
-            if numeric and isinstance(coeff, MultiPoly):
-                coeff = coeff.evaluate(a_point)
-            term = _power_product(key, sums, products)
-            if coeff != 1:
-                term = coeff * term
-            total = total + term if total else term
-        return total
+        """denominator * the polynomial at ``comps``: integral for integral data.
 
-
-def _power_product(key: tuple, sums: Sequence, products: dict):
-    """p_1^k_1 * p_2^k_2 * ... for a trimmed key, from the power sums ``sums``.
-
-    Each product is a smaller one times a single power sum, memoized in
-    ``products``, so keys that share a head share its product.
-    """
-    if key not in products:
-        head = key[:-1] + (key[-1] - 1,) if key[-1] > 1 else _trim(key[:-1])
-        products[key] = _power_product(head, sums, products) * sums[len(key) - 1]
-    return products[key]
-
-
-def _trim(key: tuple) -> tuple:
-    end = len(key)
-    while end and not key[end - 1]:
-        end -= 1
-    return key[:end]
-
-
-def _denominator(coeff) -> int:
-    if isinstance(coeff, MultiPoly):
-        return lcm(1, *(Fraction(c).denominator for c in coeff.terms.values()))
-    return Fraction(coeff).denominator
-
-
-def _times(coeff, multiple: int):
-    """coeff * multiple, where multiple clears every denominator of coeff."""
-    if isinstance(coeff, MultiPoly):
-        return MultiPoly({mono: c * multiple for mono, c in coeff.terms.items()})
-    return (Fraction(coeff) * multiple).numerator
-
-
-def _bell_terms(n: int, a: Sequence, scale):
-    """Power-sum coefficients of scale * B_n(a_1 p_1, ..., a_n p_n).
-
-    The coefficient of P_k is scale * n! / prod_i (k_i! (i!)^k_i) * prod_i a_i^k_i,
-    the closed form of the complete Bell polynomial.
-    """
-    for key in exponent_vectors(n, max(n, 1)):
-        divisor = 1
-        coeff = scale
-        for i, e in enumerate(key, 1):
-            if e:
-                divisor *= factorial(e) * factorial(i) ** e
-                coeff = coeff * a[i - 1] ** e
-        yield key, factorial(n) // divisor * coeff
+        Components are MultiPoly (plain variables or substitution-matrix
+        rows; the result is a MultiPoly) or exact rationals (a numeric point;
+        the result is a Fraction, and ``a_values`` maps k to the value of a_k).
+        Each p_k becomes the k-th power sum of the components, each x_j the
+        j-th component.
+        """
+        point = {VarId(KIND_X, j): c for j, c in enumerate(comps, 1)}
+        point.update({VarId(KIND_P, k): s for k, s in enumerate(power_sums_of(comps, self.top), 1)})
+        if isinstance(comps[0], MultiPoly):
+            return self.poly.substitute(point)
+        point.update({VarId(KIND_A, k): v for k, v in (a_values or {}).items()})
+        return self.poly.evaluate(point)
 
 
 def _raw_degree(poly: MultiPoly) -> int:
@@ -290,21 +227,24 @@ def _make_source(poly_source, n: int) -> _Source:
     """Normalize the accepted source spellings into a _Source."""
     if isinstance(poly_source, str) and poly_source.lower() == SYMBOLIC_NAME:
         a = [MultiPoly.a(k) for k in range(1, n + 1)]
-        source = _Source(n, SYMBOLIC_NAME, _bell_terms(n, a, 1), family=True)
+        source = _Source(n, SYMBOLIC_NAME, bell_form(n, a), family=True)
     elif isinstance(poly_source, (str, FamilySpec)):
         spec = get_family(poly_source) if isinstance(poly_source, str) else poly_source
-        a = [spec.a_coeff(k) for k in range(1, n + 1)]
-        source = _Source(n, spec.name, _bell_terms(n, a, spec.b_norm(n)), family=True)
+        source = _Source(n, spec.name, family_form(spec, n), family=True)
     elif isinstance(poly_source, PowerSumExpansion):
         label = f"expansion(weight={poly_source.weight})"
-        source = _Source(poly_source.weight, label, poly_source.coefficients.items())
+        poly = sum(
+            (c * power_sum_monomial(key) for key, c in poly_source.coefficients.items()),
+            MultiPoly.zero(),
+        )
+        source = _Source(poly_source.weight, label, poly)
     elif isinstance(poly_source, tuple):
         weight = vector_weight(poly_source)
         check_vector(poly_source, weight)
         label = "P_" + "{" + ",".join(map(str, poly_source)) + "}"
-        source = _Source(weight, label, [(poly_source, 1)])
+        source = _Source(weight, label, power_sum_monomial(poly_source))
     elif isinstance(poly_source, MultiPoly):
-        source = _Source(_raw_degree(poly_source), "raw", raw=poly_source)
+        source = _Source(_raw_degree(poly_source), "raw", poly_source)
     else:
         raise TypeError(f"cannot interpret {poly_source!r} as a polynomial source")
     if source.n != n:
@@ -638,27 +578,56 @@ def extract_y_basis(n: int, m: int, k: ExponentVector) -> PowerSumExpansion:
 
 def _y_one_residue(source: _Source, m: int) -> PowerSumExpansion:
     """U_n at y = 1 for a symmetric source, as (-1)^m sum_{e >= m} [t^e]F(t)
-    h_{e-m}(x) with F(t) = S(t, x_1 - t, ..., x_m - t); y_1 stands in for t.
+    h_{e-m}(x) with F(t) = S(t, x_1 - t, ..., x_m - t), held in p_1..p_m.
+
+    F(t) is the source with p_k -> p_k(t, x_1 - t, ..., x_m - t).  y_1 stands
+    in for t, so it leads every monomial it is in (y < a < p).
     """
     t_var = VarId(KIND_Y, 1)
-    t = MultiPoly.variable(t_var)
-    comps = [t] + [MultiPoly.x(i) - t for i in range(1, m + 1)]
     by_power: dict = {}
-    for mono, coeff in source.scaled(comps).terms.items():
-        e = dict(mono).get(t_var, 0)
+    for mono, coeff in source.poly.substitute(_shifted_power_sums(m, source.top)).terms.items():
+        e = mono[0][1] if mono and mono[0][0] == t_var else 0
         if e >= m:
-            by_power.setdefault(e, {})[tuple(f for f in mono if f[0] != t_var)] = coeff
+            by_power.setdefault(e, {})[mono[1:]] = coeff
     residue = sum(
-        (MultiPoly(terms) * _complete(e - m, m) for e, terms in by_power.items()), MultiPoly.zero()
+        (MultiPoly(terms) * _newton(e - m, 1, m) for e, terms in by_power.items()),
+        MultiPoly.zero(),
     )
-    residue = source.unscale(-residue if m % 2 else residue)
-    return to_power_sum_basis(residue, m, max_part=m, weight=source.n - m)
+    return read_power_sums(residue * Fraction((-1) ** m, source.denominator), m, source.n - m)
 
 
 @lru_cache(maxsize=None)
-def _complete(d: int, m: int) -> MultiPoly:
-    """h_d(x_1..x_m), from Newton's identity d * h_d = sum_{i <= d} p_i * h_{d-i}."""
+def _shifted_power_sums(m: int, top: int) -> MappingProxyType:
+    """p_k -> p_k(t, x_1 - t, ..., x_m - t) = t^k + sum_{r <= k} C(k, r) (-t)^(k-r) p_r
+    for k <= top, with p_0 = m, t = y_1 and each p_r written in p_1..p_m.
+    """
+    t = MultiPoly.y(1)
+    p = [MultiPoly.constant(m)] + [_power_sum_in(r, m) for r in range(1, top + 1)]
+    return MappingProxyType({
+        VarId(KIND_P, k): sum((comb(k, r) * (-t) ** (k - r) * p[r] for r in range(k + 1)), t**k)
+        for k in range(1, top + 1)
+    })
+
+
+@lru_cache(maxsize=None)
+def _newton(d: int, sign: int, m: int) -> MultiPoly:
+    """h_d (sign 1) or e_d (sign -1) of m variables in p_1..p_m, by Newton's
+    identity d * f_d = sum_{i <= d} sign^(i-1) p_i f_{d-i} (Macdonald 1995, I.2).
+    """
     if d == 0:
         return MultiPoly.one()
-    terms = (power_sum(i, m) * _complete(d - i, m) for i in range(1, d + 1))
+    terms = (
+        sign ** (i - 1) * _power_sum_in(i, m) * _newton(d - i, sign, m) for i in range(1, d + 1)
+    )
     return sum(terms, MultiPoly.zero()) / d
+
+
+@lru_cache(maxsize=None)
+def _power_sum_in(r: int, m: int) -> MultiPoly:
+    """p_r of m variables in p_1..p_m: for r > m, Newton's identity with e_i = 0
+    for i > m gives p_r = sum_{i <= m} (-1)^(i-1) e_i p_{r-i}.
+    """
+    if r <= m:
+        return MultiPoly.p(r)
+    terms = ((-1) ** (i - 1) * _newton(i, -1, m) * _power_sum_in(r - i, m) for i in range(1, m + 1))
+    return sum(terms, MultiPoly.zero())

@@ -1,14 +1,18 @@
-"""Power sums, power-sum products, complete Bell polynomials, and conversion
-of symmetric polynomials into the power-sum-product basis.
+"""Power sums, power-sum products, and conversion of symmetric polynomials
+into the power-sum-product basis.
 
 The products ``P_{n,k} = p_1^k_1 * ... * p_n^k_n`` indexed by exponent
 vectors k with parts <= m form a basis of the homogeneous symmetric
-polynomials of degree n in m variables; :func:`to_power_sum_basis` inverts
-that basis by an exact linear solve on monomial coefficients.  Coefficients
-may themselves be polynomials in the ``a_i`` symbols (symbolic mode): the
-matrix of the solve is always rational, so elimination never divides by a
-polynomial.  :func:`gauss_jordan` is the package's one elimination kernel;
-the coefficient solver in ``solver`` uses it too.
+polynomials of degree n in m variables.  In the power-sum variables p_k
+(``polyring.KIND_P``) a polynomial is already in that basis, and
+:func:`read_power_sums` reads its PowerSumExpansion off directly.  From x
+monomials, the verifier's route, :func:`to_power_sum_basis` checks symmetry
+and homogeneity and inverts the basis by an exact linear solve on monomial
+coefficients.  Coefficients may themselves be polynomials in the ``a_i``
+symbols (symbolic mode): the matrix of the solve is always rational, so
+elimination never divides by a polynomial.  :func:`gauss_jordan` is the
+package's one elimination kernel; the coefficient solver in ``solver`` uses
+it too.
 
 The denominator product pi(v) of a variable vector is read as the plain
 product of its components.  This reading is used in every relation built
@@ -21,18 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Mapping, Sequence, Union
 
 from .partitions import ExponentVector, exponent_vectors, vector_weight
-from .polyring import KIND_A, KIND_X, MultiPoly, VarId
+from .polyring import KIND_A, KIND_P, KIND_X, MultiPoly, VarId
 
 __all__ = [
     "PowerSumExpansion",
     "power_sum",
     "power_sum_product",
-    "complete_bell",
-    "complete_bell_sequence",
+    "power_sum_monomial",
+    "read_power_sums",
     "denominator_product",
     "to_power_sum_basis",
     "is_symmetric",
@@ -78,7 +81,7 @@ class PowerSumExpansion:
                 raise ValueError(f"key {key} does not have weight {self.weight}")
 
     def is_zero(self) -> bool:
-        return all(_coeff_is_zero(c) for c in self.coefficients.values())
+        return all(c == 0 for c in self.coefficients.values())
 
     def coefficient(self, key: ExponentVector) -> Coefficient:
         return self.coefficients.get(key, Fraction(0))
@@ -87,7 +90,7 @@ class PowerSumExpansion:
         """Expand back into the x variables (times any symbolic coefficients)."""
         out = MultiPoly.zero()
         for key, coeff in self.coefficients.items():
-            if _coeff_is_zero(coeff):
+            if coeff == 0:
                 continue
             out = out + coeff * power_sum_product(key, self.num_vars)
         return out
@@ -98,23 +101,7 @@ class PowerSumExpansion:
         if self.weight != other.weight or self.num_vars != other.num_vars:
             return False
         keys = set(self.coefficients) | set(other.coefficients)
-        return all(
-            _coeff_eq(self.coefficient(k), other.coefficient(k)) for k in keys
-        )
-
-
-def _coeff_is_zero(c: Coefficient) -> bool:
-    if isinstance(c, MultiPoly):
-        return c.is_zero()
-    return c == 0
-
-
-def _coeff_eq(lhs: Coefficient, rhs: Coefficient) -> bool:
-    if isinstance(lhs, MultiPoly) or isinstance(rhs, MultiPoly):
-        if not isinstance(lhs, MultiPoly):
-            lhs, rhs = rhs, lhs
-        return lhs == rhs
-    return lhs == rhs
+        return all(self.coefficient(k) == other.coefficient(k) for k in keys)
 
 
 @lru_cache(maxsize=None)
@@ -154,29 +141,27 @@ def power_sums_of(values: Sequence, up_to: int):
     return sums
 
 
-def complete_bell(n: int, b: Sequence) -> Coefficient:
-    """The n-th complete Bell polynomial evaluated at b_1..b_n.
+def power_sum_monomial(k: ExponentVector) -> MultiPoly:
+    """p_1^k_1 * p_2^k_2 * ... in the power-sum variables."""
+    return MultiPoly([(tuple((VarId(KIND_P, i), e) for i, e in enumerate(k, 1) if e), 1)])
 
-    Works over any commutative ring: b entries may be Fractions or
-    MultiPoly.  Defined by the recurrence
-    B_{n+1} = sum_j C(n, j) * B_{n-j} * b_{j+1} with B_0 = 1.
+
+def read_power_sums(poly: MultiPoly, m: int, weight: int) -> PowerSumExpansion:
+    """The expansion of poly, a polynomial in p_1..p_m and the a_i of weight
+    ``weight``, over every key of that weight with parts <= m.
     """
-    return complete_bell_sequence(n, b)[n]
-
-
-def complete_bell_sequence(n: int, b: Sequence) -> list:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if len(b) < n:
-        raise ValueError(f"need {n} ring elements, got {len(b)}")
-    seq = [1]
-    for step in range(n):
-        acc = None
-        for j in range(step + 1):
-            term = comb(step, j) * seq[step - j] * b[j]
-            acc = term if acc is None else acc + term
-        seq.append(acc)
-    return seq
+    keys = exponent_vectors(weight, m)
+    allowed = set(keys)
+    buckets: dict = {}
+    for mono, coeff in poly.terms.items():
+        parts = {var.index: exp for var, exp in mono if var.kind == KIND_P}
+        key = tuple(parts.get(i, 0) for i in range(1, weight + 1))
+        if key not in allowed or any(i > weight for i in parts):
+            raise NotRepresentableError(f"a term is not a weight-{weight} key with parts <= {m}")
+        buckets.setdefault(key, {})[tuple((v, e) for v, e in mono if v.kind != KIND_P)] = coeff
+    return PowerSumExpansion(
+        weight, m, {key: _normalize_coefficient(MultiPoly(buckets.get(key, {}))) for key in keys}
+    )
 
 
 def denominator_product(components: Sequence[MultiPoly]) -> MultiPoly:
@@ -297,7 +282,7 @@ def to_power_sum_basis(
     if len(pivots) < len(keys):
         raise NotRepresentableError("basis is not independent: underdetermined column")
     pivot_rows = set(pivots.values())
-    if any(not _coeff_is_zero(v) for r, v in enumerate(values) if r not in pivot_rows):
+    if any(v != 0 for r, v in enumerate(values) if r not in pivot_rows):
         raise NotRepresentableError("polynomial is outside the span of the requested basis")
     coefficients = {
         key: _normalize_coefficient(values[pivots[col]]) for col, key in enumerate(keys)

@@ -1,0 +1,80 @@
+"""Slow reference constructions the tests compare the library against.
+
+* :func:`complete_bell` / :func:`complete_bell_sequence` -- the complete Bell
+  polynomials by their recurrence, independent of the closed form that
+  ``families.bell_form`` uses;
+* :func:`x_variable_residue` -- the closed-form y = 1 residue computed in the
+  x variables, (-1)^m sum_{e >= m} [t^e]F(t) h_{e-m}(x), and converted with
+  ``to_power_sum_basis``, which checks symmetry and homogeneity on the way.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from math import comb
+from typing import Sequence
+
+from symmrel.polyring import KIND_Y, MultiPoly, VarId
+from symmrel.symmfunc import power_sum, to_power_sum_basis
+
+
+def complete_bell(n: int, b: Sequence):
+    """The n-th complete Bell polynomial evaluated at b_1..b_n.
+
+    Works over any commutative ring: b entries may be Fractions or
+    MultiPoly.  Defined by the recurrence
+    B_{n+1} = sum_j C(n, j) * B_{n-j} * b_{j+1} with B_0 = 1.
+    """
+    return complete_bell_sequence(n, b)[n]
+
+
+def complete_bell_sequence(n: int, b: Sequence) -> list:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if len(b) < n:
+        raise ValueError(f"need {n} ring elements, got {len(b)}")
+    seq = [1]
+    for step in range(n):
+        acc = None
+        for j in range(step + 1):
+            term = comb(step, j) * seq[step - j] * b[j]
+            acc = term if acc is None else acc + term
+        seq.append(acc)
+    return seq
+
+
+def bell_family_polynomial(a: Sequence, scale, n: int, m: int) -> MultiPoly:
+    """scale * B_n(a_1 p_1(x), ..., a_n p_n(x)) by the recurrence, in x_1..x_m."""
+    value = scale * complete_bell(n, [a[k - 1] * power_sum(k, m) for k in range(1, n + 1)])
+    return value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
+
+
+def x_variable_residue(source, m: int):
+    """U_n at y = 1 for a relations source, built in x_1..x_m.
+
+    F(t) = S(t, x_1 - t, ..., x_m - t) comes from the source's integral form
+    on that vector, with y_1 standing in for t.
+    """
+    t_var = VarId(KIND_Y, 1)
+    t = MultiPoly.variable(t_var)
+    comps = [t] + [MultiPoly.x(i) - t for i in range(1, m + 1)]
+    by_power: dict = {}
+    for mono, coeff in source.scaled(comps).terms.items():
+        e = dict(mono).get(t_var, 0)
+        if e >= m:
+            by_power.setdefault(e, {})[tuple(f for f in mono if f[0] != t_var)] = coeff
+    residue = sum(
+        (MultiPoly(terms) * complete_homogeneous(e - m, m) for e, terms in by_power.items()),
+        MultiPoly.zero(),
+    )
+    residue = source.unscale(-residue if m % 2 else residue)
+    return to_power_sum_basis(residue, m, max_part=m, weight=source.n - m)
+
+
+@lru_cache(maxsize=None)
+def complete_homogeneous(d: int, m: int) -> MultiPoly:
+    """h_d(x_1..x_m), from Newton's identity d * h_d = sum_{i <= d} p_i * h_{d-i}."""
+    if d == 0:
+        return MultiPoly.one()
+    terms = (power_sum(i, m) * complete_homogeneous(d - i, m) for i in range(1, d + 1))
+    return sum(terms, MultiPoly.zero()) / d

@@ -107,7 +107,7 @@ class TestFamilyPolynomials:
         # b_n = 1/n! scales the Bell value.
         spec = get_family("laguerre")
         n, m = 3, 2
-        from symmrel.symmfunc import complete_bell
+        from oracles import complete_bell
 
         f = [spec.a_coeff(k) * power_sum(k, m) for k in range(1, n + 1)]
         assert family_polynomial("laguerre", n, m) == complete_bell(n, f) / 6

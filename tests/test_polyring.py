@@ -341,6 +341,12 @@ class TestMultiplicationKernel:
                 poly = family_polynomial(name, n, 3)
                 assert all(type(c) is int for c in poly.terms.values()), (name, n)
 
+    def test_integral_form(self):
+        integral, d = (F(1, 2) * x1 + F(2, 3) * x1**2 - 5).integral_form()
+        assert d == 6 and integral == 3 * x1 + 4 * x1**2 - 30
+        assert all(type(c) is int for c in integral.terms.values())
+        assert MultiPoly.zero().integral_form() == (MultiPoly.zero(), 1)
+
     def test_integral_fractions_stored_as_int(self):
         p = MultiPoly([(((VarId(KIND_X, 1), 1),), F(4, 2))]) + MultiPoly.constant(F(3))
         assert all(type(c) is int for c in p.terms.values())
