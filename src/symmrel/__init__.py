@@ -13,11 +13,10 @@ every verdict is a polynomial identity, never a numerical approximation.
 
 __version__ = "0.1.0"
 
-from .exactnum import ExactRational, FormalSeries, bernoulli_numbers, euler_poly_at_zero
+from .exactnum import bernoulli_numbers, euler_poly_at_zero
 from .families import (
     FAMILY_NAMES,
     FamilySpec,
-    family_coefficients,
     family_polynomial,
     get_family,
     symbolic_family_polynomial,

@@ -13,7 +13,14 @@ engine keeps that form; :func:`family_polynomial` and
 The streams come from the classical
 exponential generating functions noted on each entry; the shift value s_0
 at which the log-derivative stream was taken is recorded for documentation
-only (the tabulated a_k already bake it in).
+only (the tabulated a_k already bake it in).  Two streams are computed in
+closed form from other exact numbers:
+
+* Legendre: a_k = k! [t^k] log J_0(t) are the cumulants of the moments
+  g_n = P_n(0) = (-1)^(n/2) C(n, n/2) / 2^n (n even, else 0), by
+  a_k = g_k - sum_{j<k} C(k-1, j-1) a_j g_(k-j);
+* Euler: a_1 = -1/2 and a_k = E_(k-1)(0) / 2, with
+  E_n(0) = 2 (1 - 2^(n+1)) B_(n+1) / (n+1) (DLMF §24.4).
 
 A fully symbolic family is also provided, with the a_k left as free
 symbols, so identities can be verified for all coefficient streams at once.
@@ -24,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Sequence, Union
 
-from .exactnum import FormalSeries, bernoulli_numbers, euler_poly_at_zero
+from .exactnum import bernoulli_numbers, euler_poly_at_zero
 from .partitions import exponent_vectors
 from .polyring import KIND_A, KIND_P, MultiPoly, VarId
 from .symmfunc import power_sum, power_sum_monomial
@@ -37,7 +44,6 @@ __all__ = [
     "FAMILY_NAMES",
     "SYMBOLIC_NAME",
     "get_family",
-    "family_coefficients",
     "bell_form",
     "family_form",
     "family_polynomial",
@@ -73,24 +79,17 @@ def _t_a(k: int) -> Fraction:
     return Fraction((-1) ** k) * _bernoulli(k) / k
 
 
+def _j0_moment(n: int) -> Fraction:
+    # g_n = P_n(0), so J_0(t) = sum g_n t^n / n!.
+    return Fraction(0) if n % 2 else Fraction((-1) ** (n // 2) * comb(n, n // 2), 2**n)
+
+
 @lru_cache(maxsize=None)
-def _log_j0_series(order: int) -> FormalSeries:
-    # J_0(t) = sum (-1)^j (t/2)^(2j) / (j!)^2
-    coeffs = []
-    for n in range(order + 1):
-        if n % 2:
-            coeffs.append(Fraction(0))
-        else:
-            j = n // 2
-            coeffs.append(Fraction((-1) ** j, 4**j * factorial(j) ** 2))
-    return FormalSeries(coeffs).log()
-
-
 def _legendre_a(k: int) -> Fraction:
-    if k % 2:
-        return Fraction(0)
-    series = _log_j0_series(k)
-    return series.coefficients[k] * factorial(k)
+    # The cumulants of the g_n: k! [t^k] log J_0(t).
+    return _j0_moment(k) - sum(
+        comb(k - 1, j - 1) * _legendre_a(j) * _j0_moment(k - j) for j in range(1, k)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -138,13 +137,6 @@ def get_family(name: str) -> FamilySpec:
     except KeyError:
         known = ", ".join(FAMILY_NAMES)
         raise KeyError(f"unknown family {name!r}; known families: {known}") from None
-
-
-def family_coefficients(family: Union[FamilySpec, str], up_to: int) -> list[Fraction]:
-    """The stream a_1..a_up_to of a registry family."""
-    if isinstance(family, str):
-        family = get_family(family)
-    return family.coefficients(up_to)
 
 
 def bell_form(n: int, a: Sequence, scale=1) -> MultiPoly:

@@ -438,7 +438,8 @@ def verify_conjecture1(
 
     A randomized evaluation prescreen may short-circuit to a falsified
     verdict with the witness point; the authoritative verdict is the exact
-    expansion of the numerator.
+    expansion of the numerator.  ``prescreen_points = 0`` skips the
+    prescreen; a negative count is rejected.
     """
     if m < 1:
         raise PreconditionError("m must be >= 1")
@@ -447,6 +448,8 @@ def verify_conjecture1(
             f"zero relation needs 0 <= n <= m-1 (got n={n}, m={m}); "
             "use verify_conjecture2 for n >= m"
         )
+    if prescreen_points < 0:
+        raise PreconditionError(f"prescreen_points must be >= 0, got {prescreen_points}")
     source = _make_source(poly_source, n)
     conjecture = "C1" if source.family else "C3-zero"
     report = RelationReport(conjecture, n, m, source.label, "unknown")

@@ -5,11 +5,14 @@
   ``families.bell_form`` uses;
 * :func:`x_variable_residue` -- the closed-form y = 1 residue computed in the
   x variables, (-1)^m sum_{e >= m} [t^e]F(t) h_{e-m}(x), and converted with
-  ``to_power_sum_basis``, which checks symmetry and homogeneity on the way.
+  ``to_power_sum_basis``, which checks symmetry and homogeneity on the way;
+* :func:`series_mul`, :func:`series_inverse` and :func:`series_exp` --
+  truncated power series as coefficient lists, for generating-function checks.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Sequence
@@ -78,3 +81,35 @@ def complete_homogeneous(d: int, m: int) -> MultiPoly:
         return MultiPoly.one()
     terms = (power_sum(i, m) * complete_homogeneous(d - i, m) for i in range(1, d + 1))
     return sum(terms, MultiPoly.zero()) / d
+
+
+def series_mul(a: Sequence, b: Sequence) -> list:
+    """Cauchy product of two coefficient lists, truncated to the shorter one."""
+    return [
+        sum((a[i] * b[k - i] for i in range(1, k + 1)), a[0] * b[k])
+        for k in range(min(len(a), len(b)))
+    ]
+
+
+def series_inverse(a: Sequence) -> list:
+    """1 / a, for a constant term that is a nonzero rational or constant MultiPoly."""
+    c0 = a[0]
+    if isinstance(c0, MultiPoly):
+        if c0 != c0.constant_term():
+            raise ValueError("constant term is not a scalar")
+        c0 = c0.constant_term()
+    inv0 = 1 / Fraction(c0)
+    out = [inv0]
+    for k in range(1, len(a)):
+        out.append(-inv0 * sum((a[i] * out[k - i] for i in range(2, k + 1)), a[1] * out[k - 1]))
+    return out
+
+
+def series_exp(a: Sequence) -> list:
+    """exp(a) for a zero constant term, from k E_k = sum_{i=1..k} i a_i E_{k-i}."""
+    if a[0] != 0:
+        raise ValueError("exp needs a zero constant term")
+    out = [Fraction(1)]
+    for k in range(1, len(a)):
+        out.append(sum(i * a[i] * out[k - i] for i in range(1, k + 1)) / k)
+    return out

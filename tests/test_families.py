@@ -3,10 +3,8 @@ from math import factorial
 
 import pytest
 
-from symmrel.exactnum import FormalSeries
 from symmrel.families import (
     FAMILY_NAMES,
-    family_coefficients,
     family_polynomial,
     get_family,
     symbolic_coefficient_values,
@@ -15,6 +13,7 @@ from symmrel.families import (
 from symmrel.polyring import MultiPoly
 from symmrel.symmfunc import is_symmetric, power_sum
 
+from oracles import complete_bell, series_exp, series_inverse, series_mul
 from reference_tables import BERNOULLI_EXPANSIONS
 
 
@@ -29,29 +28,46 @@ def expansion_poly(coeffs, m):
 
 class TestCoefficientStreams:
     def test_laguerre(self):
-        assert family_coefficients("laguerre", 3) == [F(1), F(1), F(2)]
+        assert get_family("laguerre").coefficients(3) == [F(1), F(1), F(2)]
 
     def test_hermite(self):
-        assert family_coefficients("hermite", 4) == [F(0), F(-2), F(0), F(0)]
+        assert get_family("hermite").coefficients(4) == [F(0), F(-2), F(0), F(0)]
 
     def test_legendre(self):
-        assert family_coefficients("legendre", 4) == [F(0), F(-1, 2), F(0), F(-3, 8)]
+        assert get_family("legendre").coefficients(4) == [F(0), F(-1, 2), F(0), F(-3, 8)]
 
     def test_fibonacci(self):
-        assert family_coefficients("fibonacci", 6) == [
+        assert get_family("fibonacci").coefficients(6) == [
             F(0), F(2), F(0), F(12), F(0), F(240),
         ]
 
     def test_bernoulli_and_t_are_opposite(self):
-        bern = family_coefficients("bernoulli", 10)
-        t = family_coefficients("t", 10)
+        bern = get_family("bernoulli").coefficients(10)
+        t = get_family("t").coefficients(10)
         assert all(tb == -bb for tb, bb in zip(t, bern))
 
     def test_euler(self):
-        assert family_coefficients("euler", 4) == [F(-1, 2), F(-1, 4), F(0), F(1, 8)]
+        assert get_family("euler").coefficients(4) == [F(-1, 2), F(-1, 4), F(0), F(1, 8)]
 
     def test_bell(self):
-        assert family_coefficients("bell", 5) == [F(1)] * 5
+        assert get_family("bell").coefficients(5) == [F(1)] * 5
+
+    def test_closed_forms_match_generating_functions(self):
+        n = 40
+        # Legendre: exp(sum a_k t^k / k!) = J_0(t) = sum (-1)^j (t/2)^(2j) / (j!)^2.
+        a = get_family("legendre").coefficients(n)
+        exponent = [F(0)] + [a[k - 1] / factorial(k) for k in range(1, n + 1)]
+        j0 = [
+            F(0) if k % 2 else F((-1) ** (k // 2), 4 ** (k // 2) * factorial(k // 2) ** 2)
+            for k in range(n + 1)
+        ]
+        assert series_exp(exponent) == j0
+        # Euler: a_1 = -1/2, a_k = E_(k-1)(0) / 2 with sum E_j(0) t^j / j! = 2 / (e^t + 1).
+        a = get_family("euler").coefficients(n)
+        half_sum = [F(1)] + [F(1, 2 * factorial(k)) for k in range(1, n)]
+        e_at_zero = [c * factorial(j) for j, c in enumerate(series_inverse(half_sum))]
+        assert a[0] == F(-1, 2)
+        assert a[1:] == [e / 2 for e in e_at_zero[1:]]
 
     def test_case_insensitive_lookup(self):
         assert get_family("Bernoulli") is get_family("bernoulli")
@@ -80,16 +96,13 @@ class TestFamilyPolynomials:
         # Coefficients of prod_i [x_i t / (e^{x_i t} - 1)] expanded as a
         # series with polynomial coefficients; independent of the Bell route.
         n = 8
-        product = FormalSeries.one(n)
+        product = [F(1)] + [F(0)] * n
         for i in range(1, m + 1):
             xi = MultiPoly.x(i)
-            denom = FormalSeries(
-                [MultiPoly.one()]
-                + [xi**k * F(1, factorial(k + 1)) for k in range(1, n + 1)]
-            )
-            product = product * denom.inverse()
+            denom = [MultiPoly.one()] + [xi**k * F(1, factorial(k + 1)) for k in range(1, n + 1)]
+            product = series_mul(product, series_inverse(denom))
         for k in range(n + 1):
-            expected = product.coefficients[k] * factorial(k)
+            expected = product[k] * factorial(k)
             if not isinstance(expected, MultiPoly):
                 expected = MultiPoly.constant(expected)
             assert family_polynomial("bernoulli", k, m) == expected
@@ -107,8 +120,6 @@ class TestFamilyPolynomials:
         # b_n = 1/n! scales the Bell value.
         spec = get_family("laguerre")
         n, m = 3, 2
-        from oracles import complete_bell
-
         f = [spec.a_coeff(k) * power_sum(k, m) for k in range(1, n + 1)]
         assert family_polynomial("laguerre", n, m) == complete_bell(n, f) / 6
 

@@ -291,6 +291,10 @@ class TestZeroRelation:
         with pytest.raises(PreconditionError):
             verify_conjecture1("bernoulli", 3, 2)
 
+    def test_negative_prescreen_count_rejected(self):
+        with pytest.raises(PreconditionError):
+            verify_conjecture1("bernoulli", 1, 2, prescreen_points=-1)
+
     def test_prescreen_catches_asymmetric_input(self):
         report = verify_conjecture1(x1, 1, 2)
         assert report.verdict == "falsified"
