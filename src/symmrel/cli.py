@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .families import FAMILY_NAMES, SYMBOLIC_NAME, get_family
@@ -198,6 +197,9 @@ def cmd_verify(args) -> int:
     # The pool starts all its workers at once, so never more than can be busy.
     workers = min(args.jobs, len(cases), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: it loads multiprocessing, which other commands never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         # Workers started by spawn or forkserver do not inherit the parent's
         # term cap, so it is passed explicitly.
         with ProcessPoolExecutor(

@@ -19,7 +19,7 @@ closed form from other exact numbers:
 * Legendre: a_k = k! [t^k] log J_0(t) are the cumulants of the moments
   g_n = P_n(0) = (-1)^(n/2) C(n, n/2) / 2^n (n even, else 0), by
   a_k = g_k - sum_{j<k} C(k-1, j-1) a_j g_(k-j);
-* Euler: a_1 = -1/2 and a_k = E_(k-1)(0) / 2, with
+* Euler: a_1 = -1/2 and a_k = E_(k-1)(0) / 2 = (1 - 2^k) B_k / k, by
   E_n(0) = 2 (1 - 2^(n+1)) B_(n+1) / (n+1) (DLMF §24.4).
 
 A fully symbolic family is also provided, with the a_k left as free
@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, Sequence, Union
 
-from .exactnum import bernoulli_numbers, euler_poly_at_zero
+from .exactnum import bernoulli_numbers
 from .partitions import exponent_vectors
 from .polyring import KIND_A, KIND_P, MultiPoly, VarId
 from .symmfunc import power_sum, power_sum_monomial
@@ -66,7 +66,6 @@ class FamilySpec:
         return [self.a_coeff(k) for k in range(1, up_to + 1)]
 
 
-@lru_cache(maxsize=None)
 def _bernoulli(k: int) -> Fraction:
     return bernoulli_numbers(k)[k]
 
@@ -92,15 +91,11 @@ def _legendre_a(k: int) -> Fraction:
     )
 
 
-@lru_cache(maxsize=None)
-def _euler_values(up_to: int) -> tuple:
-    return tuple(euler_poly_at_zero(up_to))
-
-
 def _euler_a(k: int) -> Fraction:
     if k == 1:
         return Fraction(-1, 2)
-    return _euler_values(k)[k - 1] / 2
+    # E_(k-1)(0) / 2 in closed form.
+    return (1 - 2**k) * _bernoulli(k) / k
 
 
 def _fibonacci_a(k: int) -> Fraction:

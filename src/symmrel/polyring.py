@@ -37,6 +37,14 @@ decoded once, by merging that pair into the canonical tuple.  A factor with
 a single term skips packing, since multiplying by one monomial cannot merge
 two terms.
 
+Exact division is long division in u, the divisor's last variable in VarId
+order, over the ring of the others (Geddes, Czapor & Labahn, *Algorithms for
+Computer Algebra*, 1992, ch. 2): each quotient coefficient is the running
+remainder's top coefficient in u divided, recursively, by the divisor's
+leading coefficient.  A single-term divisor subtracts exponents in one pass;
+a constant one scales.  As u comes last, a pair factor x_j - x_i (i < j) of
+the residue check is monic in u = x_j, so it needs no recursive division.
+
 Expansions are guarded by a configurable term cap (default 10**7 terms,
 overridable via ``set_term_cap`` or the SYMMREL_TERM_CAP environment
 variable); a product whose estimated size exceeds the cap raises
@@ -46,6 +54,7 @@ variable); a product whose estimated size exceeds the cap raises
 from __future__ import annotations
 
 import os
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -94,14 +103,12 @@ class TermCapExceeded(RuntimeError):
 
 
 class NonDivisibleError(ArithmeticError):
-    """Exact division failed: the remainder is nonzero.
-
-    ``remainder`` carries the offending part when the division routine has
-    it at hand (None otherwise); relation checks surface it as the
+    """Exact division failed: ``remainder`` is a nonzero r with the dividend
+    minus r a multiple of the divisor.  Relation checks surface it as the
     counterexample witness.
     """
 
-    def __init__(self, message: str, remainder=None):
+    def __init__(self, message: str, remainder: "MultiPoly"):
         super().__init__(message)
         self.remainder = remainder
 
@@ -211,39 +218,39 @@ def term_sort_key(m: Monomial):
     return (-_mono_degree(m), tuple((v, -e) for v, e in m))
 
 
-def _mono_divides(m1: Monomial, m2: Monomial) -> bool:
-    """True if monomial m1 divides m2."""
-    it = iter(m2)
-    for v1, e1 in m1:
-        for v2, e2 in it:
-            if v2 == v1:
-                if e2 < e1:
-                    return False
-                break
-            if v2 > v1:
-                return False
-        else:
-            return False
-    return True
-
-
-def _mono_quotient(m2: Monomial, m1: Monomial) -> Monomial:
-    """m2 / m1, assuming m1 divides m2."""
-    need = dict(m1)
-    out = []
-    for v, e in m2:
-        d = need.get(v, 0)
-        if e > d:
-            out.append((v, e - d))
-    return tuple(out)
-
-
 def _coerce_scalar(value) -> Scalar:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
         return value
     raise TypeError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
+
+
+def _by_power(terms: Mapping, u: VarId) -> dict:
+    """{k: coefficient of u^k} for a term map; each coefficient is free of u."""
+    parts: dict = {}
+    for mono, c in terms.items():
+        k = 0
+        pos = bisect(mono, (u, 0))
+        if pos < len(mono) and mono[pos][0] == u:
+            k = mono[pos][1]
+            mono = mono[:pos] + mono[pos + 1 :]
+        parts.setdefault(k, {})[mono] = c
+    return {k: MultiPoly._raw(t) for k, t in parts.items()}
+
+
+def _from_powers(parts: Mapping, u: VarId) -> "MultiPoly":
+    """sum_k parts[k] * u^k, for coefficients free of u."""
+    out: dict = {}
+    for k, poly in parts.items():
+        if not k:
+            out.update(poly._terms)
+            continue
+        u_term = ((u, k),)
+        for mono, c in poly._terms.items():
+            pos = bisect(mono, u_term[0])
+            out[mono[:pos] + u_term + mono[pos:]] = c
+    return MultiPoly._raw(out)
 
 
 class MultiPoly:
@@ -546,119 +553,55 @@ class MultiPoly:
     # -- exact division -------------------------------------------------------
 
     def exact_divide(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Multivariate exact division under the canonical term order.
-
-        Raises NonDivisibleError as soon as a leading term cannot be
-        cancelled (the remainder would be nonzero).
-        """
-        if divisor.is_zero():
+        """self / divisor; NonDivisibleError if the remainder is nonzero."""
+        terms = divisor._terms
+        if not terms:
             raise ZeroDivisionError("division of a polynomial by zero")
-        lead = divisor.leading_monomial()
-        lead_coeff = divisor._terms[lead]
-        quotient: dict = {}
-        work = self
-        while work._terms:
-            mono = work.leading_monomial()
-            if not _mono_divides(lead, mono):
+        if len(terms) == 1:
+            ((lead, coeff),) = terms.items()
+            if not lead:
+                return self if coeff == 1 else self / coeff
+            need, degree = dict(lead), _mono_degree(lead)
+            out, rest = {}, {}
+            for mono, c in self._terms.items():
+                q, left = [], degree  # left ends at 0 if lead divides mono
+                for v, e in mono:
+                    d = need.get(v, 0)
+                    left -= d if e > d else e
+                    if e > d:
+                        q.append((v, e - d))
+                if left:
+                    rest[mono] = c
+                else:
+                    out[tuple(q)] = c
+            if rest:
                 raise NonDivisibleError(
-                    f"leading term {mono} is not divisible by {lead}", work
+                    f"{len(rest)} terms are no multiples of {divisor}", MultiPoly._raw(rest)
                 )
-            q_mono = _mono_quotient(mono, lead)
-            q_coeff = Fraction(work._terms[mono], 1) / lead_coeff
-            if q_coeff.denominator == 1:
-                q_coeff = q_coeff.numerator
-            quotient[q_mono] = q_coeff
-            work = work - divisor * MultiPoly._raw({q_mono: q_coeff})
-        return MultiPoly._raw(quotient)
-
-    def divide_by_variable(self, var: VarId) -> "MultiPoly":
-        """Exact division by a single variable."""
-        var = VarId(*var)
-        out = {}
-        remainder = {}
-        for mono, coeff in self._terms.items():
-            for pos, (v, e) in enumerate(mono):
-                if v == var:
-                    if e == 1:
-                        out[mono[:pos] + mono[pos + 1 :]] = coeff
-                    else:
-                        out[mono[:pos] + ((v, e - 1),) + mono[pos + 1 :]] = coeff
-                    break
-            else:
-                remainder[mono] = coeff
-        if remainder:
-            raise NonDivisibleError(
-                f"{len(remainder)} terms have no factor {var!r}",
-                MultiPoly._raw(remainder),
-            )
-        return MultiPoly._raw(out)
-
-    def divide_by_difference(self, u: VarId, w: VarId) -> "MultiPoly":
-        """Exact division by the linear binomial (u - w) via synthetic division."""
-        u = VarId(*u)
-        w = VarId(*w)
-        buckets: dict = {}
-        top = 0
-        for mono, coeff in self._terms.items():
-            exp = 0
-            rest = mono
-            for pos, (v, e) in enumerate(mono):
-                if v == u:
-                    exp = e
-                    rest = mono[:pos] + mono[pos + 1 :]
-                    break
-            bucket = buckets.setdefault(exp, {})
-            bucket[rest] = coeff
-            if exp > top:
-                top = exp
-        if top == 0:
-            if not self._terms:
-                return MultiPoly.zero()
-            raise NonDivisibleError(f"polynomial does not involve {u!r}", self)
-        w_mono = ((w, 1),)
-        quotient: dict = {}
-        carry: dict = {}
-        for d in range(top, 0, -1):
-            level = buckets.get(d, {})
-            merged = dict(level)
-            for mono, coeff in carry.items():
-                key = _mono_mul(mono, w_mono)
-                acc = merged.get(key)
-                if acc is None:
-                    merged[key] = coeff
-                else:
-                    acc = acc + coeff
-                    if acc:
-                        merged[key] = acc
-                    else:
-                        del merged[key]
-            # merged is the quotient coefficient of u^(d-1)
-            if d > 1:
-                u_mono = ((u, d - 1),)
-                for mono, coeff in merged.items():
-                    quotient[_mono_mul(mono, u_mono)] = coeff
-            else:
-                for mono, coeff in merged.items():
-                    quotient[mono] = coeff
-            carry = merged
-        remainder = dict(buckets.get(0, {}))
-        for mono, coeff in carry.items():
-            key = _mono_mul(mono, w_mono)
-            acc = remainder.get(key)
-            if acc is None:
-                remainder[key] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    remainder[key] = acc
-                else:
-                    del remainder[key]
-        if remainder:
-            raise NonDivisibleError(
-                f"nonzero remainder after division by ({u!r} - {w!r})",
-                MultiPoly._raw(remainder),
-            )
-        return MultiPoly._raw(quotient)
+            quotient = MultiPoly._raw(out)
+            return quotient if coeff == 1 else quotient / coeff
+        u = max(divisor.variables())
+        lower = _by_power(terms, u)
+        top = max(lower)
+        lead_coeff = lower.pop(top)
+        lower = {j: -b for j, b in lower.items()}
+        rem = _by_power(self._terms, u)
+        parts = {}
+        for k in range(max(rem, default=-1), top - 1, -1):
+            c = rem.pop(k, None)
+            if not c:
+                continue
+            try:
+                parts[k - top] = q = c.exact_divide(lead_coeff)
+            except NonDivisibleError:
+                rem[k] = c  # self is then no multiple of the divisor either
+                break
+            for j, minus_b in lower.items():
+                rem[k - top + j] = rem.get(k - top + j, MultiPoly.zero()) + q * minus_b
+        rest = _from_powers(rem, u)
+        if rest:
+            raise NonDivisibleError(f"nonzero remainder after division by ({divisor})", rest)
+        return _from_powers(parts, u)
 
     # -- formatting -----------------------------------------------------------
 

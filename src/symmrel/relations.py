@@ -27,11 +27,11 @@ pi(x) * prod_i pi(s_i) that :func:`u_function` keeps as a cross-check.  One
 frame, ``_frame(xs, ys)``, holds the rows, W and the cofactors
 c_i = (-1)^(i-1) pi(x) W / pi(s_i) over polynomials or exact rationals, and
 ``_numerator`` forms pi(x) W U_n = S(x) W - sum_i (-1)^(i-1) y_i^(m-n-1)
-S(s_i) c_i on any frame: expanded on a cached polynomial frame, whose linear
-factors ``verify_conjecture2`` divides back off, or evaluated at the random
-rational frames of the prescreen.  The basis conversion validates each
-quotient once: one not homogeneous of degree n - m, or not symmetric,
-falsifies the residue relation.
+S(s_i) c_i on any frame: expanded on a cached polynomial frame, from which
+``verify_conjecture2`` divides pi(x) and each w_ij back off, or evaluated at
+the random rational frames of the prescreen.  The basis conversion
+validates each quotient once: one not homogeneous of degree n - m, or not
+symmetric, falsifies the residue relation.
 
 Residues in closed form: at y = 1, S(s_i) = F(x_i) with F(t) = S(t, x_1 - t,
 ..., x_m - t), and pi(s_i) = (-1)^(m-1) x_i prod_{j != i} (x_i - x_j), so the
@@ -116,7 +116,7 @@ def build_s_matrix(m: int) -> tuple:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _rows_at(m, False)
+    return _symbolic_frame(m, False).rows
 
 
 class _Frame(NamedTuple):
@@ -159,15 +159,6 @@ def _symbolic_frame(m: int, y_one: bool) -> _Frame:
     xs = [MultiPoly.x(i) for i in range(1, m + 1)]
     ys = [1] * m if y_one else [MultiPoly.y(i) for i in range(1, m + 1)]
     return _frame(xs, ys)
-
-
-def _rows_at(m: int, y_one: bool) -> tuple:
-    """Rows of the substitution matrix, optionally specialized to y = 1."""
-    return _symbolic_frame(m, y_one).rows
-
-
-def _pair_product(m: int, y_one: bool) -> MultiPoly:
-    return _symbolic_frame(m, y_one).pair_product
 
 
 # ---------------------------------------------------------------------------
@@ -365,20 +356,15 @@ def _numerator(source: _Source, frame: _Frame, exponent: int, a_values=None):
 def _u_numerator(source: _Source, n: int, m: int, y_one: bool):
     """Numerator of U_n over the least common denominator pi(x) * W.
 
-    Returns (numerator, variable factors, difference factor pairs); the
-    denominator is the product of x_1..x_m and the pair factors w_ij.
+    Returns (numerator, divisors): the divisors are pi(x) and then the pair
+    factors w_ij (i < j), read off the frame the numerator was built on.
     """
     exponent = m - n - 1
     if exponent < 0 and not y_one:
         raise PreconditionError("general-y U requires n <= m-1")
-    numerator = _numerator(source, _symbolic_frame(m, y_one), 0 if y_one else exponent)
-    var_factors = [VarId(KIND_X, i) for i in range(1, m + 1)]
-    diff_factors = [
-        (VarId(KIND_X, j), VarId(KIND_X, i))
-        for i in range(1, m + 1)
-        for j in range(i + 1, m + 1)
-    ]
-    return numerator, var_factors, diff_factors
+    frame = _symbolic_frame(m, y_one)
+    pairs = [frame.rows[i][j] for i in range(m) for j in range(i + 1, m)]
+    return _numerator(source, frame, 0 if y_one else exponent), [frame.pi_x, *pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +451,7 @@ def verify_conjecture1(
                 report.witness = witness
                 return report
         start = time.perf_counter()
-        numerator, _, _ = _u_numerator(source, n, m, y_one=False)
+        numerator, _ = _u_numerator(source, n, m, y_one=False)
         report.stages.append(
             Stage("expand", f"{len(numerator)} numerator terms", time.perf_counter() - start)
         )
@@ -485,7 +471,7 @@ def verify_conjecture2(poly_source, n: int, m: int) -> RelationReport:
     """Check that U_n at y = 1 is a symmetric polynomial of degree n - m.
 
     The numerator is expanded over the least common denominator and divided
-    by its linear factors one at a time; a nonzero remainder falsifies the
+    by pi(x) and then by each pair factor; a nonzero remainder falsifies the
     polynomiality claim.  On success the quotient is returned in the
     power-sum basis with parts <= m.
     """
@@ -501,20 +487,18 @@ def verify_conjecture2(poly_source, n: int, m: int) -> RelationReport:
     report = RelationReport(conjecture, n, m, source.label, "unknown")
     try:
         start = time.perf_counter()
-        numerator, var_factors, diff_factors = _u_numerator(source, n, m, y_one=True)
+        numerator, divisors = _u_numerator(source, n, m, y_one=True)
         report.stages.append(
             Stage("expand", f"{len(numerator)} numerator terms", time.perf_counter() - start)
         )
         start = time.perf_counter()
         quotient = numerator
         try:
-            for var in var_factors:
-                quotient = quotient.divide_by_variable(var)
-            for u, w in diff_factors:
-                quotient = quotient.divide_by_difference(u, w)
+            for divisor in divisors:
+                quotient = quotient.exact_divide(divisor)
         except NonDivisibleError as exc:
             report.verdict = "falsified"
-            report.witness = exc.remainder if exc.remainder is not None else str(exc)
+            report.witness = exc.remainder
             report.stages.append(Stage("divide", "nonzero remainder", time.perf_counter() - start))
             return report
         report.stages.append(

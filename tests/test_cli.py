@@ -138,7 +138,7 @@ class TestVerifyCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("symmrel.cli.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr("symmrel.cli.os.cpu_count", lambda: 64)
         argv = ("--jobs", "64", "verify", "--conjecture", "1", "--family", "bell", "--m", "2")
         code, out, _ = run_cli(capsys, *argv)

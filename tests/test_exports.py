@@ -38,3 +38,17 @@ def test_runtime_imports_only_the_standard_library():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # Only verify --jobs > 1 starts a pool; other commands skip its imports.
+    script = "import sys, symmrel.cli\nprint('concurrent.futures' in sys.modules)\n"
+    src = Path(symmrel.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+from symmrel import exactnum
 from symmrel.families import (
     FAMILY_NAMES,
     family_polynomial,
@@ -27,6 +28,23 @@ def expansion_poly(coeffs, m):
 
 
 class TestCoefficientStreams:
+    def test_bernoulli_recurrence_runs_once(self, monkeypatch):
+        # From a cold list, the 60-term bernoulli and euler streams share one
+        # run of the recurrence: no term C(n + 1, k) B_k is formed twice.
+        steps = []
+
+        def spy(n, k):
+            steps.append((n, k))
+            return comb(n, k)
+
+        expected = {name: get_family(name).coefficients(60) for name in ("bernoulli", "euler")}
+        monkeypatch.setattr(exactnum, "_bernoulli", [F(1)])
+        monkeypatch.setattr(exactnum, "comb", spy)
+        for name, values in expected.items():
+            assert get_family(name).coefficients(60) == values
+        assert len(steps) == len(set(steps))
+        assert max(n for n, _ in steps) == 61  # B_60 was reached
+
     def test_laguerre(self):
         assert get_family("laguerre").coefficients(3) == [F(1), F(1), F(2)]
 

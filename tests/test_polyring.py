@@ -20,7 +20,7 @@ from symmrel.polyring import (
     ratfunc_combine,
     set_term_cap,
 )
-from symmrel.relations import _rows_at
+from symmrel.relations import _symbolic_frame
 
 x1, x2, x3 = MultiPoly.x(1), MultiPoly.x(2), MultiPoly.x(3)
 y1, y2 = MultiPoly.y(1), MultiPoly.y(2)
@@ -44,6 +44,33 @@ def polys(draw, max_vars=5, max_degree=4, max_terms=5):
         coeff = draw(rationals())
         terms.append((tuple(mono.items()), coeff))
     return MultiPoly(terms)
+
+
+def _nonzero_rationals():
+    return rationals().filter(bool)
+
+
+# Divisors of the four shapes exact_divide tells apart.
+DIVISORS = {
+    "monomial": st.builds(
+        lambda c, e: c * x1 ** e[0] * x2 ** e[1] * x3 ** e[2],
+        _nonzero_rationals(),
+        st.tuples(*[st.integers(0, 2)] * 3),
+    ),
+    "rational": st.builds(MultiPoly.constant, _nonzero_rationals()),
+    "difference": st.tuples(st.integers(1, 5), st.integers(1, 5))
+    .filter(lambda ij: ij[0] < ij[1])
+    .map(lambda ij: MultiPoly.x(ij[1]) - MultiPoly.x(ij[0])),
+    # Linear in x_3 over a non-constant leading coefficient in x_1, x_2.
+    "nonconstant_lead": st.one_of(
+        st.just(x1 * x3 + x2),
+        st.builds(
+            lambda lead, low: lead * x3 + low,
+            polys(max_vars=2, max_terms=3).filter(lambda a: a.degree() > 0),
+            polys(max_vars=2, max_terms=3),
+        ),
+    ),
+}
 
 
 class TestArithmetic:
@@ -170,23 +197,49 @@ class TestExactDivision:
         assert (p * q).exact_divide(q) == p
 
     def test_linear_helpers_match_generic(self):
+        # The linear divisors of the residue check: a difference and a variable.
         p = (x1 + 2 * x2 + x3) * (x2 - x1) * x3
-        via_generic = p.exact_divide(x2 - x1)
-        via_linear = p.divide_by_difference(VarId(KIND_X, 2), VarId(KIND_X, 1))
-        assert via_generic == via_linear
-        assert p.divide_by_variable(VarId(KIND_X, 3)) == p.exact_divide(x3)
+        assert p.exact_divide(x2 - x1) == (x1 + 2 * x2 + x3) * x3
+        assert p.exact_divide(x3) == (x1 + 2 * x2 + x3) * (x2 - x1)
 
     def test_linear_division_nonzero_remainder(self):
-        with pytest.raises(NonDivisibleError):
-            (x1 * x2 + 1).divide_by_variable(VarId(KIND_X, 1))
-        with pytest.raises(NonDivisibleError):
-            (x1**2 + x2).divide_by_difference(VarId(KIND_X, 1), VarId(KIND_X, 2))
+        for p, d in [(x1 * x2 + 1, x1), (x1**2 + x2, x1 - x2)]:
+            with pytest.raises(NonDivisibleError) as info:
+                p.exact_divide(d)
+            assert_remainder_of(info.value, p, d)
 
     @given(polys(max_vars=3, max_terms=4))
     @settings(max_examples=80, deadline=None)
     def test_linear_difference_round_trip(self, p):
         d = x2 - x1
-        assert (p * d).divide_by_difference(VarId(KIND_X, 2), VarId(KIND_X, 1)) == p
+        assert (p * d).exact_divide(d) == p
+
+    @pytest.mark.parametrize("kind", sorted(DIVISORS))
+    @given(p=polys(max_terms=4), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_by_divisor_kind(self, kind, p, data):
+        q = data.draw(DIVISORS[kind])
+        assert (p * q).exact_divide(q) == p
+        if q.degree() > 0:
+            bad = p * q + 1
+            with pytest.raises(NonDivisibleError) as info:
+                bad.exact_divide(q)
+            assert_remainder_of(info.value, bad, q)
+
+    def test_non_constant_leading_coefficient(self):
+        # In u = x_3 the divisor x_1 x_3 + x_2 leads with x_1, not a constant.
+        d = x1 * x3 + x2
+        p = x3**2 - F(1, 2) * x1 * x2 + x2 * x3
+        assert (p * d).exact_divide(d) == p
+        with pytest.raises(NonDivisibleError) as info:
+            (x3 * x2).exact_divide(d)
+        assert_remainder_of(info.value, x3 * x2, d)
+
+
+def assert_remainder_of(error: NonDivisibleError, p: MultiPoly, d: MultiPoly) -> None:
+    """The remainder is nonzero, and p minus it is a multiple of d."""
+    assert isinstance(error.remainder, MultiPoly) and not error.remainder.is_zero()
+    (p - error.remainder).exact_divide(d)
 
 
 class TestRationalFunctions:
@@ -333,7 +386,7 @@ class TestMultiplicationKernel:
 
     def test_integer_inputs_give_integer_coefficients(self):
         for m in range(2, 6):
-            for row in _rows_at(m, True):
+            for row in _symbolic_frame(m, True).rows:
                 for entry in row:
                     assert all(type(c) is int for c in entry.terms.values())
         for name in ("hermite", "laguerre", "bell"):

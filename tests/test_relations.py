@@ -19,9 +19,7 @@ from symmrel.relations import (
     _frame,
     _make_source,
     _numerator,
-    _pair_product,
     _random_point,
-    _rows_at,
     _symbolic_frame,
     _u_numerator,
     _y_one_residue,
@@ -70,9 +68,17 @@ class TestFrame:
         # c_i * pi(s_i) = (-1)^(i-1) * pi(x) * W as polynomials.
         for m in range(1, 5):
             frame = _symbolic_frame(m, y_one)
-            lcd = denominator_product(_x_vars(m)) * _pair_product(m, y_one)
+            lcd = denominator_product(_x_vars(m)) * frame.pair_product
             for i, (row, cofactor) in enumerate(zip(frame.rows, frame.cofactors)):
                 assert cofactor * denominator_product(list(row)) == (-1) ** i * lcd, (m, i)
+
+    @pytest.mark.parametrize("y_one", [False, True])
+    def test_divisors_multiply_to_the_denominator(self, y_one):
+        # The verifier divides by pi(x) and the w_ij read off the same frame.
+        for m in range(1, 5):
+            frame = _symbolic_frame(m, y_one)
+            _, divisors = _u_numerator(_make_source("bell", 0), 0, m, y_one)
+            assert prod(divisors, start=MultiPoly.one()) == frame.pi_x * frame.pair_product, m
 
     def test_numerator_at_points(self):
         # The numerator at a point over pi(x) * W against the defining sum
@@ -161,7 +167,7 @@ class TestFrame:
         assert source.denominator > 1
         monkeypatch.setattr(MultiPoly, "__mul__", spy)
         monkeypatch.setattr(MultiPoly, "__rmul__", spy)
-        numerator, _, _ = _u_numerator(source, n, m, False)
+        numerator, _ = _u_numerator(source, n, m, False)
         assert seen and not any(seen)
         assert numerator.is_zero()
 
@@ -206,9 +212,9 @@ class TestUFunction:
         ]
         for poly, n, m, y_one in cases:
             rf = u_function(poly, n, m, specialize_y=y_one)
-            num, _, _ = _u_numerator(_make_source(poly, n), n, m, y_one)
+            num, _ = _u_numerator(_make_source(poly, n), n, m, y_one)
             x_vars = [MultiPoly.x(i) for i in range(1, m + 1)]
-            lcm_den = denominator_product(x_vars) * _pair_product(m, y_one)
+            lcm_den = denominator_product(x_vars) * _symbolic_frame(m, y_one).pair_product
             assert rf.numerator * lcm_den == num * rf.denominator
 
 
@@ -266,7 +272,7 @@ class TestSources:
         for m in (2, 3):
             for n in range(m, 7):
                 source = _make_source(name, n)
-                for row in _rows_at(m, True):
+                for row in _symbolic_frame(m, True).rows:
                     coeffs = _instantiate(source, row).terms.values()
                     assert not any(isinstance(c, F) and c.denominator == 1 for c in coeffs)
 
@@ -365,9 +371,9 @@ class TestResidueRelation:
 
     def test_scale_covariance(self):
         base = _make_source((2, 1, 0, 0), 4)
-        num, _, _ = _u_numerator(base, 4, 2, True)
+        num, _ = _u_numerator(base, 4, 2, True)
         scaled_poly = power_sum_product((2, 1, 0, 0), 2) * F(7, 3)
-        num_scaled, _, _ = _u_numerator(_make_source(scaled_poly, 4), 4, 2, True)
+        num_scaled, _ = _u_numerator(_make_source(scaled_poly, 4), 4, 2, True)
         assert num_scaled == num * F(7, 3)
 
 
@@ -519,8 +525,7 @@ class TestClosedFormResidue:
         y_expected = y_tables()[3][(5, (1, 2, 0, 0, 0))]
         z_expected = z_table()[(2, 2)][(2, 0)]
         monkeypatch.setattr(relations, "_u_numerator", refuse("_u_numerator"))
-        monkeypatch.setattr(MultiPoly, "divide_by_difference", refuse("divide_by_difference"))
-        monkeypatch.setattr(MultiPoly, "divide_by_variable", refuse("divide_by_variable"))
+        monkeypatch.setattr(MultiPoly, "exact_divide", refuse("exact_divide"))
         for module in (relations, symmfunc):
             for name in ("to_power_sum_basis", "is_symmetric", "gauss_jordan"):
                 if hasattr(module, name):
