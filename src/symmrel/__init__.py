@@ -13,7 +13,7 @@ every verdict is a polynomial identity, never a numerical approximation.
 
 __version__ = "0.1.0"
 
-from .exactnum import bernoulli_numbers, euler_poly_at_zero
+from .exactnum import bernoulli_numbers
 from .families import (
     FAMILY_NAMES,
     FamilySpec,

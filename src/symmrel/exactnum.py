@@ -1,13 +1,11 @@
-"""Bernoulli and Euler numbers, exact.
+"""Bernoulli numbers, exact.
 
 Every scalar in this package is a :class:`fractions.Fraction`: arbitrary
 precision, always in lowest terms, positive denominator.  No floating point
 is used anywhere.
 
 Sign convention: B_1 = -1/2, i.e. the Bernoulli numbers are the Taylor
-coefficients of ``t / (exp(t) - 1)``.  The Euler polynomials at zero follow
-from them in closed form, E_n(0) = 2 (1 - 2^(n+1)) B_(n+1) / (n+1)
-(DLMF §24.4).
+coefficients of ``t / (exp(t) - 1)``.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from math import comb
 
 __all__ = [
     "bernoulli_numbers",
-    "euler_poly_at_zero",
 ]
 
 
@@ -46,15 +43,3 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
         values.append(-acc / (n + 1))
     _bernoulli = max(_bernoulli, values, key=len)
     return values[: n_max + 1]
-
-
-def euler_poly_at_zero(n_max: int) -> list[Fraction]:
-    """Values E_0(0)..E_n_max(0) of the Euler polynomials at 0.
-
-    These are the coefficients of ``2 / (exp(t) + 1) = sum E_n(0) t^n / n!``,
-    taken from E_n(0) = 2 (1 - 2^(n+1)) B_(n+1) / (n+1) (DLMF §24.4).
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    b = bernoulli_numbers(n_max + 1)
-    return [2 * (1 - 2 ** (k + 1)) * b[k + 1] / (k + 1) for k in range(n_max + 1)]

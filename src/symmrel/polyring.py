@@ -26,16 +26,19 @@ hashes like the int.
 
 Products accumulate on packed monomials (Kronecker substitution, as in
 Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", CASC 2007).  Each product gives every variable of
-its two factors a bit field wide enough for the largest exponent the
-product can reach, so a monomial packs into one int and multiplying two
+packed exponent vectors", CASC 2007).  One kernel,
+``MultiPoly.sum_of_products``, forms a sum of weighted products c * f * g;
+``f * g`` is its one-pair case.  All products of a sum share one layout:
+every variable gets a bit field wide enough for the largest exponent any of
+them can reach, so a monomial packs into one int and multiplying two
 monomials is an integer add that never carries between fields.  The double
-loop then only adds keys, multiplies coefficients and accumulates in a
-dict.  Packed keys are never unpacked: for each output key the loop keeps
-the first pair of monomials that produced it, and each surviving term is
-decoded once, by merging that pair into the canonical tuple.  A factor with
-a single term skips packing, since multiplying by one monomial cannot merge
-two terms.
+loop only adds keys, multiplies coefficients and accumulates in a single
+dict for the whole sum.  Keys are decoded only at the end, and only where
+the coefficient survived: for each key the loop keeps the first pair of
+monomials that produced it, and merges that pair into the canonical tuple.
+A sum whose products cancel, as the numerator of a verified zero relation
+does, decodes nothing.  ``f * g`` with a single-term factor skips packing,
+since multiplying by one monomial cannot merge two terms.
 
 Exact division is long division in u, the divisor's last variable in VarId
 order, over the ring of the others (Geddes, Czapor & Labahn, *Algorithms for
@@ -48,7 +51,8 @@ the residue check is monic in u = x_j, so it needs no recursive division.
 Expansions are guarded by a configurable term cap (default 10**7 terms,
 overridable via ``set_term_cap`` or the SYMMREL_TERM_CAP environment
 variable); a product whose estimated size exceeds the cap raises
-:class:`TermCapExceeded` before any work is done.
+:class:`TermCapExceeded` before any work is done, and in a sum of products
+every product is checked before the first is packed.
 """
 
 from __future__ import annotations
@@ -194,19 +198,68 @@ def _max_exponents(terms: Iterable) -> dict:
     return top
 
 
-def _field_shifts(a: Iterable, b: Iterable) -> dict:
-    """Bit offset of each variable's field in the packed monomials of a * b.
+def _field_shifts(triples: Iterable) -> dict:
+    """Bit offset of each variable's field in one packed layout for every
+    product a * b of the (scalar, a, b) triples.
 
-    A field holds the largest exponent the product can reach, so the sum of
+    A field holds the largest exponent any product can reach, so the sum of
     two packed monomials never carries from one field into the next.
     """
-    top_a, top_b = _max_exponents(a), _max_exponents(b)
+    top: dict = {}
+    for _, a, b in triples:
+        top_a, top_b = _max_exponents(a), _max_exponents(b)
+        for v in top_a.keys() | top_b.keys():
+            e = top_a.get(v, 0) + top_b.get(v, 0)
+            if e > top.get(v, 0):
+                top[v] = e
     shifts = {}
     shift = 0
-    for v in top_a.keys() | top_b.keys():
+    for v, e in top.items():
         shifts[v] = shift
-        shift += (top_a.get(v, 0) + top_b.get(v, 0)).bit_length()
+        shift += e.bit_length()
     return shifts
+
+
+def _cap_error(len_a: int, len_b: int) -> TermCapExceeded:
+    return TermCapExceeded(f"product of {len_a} x {len_b} terms exceeds the cap of {_term_cap}")
+
+
+def _packed_sum(triples: Sequence) -> "MultiPoly":
+    """sum of c * a * b over (nonzero scalar c, term map a, term map b).
+
+    Every product accumulates into one dict keyed by packed monomials; for
+    each key the first pair of monomials that produced it is kept, and only
+    the keys whose coefficient survives are decoded.
+    """
+    shifts = _field_shifts(triples)
+
+    def pack(mono: Monomial) -> int:
+        return sum(e << shifts[v] for v, e in mono)
+
+    out: dict = {}
+    # The pair that first produced each key, in the insertion order of out.
+    left: list = []
+    right: list = []
+    get = out.get
+    for c, a, b in triples:
+        if c == 1:
+            packed_b = [(pack(m2), m2, c2) for m2, c2 in b.items()]
+        else:
+            packed_b = [(pack(m2), m2, c * c2) for m2, c2 in b.items()]
+        for m1, c1 in a.items():
+            k1 = pack(m1)
+            for k2, m2, c2 in packed_b:
+                key = k1 + k2
+                acc = get(key)
+                if acc is None:
+                    out[key] = c1 * c2
+                    left.append(m1)
+                    right.append(m2)
+                else:
+                    out[key] = acc + c1 * c2
+    return MultiPoly._raw(
+        {_mono_mul(m1, m2): c for c, m1, m2 in zip(out.values(), left, right) if c}
+    )
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -446,40 +499,34 @@ class MultiPoly:
         if not a:
             return MultiPoly.zero()
         if len(a) * len(b) > _term_cap:
-            raise TermCapExceeded(
-                f"product of {len(a)} x {len(b)} terms exceeds the cap of {_term_cap}"
-            )
+            raise _cap_error(len(a), len(b))
         if len(a) == 1:
             # m1 * m2 is injective in m2, so no two products merge.
             ((m1, c1),) = a.items()
             return MultiPoly._raw({_mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()})
-        shifts = _field_shifts(a, b)
-
-        def pack(mono: Monomial) -> int:
-            return sum(e << shifts[v] for v, e in mono)
-
-        packed_b = [(pack(m2), m2, c2) for m2, c2 in b.items()]
-        out: dict = {}
-        # The pair that first produced each key, in the insertion order of out.
-        left: list = []
-        right: list = []
-        get = out.get
-        for m1, c1 in a.items():
-            k1 = pack(m1)
-            for k2, m2, c2 in packed_b:
-                key = k1 + k2
-                acc = get(key)
-                if acc is None:
-                    out[key] = c1 * c2
-                    left.append(m1)
-                    right.append(m2)
-                else:
-                    out[key] = acc + c1 * c2
-        return MultiPoly._raw(
-            {_mono_mul(m1, m2): c for c, m1, m2 in zip(out.values(), left, right) if c}
-        )
+        return _packed_sum(((1, a, b),))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(pairs: Iterable) -> "MultiPoly":
+        """sum of c * f * g over (scalar c, MultiPoly f, MultiPoly g) triples.
+
+        Every product accumulates packed in one layout, so terms that cancel
+        across products are never decoded.  The term cap is checked for each
+        product before any work is done.
+        """
+        triples = []
+        for c, f, g in pairs:
+            a, b = f._terms, g._terms
+            if len(a) > len(b):
+                a, b = b, a
+            if len(a) * len(b) > _term_cap:
+                raise _cap_error(len(a), len(b))
+            c = _coerce_scalar(c)
+            if c and a:
+                triples.append((c, a, b))
+        return _packed_sum(triples)
 
     def __truediv__(self, scalar) -> "MultiPoly":
         scalar = _coerce_scalar(scalar)
@@ -490,16 +537,16 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = MultiPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if not exponent:
+            return MultiPoly.one()
+        base, result = self, None
+        while True:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if not exponent:
+                return result
+            base = base * base
 
     # -- evaluation and substitution ----------------------------------------
 

@@ -27,9 +27,11 @@ pi(x) * prod_i pi(s_i) that :func:`u_function` keeps as a cross-check.  One
 frame, ``_frame(xs, ys)``, holds the rows, W and the cofactors
 c_i = (-1)^(i-1) pi(x) W / pi(s_i) over polynomials or exact rationals, and
 ``_numerator`` forms pi(x) W U_n = S(x) W - sum_i (-1)^(i-1) y_i^(m-n-1)
-S(s_i) c_i on any frame: expanded on a cached polynomial frame, from which
-``verify_conjecture2`` divides pi(x) and each w_ij back off, or evaluated at
-the random rational frames of the prescreen.  The basis conversion
+S(s_i) c_i on any frame: on a cached polynomial frame as one packed sum of
+the m + 1 products (``MultiPoly.sum_of_products``), which decodes only the
+terms that survive cancellation and from which ``verify_conjecture2``
+divides pi(x) and each w_ij back off, or evaluated at the random rational
+frames of the prescreen.  The basis conversion
 validates each quotient once: one not homogeneous of degree n - m, or not
 symmetric, falsifies the residue relation.
 
@@ -342,14 +344,18 @@ def _numerator(source: _Source, frame: _Frame, exponent: int, a_values=None):
         S(x) * W - sum_i (-1)^(i-1) * y_i^exponent * S(s_i) * c_i.
 
     Products run on the source's integral ``scaled`` form; its denominator is
-    divided out once, at the end.
+    divided out once, at the end.  On a polynomial frame the m + 1 products
+    accumulate in one ``MultiPoly.sum_of_products``; at a numeric point
+    they are Fractions, summed directly.
     """
-    total = source.scaled(frame.xs, a_values) * frame.pair_product
+    pairs = [(1, source.scaled(frame.xs, a_values), frame.pair_product)]
     for i, (row, cofactor) in enumerate(zip(frame.rows, frame.cofactors)):
-        term = source.scaled(row, a_values) * cofactor
-        if exponent:
-            term = term * frame.ys[i] ** exponent
-        total = total - term if i % 2 == 0 else total + term
+        weight = cofactor * frame.ys[i] ** exponent if exponent else cofactor
+        pairs.append((-1 if i % 2 == 0 else 1, source.scaled(row, a_values), weight))
+    if isinstance(frame.pi_x, MultiPoly):
+        total = MultiPoly.sum_of_products(pairs)
+    else:
+        total = sum(c * f * g for c, f, g in pairs)
     return source.unscale(total)
 
 

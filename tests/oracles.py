@@ -6,6 +6,11 @@
 * :func:`x_variable_residue` -- the closed-form y = 1 residue computed in the
   x variables, (-1)^m sum_{e >= m} [t^e]F(t) h_{e-m}(x), and converted with
   ``to_power_sum_basis``, which checks symmetry and homogeneity on the way;
+* :func:`sequential_numerator` -- pi(x) W U_n on a frame, each product
+  formed, decoded and added on its own, against which the packed sum of
+  products in ``relations._numerator`` is checked;
+* :func:`euler_poly_at_zero` -- E_n(0) from the Bernoulli numbers by DLMF
+  §24.4, a cross-check of the Euler stream in ``families``;
 * :func:`series_mul`, :func:`series_inverse` and :func:`series_exp` --
   truncated power series as coefficient lists, for generating-function checks.
 """
@@ -17,6 +22,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
+from symmrel.exactnum import bernoulli_numbers
 from symmrel.polyring import KIND_Y, MultiPoly, VarId
 from symmrel.symmfunc import power_sum, to_power_sum_basis
 
@@ -81,6 +87,26 @@ def complete_homogeneous(d: int, m: int) -> MultiPoly:
         return MultiPoly.one()
     terms = (power_sum(i, m) * complete_homogeneous(d - i, m) for i in range(1, d + 1))
     return sum(terms, MultiPoly.zero()) / d
+
+
+def sequential_numerator(source, frame, exponent: int, a_values=None):
+    """S(x) * W - sum_i (-1)^(i-1) * y_i^exponent * S(s_i) * c_i, one product at a time."""
+    total = source.scaled(frame.xs, a_values) * frame.pair_product
+    for i, (row, cofactor) in enumerate(zip(frame.rows, frame.cofactors)):
+        term = source.scaled(row, a_values) * cofactor
+        if exponent:
+            term = term * frame.ys[i] ** exponent
+        total = total - term if i % 2 == 0 else total + term
+    return source.unscale(total)
+
+
+def euler_poly_at_zero(n_max: int) -> list:
+    """E_0(0)..E_n_max(0), from E_n(0) = 2 (1 - 2^(n+1)) B_(n+1) / (n+1) (DLMF §24.4).
+
+    These are the coefficients of ``2 / (exp(t) + 1) = sum E_n(0) t^n / n!``.
+    """
+    b = bernoulli_numbers(n_max + 1)
+    return [2 * (1 - 2 ** (k + 1)) * b[k + 1] / (k + 1) for k in range(n_max + 1)]
 
 
 def series_mul(a: Sequence, b: Sequence) -> list:

