@@ -23,17 +23,46 @@ out.
 Implementation note: pi(s_i) is (-1)^(i-1) x_i times the pair factors
 w_ij = y_i x_j - y_j x_i (i < j) that involve i, so U_n has the least common
 denominator pi(x) * W with W = prod_{i<j} w_ij, not the much larger
-pi(x) * prod_i pi(s_i) that :func:`u_function` keeps as a cross-check.  One
-frame, ``_frame(xs, ys)``, holds the rows, W and the cofactors
-c_i = (-1)^(i-1) pi(x) W / pi(s_i) over polynomials or exact rationals, and
-``_numerator`` forms pi(x) W U_n = S(x) W - sum_i (-1)^(i-1) y_i^(m-n-1)
-S(s_i) c_i on any frame: on a cached polynomial frame as one packed sum of
-the m + 1 products (``MultiPoly.sum_of_products``), which decodes only the
-terms that survive cancellation and from which ``verify_conjecture2``
-divides pi(x) and each w_ij back off, or evaluated at the random rational
-frames of the prescreen.  The basis conversion
-validates each quotient once: one not homogeneous of degree n - m, or not
-symmetric, falsifies the residue relation.
+pi(x) * prod_i pi(s_i) that :func:`u_function` keeps as a cross-check.  The
+polynomial frame, ``_symbolic_frame(m, y_one)``, holds the rows, W and the
+cofactors c_i = (-1)^(i-1) pi(x) W / pi(s_i), and ``_numerator`` forms
+pi(x) W U_n = S(x) W - sum_i (-1)^(i-1) y_i^(m-n-1) S(s_i) c_i on it as one
+packed sum of the m + 1 products (``MultiPoly.sum_of_products``), which
+decodes only the terms that survive cancellation and from which
+``verify_conjecture2`` divides pi(x) and each w_ij back off.  The basis
+conversion validates each quotient once: one not homogeneous of degree
+n - m, or not symmetric, falsifies the residue relation.  The random-point
+prescreen evaluates U_n from its definition, S(x)/pi(x) - sum_i y_i^(m-n-1)
+S(s_i)/pi(s_i), at rational points where no pi(s_i) vanishes.
+
+Zero relation on orbit representatives: for a symmetric S the numerator is
+one alternant, so ``verify_conjecture1`` never forms it.  Put
+Alt(f) = sum_{g in S_m} sgn(g) g(f), with g moving x_j and y_j together, and
+M = prod_{j=2..m} x_j^(j-1) y_j^(m-j).  Then:
+
+* W is the homogeneous Vandermonde determinant det[x_i^(k-1) y_i^(m-k)]
+  (Macdonald 1995, I.3, the alternant a_delta), so W = Alt(y_1^(m-1) M);
+* c_1 = prod_{j>=2} x_j prod_{2<=j<k} w_jk is the same determinant over
+  2..m times the symmetric prod_{j>=2} x_j, the S_(m-1)-alternant of M;
+* y_1^e S(s_1) is fixed by every g with g(1) = 1, and the cycle sigma_i
+  sending 1 to i and 2..m in order onto the rest has sign (-1)^(i-1) and
+  maps s_1 to a reordering of s_i and c_1 to c_i.  So the sum over i runs
+  over the cosets of S_(m-1), and
+
+      pi(x) W U_n = Alt(H),  H = M * (y_1^(m-1) S(x) - y_1^e S(s_1)),
+
+  with e = m - n - 1.  At y = 1 the y factors drop out.
+
+Alt(t) of a monomial t is 0 when two of its exponent pairs
+(deg x_j, deg y_j) are equal, and otherwise sgn(g) Alt(t_0) for the
+monomial t_0 = g^(-1)(t) with its pairs in descending order.  The Alt(t_0)
+of distinct sorted monomials have disjoint supports, so Alt(H) = 0 exactly
+when the signed sum of H's coefficients on each sorted key is 0
+(``_orbit_residual``; monomials in the a_k ride along in the key).  That
+costs two instantiations, two products by one monomial and one pass that
+sorts each term of H.  A raw MultiPoly in x need not be symmetric, so it
+keeps the expansion; so does a nonzero residual, whose numerator is the
+counterexample witness.
 
 Residues in closed form: at y = 1, S(s_i) = F(x_i) with F(t) = S(t, x_1 - t,
 ..., x_m - t), and pi(s_i) = (-1)^(m-1) x_i prod_{j != i} (x_i - x_j), so the
@@ -49,10 +78,11 @@ every p_r (r > m) in p_1..p_m, where the residue is read off directly.
 Sources: every accepted input becomes one ``_Source``, a single MultiPoly
 times the common denominator of its coefficients.  A registry family, the
 symbolic family, a power-sum key and a PowerSumExpansion are held in the
-power-sum variables p_k over Q[a] (families by ``families.bell_form``); a
-raw MultiPoly stays in x as it stands.  ``scaled`` substitutes (or, at
-numeric points, evaluates at) the components' power sums, or the components
-themselves; the numerator divides the denominator out once, at the end.
+power-sum variables p_k over Q[a] (families by ``families.bell_form``),
+which makes them symmetric by construction; a raw MultiPoly stays in x as
+it stands.  ``scaled`` substitutes (or, at numeric points, evaluates at) the
+components' power sums, or the components themselves; the numerator divides
+the denominator out once, at the end.
 """
 
 from __future__ import annotations
@@ -118,49 +148,53 @@ def build_s_matrix(m: int) -> tuple:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _symbolic_frame(m, False).rows
+    return _symbolic_rows(m, False)[2]
 
 
 class _Frame(NamedTuple):
-    """The substitution matrix at components (xs, ys) and the pieces of pi(x) * W."""
+    """The substitution matrix on polynomial components, and the pieces of pi(x) * W."""
 
     xs: tuple
     ys: tuple
     rows: tuple  # s_i, each a tuple of m entries
-    pi_x: object  # x_1 * ... * x_m
-    pair_product: object  # W, the product of the pair factors w_ij, i < j
+    pi_x: MultiPoly  # x_1 * ... * x_m
+    pair_product: MultiPoly  # W, the product of the pair factors w_ij, i < j
     cofactors: tuple  # c_i = (-1)^(i-1) * pi(x) * W / pi(s_i)
 
 
-def _frame(xs: Sequence, ys: Sequence) -> _Frame:
-    """The frame of U_n at components that are MultiPoly or exact rationals.
+def _rows(xs: Sequence, ys: Sequence) -> tuple:
+    """The rows s_i at components (xs, ys) that are MultiPoly or exact rationals."""
+    m = len(xs)
+    return tuple(
+        tuple(xs[i] if i == j else ys[i] * xs[j] - ys[j] * xs[i] for j in range(m))
+        for i in range(m)
+    )
+
+
+@lru_cache(maxsize=None)
+def _symbolic_rows(m: int, y_one: bool) -> tuple:
+    """(xs, ys, rows): x_1..x_m, then y_1..y_m or m ones at y = 1, and the rows on them."""
+    xs = tuple(MultiPoly.x(i) for i in range(1, m + 1))
+    ys = (1,) * m if y_one else tuple(MultiPoly.y(i) for i in range(1, m + 1))
+    return xs, ys, _rows(xs, ys)
+
+
+@lru_cache(maxsize=None)
+def _symbolic_frame(m: int, y_one: bool) -> _Frame:
+    """The polynomial frame in x_1..x_m and y_1..y_m, or at y = 1.
 
     w_ij = s_ij (i < j) is read off the rows.  As s_ji = -w_ij, c_i is the
     product of the other x_j and of the pair factors not involving i.
     """
-    m = len(xs)
-    one = MultiPoly.one() if isinstance(xs[0], MultiPoly) else Fraction(1)
-    rows = tuple(
-        tuple(xs[i] if i == j else ys[i] * xs[j] - ys[j] * xs[i] for j in range(m))
-        for i in range(m)
-    )
+    xs, ys, rows = _symbolic_rows(m, y_one)
+    one = MultiPoly.one()
     pairs = {(i, j): rows[i][j] for i in range(m) for j in range(i + 1, m)}
     cofactors = tuple(
         prod([x for j, x in enumerate(xs) if j != i], start=one)
         * prod([w for ij, w in pairs.items() if i not in ij], start=one)
         for i in range(m)
     )
-    return _Frame(
-        tuple(xs), tuple(ys), rows, prod(xs, start=one), prod(pairs.values(), start=one), cofactors
-    )
-
-
-@lru_cache(maxsize=None)
-def _symbolic_frame(m: int, y_one: bool) -> _Frame:
-    """The polynomial frame in x_1..x_m and y_1..y_m, or at y = 1."""
-    xs = [MultiPoly.x(i) for i in range(1, m + 1)]
-    ys = [1] * m if y_one else [MultiPoly.y(i) for i in range(1, m + 1)]
-    return _frame(xs, ys)
+    return _Frame(xs, ys, rows, prod(xs, start=one), prod(pairs.values(), start=one), cofactors)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +218,8 @@ class _Source:
         self.family = family  # a registry or symbolic family: C1/C2, not C3
         self.poly, self.denominator = poly.integral_form()
         variables = self.poly.variables()
+        # Held in the power sums and the a_k alone, so symmetric by construction.
+        self.symmetric = all(v.kind in (KIND_P, KIND_A) for v in variables)
         self.top = max((v.index for v in variables if v.kind == KIND_P), default=0)
         # The a symbols a numeric point must assign, in index order.
         self.a_indices = tuple(sorted(v.index for v in variables if v.kind == KIND_A))
@@ -338,25 +374,20 @@ def u_function(
     return ratfunc_combine(parts)
 
 
-def _numerator(source: _Source, frame: _Frame, exponent: int, a_values=None):
-    """pi(x) * W * U_n on a frame, with the weights y_i^exponent:
+def _numerator(source: _Source, frame: _Frame, exponent: int) -> MultiPoly:
+    """pi(x) * W * U_n on a polynomial frame, with the weights y_i^exponent:
 
         S(x) * W - sum_i (-1)^(i-1) * y_i^exponent * S(s_i) * c_i.
 
-    Products run on the source's integral ``scaled`` form; its denominator is
-    divided out once, at the end.  On a polynomial frame the m + 1 products
-    accumulate in one ``MultiPoly.sum_of_products``; at a numeric point
-    they are Fractions, summed directly.
+    The m + 1 products run on the source's integral ``scaled`` form and
+    accumulate in one ``MultiPoly.sum_of_products``; the source's
+    denominator is divided out once, at the end.
     """
-    pairs = [(1, source.scaled(frame.xs, a_values), frame.pair_product)]
+    pairs = [(1, source.scaled(frame.xs), frame.pair_product)]
     for i, (row, cofactor) in enumerate(zip(frame.rows, frame.cofactors)):
         weight = cofactor * frame.ys[i] ** exponent if exponent else cofactor
-        pairs.append((-1 if i % 2 == 0 else 1, source.scaled(row, a_values), weight))
-    if isinstance(frame.pi_x, MultiPoly):
-        total = MultiPoly.sum_of_products(pairs)
-    else:
-        total = sum(c * f * g for c, f, g in pairs)
-    return source.unscale(total)
+        pairs.append((-1 if i % 2 == 0 else 1, source.scaled(row), weight))
+    return source.unscale(MultiPoly.sum_of_products(pairs))
 
 
 def _u_numerator(source: _Source, n: int, m: int, y_one: bool):
@@ -374,12 +405,80 @@ def _u_numerator(source: _Source, n: int, m: int, y_one: bool):
 
 
 # ---------------------------------------------------------------------------
+# Orbit representatives
+# ---------------------------------------------------------------------------
+
+
+def _alternant_term(source: _Source, m: int, y_one: bool, exponent: int) -> MultiPoly:
+    """H = M * (y_1^(m-1) * S(x) - y_1^exponent * S(s_1)), times the source's
+    denominator, with M = prod_{j >= 2} x_j^(j-1) y_j^(m-j).
+
+    For a symmetric source, Alt(H) is the denominator times the numerator
+    pi(x) * W * U_n that ``_numerator`` expands with the same weights.
+    """
+    xs, ys, rows = _symbolic_rows(m, y_one)
+    staircase = prod(
+        (xs[j] ** j * ys[j] ** (m - 1 - j) for j in range(1, m)), start=MultiPoly.one()
+    )
+    return (
+        staircase * ys[0] ** (m - 1) * source.scaled(xs)
+        - staircase * ys[0] ** exponent * source.scaled(rows[0])
+    )
+
+
+def _orbit_residual(poly: MultiPoly, m: int) -> dict:
+    """The coefficients of Alt(poly) on sorted orbit representatives.
+
+    A term whose exponent pairs (deg x_j, deg y_j), j = 1..m, has two equal
+    pairs alternates to 0.  Any other term is g(t) for the term t with the
+    pairs sorted in descending order, and alternates to sgn(g) * Alt(t); t is
+    keyed by its sorted pairs and the rest of its monomial.  Alt(poly) = 0
+    exactly when every key's signed sum is 0, which leaves the result empty.
+    """
+    residual: dict = {}
+    for mono, coeff in poly.terms.items():
+        x_exps = [0] * m
+        y_exps = [0] * m
+        rest = ()  # x and y lead every monomial (x < y < a < p)
+        for pos, (var, e) in enumerate(mono):
+            if var.kind == KIND_X:
+                x_exps[var.index - 1] = e
+            elif var.kind == KIND_Y:
+                y_exps[var.index - 1] = e
+            else:
+                rest = mono[pos:]
+                break
+        pairs = list(zip(x_exps, y_exps))
+        if len(set(pairs)) < m:
+            continue
+        inversions = sum(pairs[i] < pairs[j] for i in range(m) for j in range(i + 1, m))
+        key = (tuple(sorted(pairs, reverse=True)), rest)
+        residual[key] = residual.get(key, 0) + (-coeff if inversions % 2 else coeff)
+    return {key: c for key, c in residual.items() if c}
+
+
+# ---------------------------------------------------------------------------
 # Prescreen
 # ---------------------------------------------------------------------------
 
 
-def _random_point(rng: random.Random, m: int) -> _Frame:
-    """The frame at distinct nonzero rationals x and rationals y with W nonzero."""
+class _Point(NamedTuple):
+    """The substitution matrix at a numeric point, with pi(x) and each pi(s_i)."""
+
+    xs: tuple
+    ys: tuple
+    rows: tuple
+    products: tuple  # pi(x), pi(s_1), ..., pi(s_m)
+
+
+def _point(xs: Sequence, ys: Sequence) -> _Point:
+    rows = _rows(xs, ys)
+    return _Point(tuple(xs), tuple(ys), rows, (prod(xs), *map(prod, rows)))
+
+
+def _random_point(rng: random.Random, m: int) -> _Point:
+    """A point at distinct nonzero rationals x and rationals y with every pi(s_i)
+    nonzero; for nonzero x that is W nonzero."""
     for _ in range(200):
         xs = []
         seen = set()
@@ -389,25 +488,33 @@ def _random_point(rng: random.Random, m: int) -> _Frame:
                 seen.add(value)
                 xs.append(value)
         ys = [Fraction(rng.randint(1, 60), rng.randint(1, 7)) for _ in range(m)]
-        frame = _frame(xs, ys)
-        if frame.pair_product:
-            return frame
+        point = _point(xs, ys)
+        if all(point.products):
+            return point
     raise RuntimeError("could not sample a valid evaluation point")
+
+
+def _u_value(source: _Source, point: _Point, exponent: int, a_values) -> Fraction:
+    """U_n = S(x)/pi(x) - sum_i y_i^exponent * S(s_i)/pi(s_i) at a numeric point."""
+    value = source.scaled(point.xs, a_values) / point.products[0]
+    for y, row, product in zip(point.ys, point.rows, point.products[1:]):
+        value -= y**exponent * source.scaled(row, a_values) / product
+    return source.unscale(value)
 
 
 def _prescreen(source: _Source, n: int, m: int, points: int, seed: int):
     """Random-evaluation falsification attempt; sound but not complete."""
     rng = random.Random(seed)
     for _ in range(points):
-        frame = _random_point(rng, m)
+        point = _random_point(rng, m)
         a_values = {
             k: Fraction(rng.randint(1, 40), rng.randint(1, 5))
             for k in source.a_indices
         }
-        value = _numerator(source, frame, m - n - 1, a_values) / (frame.pi_x * frame.pair_product)
+        value = _u_value(source, point, m - n - 1, a_values)
         if value != 0:
-            witness = {f"x_{i+1}": x for i, x in enumerate(frame.xs)}
-            witness.update({f"y_{i+1}": y for i, y in enumerate(frame.ys)})
+            witness = {f"x_{i+1}": x for i, x in enumerate(point.xs)}
+            witness.update({f"y_{i+1}": y for i, y in enumerate(point.ys)})
             witness.update({f"a_{k}": v for k, v in a_values.items()})
             witness["value"] = value
             return witness
@@ -429,9 +536,11 @@ def verify_conjecture1(
     """Check that U_n vanishes identically in the regime 0 <= n <= m-1.
 
     A randomized evaluation prescreen may short-circuit to a falsified
-    verdict with the witness point; the authoritative verdict is the exact
-    expansion of the numerator.  ``prescreen_points = 0`` skips the
-    prescreen; a negative count is rejected.
+    verdict with the witness point; the authoritative verdict is exact.  A
+    source held in the power sums is decided on the orbit representatives of
+    the numerator's alternant; a raw source, or a nonzero residual, expands
+    the numerator, which is then the witness.  ``prescreen_points = 0``
+    skips the prescreen; a negative count is rejected.
     """
     if m < 1:
         raise PreconditionError("m must be >= 1")
@@ -457,7 +566,10 @@ def verify_conjecture1(
                 report.witness = witness
                 return report
         start = time.perf_counter()
-        numerator, _ = _u_numerator(source, n, m, y_one=False)
+        if source.symmetric and not _orbit_residual(_alternant_term(source, m, False, m - n - 1), m):
+            numerator = MultiPoly.zero()
+        else:
+            numerator, _ = _u_numerator(source, n, m, y_one=False)
         report.stages.append(
             Stage("expand", f"{len(numerator)} numerator terms", time.perf_counter() - start)
         )

@@ -9,6 +9,8 @@
 * :func:`sequential_numerator` -- pi(x) W U_n on a frame, each product
   formed, decoded and added on its own, against which the packed sum of
   products in ``relations._numerator`` is checked;
+* :func:`alternate` -- the full signed sum over S_m, against which the
+  orbit-representative residual in ``relations._orbit_residual`` is checked;
 * :func:`euler_poly_at_zero` -- E_n(0) from the Bernoulli numbers by DLMF
   §24.4, a cross-check of the Euler stream in ``families``;
 * :func:`series_mul`, :func:`series_inverse` and :func:`series_exp` --
@@ -19,11 +21,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import comb
 from typing import Sequence
 
 from symmrel.exactnum import bernoulli_numbers
-from symmrel.polyring import KIND_Y, MultiPoly, VarId
+from symmrel.polyring import KIND_X, KIND_Y, MultiPoly, VarId
 from symmrel.symmfunc import power_sum, to_power_sum_basis
 
 
@@ -98,6 +101,23 @@ def sequential_numerator(source, frame, exponent: int, a_values=None):
             term = term * frame.ys[i] ** exponent
         total = total - term if i % 2 == 0 else total + term
     return source.unscale(total)
+
+
+def alternate(poly: MultiPoly, m: int) -> MultiPoly:
+    """Alt(poly) = sum over g in S_m of sgn(g) * g(poly), where g sends x_j to
+    x_g(j) and y_j to y_g(j) together and leaves every other variable alone."""
+    total: dict = {}
+    for perm in permutations(range(1, m + 1)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+        moves = {
+            VarId(kind, j): VarId(kind, g)
+            for kind in (KIND_X, KIND_Y)
+            for j, g in enumerate(perm, 1)
+        }
+        for mono, coeff in poly.terms.items():
+            moved = tuple(sorted((moves.get(v, v), e) for v, e in mono))
+            total[moved] = total.get(moved, 0) + sign * coeff
+    return MultiPoly({mono: c for mono, c in total.items() if c})
 
 
 def euler_poly_at_zero(n_max: int) -> list:

@@ -1,10 +1,11 @@
 """Opt-in checks beyond the default n <= 8, m <= 4 grid and the n <= 7 solver.
 
-The tabulated zero-relation claim extends to six variables (five are in
-the default suite), and the C system is solvable at n = 8.  These checks are
-exact; the six-variable sweeps expand the general-y numerator, and together
-they take about 10 s on a 2-vCPU x86-64 host, so they only run when
-SYMMREL_LARGE_TESTS is set:
+The tabulated zero-relation claim extends to seven variables (six are in the
+default suite), and to six for the symbolic family, and the C system is
+solvable at n = 8.  These checks are exact; the zero relations are decided
+on orbit representatives of the numerator's alternant.  Together they take
+about 12 s on a 2-vCPU x86-64 host (the n = 8 C system about half of it),
+so they only run when SYMMREL_LARGE_TESTS is set:
 
     SYMMREL_LARGE_TESTS=1 pytest tests/test_large_range.py -s
 """
@@ -13,20 +14,21 @@ import os
 
 import pytest
 
+from symmrel.families import FAMILY_NAMES
 from symmrel.relations import verify_conjecture1
 
 from test_solver import assert_bernoulli_satisfies_relations
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("SYMMREL_LARGE_TESTS"),
-    reason="set SYMMREL_LARGE_TESTS=1 to run the m=6 sweeps and the n=8 C system",
+    reason="set SYMMREL_LARGE_TESTS=1 to run the m=7 sweeps and the n=8 C system",
 )
 
 
-@pytest.mark.parametrize("name", ["bernoulli", "t"])
-def test_zero_relation_six_variables(name):
-    for n in range(0, 6):
-        report = verify_conjecture1(name, n, 6)
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_zero_relation_seven_variables(name):
+    for n in range(0, 7):
+        report = verify_conjecture1(name, n, 7)
         assert report.verified, (name, n, report.verdict)
 
 
@@ -34,6 +36,13 @@ def test_symbolic_four_variables():
     for n in range(0, 4):
         report = verify_conjecture1("symbolic", n, 4)
         assert report.verified, (n, report.verdict)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_symbolic_five_and_six_variables(m):
+    for n in range(0, m):
+        report = verify_conjecture1("symbolic", n, m)
+        assert report.verified, (m, n, report.verdict)
 
 
 def test_c_system_degree_eight():

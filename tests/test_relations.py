@@ -16,12 +16,15 @@ from symmrel.partitions import exponent_vectors
 from symmrel.polyring import KIND_A, KIND_X, KIND_Y, MultiPoly, VarId
 from symmrel.relations import (
     PreconditionError,
-    _frame,
+    _alternant_term,
     _make_source,
     _numerator,
+    _orbit_residual,
+    _point,
     _random_point,
     _symbolic_frame,
     _u_numerator,
+    _u_value,
     _y_one_residue,
     build_s_matrix,
     extract_y_basis,
@@ -37,7 +40,7 @@ from symmrel.symmfunc import (
     power_sum_product,
 )
 
-from oracles import bell_family_polynomial, sequential_numerator, x_variable_residue
+from oracles import alternate, bell_family_polynomial, sequential_numerator, x_variable_residue
 from test_polyring import assert_canonical
 from reference_tables import y_tables, z_table, Z3_FLAGGED_KEY, z3_flagged_printed
 
@@ -82,7 +85,7 @@ class TestFrame:
             assert prod(divisors, start=MultiPoly.one()) == frame.pi_x * frame.pair_product, m
 
     def test_numerator_at_points(self):
-        # The numerator at a point over pi(x) * W against the defining sum
+        # The prescreen's value at a point against the defining sum
         # S(x)/pi(x) - sum_i y_i^(m-n-1) S(s_i)/pi(s_i), with S evaluated on
         # the build_s_matrix rows at the point.
         rng = random.Random(7)
@@ -111,12 +114,11 @@ class TestFrame:
                 a_values = dict(enumerate(_random_rationals(rng, n), 1))
                 point = {VarId(KIND_X, j): v for j, v in enumerate(xs, 1)}
                 point.update({VarId(KIND_Y, j): v for j, v in enumerate(ys, 1)})
-                frame = _frame(xs, ys)
-                if not frame.pair_product:
+                sample = _point(xs, ys)
+                if not all(sample.products):
                     continue
                 exponent = 0 if y_one else m - n - 1
-                value = _numerator(source, frame, exponent, a_values)
-                value /= frame.pi_x * frame.pair_product
+                value = _u_value(source, sample, exponent, a_values)
 
                 def s_at(components):
                     assignment = {VarId(KIND_X, j): v for j, v in enumerate(components, 1)}
@@ -144,9 +146,9 @@ class TestFrame:
             def choice(self, options):
                 return 1
 
-        frame = _random_point(ScriptedRng(), 2)
-        assert frame.ys == (1, 3)
-        assert frame.pair_product == 1 * 2 - 3 * 1
+        point = _random_point(ScriptedRng(), 2)
+        assert point.ys == (1, 3)
+        assert point.rows[0][1] == 1 * 2 - 3 * 1
 
     @pytest.mark.parametrize("name, n, m", [("laguerre", 3, 5), ("bernoulli", 2, 3)])
     def test_numerator_products_stay_integral(self, monkeypatch, name, n, m):
@@ -206,6 +208,52 @@ class TestFrame:
         assert (report.conjecture_id, report.verdict) == ("C3-zero", "falsified")
         expected = sequential_numerator(_make_source(raw, 2), _symbolic_frame(3, False), 0)
         assert str(report.witness) == str(expected) != "0"
+
+
+def _zero_relation_source(spec, n, m):
+    """A registry name, or a power-sum key or expansion of weight n."""
+    keys = exponent_vectors(n, max(n, 1))
+    if spec == "key":
+        return keys[-1]
+    if spec == "expansion":
+        return PowerSumExpansion(n, m, {k: F(2 * i - 3, 3) for i, k in enumerate(keys)})
+    return spec
+
+
+class TestOrbitResidual:
+    """Alt(H) over S_m against the expanded numerator, on zero and nonzero cases."""
+
+    @pytest.mark.parametrize("spec", ["bernoulli", "laguerre", "symbolic", "key", "expansion"])
+    def test_alternant_is_the_numerator(self, spec):
+        counts = {True: 0, False: 0}
+        for y_one in (False, True):
+            for m in range(1, 5):
+                frame = _symbolic_frame(m, y_one)
+                # Above n = m at m = 4 with general y, the 24-fold oracle sum
+                # over the larger H would take tens of seconds.
+                for n in range(0, m + 1 if m == 4 and not y_one else m + 3):
+                    source = _make_source(_zero_relation_source(spec, n, m), n)
+                    # At y = 1 the weight y_1^e is 1 for every e.
+                    for e in {0} if y_one else {e for e in (0, 1, 2, m - n - 1) if e >= 0}:
+                        term = _alternant_term(source, m, y_one, e)
+                        expected = sequential_numerator(source, frame, e)
+                        assert source.unscale(alternate(term, m)) == expected, (m, n, e, y_one)
+                        assert (not _orbit_residual(term, m)) == expected.is_zero(), (m, n, e)
+                        counts[expected.is_zero()] += 1
+        assert counts[True] and counts[False]
+
+    def test_residual_signs_and_repeated_pairs(self):
+        # x_1 y_2 alternates to x_1 y_2 - x_2 y_1, keyed by its descending
+        # pairs ((1, 0), (0, 1)); x_2 y_1 is the same orbit with the opposite
+        # sign, and x_1 x_2 has two equal pairs.
+        a1 = MultiPoly.a(1)
+        assert _orbit_residual(x1 * y2, 2) == {(((1, 0), (0, 1)), ()): 1}
+        assert _orbit_residual(x1 * y2 + x2 * y1, 2) == {}
+        assert _orbit_residual(x1 * y2 - x2 * y1, 2) == {(((1, 0), (0, 1)), ()): 2}
+        assert _orbit_residual(x1 * x2 * a1, 2) == {}
+        # x_2 x_3^2 a_1: sorting (0, 0), (1, 0), (2, 0) takes three swaps.
+        key = (((2, 0), (1, 0), (0, 0)), ((VarId(KIND_A, 1), 1),))
+        assert _orbit_residual(x2 * MultiPoly.x(3) ** 2 * a1, 3) == {key: -1}
 
 
 class TestUFunction:
@@ -342,6 +390,44 @@ class TestZeroRelation:
         for n in range(0, 5):
             report = verify_conjecture1(name, n, 5)
             assert report.verified, (name, n, report.verdict)
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_zero_relation_six_variables(self, name):
+        for n in range(0, 6):
+            report = verify_conjecture1(name, n, 6)
+            assert report.verified, (name, n, report.verdict)
+
+    def test_symmetric_source_is_decided_on_orbit_representatives(self, monkeypatch):
+        # Neither the kernel nor the cofactor numerator runs for a source
+        # held in the power sums; the expand stage still reports the count.
+        def refuse(name):
+            def spy(*args, **kwargs):
+                raise AssertionError(f"{name} called for a symmetric source")
+
+            return spy
+
+        monkeypatch.setattr(relations, "_u_numerator", refuse("_u_numerator"))
+        monkeypatch.setattr(MultiPoly, "sum_of_products", staticmethod(refuse("sum_of_products")))
+        expansion = PowerSumExpansion(2, 3, {(2, 0): F(1, 2), (0, 1): -3})
+        cases = [("bernoulli", 2, 4), ("symbolic", 1, 3), ((0, 1), 2, 3), (expansion, 2, 3)]
+        for spec, n, m in cases:
+            report = verify_conjecture1(spec, n, m)
+            assert report.verified, (spec, n, m)
+            assert report.stages[-1].detail == "0 numerator terms"
+
+    def test_nonzero_residual_takes_the_kernel_witness(self, monkeypatch):
+        # A nonzero residual hands the case to the packed expansion, whose
+        # numerator decides it and is the witness.  The residual is patched
+        # in on a raw source that is routed down the symmetric path.
+        raw = x1**2 - F(1, 3) * x1 * x2 + 2 * MultiPoly.x(3) ** 2
+        source = _make_source(raw, 2)
+        source.symmetric = True
+        monkeypatch.setattr(relations, "_make_source", lambda spec, n: source)
+        monkeypatch.setattr(relations, "_orbit_residual", lambda poly, m: {((), ()): 1})
+        report = verify_conjecture1(raw, 2, 3, prescreen_points=0)
+        expected = sequential_numerator(source, _symbolic_frame(3, False), 0)
+        assert report.verdict == "falsified"
+        assert str(report.witness) == str(expected) != "0"
 
     def test_prescreen_catches_asymmetric_input(self):
         report = verify_conjecture1(x1, 1, 2)
