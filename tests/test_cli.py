@@ -7,7 +7,7 @@ import pytest
 
 from symmrel.cli import main
 from symmrel.polyring import get_term_cap, set_term_cap
-from symmrel.relations import extract_y_basis, extract_z
+from symmrel.relations import _monomial_residual, _samples, extract_y_basis, extract_z
 from symmrel.solver import solve_c_coefficients
 
 
@@ -16,6 +16,12 @@ def restore_term_cap():
     cap = get_term_cap()
     yield
     set_term_cap(cap)
+
+
+def clear_caches():
+    """Forget cached residues and prescreen samples, so a term cap meets real work."""
+    for cached in (extract_z, extract_y_basis, solve_c_coefficients, _monomial_residual, _samples):
+        cached.cache_clear()
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +110,7 @@ class TestVerifyCommand:
         assert code == 0
 
     def test_term_cap_exit_code(self, capsys):
+        clear_caches()
         code, out, _ = run_cli(
             capsys,
             "--term-cap", "50",
@@ -113,12 +120,29 @@ class TestVerifyCommand:
         assert "resource-limited" in out
 
     def test_parallel_jobs(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "--jobs", "2",
-            "verify", "--conjecture", "1", "--family", "laguerre", "--m", "2..3",
-        )
+        # Workers must not change a byte of the document, witnesses and
+        # stages included.
+        for argv in [
+            ("verify", "--conjecture", "1", "--family", "symbolic", "--m", "2..4"),
+            ("verify", "--conjecture", "3", "--n", "2", "--m", "3..4"),
+        ]:
+            serial = run_cli(capsys, "--format", "json", "--jobs", "1", *argv)
+            parallel = run_cli(capsys, "--format", "json", "--jobs", "2", *argv)
+            assert serial[0] == 0 and serial[1], argv
+            assert parallel == serial, argv
+
+    def test_term_cap_in_the_zero_relation(self, capsys):
+        # With cold caches the cap stops the per-monomial residual at n = 1;
+        # results cached by an uncapped run are reused under the cap.
+        argv = ("--jobs", "1", "verify", "--conjecture", "1", "--family", "bernoulli", "--m", "3")
+        clear_caches()
+        code, out, _ = run_cli(capsys, "--term-cap", "1", *argv)
+        assert code == 3
+        assert "resource-limited" in out
+        assert run_cli(capsys, "--term-cap", "10000000", *argv)[0] == 0
+        code, out, _ = run_cli(capsys, "--term-cap", "1", *argv)
         assert code == 0
-        assert "5/5 verified" in out
+        assert "3/3 verified" in out
 
     def test_jobs_start_no_more_workers_than_cases(self, capsys, monkeypatch):
         requested = []
@@ -244,8 +268,7 @@ class TestTableCommand:
 @pytest.mark.parametrize("argv", [("table", "Z", "--n", "1", "--m", "2"), ("solve-c", "--n", "3")])
 def test_term_cap_during_extraction(capsys, argv):
     # Earlier runs may have cached these residues; the cap must meet real work.
-    for cached in (extract_z, extract_y_basis, solve_c_coefficients):
-        cached.cache_clear()
+    clear_caches()
     code, out, err = run_cli(capsys, "--term-cap", "5", *argv)
     assert code == 3
     assert out == ""
