@@ -56,30 +56,20 @@ Alt(t) of a monomial t is 0 when two of its exponent pairs
 monomial t_0 = g^(-1)(t) with its pairs in descending order.  The Alt(t_0)
 of distinct sorted monomials have disjoint supports, so Alt(H) = 0 exactly
 when the signed sum of H's coefficients on each sorted key is 0
-(``_orbit_residual``; monomials in the a_k ride along in the key).  A raw
-MultiPoly in x need not be symmetric, so it keeps the expansion; so does a
-nonzero residual, whose numerator is the counterexample witness.
-
-Linearity: U_n, H and Alt(H) are linear in S, and so is the residual, so the
-zero relation need only be decided on the power-sum monomials p^lambda,
-which span the symmetric polynomials (Macdonald 1995, I.2).  A source
-S = sum_lambda c_lambda(a) p^lambda splits into its monomials (``parts``),
-with coefficients c_lambda in Q[a].  ``_monomial_residual`` finds the
-residual of H_lambda = M (y_1^(m-1) p^lambda(x) - y_1^e p^lambda(s_1)) once
-per (lambda, m, e), cached; H_lambda has no a_k, so the source's residual is
-the sum over lambda of c_lambda times that residual, each monomial of
-c_lambda extending the keys (``_alternant_residual``).  Every family, the
-symbolic family and every key of one degree share the p^lambda of that
-degree, so a sweep finds each residual once.
+(``_orbit_residual``; monomials in the a_k ride along in the key).  That
+costs two instantiations, two products by one monomial and one pass that
+sorts each term of H.  A raw MultiPoly in x need not be symmetric, so it
+keeps the expansion; so does a nonzero residual, whose numerator is the
+counterexample witness.  Every call does this work afresh: nothing of it is
+cached, so a term cap meets the same work whatever ran before.
 
 The random-point prescreen evaluates U_n from its definition, S(x)/pi(x) -
 sum_i y_i^(m-n-1) S(s_i)/pi(s_i), at rational points where no pi(s_i)
-vanishes, by the same linearity: U_n = sum_lambda c_lambda(a) U_lambda with
-U_lambda the definition at S = p^lambda.  The points and a-values are drawn
-once per (m, point count, seed, a_k assigned); each point memoizes the power
-sums of its m + 1 component vectors and U_lambda for every monomial it has
-seen.  A raw source splits the same way, into its x-monomials.  The values
-are exact, so the witness is the same Fraction whichever sources ran before.
+vanishes.  The points and a-values depend only on (m, point count, seed,
+a_k assigned), so every case of a sweep at one m draws the same ones;
+``_samples`` keeps the few a sweep uses, each point with the power sums of
+its m + 1 component vectors.  The values are exact, so a witness is the
+same Fraction whether its points were drawn or kept.
 
 Residues in closed form: at y = 1, S(s_i) = F(x_i) with F(t) = S(t, x_1 - t,
 ..., x_m - t), and pi(s_i) = (-1)^(m-1) x_i prod_{j != i} (x_i - x_j), so the
@@ -120,7 +110,6 @@ from .polyring import (
     KIND_P,
     KIND_X,
     KIND_Y,
-    MissingVariableError,
     MultiPoly,
     NonDivisibleError,
     RationalFunction,
@@ -227,9 +216,7 @@ class _Source:
     coefficients, so the expansion sums integral data and divides once at
     the end.  A symmetric input is held in the power-sum variables p_k (and
     the a_k); a raw MultiPoly in x_1..x_m is held as it stands, since it
-    need not be symmetric.  ``parts`` splits ``poly`` by linearity: each
-    monomial in the p_k (or the x_j) maps to its coefficient, a polynomial
-    in the a_k.
+    need not be symmetric.
     """
 
     def __init__(self, n, label, poly, family=False):
@@ -243,35 +230,32 @@ class _Source:
         self.top = max((v.index for v in variables if v.kind == KIND_P), default=0)
         # The a symbols a numeric point must assign, in index order.
         self.a_indices = tuple(sorted(v.index for v in variables if v.kind == KIND_A))
-        parts: dict = {}
-        for mono, coeff in self.poly.terms.items():
-            basis = tuple(f for f in mono if f[0].kind in (KIND_X, KIND_P))
-            rest = tuple(f for f in mono if f[0].kind not in (KIND_X, KIND_P))
-            parts.setdefault(basis, {})[rest] = coeff
-        self.parts = {mono: MultiPoly._raw(coeffs) for mono, coeffs in parts.items()}
 
     def unscale(self, value):
         """value / denominator, for a value built from ``scaled`` results."""
         return value / self.denominator if self.denominator != 1 else value
 
     def scaled(self, comps: Sequence) -> MultiPoly:
-        """denominator * the polynomial at ``comps``: integral for integral data."""
-        return _substituted(self.poly, comps, self.top)
+        """denominator * the polynomial at the MultiPoly components ``comps``
+        (plain variables or substitution-matrix rows): integral for integral
+        data.  Each p_k becomes the k-th power sum of the components, each
+        x_j the j-th component.
+        """
+        point = {VarId(KIND_X, j): c for j, c in enumerate(comps, 1)}
+        point.update({VarId(KIND_P, k): s for k, s in enumerate(power_sums_of(comps, self.top), 1)})
+        return self.poly.substitute(point)
 
-
-def _substituted(poly: MultiPoly, comps: Sequence, top: int) -> MultiPoly:
-    """poly at the MultiPoly components ``comps`` (plain variables or
-    substitution-matrix rows): each x_j becomes the j-th component and each
-    p_k, k <= top, the k-th power sum of the components.
-    """
-    point = {VarId(KIND_X, j): c for j, c in enumerate(comps, 1)}
-    point.update({VarId(KIND_P, k): s for k, s in enumerate(power_sums_of(comps, top), 1)})
-    return poly.substitute(point)
-
-
-def _top(mono) -> int:
-    """The largest k with p_k in the monomial; 0 if none."""
-    return max((var.index for var, _ in mono if var.kind == KIND_P), default=0)
+    def scaled_at(self, comps: Sequence, sums: Sequence, a_values) -> Fraction:
+        """denominator * the polynomial at the rational components ``comps``,
+        whose power sums p_1, p_2, ... are ``sums`` (any more the source
+        needs are computed here); ``a_values`` maps k to the value of a_k.
+        """
+        if self.top > len(sums):
+            sums = power_sums_of(comps, self.top)
+        point = {VarId(KIND_A, k): v for k, v in a_values.items()}
+        point.update({VarId(KIND_X, j): c for j, c in enumerate(comps, 1)})
+        point.update({VarId(KIND_P, k): s for k, s in enumerate(sums, 1)})
+        return self.poly.evaluate(point)
 
 
 def _raw_degree(poly: MultiPoly) -> int:
@@ -438,41 +422,21 @@ def _u_numerator(source: _Source, n: int, m: int, y_one: bool):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _monomial_residual(mono, m: int, exponent: int) -> tuple:
-    """The orbit residual of H for one monomial mono in the p_k, as
-    ((sorted pairs, coefficient), ...):
+def _alternant_term(source: _Source, m: int, y_one: bool, exponent: int) -> MultiPoly:
+    """H = M * (y_1^(m-1) * S(x) - y_1^exponent * S(s_1)), times the source's
+    denominator, with M = prod_{j >= 2} x_j^(j-1) y_j^(m-j).
 
-        H = M * (y_1^(m-1) * mono(x) - y_1^exponent * mono(s_1)),
-        M = prod_{j >= 2} x_j^(j-1) y_j^(m-j).
-
-    H carries no a_k, so every key's rest is empty and dropped.
+    For a symmetric source, Alt(H) is the denominator times the numerator
+    pi(x) * W * U_n that ``_numerator`` expands with the same weights.
     """
-    xs, ys, rows = _symbolic_rows(m, False)
-    poly, top = MultiPoly._raw({mono: 1}), _top(mono)
+    xs, ys, rows = _symbolic_rows(m, y_one)
     staircase = prod(
         (xs[j] ** j * ys[j] ** (m - 1 - j) for j in range(1, m)), start=MultiPoly.one()
     )
-    term = (
-        staircase * ys[0] ** (m - 1) * _substituted(poly, xs, top)
-        - staircase * ys[0] ** exponent * _substituted(poly, rows[0], top)
+    return (
+        staircase * ys[0] ** (m - 1) * source.scaled(xs)
+        - staircase * ys[0] ** exponent * source.scaled(rows[0])
     )
-    return tuple((pairs, c) for (pairs, _), c in _orbit_residual(term, m).items())
-
-
-def _alternant_residual(source: _Source, m: int, exponent: int) -> dict:
-    """The orbit residual of the source's H (times its denominator),
-    combined from the cached residuals of its monomials: Alt is linear, so
-    each monomial's residual is scaled by its coefficient, whose a_k
-    monomials become the keys' rest.
-    """
-    residual: dict = {}
-    for mono, coeff in source.parts.items():
-        for pairs, value in _monomial_residual(mono, m, exponent):
-            for rest, c in coeff.terms.items():
-                key = (pairs, rest)
-                residual[key] = residual.get(key, 0) + c * value
-    return {key: c for key, c in residual.items() if c}
 
 
 def _orbit_residual(poly: MultiPoly, m: int) -> dict:
@@ -511,25 +475,29 @@ def _orbit_residual(poly: MultiPoly, m: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class _Point:
-    """The substitution matrix at a numeric point, with pi(x) and each pi(s_i).
-
-    ``sums`` memoizes the power sums of the m + 1 component vectors x, s_1,
-    ..., s_m, and ``values`` the value of U at each monomial seen here.
+class _Point(NamedTuple):
+    """The substitution matrix at a numeric point, with pi(x) and each
+    pi(s_i), and the power sums p_1..p_(m-1) of the m + 1 component vectors
+    x, s_1, ..., s_m: every p_k a symmetric source of degree n <= m - 1 has.
     """
 
     xs: tuple
     ys: tuple
     rows: tuple
     products: tuple  # pi(x), pi(s_1), ..., pi(s_m)
-    sums: list = field(default_factory=list)
-    values: dict = field(default_factory=dict)
+    sums: tuple
 
 
 def _point(xs: Sequence, ys: Sequence) -> _Point:
     rows = _rows(xs, ys)
-    return _Point(tuple(xs), tuple(ys), rows, (prod(xs), *map(prod, rows)))
+    vectors = (tuple(xs), *rows)
+    return _Point(
+        tuple(xs),
+        tuple(ys),
+        rows,
+        tuple(map(prod, vectors)),
+        tuple(tuple(power_sums_of(v, len(xs) - 1)) for v in vectors),
+    )
 
 
 def _random_point(rng: random.Random, m: int) -> _Point:
@@ -550,7 +518,8 @@ def _random_point(rng: random.Random, m: int) -> _Point:
     raise RuntimeError("could not sample a valid evaluation point")
 
 
-@lru_cache(maxsize=None)
+# A sweep over several m, each with a few sets of a_k, uses a handful.
+@lru_cache(maxsize=16)
 def _samples(m: int, points: int, seed: int, a_indices: tuple) -> tuple:
     """The prescreen's (point, a-values) pairs: the rng stream draws each
     point and then a value for each a_k in ``a_indices``."""
@@ -558,45 +527,20 @@ def _samples(m: int, points: int, seed: int, a_indices: tuple) -> tuple:
     out = []
     for _ in range(points):
         point = _random_point(rng, m)
-        out.append((point, {k: Fraction(rng.randint(1, 40), rng.randint(1, 5)) for k in a_indices}))
+        a_values = {k: Fraction(rng.randint(1, 40), rng.randint(1, 5)) for k in a_indices}
+        out.append((point, MappingProxyType(a_values)))
     return tuple(out)
 
 
-def _monomial_at(mono, comps: Sequence, sums: Sequence) -> Fraction:
-    """A monomial in the x_j and p_k at the rational components ``comps``,
-    whose power sums p_1, p_2, ... are ``sums``."""
-    return prod((comps if var.kind == KIND_X else sums)[var.index - 1] ** e for var, e in mono)
-
-
-def _monomial_u(point: _Point, mono, exponent: int) -> Fraction:
-    """U at one monomial in the x_j or p_k,
-    mono(x)/pi(x) - sum_i y_i^exponent * mono(s_i)/pi(s_i), memoized on the point."""
-    key = (mono, exponent)
-    value = point.values.get(key)
-    if value is None:
-        for var, _ in mono:
-            if var.kind == KIND_X and var.index > len(point.xs):
-                raise MissingVariableError(f"no value assigned to {var!r}")
-        vectors = (point.xs, *point.rows)
-        top = _top(mono)
-        if not point.sums or top > len(point.sums[0]):
-            point.sums = [power_sums_of(comps, top) for comps in vectors]
-        at = [_monomial_at(mono, comps, sums) for comps, sums in zip(vectors, point.sums)]
-        value = at[0] / point.products[0]
-        for y, v, product in zip(point.ys, at[1:], point.products[1:]):
-            value -= y**exponent * v / product
-        point.values[key] = value
-    return value
-
-
 def _u_at(source: _Source, point: _Point, exponent: int, a_values) -> Fraction:
-    """U_n at a numeric point, from the point's values of U at the source's
-    monomials; ``a_values`` maps k to the value of a_k."""
-    assignment = {VarId(KIND_A, k): v for k, v in a_values.items()}
-    total = Fraction(0)
-    for mono, coeff in source.parts.items():
-        total += coeff.evaluate(assignment) * _monomial_u(point, mono, exponent)
-    return source.unscale(total)
+    """U_n = S(x)/pi(x) - sum_i y_i^exponent * S(s_i)/pi(s_i) at a numeric
+    point; ``a_values`` maps k to the value of a_k."""
+    vectors = (point.xs, *point.rows)
+    at = [source.scaled_at(v, sums, a_values) for v, sums in zip(vectors, point.sums)]
+    value = at[0] / point.products[0]
+    for y, v, product in zip(point.ys, at[1:], point.products[1:]):
+        value -= y**exponent * v / product
+    return source.unscale(value)
 
 
 def _prescreen(source: _Source, n: int, m: int, points: int, seed: int):
@@ -629,9 +573,8 @@ def verify_conjecture1(
     A randomized evaluation prescreen may short-circuit to a falsified
     verdict with the witness point; the authoritative verdict is exact.  A
     source held in the power sums is decided on the orbit representatives of
-    the numerator's alternant, combined from the cached residuals of its
-    power-sum monomials; a raw source, or a nonzero residual, expands the
-    numerator, which is then the witness.  ``prescreen_points = 0``
+    the numerator's alternant; a raw source, or a nonzero residual, expands
+    the numerator, which is then the witness.  ``prescreen_points = 0``
     skips the prescreen; a negative count is rejected.
     """
     if m < 1:
@@ -658,7 +601,7 @@ def verify_conjecture1(
                 report.witness = witness
                 return report
         start = time.perf_counter()
-        if source.symmetric and not _alternant_residual(source, m, m - n - 1):
+        if source.symmetric and not _orbit_residual(_alternant_term(source, m, False, m - n - 1), m):
             numerator = MultiPoly.zero()
         else:
             numerator, _ = _u_numerator(source, n, m, y_one=False)

@@ -9,10 +9,6 @@
 * :func:`sequential_numerator` -- pi(x) W U_n on a frame, each product
   formed, decoded and added on its own, against which the packed sum of
   products in ``relations._numerator`` is checked;
-* :func:`alternant_term` and :func:`whole_source_residual` -- H for a whole
-  source and its orbit residual, against which the alternant identity and
-  the per-monomial residuals combined in ``relations._alternant_residual``
-  are checked;
 * :func:`alternate` -- the full signed sum over S_m, against which the
   orbit-representative residual in ``relations._orbit_residual`` is checked;
 * :func:`euler_poly_at_zero` -- E_n(0) from the Bernoulli numbers by DLMF
@@ -26,12 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, prod
+from math import comb
 from typing import Sequence
 
 from symmrel.exactnum import bernoulli_numbers
 from symmrel.polyring import KIND_X, KIND_Y, MultiPoly, VarId
-from symmrel.relations import _orbit_residual, _symbolic_rows
 from symmrel.symmfunc import power_sum, to_power_sum_basis
 
 
@@ -106,28 +101,6 @@ def sequential_numerator(source, frame, exponent: int):
             term = term * frame.ys[i] ** exponent
         total = total - term if i % 2 == 0 else total + term
     return source.unscale(total)
-
-
-def alternant_term(source, m: int, y_one: bool, exponent: int) -> MultiPoly:
-    """H = M * (y_1^(m-1) * S(x) - y_1^exponent * S(s_1)) for the whole source,
-    times its denominator, with M = prod_{j >= 2} x_j^(j-1) y_j^(m-j).
-
-    For a symmetric source, Alt(H) is the denominator times the numerator
-    pi(x) * W * U_n with the same weights.
-    """
-    xs, ys, rows = _symbolic_rows(m, y_one)
-    staircase = prod(
-        (xs[j] ** j * ys[j] ** (m - 1 - j) for j in range(1, m)), start=MultiPoly.one()
-    )
-    return (
-        staircase * ys[0] ** (m - 1) * source.scaled(xs)
-        - staircase * ys[0] ** exponent * source.scaled(rows[0])
-    )
-
-
-def whole_source_residual(source, m: int, exponent: int) -> dict:
-    """The orbit residual of the whole source's H at general y."""
-    return _orbit_residual(alternant_term(source, m, False, exponent), m)
 
 
 def alternate(poly: MultiPoly, m: int) -> MultiPoly:

@@ -3,8 +3,6 @@ from fractions import Fraction as F
 from math import prod
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from symmrel import relations, symmfunc
 from symmrel.families import (
@@ -18,10 +16,8 @@ from symmrel.partitions import exponent_vectors
 from symmrel.polyring import KIND_A, KIND_X, KIND_Y, MultiPoly, VarId
 from symmrel.relations import (
     PreconditionError,
-    _alternant_residual,
+    _alternant_term,
     _make_source,
-    _monomial_at,
-    _monomial_residual,
     _numerator,
     _orbit_residual,
     _point,
@@ -45,14 +41,7 @@ from symmrel.symmfunc import (
     power_sum_product,
 )
 
-from oracles import (
-    alternant_term,
-    alternate,
-    bell_family_polynomial,
-    sequential_numerator,
-    whole_source_residual,
-    x_variable_residue,
-)
+from oracles import alternate, bell_family_polynomial, sequential_numerator, x_variable_residue
 from test_polyring import assert_canonical
 from reference_tables import y_tables, z_table, Z3_FLAGGED_KEY, z3_flagged_printed
 
@@ -247,7 +236,7 @@ class TestOrbitResidual:
                     source = _make_source(_zero_relation_source(spec, n, m), n)
                     # At y = 1 the weight y_1^e is 1 for every e.
                     for e in {0} if y_one else {e for e in (0, 1, 2, m - n - 1) if e >= 0}:
-                        term = alternant_term(source, m, y_one, e)
+                        term = _alternant_term(source, m, y_one, e)
                         expected = sequential_numerator(source, frame, e)
                         assert source.unscale(alternate(term, m)) == expected, (m, n, e, y_one)
                         assert (not _orbit_residual(term, m)) == expected.is_zero(), (m, n, e)
@@ -268,106 +257,46 @@ class TestOrbitResidual:
         assert _orbit_residual(x2 * MultiPoly.x(3) ** 2 * a1, 3) == {key: -1}
 
 
-def _residual_exponents(n, m):
-    """The zero relation's exponent m - n - 1, and 0..2, at which residuals are nonzero."""
-    return sorted({0, 1, 2, m - n - 1})
+class TestPrescreenSamples:
+    """The prescreen's points, drawn once per (m, count, seed, a_k assigned)."""
 
+    def test_a_sweep_at_one_m_draws_its_points_once(self, monkeypatch):
+        _samples.cache_clear()
+        drawn = []
+        draw = relations._random_point
 
-def _clear_prescreen_and_residual_caches():
-    for cached in (_monomial_residual, _samples):
-        cached.cache_clear()
+        def spy(rng, m):
+            drawn.append(m)
+            return draw(rng, m)
 
+        monkeypatch.setattr(relations, "_random_point", spy)
+        for n in range(4):
+            assert verify_conjecture1("laguerre", n, 4).verified, n
+        assert drawn == [4] * relations.PRESCREEN_POINTS
+        assert _samples.cache_info().currsize == 1
 
-@st.composite
-def _expansions(draw):
-    """A PowerSumExpansion of weight n < m <= 5, its coefficients rational or
-    rational plus a rational multiple of a_1 or a_2."""
-    m = draw(st.integers(1, 5))
-    n = draw(st.integers(0, m - 1))
-    rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-    coefficients = {}
-    for key in exponent_vectors(n, max(n, 1)):
-        coeff = draw(rationals)
-        k = draw(st.sampled_from((0, 1, 2)))
-        if k:
-            coeff = coeff + draw(rationals) * MultiPoly.a(k)
-        coefficients[key] = coeff
-    return PowerSumExpansion(n, m, coefficients), n, m
-
-
-class TestMonomialResidual:
-    """The per-monomial residuals, combined by their coefficients, against the
-    orbit residual of the whole source's H."""
-
-    @pytest.mark.parametrize("spec", FAMILY_NAMES + ("symbolic", "key"))
-    def test_combined_residual_is_the_whole_source_residual(self, spec):
-        nonzero = 0
-        for m in range(1, 6):
-            for n in range(0, m):
-                specs = exponent_vectors(n, max(n, 1)) if spec == "key" else [spec]
-                for each in specs:
-                    source = _make_source(each, n)
-                    for e in _residual_exponents(n, m):
-                        expected = whole_source_residual(source, m, e)
-                        assert _alternant_residual(source, m, e) == expected, (each, m, n, e)
-                        nonzero += bool(expected)
-        assert nonzero
-
-    @settings(max_examples=60, deadline=None)
-    @given(_expansions())
-    def test_drawn_expansions(self, drawn):
-        expansion, n, m = drawn
-        source = _make_source(expansion, n)
-        for e in _residual_exponents(n, m):
-            assert _alternant_residual(source, m, e) == whole_source_residual(source, m, e), e
-
-    def test_nonzero_residual_hands_a_symmetric_source_to_the_expansion(self, monkeypatch):
-        # The packed expansion decides the case: for a symmetric source its
-        # numerator is 0, so the patched residual cannot falsify it.
-        expanded = []
-        expand = relations._u_numerator
-
-        def spy(*args, **kwargs):
-            expanded.append(args[1:])
-            return expand(*args, **kwargs)
-
-        monkeypatch.setattr(relations, "_monomial_residual", lambda mono, m, e: (((), 1),))
-        monkeypatch.setattr(relations, "_u_numerator", spy)
-        expansion = PowerSumExpansion(2, 3, {(2, 0): F(1, 2) * MultiPoly.a(1), (0, 1): -3})
-        report = verify_conjecture1(expansion, 2, 3, prescreen_points=0)
-        assert expanded == [(2, 3)]
-        assert report.verified
-        assert report.stages[-1].detail == "0 numerator terms"
-
-    def test_zero_sweep_computes_each_monomial_once(self, monkeypatch):
-        # The 121 cases of 8 families at m = 2..5 and the symbolic family at
-        # m = 2..4 have 25 distinct (p-monomial, m) pairs between them.
-        _clear_prescreen_and_residual_caches()
-        computed = []
-        residual = relations._orbit_residual
-
-        def spy(poly, m):
-            computed.append(m)
-            return residual(poly, m)
-
-        monkeypatch.setattr(relations, "_orbit_residual", spy)
-        cases = [(name, n, m) for name in FAMILY_NAMES for m in range(2, 6) for n in range(m)]
-        cases += [("symbolic", n, m) for m in range(2, 5) for n in range(m)]
-        assert len(cases) == 121
-        for spec, n, m in cases:
-            assert verify_conjecture1(spec, n, m).verified, (spec, n, m)
-        assert 0 < len(computed) <= 25
+    def test_kept_points_are_the_drawn_points(self):
+        # The same seed draws the same stream, so a kept sample equals a
+        # fresh one, power sums included, and nothing in it can be changed.
+        _samples.cache_clear()
+        kept = _samples(3, 4, 7, (1, 2))
+        _samples.cache_clear()
+        assert _samples(3, 4, 7, (1, 2)) == kept
+        point, a_values = kept[0]
+        assert point.sums[0] == tuple(symmfunc.power_sums_of(point.xs, 2))
+        with pytest.raises(TypeError):
+            a_values[1] = F(0)
 
     def test_prescreen_witness_does_not_depend_on_cache_order(self):
         # x_1 a_1 is not symmetric, so the prescreen falsifies it at (1, 2).
         # Warm sources at m = 2 share its rng stream (symbolic, n = 1, also
         # draws a_1) or draw a different one (bernoulli draws no a-values).
         raw = x1 * MultiPoly.a(1)
-        _clear_prescreen_and_residual_caches()
+        _samples.cache_clear()
         cold = verify_conjecture1(raw, 1, 2).to_json()
         assert cold["verdict"] == "falsified" and "a_1" in cold["witness"]
         for warm in ("symbolic", "bernoulli"):
-            _clear_prescreen_and_residual_caches()
+            _samples.cache_clear()
             assert verify_conjecture1(warm, 1, 2).verified
             assert verify_conjecture1(raw, 1, 2).to_json() == cold, warm
         assert verify_conjecture1(raw, 1, 2).to_json() == cold
@@ -453,9 +382,8 @@ class TestSources:
                 assert symbolic_family_polynomial(n, m) == expected, (n, m)
 
     def test_numeric_instantiation_matches_evaluate(self):
-        # The source split into its monomials, each evaluated at the power
-        # sums of a rational vector and weighted by its coefficient at the
-        # a-values, against evaluating the instantiated polynomial.
+        # A point carries the power sums p_1..p_(m-1); a source of higher
+        # degree computes the rest.
         rng = random.Random(3)
         a1 = MultiPoly.a(1)
         expansion = PowerSumExpansion(2, 2, {(2, 0): a1 * F(1, 3), (0, 1): F(5, 2)})
@@ -469,12 +397,7 @@ class TestSources:
                 a_values = dict(enumerate(_random_rationals(rng, max(n, 1)), 1))
                 point = {VarId(KIND_X, j): v for j, v in enumerate(xs, 1)}
                 point.update({VarId(KIND_A, k): v for k, v in a_values.items()})
-                sums = symmfunc.power_sums_of(xs, n)
-                a_point = {VarId(KIND_A, k): v for k, v in a_values.items()}
-                value = sum(
-                    coeff.evaluate(a_point) * _monomial_at(mono, xs, sums)
-                    for mono, coeff in source.parts.items()
-                )
+                value = source.scaled_at(xs, symmfunc.power_sums_of(xs, m - 1), a_values)
                 assert source.unscale(value) == poly.evaluate(point), (spec, n, m)
 
     @pytest.mark.parametrize("name", ["laguerre", "bernoulli"])
@@ -549,11 +472,29 @@ class TestZeroRelation:
         source = _make_source(raw, 2)
         source.symmetric = True
         monkeypatch.setattr(relations, "_make_source", lambda spec, n: source)
-        monkeypatch.setattr(relations, "_monomial_residual", lambda mono, m, e: (((), 1),))
+        monkeypatch.setattr(relations, "_orbit_residual", lambda poly, m: {((), ()): 1})
         report = verify_conjecture1(raw, 2, 3, prescreen_points=0)
         expected = sequential_numerator(source, _symbolic_frame(3, False), 0)
         assert report.verdict == "falsified"
         assert str(report.witness) == str(expected) != "0"
+
+    def test_nonzero_residual_hands_a_symmetric_source_to_the_expansion(self, monkeypatch):
+        # The packed expansion decides the case: for a symmetric source its
+        # numerator is 0, so the patched residual cannot falsify it.
+        expanded = []
+        expand = relations._u_numerator
+
+        def spy(*args, **kwargs):
+            expanded.append(args[1:])
+            return expand(*args, **kwargs)
+
+        monkeypatch.setattr(relations, "_orbit_residual", lambda poly, m: {((), ()): 1})
+        monkeypatch.setattr(relations, "_u_numerator", spy)
+        expansion = PowerSumExpansion(2, 3, {(2, 0): F(1, 2) * MultiPoly.a(1), (0, 1): -3})
+        report = verify_conjecture1(expansion, 2, 3, prescreen_points=0)
+        assert expanded == [(2, 3)]
+        assert report.verified
+        assert report.stages[-1].detail == "0 numerator terms"
 
     def test_prescreen_catches_asymmetric_input(self):
         report = verify_conjecture1(x1, 1, 2)
