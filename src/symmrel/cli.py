@@ -36,6 +36,7 @@ from .polyring import (
     term_cap_from_environment,
 )
 from .relations import (
+    PRESCREEN_MAX_POINTS,
     PreconditionError,
     extract_y_basis,
     extract_z,
@@ -142,6 +143,10 @@ def _build_cases(args) -> list:
     n_values = _parse_range(args.n) if args.n is not None else None
     if args.prescreen_points < 0:
         raise UsageError(f"--prescreen-points must be >= 0, got {args.prescreen_points}")
+    if args.prescreen_points > PRESCREEN_MAX_POINTS:
+        raise UsageError(
+            f"--prescreen-points must be <= {PRESCREEN_MAX_POINTS}, got {args.prescreen_points}"
+        )
     cases = []
     if args.conjecture in (1, 2):
         if not args.family:

@@ -26,18 +26,14 @@ hashes like the int.
 
 Products accumulate on packed monomials (Kronecker substitution, as in
 Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", CASC 2007).  One kernel,
-``MultiPoly.sum_of_products``, forms a sum of weighted products c * f * g;
-``f * g`` is its one-pair case.  All products of a sum share one layout:
-every variable gets a bit field wide enough for the largest exponent any of
-them can reach, so a monomial packs into one int and multiplying two
-monomials is an integer add that never carries between fields.  The double
-loop only adds keys, multiplies coefficients and accumulates in a single
-dict for the whole sum.  Keys are decoded only at the end, and only where
-the coefficient survived: for each key the loop keeps the first pair of
-monomials that produced it, and merges that pair into the canonical tuple.
-A sum whose products cancel, as the numerator of a verified zero relation
-does, decodes nothing.  ``f * g`` with a single-term factor skips packing,
+packed exponent vectors", CASC 2007).  ``f * g`` gives every variable a bit
+field wide enough for the largest exponent the product can reach, so a
+monomial packs into one int and multiplying two monomials is an integer add
+that never carries between fields.  The double loop only adds keys,
+multiplies coefficients and accumulates in a single dict.  Keys are decoded
+only at the end, and only where the coefficient survived: for each key the
+loop keeps the first pair of monomials that produced it, and merges that
+pair into the canonical tuple.  A factor with a single term skips packing,
 since multiplying by one monomial cannot merge two terms.
 
 Exact division is long division in u, the divisor's last variable in VarId
@@ -45,14 +41,14 @@ order, over the ring of the others (Geddes, Czapor & Labahn, *Algorithms for
 Computer Algebra*, 1992, ch. 2): each quotient coefficient is the running
 remainder's top coefficient in u divided, recursively, by the divisor's
 leading coefficient.  A single-term divisor subtracts exponents in one pass;
-a constant one scales.  As u comes last, a pair factor x_j - x_i (i < j) of
-the residue check is monic in u = x_j, so it needs no recursive division.
+a constant one scales.  The residue relation divides only on its reference
+route, where U_n's numerator over the full product of denominators is
+divided by that product.
 
 Expansions are guarded by a configurable term cap (default 10**7 terms,
 overridable via ``set_term_cap`` or the SYMMREL_TERM_CAP environment
 variable); a product whose estimated size exceeds the cap raises
-:class:`TermCapExceeded` before any work is done, and in a sum of products
-every product is checked before the first is packed.
+:class:`TermCapExceeded` before any work is done.
 """
 
 from __future__ import annotations
@@ -198,68 +194,23 @@ def _max_exponents(terms: Iterable) -> dict:
     return top
 
 
-def _field_shifts(triples: Iterable) -> dict:
-    """Bit offset of each variable's field in one packed layout for every
-    product a * b of the (scalar, a, b) triples.
+def _field_shifts(a: Mapping, b: Mapping) -> dict:
+    """Bit offset of each variable's field in one packed layout for a * b.
 
-    A field holds the largest exponent any product can reach, so the sum of
+    A field holds the largest exponent the product can reach, so the sum of
     two packed monomials never carries from one field into the next.
     """
-    top: dict = {}
-    for _, a, b in triples:
-        top_a, top_b = _max_exponents(a), _max_exponents(b)
-        for v in top_a.keys() | top_b.keys():
-            e = top_a.get(v, 0) + top_b.get(v, 0)
-            if e > top.get(v, 0):
-                top[v] = e
+    top_a, top_b = _max_exponents(a), _max_exponents(b)
     shifts = {}
     shift = 0
-    for v, e in top.items():
+    for v in top_a.keys() | top_b.keys():
         shifts[v] = shift
-        shift += e.bit_length()
+        shift += (top_a.get(v, 0) + top_b.get(v, 0)).bit_length()
     return shifts
 
 
 def _cap_error(len_a: int, len_b: int) -> TermCapExceeded:
     return TermCapExceeded(f"product of {len_a} x {len_b} terms exceeds the cap of {_term_cap}")
-
-
-def _packed_sum(triples: Sequence) -> "MultiPoly":
-    """sum of c * a * b over (nonzero scalar c, term map a, term map b).
-
-    Every product accumulates into one dict keyed by packed monomials; for
-    each key the first pair of monomials that produced it is kept, and only
-    the keys whose coefficient survives are decoded.
-    """
-    shifts = _field_shifts(triples)
-
-    def pack(mono: Monomial) -> int:
-        return sum(e << shifts[v] for v, e in mono)
-
-    out: dict = {}
-    # The pair that first produced each key, in the insertion order of out.
-    left: list = []
-    right: list = []
-    get = out.get
-    for c, a, b in triples:
-        if c == 1:
-            packed_b = [(pack(m2), m2, c2) for m2, c2 in b.items()]
-        else:
-            packed_b = [(pack(m2), m2, c * c2) for m2, c2 in b.items()]
-        for m1, c1 in a.items():
-            k1 = pack(m1)
-            for k2, m2, c2 in packed_b:
-                key = k1 + k2
-                acc = get(key)
-                if acc is None:
-                    out[key] = c1 * c2
-                    left.append(m1)
-                    right.append(m2)
-                else:
-                    out[key] = acc + c1 * c2
-    return MultiPoly._raw(
-        {_mono_mul(m1, m2): c for c, m1, m2 in zip(out.values(), left, right) if c}
-    )
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -504,29 +455,33 @@ class MultiPoly:
             # m1 * m2 is injective in m2, so no two products merge.
             ((m1, c1),) = a.items()
             return MultiPoly._raw({_mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()})
-        return _packed_sum(((1, a, b),))
+        shifts = _field_shifts(a, b)
+
+        def pack(mono: Monomial) -> int:
+            return sum(e << shifts[v] for v, e in mono)
+
+        out: dict = {}
+        # The pair that first produced each key, in the insertion order of out.
+        left: list = []
+        right: list = []
+        get = out.get
+        packed_b = [(pack(m2), m2, c2) for m2, c2 in b.items()]
+        for m1, c1 in a.items():
+            k1 = pack(m1)
+            for k2, m2, c2 in packed_b:
+                key = k1 + k2
+                acc = get(key)
+                if acc is None:
+                    out[key] = c1 * c2
+                    left.append(m1)
+                    right.append(m2)
+                else:
+                    out[key] = acc + c1 * c2
+        return MultiPoly._raw(
+            {_mono_mul(m1, m2): c for c, m1, m2 in zip(out.values(), left, right) if c}
+        )
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def sum_of_products(pairs: Iterable) -> "MultiPoly":
-        """sum of c * f * g over (scalar c, MultiPoly f, MultiPoly g) triples.
-
-        Every product accumulates packed in one layout, so terms that cancel
-        across products are never decoded.  The term cap is checked for each
-        product before any work is done.
-        """
-        triples = []
-        for c, f, g in pairs:
-            a, b = f._terms, g._terms
-            if len(a) > len(b):
-                a, b = b, a
-            if len(a) * len(b) > _term_cap:
-                raise _cap_error(len(a), len(b))
-            c = _coerce_scalar(c)
-            if c and a:
-                triples.append((c, a, b))
-        return _packed_sum(triples)
 
     def __truediv__(self, scalar) -> "MultiPoly":
         scalar = _coerce_scalar(scalar)

@@ -21,30 +21,22 @@ negative; that regime is only defined here at y = 1, where the weight drops
 out.
 
 Implementation note: pi(s_i) is (-1)^(i-1) x_i times the pair factors
-w_ij = y_i x_j - y_j x_i (i < j) that involve i, so U_n has the least common
-denominator pi(x) * W with W = prod_{i<j} w_ij, not the much larger
-pi(x) * prod_i pi(s_i) that :func:`u_function` keeps as a cross-check.  The
-polynomial frame, ``_symbolic_frame(m, y_one)``, holds the rows, W and the
-cofactors c_i = (-1)^(i-1) pi(x) W / pi(s_i), and ``_numerator`` forms
-pi(x) W U_n = S(x) W - sum_i (-1)^(i-1) y_i^(m-n-1) S(s_i) c_i on it as one
-packed sum of the m + 1 products (``MultiPoly.sum_of_products``), which
-decodes only the terms that survive cancellation and from which
-``verify_conjecture2`` divides pi(x) and each w_ij back off.  The basis
-conversion validates each quotient once: one not homogeneous of degree
-n - m, or not symmetric, falsifies the residue relation.
-
-Zero relation on orbit representatives: for a symmetric S the numerator is
-one alternant, so ``verify_conjecture1`` never forms it.  Put
-Alt(f) = sum_{g in S_m} sgn(g) g(f), with g moving x_j and y_j together, and
-M = prod_{j=2..m} x_j^(j-1) y_j^(m-j).  Then:
+w_ij = y_i x_j - y_j x_i (i < j) that involve i, so pi(x) * W, with
+W = prod_{i<j} w_ij, clears every denominator of U_n.  Neither relation
+forms that numerator for a symmetric source: both are decided on orbit
+representatives of one alternant.  Put Alt(f) = sum_{g in S_m} sgn(g) g(f),
+with g moving x_j and y_j together, and M = prod_{j=2..m} x_j^(j-1) y_j^(m-j).
+Then:
 
 * W is the homogeneous Vandermonde determinant det[x_i^(k-1) y_i^(m-k)]
   (Macdonald 1995, I.3, the alternant a_delta), so W = Alt(y_1^(m-1) M);
-* c_1 = prod_{j>=2} x_j prod_{2<=j<k} w_jk is the same determinant over
-  2..m times the symmetric prod_{j>=2} x_j, the S_(m-1)-alternant of M;
+* c_1 = pi(x) W / pi(s_1) = prod_{j>=2} x_j prod_{2<=j<k} w_jk is the same
+  determinant over 2..m times the symmetric prod_{j>=2} x_j, the
+  S_(m-1)-alternant of M;
 * y_1^e S(s_1) is fixed by every g with g(1) = 1, and the cycle sigma_i
   sending 1 to i and 2..m in order onto the rest has sign (-1)^(i-1) and
-  maps s_1 to a reordering of s_i and c_1 to c_i.  So the sum over i runs
+  maps s_1 to a reordering of s_i and c_1 to
+  c_i = (-1)^(i-1) pi(x) W / pi(s_i).  So the sum over i runs
   over the cosets of S_(m-1), and
 
       pi(x) W U_n = Alt(H),  H = M * (y_1^(m-1) S(x) - y_1^e S(s_1)),
@@ -58,10 +50,23 @@ of distinct sorted monomials have disjoint supports, so Alt(H) = 0 exactly
 when the signed sum of H's coefficients on each sorted key is 0
 (``_orbit_residual``; monomials in the a_k ride along in the key).  That
 costs two instantiations, two products by one monomial and one pass that
-sorts each term of H.  A raw MultiPoly in x need not be symmetric, so it
-keeps the expansion; so does a nonzero residual, whose numerator is the
-counterexample witness.  Every call does this work afresh: nothing of it is
+sorts each term of H.  Every call does this work afresh: nothing of it is
 cached, so a term cap meets the same work whatever ran before.
+
+* Zero relation (``verify_conjecture1``): U_n = 0 exactly when Alt(H) = 0.
+* Residue relation (``verify_conjecture2``): for a symmetric G,
+  W G = Alt(M G) at y = 1, so U_n = G exactly when Alt(H - M pi(x) G) = 0.
+  G is the closed-form residue below (times the source's denominator, as
+  H is), so an empty orbit residual certifies the extracted residue.
+
+Reference route: a raw MultiPoly in x that is symmetric in x_1..x_m is
+rewritten once in p_1..p_m and so takes the route above; one that is not,
+or a case the orbit residual does not prove, is decided from
+:func:`u_function`, U_n over the full product of denominators.  The zero
+relation holds when its numerator is 0, which is otherwise the witness; the
+residue relation divides the numerator by the denominator and converts the
+quotient to the power-sum basis, and the remainder, or a quotient that is
+not symmetric, is the witness.
 
 The random-point prescreen evaluates U_n from its definition, S(x)/pi(x) -
 sum_i y_i^(m-n-1) S(s_i)/pi(s_i), at rational points where no pi(s_i)
@@ -69,7 +74,9 @@ vanishes.  The points and a-values depend only on (m, point count, seed,
 a_k assigned), so every case of a sweep at one m draws the same ones;
 ``_samples`` keeps the few a sweep uses, each point with the power sums of
 its m + 1 component vectors.  The values are exact, so a witness is the
-same Fraction whether its points were drawn or kept.
+same Fraction whether its points were drawn or kept.  The point count is
+bounded by ``PRESCREEN_MAX_POINTS``, since every point is built and kept
+before the first is used.
 
 Residues in closed form: at y = 1, S(s_i) = F(x_i) with F(t) = S(t, x_1 - t,
 ..., x_m - t), and pi(s_i) = (-1)^(m-1) x_i prod_{j != i} (x_i - x_j), so the
@@ -80,16 +87,14 @@ Extraction computes it in the power sums, with no x monomial:
 p_k(t, x_1 - t, ..., x_m - t) = t^k + sum_{r <= k} C(k, r) (-t)^(k-r) p_r
 (p_0 = m), and Newton's identities give h_d and, with e_i = 0 for i > m,
 every p_r (r > m) in p_1..p_m, where the residue is read off directly.
-``verify_conjecture2`` keeps the exact expansion, division and basis solve.
 
 Sources: every accepted input becomes one ``_Source``, a single MultiPoly
 times the common denominator of its coefficients.  A registry family, the
-symbolic family, a power-sum key and a PowerSumExpansion are held in the
-power-sum variables p_k over Q[a] (families by ``families.bell_form``),
-which makes them symmetric by construction; a raw MultiPoly stays in x as
-it stands.  ``scaled`` substitutes the components' power sums, or the
-components themselves; the numerator divides the denominator out once, at
-the end.
+symbolic family, a power-sum key, a PowerSumExpansion and a raw MultiPoly
+symmetric in x_1..x_m are held in the power-sum variables p_k over Q[a]
+(families by ``families.bell_form``), which makes them symmetric by
+construction; any other raw MultiPoly stays in x as it stands.  ``scaled``
+substitutes the components' power sums, or the components themselves.
 """
 
 from __future__ import annotations
@@ -122,6 +127,7 @@ from .symmfunc import (
     NotHomogeneousError,
     NotSymmetricError,
     denominator_product,
+    is_symmetric,
     power_sum_monomial,
     power_sums_of,
     read_power_sums,
@@ -141,6 +147,8 @@ __all__ = [
 ]
 
 PRESCREEN_POINTS = 3
+# Every point is built and kept before the first is used (~4.5 KB each at m = 4).
+PRESCREEN_MAX_POINTS = 1000
 _PRESCREEN_SEED = 0x5EED
 
 
@@ -156,17 +164,6 @@ def build_s_matrix(m: int) -> tuple:
     if m < 1:
         raise ValueError("m must be >= 1")
     return _symbolic_rows(m, False)[2]
-
-
-class _Frame(NamedTuple):
-    """The substitution matrix on polynomial components, and the pieces of pi(x) * W."""
-
-    xs: tuple
-    ys: tuple
-    rows: tuple  # s_i, each a tuple of m entries
-    pi_x: MultiPoly  # x_1 * ... * x_m
-    pair_product: MultiPoly  # W, the product of the pair factors w_ij, i < j
-    cofactors: tuple  # c_i = (-1)^(i-1) * pi(x) * W / pi(s_i)
 
 
 def _rows(xs: Sequence, ys: Sequence) -> tuple:
@@ -186,24 +183,6 @@ def _symbolic_rows(m: int, y_one: bool) -> tuple:
     return xs, ys, _rows(xs, ys)
 
 
-@lru_cache(maxsize=None)
-def _symbolic_frame(m: int, y_one: bool) -> _Frame:
-    """The polynomial frame in x_1..x_m and y_1..y_m, or at y = 1.
-
-    w_ij = s_ij (i < j) is read off the rows.  As s_ji = -w_ij, c_i is the
-    product of the other x_j and of the pair factors not involving i.
-    """
-    xs, ys, rows = _symbolic_rows(m, y_one)
-    one = MultiPoly.one()
-    pairs = {(i, j): rows[i][j] for i in range(m) for j in range(i + 1, m)}
-    cofactors = tuple(
-        prod([x for j, x in enumerate(xs) if j != i], start=one)
-        * prod([w for ij, w in pairs.items() if i not in ij], start=one)
-        for i in range(m)
-    )
-    return _Frame(xs, ys, rows, prod(xs, start=one), prod(pairs.values(), start=one), cofactors)
-
-
 # ---------------------------------------------------------------------------
 # Polynomial sources
 # ---------------------------------------------------------------------------
@@ -213,10 +192,10 @@ class _Source:
     """A degree-n polynomial that can be instantiated on any component vector.
 
     ``poly`` is the polynomial times the common ``denominator`` of its
-    coefficients, so the expansion sums integral data and divides once at
-    the end.  A symmetric input is held in the power-sum variables p_k (and
-    the a_k); a raw MultiPoly in x_1..x_m is held as it stands, since it
-    need not be symmetric.
+    coefficients, so every product runs on integral data and the
+    denominator is divided out once, at the end.  A symmetric input is held
+    in the power-sum variables p_k (and the a_k); a raw MultiPoly that is
+    not symmetric in x_1..x_m is held in x as it stands.
     """
 
     def __init__(self, n, label, poly, family=False):
@@ -265,8 +244,25 @@ def _raw_degree(poly: MultiPoly) -> int:
     return degrees.pop() if degrees else 0
 
 
-def _make_source(poly_source, n: int) -> _Source:
-    """Normalize the accepted source spellings into a _Source."""
+def _power_sum_poly(expansion: PowerSumExpansion) -> MultiPoly:
+    return sum(
+        (c * power_sum_monomial(key) for key, c in expansion.coefficients.items()),
+        MultiPoly.zero(),
+    )
+
+
+def _symmetric_in_x(poly: MultiPoly, m: int) -> bool:
+    """poly is in x_1..x_m and the a_k alone, and symmetric in x_1..x_m."""
+    in_x = all(v.kind == KIND_A or (v.kind == KIND_X and v.index <= m) for v in poly.variables())
+    return in_x and is_symmetric(poly, m)
+
+
+def _make_source(poly_source, n: int, m: Optional[int] = None) -> _Source:
+    """Normalize the accepted source spellings into a _Source.
+
+    Given m, a raw MultiPoly in x_1..x_m and the a_k that is symmetric in
+    x_1..x_m is rewritten once in p_1..p_m.
+    """
     if isinstance(poly_source, str) and poly_source.lower() == SYMBOLIC_NAME:
         a = [MultiPoly.a(k) for k in range(1, n + 1)]
         source = _Source(n, SYMBOLIC_NAME, bell_form(n, a), family=True)
@@ -275,18 +271,19 @@ def _make_source(poly_source, n: int) -> _Source:
         source = _Source(n, spec.name, family_form(spec, n), family=True)
     elif isinstance(poly_source, PowerSumExpansion):
         label = f"expansion(weight={poly_source.weight})"
-        poly = sum(
-            (c * power_sum_monomial(key) for key, c in poly_source.coefficients.items()),
-            MultiPoly.zero(),
-        )
-        source = _Source(poly_source.weight, label, poly)
+        source = _Source(poly_source.weight, label, _power_sum_poly(poly_source))
     elif isinstance(poly_source, tuple):
         weight = vector_weight(poly_source)
         check_vector(poly_source, weight)
         label = "P_" + "{" + ",".join(map(str, poly_source)) + "}"
         source = _Source(weight, label, power_sum_monomial(poly_source))
     elif isinstance(poly_source, MultiPoly):
-        source = _Source(_raw_degree(poly_source), "raw", poly_source)
+        # The zero polynomial is homogeneous of every degree.
+        degree = _raw_degree(poly_source) if poly_source else n
+        poly = poly_source
+        if m is not None and _symmetric_in_x(poly, m):
+            poly = _power_sum_poly(to_power_sum_basis(poly, m, max_part=m, weight=degree))
+        source = _Source(degree, "raw", poly)
     else:
         raise TypeError(f"cannot interpret {poly_source!r} as a polynomial source")
     if source.n != n:
@@ -365,8 +362,9 @@ def u_function(
 
     This is the direct construction: each term S(s_i) / pi(s_i) is built by
     generic substitution and combined over the full product denominator
-    pi(x) * prod_i pi(s_i).  It is the slow reference path; verification and
-    extraction use the least-common-denominator engine instead.
+    pi(x) * prod_i pi(s_i).  It is the reference route: the relations use it
+    only for a raw input that is not symmetric, or a case the orbit residual
+    does not prove.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -378,43 +376,19 @@ def u_function(
     degree = _raw_degree(s_poly)
     if degree != n:
         raise ValueError(f"polynomial has degree {degree}, expected {n}")
-    frame = _symbolic_frame(m, specialize_y)
-    parts = [(MultiPoly.one(), RationalFunction(s_poly, denominator_product(frame.xs)))]
-    for i, row in enumerate(frame.rows, 1):
-        weight = MultiPoly.one() if specialize_y else MultiPoly.y(i) ** exponent
+    xs, ys, rows = _symbolic_rows(m, specialize_y)
+    parts = [(MultiPoly.one(), RationalFunction(s_poly, denominator_product(xs)))]
+    for y, row in zip(ys, rows):
+        weight = 1 if specialize_y else y**exponent
         on_row = s_poly.substitute({VarId(KIND_X, j): c for j, c in enumerate(row, 1)})
         parts.append((-weight, RationalFunction(on_row, denominator_product(row))))
     return ratfunc_combine(parts)
 
 
-def _numerator(source: _Source, frame: _Frame, exponent: int) -> MultiPoly:
-    """pi(x) * W * U_n on a polynomial frame, with the weights y_i^exponent:
-
-        S(x) * W - sum_i (-1)^(i-1) * y_i^exponent * S(s_i) * c_i.
-
-    The m + 1 products run on the source's integral ``scaled`` form and
-    accumulate in one ``MultiPoly.sum_of_products``; the source's
-    denominator is divided out once, at the end.
-    """
-    pairs = [(1, source.scaled(frame.xs), frame.pair_product)]
-    for i, (row, cofactor) in enumerate(zip(frame.rows, frame.cofactors)):
-        weight = cofactor * frame.ys[i] ** exponent if exponent else cofactor
-        pairs.append((-1 if i % 2 == 0 else 1, source.scaled(row), weight))
-    return source.unscale(MultiPoly.sum_of_products(pairs))
-
-
-def _u_numerator(source: _Source, n: int, m: int, y_one: bool):
-    """Numerator of U_n over the least common denominator pi(x) * W.
-
-    Returns (numerator, divisors): the divisors are pi(x) and then the pair
-    factors w_ij (i < j), read off the frame the numerator was built on.
-    """
-    exponent = m - n - 1
-    if exponent < 0 and not y_one:
-        raise PreconditionError("general-y U requires n <= m-1")
-    frame = _symbolic_frame(m, y_one)
-    pairs = [frame.rows[i][j] for i in range(m) for j in range(i + 1, m)]
-    return _numerator(source, frame, 0 if y_one else exponent), [frame.pi_x, *pairs]
+def _reference_u(source: _Source, n: int, m: int, y_one: bool) -> RationalFunction:
+    """``u_function`` on the source written out in x_1..x_m."""
+    s_poly = source.unscale(source.scaled(_symbolic_rows(m, y_one)[0]))
+    return u_function(s_poly, n, m, specialize_y=y_one)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +401,7 @@ def _alternant_term(source: _Source, m: int, y_one: bool, exponent: int) -> Mult
     denominator, with M = prod_{j >= 2} x_j^(j-1) y_j^(m-j).
 
     For a symmetric source, Alt(H) is the denominator times the numerator
-    pi(x) * W * U_n that ``_numerator`` expands with the same weights.
+    pi(x) * W * U_n with the weights y_i^exponent.
     """
     xs, ys, rows = _symbolic_rows(m, y_one)
     staircase = prod(
@@ -468,6 +442,22 @@ def _orbit_residual(poly: MultiPoly, m: int) -> dict:
         key = (tuple(sorted(pairs, reverse=True)), rest)
         residual[key] = residual.get(key, 0) + (-coeff if inversions % 2 else coeff)
     return {key: c for key, c in residual.items() if c}
+
+
+def _residue_residual(source: _Source, m: int, residue: PowerSumExpansion) -> tuple:
+    """(terms, residual): the orbit residual of H - M * pi(x) * G at y = 1 and
+    the term count of that polynomial, with H = ``_alternant_term(source, m,
+    True, 0)`` and G the residue written out in x_1..x_m, times the source's
+    denominator as H is.
+
+    G is symmetric, so Alt(M * pi(x) * G) = pi(x) * W * G, and the residual
+    is empty exactly when pi(x) * W * U_n = pi(x) * W * G, that is U_n = G.
+    """
+    xs = _symbolic_rows(m, True)[0]
+    weight = prod((x ** (j + 1) for j, x in enumerate(xs)), start=MultiPoly.one())
+    g = residue.to_polynomial() * source.denominator
+    difference = _alternant_term(source, m, True, 0) - weight * g
+    return len(difference), _orbit_residual(difference, m)
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +563,10 @@ def verify_conjecture1(
     A randomized evaluation prescreen may short-circuit to a falsified
     verdict with the witness point; the authoritative verdict is exact.  A
     source held in the power sums is decided on the orbit representatives of
-    the numerator's alternant; a raw source, or a nonzero residual, expands
-    the numerator, which is then the witness.  ``prescreen_points = 0``
-    skips the prescreen; a negative count is rejected.
+    the numerator's alternant; a raw source that is not symmetric, or a
+    nonzero residual, is decided by the numerator of :func:`u_function`,
+    which is then the witness.  ``prescreen_points = 0`` skips the
+    prescreen; a count below 0 or above ``PRESCREEN_MAX_POINTS`` is rejected.
     """
     if m < 1:
         raise PreconditionError("m must be >= 1")
@@ -586,7 +577,11 @@ def verify_conjecture1(
         )
     if prescreen_points < 0:
         raise PreconditionError(f"prescreen_points must be >= 0, got {prescreen_points}")
-    source = _make_source(poly_source, n)
+    if prescreen_points > PRESCREEN_MAX_POINTS:
+        raise PreconditionError(
+            f"prescreen_points must be <= {PRESCREEN_MAX_POINTS}, got {prescreen_points}"
+        )
+    source = _make_source(poly_source, n, m)
     conjecture = "C1" if source.family else "C3-zero"
     report = RelationReport(conjecture, n, m, source.label, "unknown")
     try:
@@ -604,7 +599,7 @@ def verify_conjecture1(
         if source.symmetric and not _orbit_residual(_alternant_term(source, m, False, m - n - 1), m):
             numerator = MultiPoly.zero()
         else:
-            numerator, _ = _u_numerator(source, n, m, y_one=False)
+            numerator = _reference_u(source, n, m, False).numerator
         report.stages.append(
             Stage("expand", f"{len(numerator)} numerator terms", time.perf_counter() - start)
         )
@@ -623,9 +618,12 @@ def verify_conjecture1(
 def verify_conjecture2(poly_source, n: int, m: int) -> RelationReport:
     """Check that U_n at y = 1 is a symmetric polynomial of degree n - m.
 
-    The numerator is expanded over the least common denominator and divided
-    by pi(x) and then by each pair factor; a nonzero remainder falsifies the
-    polynomiality claim.  On success the quotient is returned in the
+    For a source held in the power sums, the closed-form residue G is
+    certified by an empty orbit residual of H - M * pi(x) * G and returned
+    as it is.  A raw source that is not symmetric, or a nonzero residual, is
+    decided by :func:`u_function`: its numerator is divided by its
+    denominator, and a nonzero remainder, or a quotient that is not
+    symmetric, is the witness.  On success the residue is returned in the
     power-sum basis with parts <= m.
     """
     if m < 1:
@@ -635,45 +633,62 @@ def verify_conjecture2(poly_source, n: int, m: int) -> RelationReport:
             f"residue relation needs n >= m (got n={n}, m={m}); "
             "use verify_conjecture1 for n <= m-1"
         )
-    source = _make_source(poly_source, n)
+    source = _make_source(poly_source, n, m)
     conjecture = "C2" if source.family else "C3-poly"
     report = RelationReport(conjecture, n, m, source.label, "unknown")
+    stage = "orbit-certificate"
     try:
-        start = time.perf_counter()
-        numerator, divisors = _u_numerator(source, n, m, y_one=True)
-        report.stages.append(
-            Stage("expand", f"{len(numerator)} numerator terms", time.perf_counter() - start)
-        )
-        start = time.perf_counter()
-        quotient = numerator
-        try:
-            for divisor in divisors:
-                quotient = quotient.exact_divide(divisor)
-        except NonDivisibleError as exc:
-            report.verdict = "falsified"
-            report.witness = exc.remainder
-            report.stages.append(Stage("divide", "nonzero remainder", time.perf_counter() - start))
-            return report
-        report.stages.append(
-            Stage("divide", f"{len(quotient)} quotient terms", time.perf_counter() - start)
-        )
-        start = time.perf_counter()
-        try:
-            extracted = to_power_sum_basis(quotient, m, max_part=m, weight=n - m)
-        except (NotHomogeneousError, NotSymmetricError):
-            report.verdict = "falsified"
-            report.witness = quotient
-            return report
-        report.stages.append(
-            Stage("basis", f"{len(extracted.coefficients)} basis keys", time.perf_counter() - start)
-        )
+        if source.symmetric:
+            start = time.perf_counter()
+            extracted = _y_one_residue(source, m)
+            terms, residual = _residue_residual(source, m, extracted)
+            if residual:
+                detail = f"{len(residual)} orbit representatives left; reference route"
+            else:
+                detail = f"closed-form residue G; Alt(H - M*pi(x)*G) = 0 on {terms} terms"
+            report.stages.append(Stage(stage, detail, time.perf_counter() - start))
+            if not residual:
+                report.verdict = "verified"
+                report.extracted = extracted
+                return report
+        stage = "expand"
+        _decide_by_division(report, source, n, m)
     except TermCapExceeded as exc:
         report.verdict = "resource-limited"
-        report.stages.append(Stage("expand", str(exc), 0.0))
-        return report
+        report.stages.append(Stage(stage, str(exc), 0.0))
+    return report
+
+
+def _decide_by_division(report: RelationReport, source: _Source, n: int, m: int) -> None:
+    """The reference route of the residue relation, recorded on ``report``."""
+    start = time.perf_counter()
+    u = _reference_u(source, n, m, True)
+    report.stages.append(
+        Stage("expand", f"{len(u.numerator)} numerator terms", time.perf_counter() - start)
+    )
+    start = time.perf_counter()
+    try:
+        quotient = u.numerator.exact_divide(u.denominator)
+    except NonDivisibleError as exc:
+        report.verdict = "falsified"
+        report.witness = exc.remainder
+        report.stages.append(Stage("divide", "nonzero remainder", time.perf_counter() - start))
+        return
+    report.stages.append(
+        Stage("divide", f"{len(quotient)} quotient terms", time.perf_counter() - start)
+    )
+    start = time.perf_counter()
+    try:
+        extracted = to_power_sum_basis(quotient, m, max_part=m, weight=n - m)
+    except (NotHomogeneousError, NotSymmetricError):
+        report.verdict = "falsified"
+        report.witness = quotient
+        return
+    report.stages.append(
+        Stage("basis", f"{len(extracted.coefficients)} basis keys", time.perf_counter() - start)
+    )
     report.verdict = "verified"
     report.extracted = extracted
-    return report
 
 
 # ---------------------------------------------------------------------------

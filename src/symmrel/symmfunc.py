@@ -6,7 +6,7 @@ vectors k with parts <= m form a basis of the homogeneous symmetric
 polynomials of degree n in m variables.  In the power-sum variables p_k
 (``polyring.KIND_P``) a polynomial is already in that basis, and
 :func:`read_power_sums` reads its PowerSumExpansion off directly.  From x
-monomials, the verifier's route, :func:`to_power_sum_basis` checks symmetry
+monomials, the route of raw input, :func:`to_power_sum_basis` checks symmetry
 and homogeneity and inverts the basis by an exact linear solve on monomial
 coefficients.  Coefficients may themselves be polynomials in the ``a_i``
 symbols (symbolic mode): the matrix of the solve is always rational, so

@@ -6,9 +6,13 @@
 * :func:`x_variable_residue` -- the closed-form y = 1 residue computed in the
   x variables, (-1)^m sum_{e >= m} [t^e]F(t) h_{e-m}(x), and converted with
   ``to_power_sum_basis``, which checks symmetry and homogeneity on the way;
-* :func:`sequential_numerator` -- pi(x) W U_n on a frame, each product
-  formed, decoded and added on its own, against which the packed sum of
-  products in ``relations._numerator`` is checked;
+* :func:`lcd_frame`, :func:`lcd_numerator` and :func:`lcd_residue` -- U_n
+  over its least common denominator pi(x) W, W = prod_{i<j} w_ij: the rows,
+  W and the cofactors c_i = (-1)^(i-1) pi(x) W / pi(s_i), the numerator
+  S(x) W - sum_i (-1)^(i-1) y_i^e S(s_i) c_i formed one product at a time,
+  and at y = 1 that numerator divided by pi(x) and each w_ij and converted
+  with ``to_power_sum_basis``, against which the closed-form residue, the
+  orbit-representative certificate and ``u_function`` are checked;
 * :func:`alternate` -- the full signed sum over S_m, against which the
   orbit-representative residual in ``relations._orbit_residual`` is checked;
 * :func:`euler_poly_at_zero` -- E_n(0) from the Bernoulli numbers by DLMF
@@ -22,11 +26,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb
-from typing import Sequence
+from math import comb, prod
+from typing import NamedTuple, Sequence
 
 from symmrel.exactnum import bernoulli_numbers
 from symmrel.polyring import KIND_X, KIND_Y, MultiPoly, VarId
+from symmrel.relations import _symbolic_rows
 from symmrel.symmfunc import power_sum, to_power_sum_basis
 
 
@@ -92,7 +97,40 @@ def complete_homogeneous(d: int, m: int) -> MultiPoly:
     return sum(terms, MultiPoly.zero()) / d
 
 
-def sequential_numerator(source, frame, exponent: int):
+class LcdFrame(NamedTuple):
+    """The substitution matrix on polynomial components, and the pieces of pi(x) * W."""
+
+    xs: tuple
+    ys: tuple
+    rows: tuple  # s_i, each a tuple of m entries
+    pi_x: MultiPoly  # x_1 * ... * x_m
+    pair_product: MultiPoly  # W, the product of the pair factors w_ij, i < j
+    cofactors: tuple  # c_i = (-1)^(i-1) * pi(x) * W / pi(s_i)
+    pairs: tuple  # the w_ij = s_ij, i < j, in row order
+
+
+@lru_cache(maxsize=None)
+def lcd_frame(m: int, y_one: bool) -> LcdFrame:
+    """The frame in x_1..x_m and y_1..y_m, or at y = 1.
+
+    w_ij = s_ij (i < j) is read off the rows.  As s_ji = -w_ij, c_i is the
+    product of the other x_j and of the pair factors not involving i.
+    """
+    xs, ys, rows = _symbolic_rows(m, y_one)
+    one = MultiPoly.one()
+    pairs = {(i, j): rows[i][j] for i in range(m) for j in range(i + 1, m)}
+    cofactors = tuple(
+        prod([x for j, x in enumerate(xs) if j != i], start=one)
+        * prod([w for ij, w in pairs.items() if i not in ij], start=one)
+        for i in range(m)
+    )
+    return LcdFrame(
+        xs, ys, rows, prod(xs, start=one), prod(pairs.values(), start=one), cofactors,
+        tuple(pairs.values()),
+    )
+
+
+def lcd_numerator(source, frame: LcdFrame, exponent: int) -> MultiPoly:
     """S(x) * W - sum_i (-1)^(i-1) * y_i^exponent * S(s_i) * c_i, one product at a time."""
     total = source.scaled(frame.xs) * frame.pair_product
     for i, (row, cofactor) in enumerate(zip(frame.rows, frame.cofactors)):
@@ -101,6 +139,20 @@ def sequential_numerator(source, frame, exponent: int):
             term = term * frame.ys[i] ** exponent
         total = total - term if i % 2 == 0 else total + term
     return source.unscale(total)
+
+
+def lcd_residue(source, m: int):
+    """U_n at y = 1 by expansion over pi(x) * W, exact division by pi(x) and
+    then by each w_ij, and a basis solve with parts <= m.
+
+    Raises NonDivisibleError, NotSymmetricError or NotHomogeneousError when
+    U_n is no symmetric polynomial of degree n - m.
+    """
+    frame = lcd_frame(m, True)
+    quotient = lcd_numerator(source, frame, 0)
+    for divisor in (frame.pi_x, *frame.pairs):
+        quotient = quotient.exact_divide(divisor)
+    return to_power_sum_basis(quotient, m, max_part=m, weight=source.n - m)
 
 
 def alternate(poly: MultiPoly, m: int) -> MultiPoly:

@@ -7,7 +7,7 @@ import pytest
 
 from symmrel.cli import main
 from symmrel.polyring import get_term_cap, set_term_cap
-from symmrel.relations import extract_y_basis, extract_z
+from symmrel.relations import PRESCREEN_MAX_POINTS, extract_y_basis, extract_z
 from symmrel.solver import solve_c_coefficients
 
 
@@ -84,6 +84,18 @@ class TestVerifyCommand:
         assert out == ""
         assert err.splitlines() == ["error: --prescreen-points must be >= 0, got -1"]
 
+    def test_prescreen_points_above_the_ceiling(self, capsys):
+        count = str(PRESCREEN_MAX_POINTS + 1)
+        code, out, err = run_cli(
+            capsys, "verify", "--conjecture", "1", "--family", "bell", "--m", "3",
+            "--prescreen-points", count,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: --prescreen-points must be <= {PRESCREEN_MAX_POINTS}, got {count}"
+        ]
+
     def test_zero_prescreen_points_skip_the_prescreen(self, capsys):
         code, out, _ = run_cli(
             capsys, "--format", "json", "verify", "--conjecture", "1", "--family", "bell",
@@ -118,6 +130,18 @@ class TestVerifyCommand:
         )
         assert code == 3
         assert "resource-limited" in out
+
+    def test_term_cap_in_the_residue_relation(self, capsys):
+        # The cap meets the closed form and its certificate on every call:
+        # an uncapped run in between leaves nothing cached that skips it.
+        argv = ("--jobs", "1", "verify", "--conjecture", "2", "--family", "bernoulli",
+                "--n", "6", "--m", "3")
+        clear_caches()
+        capped = run_cli(capsys, "--term-cap", "50", *argv)
+        assert capped[0] == 3
+        assert "resource-limited" in capped[1]
+        assert run_cli(capsys, "--term-cap", "10000000", *argv)[0] == 0
+        assert run_cli(capsys, "--term-cap", "50", *argv) == capped
 
     def test_parallel_jobs(self, capsys):
         # Workers must not change a byte of the document, witnesses and

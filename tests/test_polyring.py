@@ -20,7 +20,7 @@ from symmrel.polyring import (
     ratfunc_combine,
     set_term_cap,
 )
-from symmrel.relations import _symbolic_frame
+from symmrel.relations import _symbolic_rows
 
 x1, x2, x3 = MultiPoly.x(1), MultiPoly.x(2), MultiPoly.x(3)
 y1, y2 = MultiPoly.y(1), MultiPoly.y(2)
@@ -302,18 +302,13 @@ class TestTermCap:
         def no_work(*args):
             raise AssertionError("the product did work before checking the cap")
 
-        for name in ("_max_exponents", "_field_shifts", "_packed_sum", "_mono_mul"):
+        for name in ("_max_exponents", "_field_shifts", "_mono_mul"):
             monkeypatch.setattr(polyring, name, no_work)
         monkeypatch.setattr(polyring, "_term_cap", 5)
         with pytest.raises(TermCapExceeded):
             _ = (x1 + x2 + x3) * (x1 + y1)
         with pytest.raises(TermCapExceeded):
             _ = x1 * (x1 + x2 + x3 + y1 + y2 + a1)
-        # Only the last product of a sum breaches the cap.
-        with pytest.raises(TermCapExceeded):
-            MultiPoly.sum_of_products(
-                [(1, x1 + x2, x1 + y1), (-1, x1, x2), (1, x1 + x2 + x3, x1 + y1)]
-            )
 
     def test_cap_validation(self):
         with pytest.raises(ValueError):
@@ -399,7 +394,7 @@ class TestMultiplicationKernel:
 
     def test_integer_inputs_give_integer_coefficients(self):
         for m in range(2, 6):
-            for row in _symbolic_frame(m, True).rows:
+            for row in _symbolic_rows(m, True)[2]:
                 for entry in row:
                     assert all(type(c) is int for c in entry.terms.values())
         for name in ("hermite", "laguerre", "bell"):
@@ -418,59 +413,3 @@ class TestMultiplicationKernel:
         assert all(type(c) is int for c in p.terms.values())
         assert all(type(c) is int for c in (F(1, 2) * (2 * x1 + 4)).terms.values())
         assert hash(MultiPoly.constant(F(2))) == hash(2)
-
-
-def naive_sum_of_products(pairs) -> dict:
-    """sum of c * naive_product(f, g) over the (c, f, g) triples."""
-    out: dict = {}
-    for c, f, g in pairs:
-        for mono, coeff in naive_product(f, g).items():
-            out[mono] = out.get(mono, 0) + c * coeff
-    return {mono: c for mono, c in out.items() if c}
-
-
-@st.composite
-def product_sums(draw):
-    """Weighted pairs of wide polynomials: int and Fraction weights, one-term
-    factors, factors over disjoint variable sets; possibly no pair at all."""
-    factors = st.one_of(
-        wide_polys(max_terms=4),
-        wide_polys(min_terms=1, max_terms=1),
-        st.tuples(wide_polys(variables=WIDE_VARS[:4]), wide_polys(variables=WIDE_VARS[4:])),
-    )
-    weights = st.one_of(st.integers(-3, 3), rationals())
-    pairs = []
-    for _ in range(draw(st.integers(0, 4))):
-        f = draw(factors)
-        f, g = f if isinstance(f, tuple) else (f, draw(wide_polys(max_terms=4)))
-        pairs.append((draw(weights), f, g))
-    return pairs
-
-
-class TestSumOfProducts:
-    @settings(max_examples=200, deadline=None)
-    @given(product_sums())
-    def test_matches_naive_products(self, pairs):
-        total = MultiPoly.sum_of_products(pairs)
-        assert total.terms == naive_sum_of_products(pairs)
-        assert_canonical(total)
-
-    @settings(max_examples=60, deadline=None)
-    @given(product_sums())
-    def test_full_cancellation(self, pairs):
-        # Each product once as c * f * g and once as -c * g * f.
-        negated = [(-c, g, f) for c, f, g in pairs]
-        assert MultiPoly.sum_of_products(pairs + negated).terms == {}
-
-    def test_empty_input(self):
-        assert MultiPoly.sum_of_products([]) == 0
-        assert MultiPoly.sum_of_products([(0, x1 + x2, x1 - x2), (3, MultiPoly.zero(), x1)]) == 0
-
-    def test_integer_inputs_give_integer_coefficients(self):
-        frame = _symbolic_frame(3, False)
-        pairs = [(1, frame.pi_x, frame.pair_product)]
-        pairs += [(-2, row[0], cofactor) for row, cofactor in zip(frame.rows, frame.cofactors)]
-        pairs.append((F(4, 2), x1 + y1, x2 - y2))  # an integral Fraction weight
-        total = MultiPoly.sum_of_products(pairs)
-        assert total.terms == naive_sum_of_products(pairs)
-        assert total and all(type(c) is int for c in total.terms.values())

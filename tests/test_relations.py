@@ -16,16 +16,16 @@ from symmrel.partitions import exponent_vectors
 from symmrel.polyring import KIND_A, KIND_X, KIND_Y, MultiPoly, VarId
 from symmrel.relations import (
     PreconditionError,
+    PRESCREEN_MAX_POINTS,
     _alternant_term,
     _make_source,
-    _numerator,
     _orbit_residual,
     _point,
     _random_point,
+    _residue_residual,
     _samples,
-    _symbolic_frame,
+    _symbolic_rows,
     _u_at,
-    _u_numerator,
     _y_one_residue,
     build_s_matrix,
     extract_y_basis,
@@ -41,8 +41,14 @@ from symmrel.symmfunc import (
     power_sum_product,
 )
 
-from oracles import alternate, bell_family_polynomial, sequential_numerator, x_variable_residue
-from test_polyring import assert_canonical
+from oracles import (
+    alternate,
+    bell_family_polynomial,
+    lcd_frame,
+    lcd_numerator,
+    lcd_residue,
+    x_variable_residue,
+)
 from reference_tables import y_tables, z_table, Z3_FLAGGED_KEY, z3_flagged_printed
 
 x1, x2 = MultiPoly.x(1), MultiPoly.x(2)
@@ -68,22 +74,26 @@ class TestSMatrix:
 
 
 class TestFrame:
+    """The least-common-denominator oracle's frame, and the prescreen's points."""
+
     @pytest.mark.parametrize("y_one", [False, True])
     def test_cofactor_identity(self, y_one):
         # c_i * pi(s_i) = (-1)^(i-1) * pi(x) * W as polynomials.
         for m in range(1, 5):
-            frame = _symbolic_frame(m, y_one)
+            frame = lcd_frame(m, y_one)
             lcd = denominator_product(_x_vars(m)) * frame.pair_product
             for i, (row, cofactor) in enumerate(zip(frame.rows, frame.cofactors)):
                 assert cofactor * denominator_product(list(row)) == (-1) ** i * lcd, (m, i)
 
     @pytest.mark.parametrize("y_one", [False, True])
     def test_divisors_multiply_to_the_denominator(self, y_one):
-        # The verifier divides by pi(x) and the w_ij read off the same frame.
+        # The oracle divides by pi(x) and the w_ij read off the same frame,
+        # whose rows are the ones u_function substitutes.
         for m in range(1, 5):
-            frame = _symbolic_frame(m, y_one)
-            _, divisors = _u_numerator(_make_source("bell", 0), 0, m, y_one)
-            assert prod(divisors, start=MultiPoly.one()) == frame.pi_x * frame.pair_product, m
+            frame = lcd_frame(m, y_one)
+            assert frame.rows == _symbolic_rows(m, y_one)[2]
+            assert prod(frame.pairs, start=frame.pi_x) == frame.pi_x * frame.pair_product, m
+            assert len(frame.pairs) == m * (m - 1) // 2
 
     def test_numerator_at_points(self):
         # The prescreen's value at a point against the defining sum
@@ -153,8 +163,8 @@ class TestFrame:
 
     @pytest.mark.parametrize("name, n, m", [("laguerre", 3, 5), ("bernoulli", 2, 3)])
     def test_numerator_products_stay_integral(self, monkeypatch, name, n, m):
-        # The source's common denominator is divided out once, after every
-        # product: no product sees a Fraction.
+        # The alternant of the numerator is built on the source's integral
+        # form: no product of the exact zero relation sees a Fraction.
         multiply = MultiPoly.__mul__
         seen = []
 
@@ -163,52 +173,57 @@ class TestFrame:
                 return any(isinstance(c, F) for c in operand.terms.values())
             return isinstance(operand, F)
 
+        inside = []
+        alternant = relations._alternant_term
+
+        def spy_alternant(*args):
+            inside.append(True)
+            try:
+                return alternant(*args)
+            finally:
+                inside.pop()
+
         def spy(a, b):
-            seen.append(holds_fraction(a) or holds_fraction(b))
+            if inside:
+                seen.append(holds_fraction(a) or holds_fraction(b))
             return multiply(a, b)
 
-        accumulate = MultiPoly.sum_of_products
-        summed = []
-
-        def spy_sum(pairs):
-            pairs = list(pairs)
-            summed.append(len(pairs))
-            seen.extend(holds_fraction(f) or holds_fraction(g) for _, f, g in pairs)
-            return accumulate(pairs)
-
-        source = _make_source(name, n)
-        assert source.denominator > 1
+        assert _make_source(name, n).denominator > 1
         monkeypatch.setattr(MultiPoly, "__mul__", spy)
         monkeypatch.setattr(MultiPoly, "__rmul__", spy)
-        monkeypatch.setattr(MultiPoly, "sum_of_products", staticmethod(spy_sum))
-        numerator, _ = _u_numerator(source, n, m, False)
-        assert summed == [m + 1]
+        monkeypatch.setattr(relations, "_alternant_term", spy_alternant)
+        report = verify_conjecture1(name, n, m, prescreen_points=0)
         assert seen and not any(seen)
-        assert numerator.is_zero()
+        assert report.verified
 
     @pytest.mark.parametrize("spec", ["bernoulli", "laguerre", "symbolic"])
     @pytest.mark.parametrize("y_one", [False, True])
     def test_numerator_matches_sequential_products(self, spec, y_one):
-        # The packed sum of the m + 1 products against forming, decoding and
-        # adding each product on its own; at y = 1 the residue regime n >= m
-        # leaves a nonzero numerator.
+        # The oracle's numerator over pi(x) * W against u_function over the
+        # full product of denominators, by cross-multiplication; at y = 1
+        # the residue regime n >= m leaves a nonzero numerator, but for the
+        # Bernoulli family, whose residues vanish.
+        nonzero = 0
         for m in range(1, 5):
-            frame = _symbolic_frame(m, y_one)
+            frame = lcd_frame(m, y_one)
             for n in range(0, m + 2 if y_one else m):
                 source = _make_source(spec, n)
-                exponent = 0 if y_one else m - n - 1
-                fused = _numerator(source, frame, exponent)
-                assert fused == sequential_numerator(source, frame, exponent), (spec, m, n)
-                assert_canonical(fused)
+                numerator = lcd_numerator(source, frame, 0 if y_one else m - n - 1)
+                rf = u_function(_instantiate(source, _x_vars(m)), n, m, specialize_y=y_one)
+                lcd = frame.pi_x * frame.pair_product
+                assert rf.numerator * lcd == numerator * rf.denominator, (spec, m, n)
+                nonzero += not numerator.is_zero()
+        assert bool(nonzero) == (y_one and spec != "bernoulli")
 
     def test_raw_source_witness_matches_sequential_products(self):
-        # A non-symmetric C3 source: the exact expansion's witness is the
-        # numerator, printed as the sequential products print it.
+        # A non-symmetric C3 source: the witness is the numerator of
+        # u_function, which sums the products one at a time.
         raw = x1**2 - F(1, 3) * x1 * x2 + 2 * MultiPoly.x(3) ** 2
         report = verify_conjecture1(raw, 2, 3, prescreen_points=0)
         assert (report.conjecture_id, report.verdict) == ("C3-zero", "falsified")
-        expected = sequential_numerator(_make_source(raw, 2), _symbolic_frame(3, False), 0)
+        expected = u_function(raw, 2, 3).numerator
         assert str(report.witness) == str(expected) != "0"
+        assert report.stages[-1].detail == f"{len(expected)} numerator terms"
 
 
 def _zero_relation_source(spec, n, m):
@@ -229,7 +244,7 @@ class TestOrbitResidual:
         counts = {True: 0, False: 0}
         for y_one in (False, True):
             for m in range(1, 5):
-                frame = _symbolic_frame(m, y_one)
+                frame = lcd_frame(m, y_one)
                 # Above n = m at m = 4 with general y, the 24-fold oracle sum
                 # over the larger H would take tens of seconds.
                 for n in range(0, m + 1 if m == 4 and not y_one else m + 3):
@@ -237,7 +252,7 @@ class TestOrbitResidual:
                     # At y = 1 the weight y_1^e is 1 for every e.
                     for e in {0} if y_one else {e for e in (0, 1, 2, m - n - 1) if e >= 0}:
                         term = _alternant_term(source, m, y_one, e)
-                        expected = sequential_numerator(source, frame, e)
+                        expected = lcd_numerator(source, frame, e)
                         assert source.unscale(alternate(term, m)) == expected, (m, n, e, y_one)
                         assert (not _orbit_residual(term, m)) == expected.is_zero(), (m, n, e)
                         counts[expected.is_zero()] += 1
@@ -333,7 +348,7 @@ class TestUFunction:
 
     def test_matches_engine_numerator(self):
         # Cross-multiplication identity between the full-product form and
-        # the least-common-denominator engine, at y = 1 and generic y.
+        # the least-common-denominator oracle, at y = 1 and generic y.
         cases = [
             (family_polynomial("t", 3, 2), 3, 2, True),
             (family_polynomial("euler", 4, 2), 4, 2, True),
@@ -342,9 +357,9 @@ class TestUFunction:
         ]
         for poly, n, m, y_one in cases:
             rf = u_function(poly, n, m, specialize_y=y_one)
-            num, _ = _u_numerator(_make_source(poly, n), n, m, y_one)
+            num = lcd_numerator(_make_source(poly, n), lcd_frame(m, y_one), 0 if y_one else m - n - 1)
             x_vars = [MultiPoly.x(i) for i in range(1, m + 1)]
-            lcm_den = denominator_product(x_vars) * _symbolic_frame(m, y_one).pair_product
+            lcm_den = denominator_product(x_vars) * lcd_frame(m, y_one).pair_product
             assert rf.numerator * lcm_den == num * rf.denominator
 
 
@@ -405,7 +420,7 @@ class TestSources:
         for m in (2, 3):
             for n in range(m, 7):
                 source = _make_source(name, n)
-                for row in _symbolic_frame(m, True).rows:
+                for row in _symbolic_rows(m, True)[2]:
                     coeffs = _instantiate(source, row).terms.values()
                     assert not any(isinstance(c, F) and c.denominator == 1 for c in coeffs)
 
@@ -434,6 +449,21 @@ class TestZeroRelation:
         with pytest.raises(PreconditionError):
             verify_conjecture1("bernoulli", 1, 2, prescreen_points=-1)
 
+    def test_prescreen_count_above_the_ceiling_rejected(self, monkeypatch):
+        # Rejected before a single point is drawn; the ceiling itself runs.
+        def refuse(*args):
+            raise AssertionError("a point was drawn")
+
+        monkeypatch.setattr(relations, "_random_point", refuse)
+        _samples.cache_clear()
+        with pytest.raises(PreconditionError, match=f"<= {PRESCREEN_MAX_POINTS}"):
+            verify_conjecture1("bernoulli", 1, 2, prescreen_points=PRESCREEN_MAX_POINTS + 1)
+        monkeypatch.undo()
+        report = verify_conjecture1("bernoulli", 1, 2, prescreen_points=PRESCREEN_MAX_POINTS)
+        assert report.verified
+        assert report.stages[0].detail == f"{PRESCREEN_MAX_POINTS} points"
+        _samples.cache_clear()
+
     @pytest.mark.parametrize("name", FAMILY_NAMES)
     def test_zero_relation_five_variables(self, name):
         for n in range(0, 5):
@@ -447,49 +477,52 @@ class TestZeroRelation:
             assert report.verified, (name, n, report.verdict)
 
     def test_symmetric_source_is_decided_on_orbit_representatives(self, monkeypatch):
-        # Neither the kernel nor the cofactor numerator runs for a source
-        # held in the power sums; the expand stage still reports the count.
+        # The reference route never runs for a source held in the power sums,
+        # or for a raw one symmetric in x_1..x_m; the expand stage still
+        # reports the count.
         def refuse(name):
             def spy(*args, **kwargs):
                 raise AssertionError(f"{name} called for a symmetric source")
 
             return spy
 
-        monkeypatch.setattr(relations, "_u_numerator", refuse("_u_numerator"))
-        monkeypatch.setattr(MultiPoly, "sum_of_products", staticmethod(refuse("sum_of_products")))
+        monkeypatch.setattr(relations, "u_function", refuse("u_function"))
         expansion = PowerSumExpansion(2, 3, {(2, 0): F(1, 2), (0, 1): -3})
+        raw = family_polynomial("laguerre", 2, 3) * MultiPoly.a(1)
         cases = [("bernoulli", 2, 4), ("symbolic", 1, 3), ((0, 1), 2, 3), (expansion, 2, 3)]
+        cases.append((raw, 2, 3))
         for spec, n, m in cases:
             report = verify_conjecture1(spec, n, m)
             assert report.verified, (spec, n, m)
             assert report.stages[-1].detail == "0 numerator terms"
 
     def test_nonzero_residual_takes_the_kernel_witness(self, monkeypatch):
-        # A nonzero residual hands the case to the packed expansion, whose
+        # A nonzero residual hands the case to the reference route, whose
         # numerator decides it and is the witness.  The residual is patched
         # in on a raw source that is routed down the symmetric path.
         raw = x1**2 - F(1, 3) * x1 * x2 + 2 * MultiPoly.x(3) ** 2
         source = _make_source(raw, 2)
         source.symmetric = True
-        monkeypatch.setattr(relations, "_make_source", lambda spec, n: source)
+        monkeypatch.setattr(relations, "_make_source", lambda spec, n, m: source)
         monkeypatch.setattr(relations, "_orbit_residual", lambda poly, m: {((), ()): 1})
         report = verify_conjecture1(raw, 2, 3, prescreen_points=0)
-        expected = sequential_numerator(source, _symbolic_frame(3, False), 0)
+        expected = u_function(raw, 2, 3).numerator
         assert report.verdict == "falsified"
         assert str(report.witness) == str(expected) != "0"
 
     def test_nonzero_residual_hands_a_symmetric_source_to_the_expansion(self, monkeypatch):
-        # The packed expansion decides the case: for a symmetric source its
-        # numerator is 0, so the patched residual cannot falsify it.
+        # The reference route decides the case: for a symmetric source the
+        # numerator of u_function is 0, so the patched residual cannot
+        # falsify it.
         expanded = []
-        expand = relations._u_numerator
+        expand = relations.u_function
 
         def spy(*args, **kwargs):
             expanded.append(args[1:])
             return expand(*args, **kwargs)
 
         monkeypatch.setattr(relations, "_orbit_residual", lambda poly, m: {((), ()): 1})
-        monkeypatch.setattr(relations, "_u_numerator", spy)
+        monkeypatch.setattr(relations, "u_function", spy)
         expansion = PowerSumExpansion(2, 3, {(2, 0): F(1, 2) * MultiPoly.a(1), (0, 1): -3})
         report = verify_conjecture1(expansion, 2, 3, prescreen_points=0)
         assert expanded == [(2, 3)]
@@ -565,11 +598,91 @@ class TestResidueRelation:
             assert [stage.name for stage in report.stages] == ["expand", "divide"]
 
     def test_scale_covariance(self):
-        base = _make_source((2, 1, 0, 0), 4)
-        num, _ = _u_numerator(base, 4, 2, True)
+        # A raw symmetric source is rewritten in the power sums, so it takes
+        # the certificate route, and its residue scales with it.
+        base = verify_conjecture2((2, 1, 0, 0), 4, 2)
         scaled_poly = power_sum_product((2, 1, 0, 0), 2) * F(7, 3)
-        num_scaled, _ = _u_numerator(_make_source(scaled_poly, 4), 4, 2, True)
-        assert num_scaled == num * F(7, 3)
+        scaled = verify_conjecture2(scaled_poly, 4, 2)
+        assert scaled.verified and [s.name for s in scaled.stages] == ["orbit-certificate"]
+        assert not base.extracted.is_zero()
+        for key, c in base.extracted.coefficients.items():
+            assert scaled.extracted.coefficients[key] == c * F(7, 3), key
+
+
+class TestResidueCertificate:
+    """The closed-form residue certified on orbit representatives, and the
+    reference route it hands a case to when the residual is not empty."""
+
+    @pytest.mark.parametrize("n, m", [(4, 2), (5, 3)])
+    def test_perturbed_residue_leaves_a_residual(self, monkeypatch, n, m):
+        # G plus one symmetric term: the residual is no longer empty, and the
+        # case is decided by u_function, which returns the true residue.
+        for spec in ("symbolic", "bernoulli", (n,) + (0,) * (n - 1)):
+            source = _make_source(spec, n)
+            residue = _y_one_residue(source, m)
+            assert _residue_residual(source, m, residue)[1] == {}
+            key = exponent_vectors(n - m, m)[0]
+            coefficients = dict(residue.coefficients)
+            coefficients[key] = coefficients[key] + 1
+            perturbed = PowerSumExpansion(n - m, m, coefficients)
+            assert _residue_residual(source, m, perturbed)[1], (spec, n, m)
+
+            expected = verify_conjecture2(spec, n, m)
+            references = []
+            reference = relations.u_function
+
+            def spy(*args, **kwargs):
+                references.append(args[1:3])
+                return reference(*args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(relations, "_y_one_residue", lambda source, m: perturbed)
+                patch.setattr(relations, "u_function", spy)
+                report = verify_conjecture2(spec, n, m)
+            assert references == [(n, m)]
+            assert report.verified
+            assert report.extracted == expected.extracted != perturbed
+            assert list(report.extracted.coefficients) == list(expected.extracted.coefficients)
+            names = [stage.name for stage in report.stages]
+            assert names == ["orbit-certificate", "expand", "divide", "basis"], names
+            assert "reference route" in report.stages[0].detail
+
+    def test_power_sum_source_takes_no_reference_layer(self, monkeypatch):
+        # A source held in the power sums is decided by the closed form and
+        # the certificate alone: no u_function, division, basis conversion or
+        # elimination runs.
+        def refuse(name):
+            def spy(*args, **kwargs):
+                raise AssertionError(f"{name} called for a power-sum source")
+
+            return spy
+
+        monkeypatch.setattr(relations, "u_function", refuse("u_function"))
+        monkeypatch.setattr(MultiPoly, "exact_divide", refuse("exact_divide"))
+        for module in (relations, symmfunc):
+            for name in ("to_power_sum_basis", "gauss_jordan"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse(name))
+        expansion = PowerSumExpansion(4, 3, {(4, 0, 0, 0): F(1, 2), (1, 0, 1, 0): -3})
+        for spec, n, m in [("symbolic", 6, 3), ("laguerre", 5, 2), ((0, 2, 0, 0), 4, 4), (expansion, 4, 3)]:
+            report = verify_conjecture2(spec, n, m)
+            assert report.verified, (spec, n, m)
+            assert [stage.name for stage in report.stages] == ["orbit-certificate"]
+            assert report.stages[0].detail.startswith("closed-form residue G; Alt(H - M*pi(x)*G) = 0")
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_raw_family_polynomial_matches_its_name(self, name):
+        # Written out in x, a family member is rewritten in the power sums
+        # and gives the verdict and residue of the family, key order included.
+        for m in range(2, 5):
+            for n in range(m, 9):
+                by_name = verify_conjecture2(name, n, m)
+                raw = verify_conjecture2(family_polynomial(name, n, m), n, m)
+                assert (raw.conjecture_id, raw.source_label) == ("C3-poly", "raw")
+                assert raw.verdict == by_name.verdict == "verified", (name, n, m)
+                assert raw.extracted == by_name.extracted, (name, n, m)
+                assert list(raw.extracted.coefficients) == list(by_name.extracted.coefficients)
+                assert [s.to_json() for s in raw.stages] == [s.to_json() for s in by_name.stages]
 
 
 class TestExtractZ:
@@ -661,8 +774,9 @@ class TestExtractYBasis:
 
 
 class TestClosedFormResidue:
-    """The divided-difference residue against the exact expansion and division,
-    and the power-sum engine against the same closed form in the x variables."""
+    """The divided-difference residue against the expansion over pi(x) * W,
+    exact division and basis solve of ``oracles.lcd_residue``, and the
+    power-sum engine against the same closed form in the x variables."""
 
     def test_power_sums_match_x_variables(self):
         count = 0
@@ -686,7 +800,7 @@ class TestClosedFormResidue:
         for n in range(1, 7):
             for m in range(1, n + 1):
                 for key in exponent_vectors(n, n):
-                    expected = verify_conjecture2(key, n, m).extracted
+                    expected = lcd_residue(_make_source(key, n), m)
                     got = extract_y_basis(n, m, key)
                     assert got == expected, (n, m, key)
                     assert list(got.coefficients) == list(expected.coefficients)
@@ -694,7 +808,8 @@ class TestClosedFormResidue:
     def test_symbolic(self):
         for m in range(2, 5):
             for n in range(m, 9):
-                expected = verify_conjecture2("symbolic", n, m).extracted
+                expected = lcd_residue(_make_source("symbolic", n), m)
+                assert verify_conjecture2("symbolic", n, m).extracted == expected, (n, m)
                 assert _y_one_residue(_make_source("symbolic", n), m) == expected, (n, m)
                 z = extract_z(n - m, m)
                 for key in exponent_vectors(n - m, max(n - m, 1)):
@@ -704,8 +819,9 @@ class TestClosedFormResidue:
     def test_families(self, name):
         for n in range(1, 7):
             for m in range(1, n + 1):
-                expected = verify_conjecture2(name, n, m).extracted
+                expected = lcd_residue(_make_source(name, n), m)
                 assert _y_one_residue(_make_source(name, n), m) == expected, (n, m)
+                assert verify_conjecture2(name, n, m).extracted == expected, (n, m)
 
     def test_extraction_does_not_expand_the_numerator(self, monkeypatch):
         calls = []
@@ -719,7 +835,7 @@ class TestClosedFormResidue:
 
         y_expected = y_tables()[3][(5, (1, 2, 0, 0, 0))]
         z_expected = z_table()[(2, 2)][(2, 0)]
-        monkeypatch.setattr(relations, "_u_numerator", refuse("_u_numerator"))
+        monkeypatch.setattr(relations, "u_function", refuse("u_function"))
         monkeypatch.setattr(MultiPoly, "exact_divide", refuse("exact_divide"))
         for module in (relations, symmfunc):
             for name in ("to_power_sum_basis", "is_symmetric", "gauss_jordan"):
