@@ -310,6 +310,8 @@ def _key_text(n: int, key) -> str:
 def cmd_solve_c(args) -> int:
     if args.n < 2:
         raise UsageError("solve-c needs --n >= 2")
+    if args.check_bernoulli and args.n not in TABULATED_BERNOULLI_FREE_VALUES:
+        raise UsageError(f"tabulated free values cover n <= 5; got n = {args.n}")
     solution = solve_c_coefficients(args.n)
     relations = []
     for key in solution.key_order:
@@ -359,10 +361,6 @@ def cmd_solve_c(args) -> int:
         lines.append(f"{_key_text(args.n, key)} = " + " + ".join(parts).replace("+ -", "- "))
     exit_code = EXIT_OK
     if args.check_bernoulli:
-        if args.n not in TABULATED_BERNOULLI_FREE_VALUES:
-            raise UsageError(
-                f"tabulated free values cover n <= 5; got n = {args.n}"
-            )
         matches = bernoulli_reconstruction_check(args.n)
         document["bernoulli_check"] = {"n": args.n, "matches": matches}
         lines.append(

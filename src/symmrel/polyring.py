@@ -691,21 +691,21 @@ def ratfunc_combine(parts: Sequence) -> RationalFunction:
 
     ``parts`` is a sequence of (coefficient polynomial, RationalFunction);
     the result is sum(c_i * r_i) over the product of all denominators, fully
-    expanded, with no gcd reduction.
+    expanded, with no gcd reduction.  Part i is multiplied by the product of
+    the denominators before it, a running prefix product whose last entry is
+    the denominator, and by that of the denominators after it, a running
+    suffix product.
     """
-    if not parts:
-        return RationalFunction(MultiPoly.zero(), MultiPoly.one())
-    denominators = [rf.denominator for _, rf in parts]
+    prefix = [MultiPoly.one()]
+    for _, rf in parts:
+        prefix.append(prefix[-1] * rf.denominator)
     numerator = MultiPoly.zero()
-    for i, (coeff, rf) in enumerate(parts):
+    suffix = MultiPoly.one()
+    for i in range(len(parts) - 1, -1, -1):
+        coeff, rf = parts[i]
         if isinstance(coeff, (int, Fraction)):
             coeff = MultiPoly.constant(coeff)
-        term = coeff * rf.numerator
-        for j, den in enumerate(denominators):
-            if j != i:
-                term = term * den
-        numerator = numerator + term
-    denominator = MultiPoly.one()
-    for den in denominators:
-        denominator = denominator * den
-    return RationalFunction(numerator, denominator)
+        numerator = numerator + coeff * rf.numerator * (prefix[i] * suffix)
+        if i:
+            suffix = suffix * rf.denominator
+    return RationalFunction(numerator, prefix[-1])

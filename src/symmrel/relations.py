@@ -87,6 +87,13 @@ Extraction computes it in the power sums, with no x monomial:
 p_k(t, x_1 - t, ..., x_m - t) = t^k + sum_{r <= k} C(k, r) (-t)^(k-r) p_r
 (p_0 = m), and Newton's identities give h_d and, with e_i = 0 for i > m,
 every p_r (r > m) in p_1..p_m, where the residue is read off directly.
+Give p_r the weight r.  F is homogeneous of degree n in (t, x), so [t^e]F
+is exactly the part F_w of F of weight w = n - e, and the sum runs over
+w <= d = n - m: U_n|_{y=1} = (-1)^m sum_{w <= d} F_w h_{d-w}.  Each shifted
+p_k is held as its parts by weight, the part of weight r being
+C(k, r) (-1)^(k-r) p_r (with t^(k-r) implied), and each product of them
+keeps only its parts of weight <= d, so no part of F above weight d is
+formed.
 
 Sources: every accepted input becomes one ``_Source``, a single MultiPoly
 times the common denominator of its coefficients.  A registry family, the
@@ -103,7 +110,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, prod
 from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
@@ -732,36 +739,58 @@ def extract_y_basis(n: int, m: int, k: ExponentVector) -> PowerSumExpansion:
 
 
 def _y_one_residue(source: _Source, m: int) -> PowerSumExpansion:
-    """U_n at y = 1 for a symmetric source, as (-1)^m sum_{e >= m} [t^e]F(t)
-    h_{e-m}(x) with F(t) = S(t, x_1 - t, ..., x_m - t), held in p_1..p_m.
+    """U_n at y = 1 for a symmetric source, as (-1)^m sum_{w <= d} F_w h_(d-w)
+    with d = n - m and F_w the part of weight w of F(t) = S(t, x_1 - t, ...,
+    x_m - t), held in p_1..p_m.
 
-    F(t) is the source with p_k -> p_k(t, x_1 - t, ..., x_m - t).  y_1 stands
-    in for t, so it leads every monomial it is in (y < a < p).
+    F is homogeneous of degree n, so F_w = [t^(n-w)]F: each term's product
+    of shifted power sums is formed up to weight d, and the parts the closed
+    form drops are never built.
     """
-    t_var = VarId(KIND_Y, 1)
-    by_power: dict = {}
-    for mono, coeff in source.poly.substitute(_shifted_power_sums(m, source.top)).terms.items():
-        e = mono[0][1] if mono and mono[0][0] == t_var else 0
-        if e >= m:
-            by_power.setdefault(e, {})[mono[1:]] = coeff
+    d = source.n - m
+    powers: dict = {}  # (k, e) -> q_k^e up to weight d, for this source
+
+    def power(k: int, e: int) -> tuple:
+        if (k, e) not in powers:
+            q = _shifted_power_sum(k, m)[: d + 1]
+            powers[k, e] = q if e == 1 else _graded_product(power(k, e - 1), q, d)
+        return powers[k, e]
+
+    parts = [{} for _ in range(d + 1)]  # F_w, one accumulator per weight
+    for mono, coeff in source.poly.terms.items():
+        # The a_k sort before the p_k, so the coefficient's monomial is a prefix.
+        split = next(i for i, (v, _) in enumerate(mono) if v.kind == KIND_P)
+        factors = (power(v.index, e) for v, e in mono[split:])
+        graded = reduce(lambda f, g: _graded_product(f, g, d), factors)
+        for part, piece in zip(parts, graded):
+            for key, c in piece.terms.items():
+                key = mono[:split] + key
+                part[key] = part.get(key, 0) + coeff * c
     residue = sum(
-        (MultiPoly(terms) * _newton(e - m, 1, m) for e, terms in by_power.items()),
+        (MultiPoly(part) * _newton(d - w, 1, m) for w, part in enumerate(parts)),
         MultiPoly.zero(),
     )
-    return read_power_sums(residue * Fraction((-1) ** m, source.denominator), m, source.n - m)
+    return read_power_sums(residue * Fraction((-1) ** m, source.denominator), m, d)
+
+
+def _graded_product(f: tuple, g: tuple, d: int) -> tuple:
+    """The parts of weight 0..d of f * g, for f and g tuples of parts indexed by weight."""
+    out = []
+    for w in range(min(d + 1, len(f) + len(g) - 1)):
+        products = [f[i] * g[w - i] for i in range(max(0, w - len(g) + 1), min(w, len(f) - 1) + 1)]
+        out.append(sum(products[1:], products[0]))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _shifted_power_sums(m: int, top: int) -> MappingProxyType:
-    """p_k -> p_k(t, x_1 - t, ..., x_m - t) = t^k + sum_{r <= k} C(k, r) (-t)^(k-r) p_r
-    for k <= top, with p_0 = m, t = y_1 and each p_r written in p_1..p_m.
+def _shifted_power_sum(k: int, m: int) -> tuple:
+    """p_k(t, x_1 - t, ..., x_m - t) = t^k + sum_{r <= k} C(k, r) (-t)^(k-r) p_r
+    (p_0 = m) by weight: part r is C(k, r) (-1)^(k-r) p_r written in p_1..p_m,
+    part 0 is 1 + (-1)^k m, and part r carries t^(k-r), so t is left implicit.
     """
-    t = MultiPoly.y(1)
-    p = [MultiPoly.constant(m)] + [_power_sum_in(r, m) for r in range(1, top + 1)]
-    return MappingProxyType({
-        VarId(KIND_P, k): sum((comb(k, r) * (-t) ** (k - r) * p[r] for r in range(k + 1)), t**k)
-        for k in range(1, top + 1)
-    })
+    return (MultiPoly.constant(1 + (-1) ** k * m),) + tuple(
+        comb(k, r) * (-1) ** (k - r) * _power_sum_in(r, m) for r in range(1, k + 1)
+    )
 
 
 @lru_cache(maxsize=None)

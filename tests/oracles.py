@@ -3,6 +3,9 @@
 * :func:`complete_bell` / :func:`complete_bell_sequence` -- the complete Bell
   polynomials by their recurrence, independent of the closed form that
   ``families.bell_form`` uses;
+* :func:`untruncated_residue` -- the closed-form y = 1 residue in the power
+  sums with F(t) expanded in every power of t, against which the
+  weight-truncated ``relations._y_one_residue`` is checked;
 * :func:`x_variable_residue` -- the closed-form y = 1 residue computed in the
   x variables, (-1)^m sum_{e >= m} [t^e]F(t) h_{e-m}(x), and converted with
   ``to_power_sum_basis``, which checks symmetry and homogeneity on the way;
@@ -13,6 +16,9 @@
   and at y = 1 that numerator divided by pi(x) and each w_ij and converted
   with ``to_power_sum_basis``, against which the closed-form residue, the
   orbit-representative certificate and ``u_function`` are checked;
+* :func:`sequential_ratfunc_combine` -- rational functions combined over the
+  product denominator one product at a time, against which
+  ``polyring.ratfunc_combine`` is checked;
 * :func:`alternate` -- the full signed sum over S_m, against which the
   orbit-representative residual in ``relations._orbit_residual`` is checked;
 * :func:`euler_poly_at_zero` -- E_n(0) from the Bernoulli numbers by DLMF
@@ -30,9 +36,9 @@ from math import comb, prod
 from typing import NamedTuple, Sequence
 
 from symmrel.exactnum import bernoulli_numbers
-from symmrel.polyring import KIND_X, KIND_Y, MultiPoly, VarId
-from symmrel.relations import _symbolic_rows
-from symmrel.symmfunc import power_sum, to_power_sum_basis
+from symmrel.polyring import KIND_P, KIND_X, KIND_Y, MultiPoly, RationalFunction, VarId
+from symmrel.relations import _newton, _power_sum_in, _symbolic_rows
+from symmrel.symmfunc import power_sum, read_power_sums, to_power_sum_basis
 
 
 def complete_bell(n: int, b: Sequence):
@@ -64,6 +70,34 @@ def bell_family_polynomial(a: Sequence, scale, n: int, m: int) -> MultiPoly:
     """scale * B_n(a_1 p_1(x), ..., a_n p_n(x)) by the recurrence, in x_1..x_m."""
     value = scale * complete_bell(n, [a[k - 1] * power_sum(k, m) for k in range(1, n + 1)])
     return value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
+
+
+def untruncated_residue(source, m: int):
+    """U_n at y = 1 for a relations source held in the power sums, with F(t)
+    formed in full before the parts the closed form keeps are picked out.
+
+    F(t) is the source with p_k -> p_k(t, x_1 - t, ..., x_m - t) =
+    t^k + sum_{r <= k} C(k, r) (-t)^(k-r) p_r (p_0 = m, each p_r written in
+    p_1..p_m), y_1 standing in for t, so it leads every monomial it is in
+    (y < a < p).  The [t^e]F with e >= m are kept and multiplied by h_(e-m).
+    """
+    t_var = VarId(KIND_Y, 1)
+    t = MultiPoly.variable(t_var)
+    p = [MultiPoly.constant(m)] + [_power_sum_in(r, m) for r in range(1, source.top + 1)]
+    shifted = {
+        VarId(KIND_P, k): sum((comb(k, r) * (-t) ** (k - r) * p[r] for r in range(k + 1)), t**k)
+        for k in range(1, source.top + 1)
+    }
+    by_power: dict = {}
+    for mono, coeff in source.poly.substitute(shifted).terms.items():
+        e = mono[0][1] if mono and mono[0][0] == t_var else 0
+        if e >= m:
+            by_power.setdefault(e, {})[mono[1:]] = coeff
+    residue = sum(
+        (MultiPoly(terms) * _newton(e - m, 1, m) for e, terms in by_power.items()),
+        MultiPoly.zero(),
+    )
+    return read_power_sums(residue * Fraction((-1) ** m, source.denominator), m, source.n - m)
 
 
 def x_variable_residue(source, m: int):
@@ -153,6 +187,21 @@ def lcd_residue(source, m: int):
     for divisor in (frame.pi_x, *frame.pairs):
         quotient = quotient.exact_divide(divisor)
     return to_power_sum_basis(quotient, m, max_part=m, weight=source.n - m)
+
+
+def sequential_ratfunc_combine(parts: Sequence) -> RationalFunction:
+    """sum(c_i * r_i) over the product of all denominators, each part
+    multiplied by every other denominator in turn."""
+    denominators = [rf.denominator for _, rf in parts]
+    numerator = MultiPoly.zero()
+    for i, (coeff, rf) in enumerate(parts):
+        term = MultiPoly.constant(coeff) if isinstance(coeff, (int, Fraction)) else coeff
+        term = term * rf.numerator
+        for j, den in enumerate(denominators):
+            if j != i:
+                term = term * den
+        numerator = numerator + term
+    return RationalFunction(numerator, prod(denominators, start=MultiPoly.one()))
 
 
 def alternate(poly: MultiPoly, m: int) -> MultiPoly:

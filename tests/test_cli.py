@@ -1,14 +1,18 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from symmrel import cli
 from symmrel.cli import main
 from symmrel.polyring import get_term_cap, set_term_cap
 from symmrel.relations import PRESCREEN_MAX_POINTS, extract_y_basis, extract_z
 from symmrel.solver import solve_c_coefficients
+
+from reference_tables import C_RELATIONS, z_table
 
 
 @pytest.fixture(autouse=True)
@@ -286,7 +290,11 @@ class TestTableCommand:
         assert json.dumps(document, indent=2, sort_keys=False) == out.rstrip("\n")
 
 
-@pytest.mark.parametrize("argv", [("table", "Z", "--n", "1", "--m", "2"), ("solve-c", "--n", "3")])
+# The smallest Z table at m = 2 and the smallest C system whose residues form
+# a product of more than 5 term pairs even when the shifted power sums, p_r
+# in p_1..p_m and h_d they share are already cached (in a fresh process
+# solve-c meets the cap from n = 6, while it builds those).
+@pytest.mark.parametrize("argv", [("table", "Z", "--n", "2", "--m", "2"), ("solve-c", "--n", "8")])
 def test_term_cap_during_extraction(capsys, argv):
     # Earlier runs may have cached these residues; the cap must meet real work.
     clear_caches()
@@ -294,6 +302,28 @@ def test_term_cap_during_extraction(capsys, argv):
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("resource cap: ")
+
+
+def test_small_extractions_fit_the_term_cap(capsys):
+    # Extraction forms only the parts of weight <= n - m, so these run under
+    # a cap of 5 and give the tabulated values.
+    clear_caches()
+    code, out, err = run_cli(capsys, "--term-cap", "5", "--format", "json", "table", "Z", "--n", "1", "--m", "2")
+    assert (code, err) == (0, "")
+    (entry,) = json.loads(out)["entries"]
+    assert entry == {"key": [1], "coeff": str(z_table()[1, 2][(1,)])}
+
+    clear_caches()
+    code, out, err = run_cli(capsys, "--term-cap", "5", "--format", "json", "solve-c", "--n", "3")
+    assert (code, err) == (0, "")
+    document = json.loads(out)
+    free, dependent = C_RELATIONS[3]
+    assert [tuple(k) for k in document["free_keys"]] == list(free)
+    got = {
+        tuple(r["key"]): {tuple(t["free"]): Fraction(t["coeff"]) for t in r["terms"]}
+        for r in document["relations"]
+    }
+    assert got == dependent
 
 
 class TestSolveCCommand:
@@ -318,6 +348,16 @@ class TestSolveCCommand:
     def test_precondition(self, capsys):
         code, _, err = run_cli(capsys, "solve-c", "--n", "1")
         assert code == 2
+
+    def test_untabulated_bernoulli_check_is_refused_before_solving(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"solve_c_coefficients({n}) called for a usage error")
+
+        monkeypatch.setattr(cli, "solve_c_coefficients", refuse)
+        code, out, err = run_cli(capsys, "solve-c", "--n", "10", "--check-bernoulli")
+        assert code == 2
+        assert out == ""
+        assert err == "error: tabulated free values cover n <= 5; got n = 10\n"
 
 
 class TestBernoulliRelationsCommand:

@@ -6,9 +6,12 @@ holds for every family at five variables up to n = 8, and for the symbolic
 family at four and five variables up to n = m + 3; and the C system is
 solvable at n = 8.  These checks are exact: both relations are decided on
 orbit representatives of one alternant, the residue relation with the
-closed-form residue as its certificate.  Together they take about 14 s on a
-2-vCPU x86-64 host (the n = 8 C system about half of it, the residue sweeps
-about 1 s), so they only run when SYMMREL_LARGE_TESTS is set:
+closed-form residue as its certificate.  The weight-truncated residue is
+also checked against the untruncated form on the Z tables at (6, 6) and
+(8, 4) and on every row of the n = 9 C system.  Together they take about
+16 s on a 2-vCPU x86-64 host (the n = 8 C system about half of it, the
+residue sweeps and the untruncated-form checks about 1 s each), so they only
+run when SYMMREL_LARGE_TESTS is set:
 
     SYMMREL_LARGE_TESTS=1 pytest tests/test_large_range.py -s
 """
@@ -17,9 +20,14 @@ import os
 
 import pytest
 
-from symmrel.families import FAMILY_NAMES
-from symmrel.relations import verify_conjecture1, verify_conjecture2
+from fractions import Fraction
 
+from symmrel.families import FAMILY_NAMES
+from symmrel.partitions import exponent_vectors
+from symmrel.relations import _make_source, extract_z, verify_conjecture1, verify_conjecture2
+from symmrel.solver import residue_system
+
+from oracles import untruncated_residue
 from test_solver import assert_bernoulli_satisfies_relations
 
 pytestmark = pytest.mark.skipif(
@@ -66,3 +74,22 @@ def test_symbolic_residue_relation(m):
 
 def test_c_system_degree_eight():
     assert_bernoulli_satisfies_relations(8)
+
+
+@pytest.mark.parametrize("n, m", [(6, 6), (8, 4)])
+def test_z_table_against_untruncated_form(n, m):
+    expected = untruncated_residue(_make_source("symbolic", n + m), m)
+    z = extract_z(n, m)
+    for key in exponent_vectors(n, n):
+        assert z.coefficient(key) == expected.coefficient(key), (n, m, key)
+
+
+def test_residue_system_against_untruncated_form():
+    n = 9
+    rows, keys = residue_system(n)
+    expected = []
+    for m in range(2, n + 1):
+        residues = [untruncated_residue(_make_source(k, n), m) for k in keys]
+        for basis_key in exponent_vectors(n - m, m):
+            expected.append([Fraction(r.coefficient(basis_key)) for r in residues])
+    assert rows == expected

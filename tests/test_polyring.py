@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmrel import polyring
+from symmrel import polyring, relations
 from symmrel.families import family_polynomial
 from symmrel.polyring import (
     KIND_A,
@@ -21,6 +21,8 @@ from symmrel.polyring import (
     set_term_cap,
 )
 from symmrel.relations import _symbolic_rows
+
+from oracles import sequential_ratfunc_combine
 
 x1, x2, x3 = MultiPoly.x(1), MultiPoly.x(2), MultiPoly.x(3)
 y1, y2 = MultiPoly.y(1), MultiPoly.y(2)
@@ -276,6 +278,27 @@ class TestRationalFunctions:
             (-y2, RationalFunction(MultiPoly.one(), x2 * (-w))),
         ]
         assert ratfunc_combine(parts).is_zero()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_sequential_products(self, monkeypatch, m):
+        # The parts u_function combines for a raw polynomial that is not
+        # symmetric, at y = 1 and, where n <= m - 1, at general y.
+        xs = [MultiPoly.x(j) for j in range(1, m + 1)]
+        s_poly = xs[0] ** 2 - xs[0] * xs[-1] / 3 + 2 * xs[-1] ** 2
+        seen = []
+
+        def spy(parts):
+            seen.append(parts)
+            return ratfunc_combine(parts)
+
+        monkeypatch.setattr(relations, "ratfunc_combine", spy)
+        relations.u_function(s_poly, 2, m, specialize_y=True)
+        if m >= 3:
+            relations.u_function(s_poly, 2, m)
+        assert len(seen) == (2 if m >= 3 else 1)
+        for parts in seen:
+            assert len(parts) == m + 1
+            assert ratfunc_combine(parts) == sequential_ratfunc_combine(parts)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symmrel import relations, symmfunc
 from symmrel.families import (
@@ -13,7 +15,7 @@ from symmrel.families import (
     symbolic_family_polynomial,
 )
 from symmrel.partitions import exponent_vectors
-from symmrel.polyring import KIND_A, KIND_X, KIND_Y, MultiPoly, VarId
+from symmrel.polyring import KIND_A, KIND_P, KIND_X, KIND_Y, MultiPoly, VarId
 from symmrel.relations import (
     PreconditionError,
     PRESCREEN_MAX_POINTS,
@@ -47,6 +49,7 @@ from oracles import (
     lcd_frame,
     lcd_numerator,
     lcd_residue,
+    untruncated_residue,
     x_variable_residue,
 )
 from reference_tables import y_tables, z_table, Z3_FLAGGED_KEY, z3_flagged_printed
@@ -822,6 +825,75 @@ class TestClosedFormResidue:
                 expected = lcd_residue(_make_source(name, n), m)
                 assert _y_one_residue(_make_source(name, n), m) == expected, (n, m)
                 assert verify_conjecture2(name, n, m).extracted == expected, (n, m)
+
+    def test_truncation_matches_untruncated_form(self):
+        def check(source, m):
+            got = _y_one_residue(source, m)
+            expected = untruncated_residue(source, m)
+            assert got == expected, (source.label, source.n, m)
+            for key, c in got.coefficients.items():
+                assert type(c) is type(expected.coefficients[key]), (source.label, m, key)
+            assert list(got.coefficients) == list(expected.coefficients)
+
+        count = 0
+        for n in range(1, 9):
+            for m in range(1, n + 1):
+                for key in exponent_vectors(n, n):
+                    check(_make_source(key, n), m)
+                    count += 1
+        assert count == 416
+        for m in range(2, 5):
+            for n in range(m, m + 5):
+                check(_make_source("symbolic", n), m)
+        for name in FAMILY_NAMES:
+            for m in range(1, 5):
+                for n in range(m, m + 5):
+                    check(_make_source(name, n), m)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_expansion_sources_with_large_parts(self, data):
+        # Rational combinations of power-sum keys, some with parts above m.
+        n = data.draw(st.integers(2, 8), label="n")
+        m = data.draw(st.integers(1, n - 1), label="m")
+        pool = [key for key in exponent_vectors(n, n) if any(key[m:])]
+        keys = data.draw(st.lists(st.sampled_from(exponent_vectors(n, n)), max_size=4), label="keys")
+        keys.append(data.draw(st.sampled_from(pool), label="large"))
+        coefficients = {
+            key: data.draw(st.fractions(-20, 20, max_denominator=9), label=str(key)) for key in keys
+        }
+        source = _make_source(PowerSumExpansion(n, n, coefficients), n)
+        assert _y_one_residue(source, m) == untruncated_residue(source, m)
+
+    @pytest.mark.parametrize("spec, n, m", [
+        ((0, 0, 0, 0, 0, 0, 0, 1), 8, 3),
+        ((8,) + (0,) * 7, 8, 5),
+        ((0, 1, 1, 0, 1, 0, 0, 0, 0, 0), 10, 4),
+        ("symbolic", 7, 3),
+        ("bernoulli", 8, 2),
+    ])
+    def test_no_product_forms_a_discarded_part(self, monkeypatch, spec, n, m):
+        # Every product inside the extraction returns terms of p-weight at
+        # most d = n - m.  The cached shifted power sums, p_r in p_1..p_m and
+        # h_d are built by a first call, whose products may be heavier.
+        source = _make_source(spec, n)
+        expected = _y_one_residue(source, m)
+        d = n - m
+        weights = []
+        multiply = MultiPoly.__mul__
+
+        def spy(a, b):
+            out = multiply(a, b)
+            if isinstance(b, MultiPoly):
+                weights.extend(
+                    sum(v.index * e for v, e in mono if v.kind == KIND_P) for mono in out.terms
+                )
+            return out
+
+        monkeypatch.setattr(MultiPoly, "__mul__", spy)
+        monkeypatch.setattr(MultiPoly, "__rmul__", spy)
+        assert _y_one_residue(source, m) == expected
+        assert weights and max(weights) <= d, (max(weights), d)
 
     def test_extraction_does_not_expand_the_numerator(self, monkeypatch):
         calls = []
