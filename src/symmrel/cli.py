@@ -406,17 +406,6 @@ def cmd_bernoulli_relations(args) -> int:
 # families
 # ---------------------------------------------------------------------------
 
-_FAMILY_NOTES = {
-    "legendre": "a_2k from the even log-derivatives of J_0; odd a_k vanish",
-    "laguerre": "a_k = (k-1)!, normalization 1/n!",
-    "hermite": "a_2 = -2, all other a_k = 0",
-    "fibonacci": "a_2k = 2*(2k-1)!, odd a_k vanish, normalization 1/n!",
-    "bernoulli": "a_k = (-1)^(k-1) B_k / k",
-    "t": "a_k = (-1)^k B_k / k",
-    "euler": "a_1 = -1/2, a_k = E_(k-1)(0) / 2",
-    "bell": "a_k = 1",
-}
-
 
 def cmd_families(args) -> int:
     rows = []
@@ -426,7 +415,7 @@ def cmd_families(args) -> int:
             {
                 "name": name,
                 "generating_function": spec.gf_note,
-                "coefficients": _FAMILY_NOTES[name],
+                "coefficients": spec.a_note,
                 "s_0": format_rational(spec.s0),
                 "a_1..a_6": [format_rational(v) for v in spec.coefficients(6)],
             }

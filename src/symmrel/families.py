@@ -59,6 +59,7 @@ class FamilySpec:
     b_norm: Callable[[int], Fraction]
     s0: Fraction
     gf_note: str
+    a_note: str  # the coefficient stream, as ``symmrel families`` prints it
 
     def coefficients(self, up_to: int) -> list[Fraction]:
         if up_to < 1:
@@ -111,14 +112,22 @@ _inv_factorial = lambda n: Fraction(1, factorial(n))
 _REGISTRY = {
     spec.name: spec
     for spec in (
-        FamilySpec("legendre", _legendre_a, _one, Fraction(0), "e^(s*t) * J_0(t*sqrt(1-s^2))"),
-        FamilySpec("laguerre", lambda k: Fraction(factorial(k - 1)), _inv_factorial, Fraction(0), "e^(-t*s/(1-t)) / (1-t)"),
-        FamilySpec("hermite", lambda k: Fraction(-2) if k == 2 else Fraction(0), _one, Fraction(0), "e^(2*s*t - t^2)"),
-        FamilySpec("fibonacci", _fibonacci_a, _inv_factorial, Fraction(0), "1 / (1 - x*t - t^2)"),
-        FamilySpec("bernoulli", _bernoulli_a, _one, Fraction(0), "t * e^(s*t) / (e^t - 1)"),
-        FamilySpec("t", _t_a, _one, Fraction(0), "(e^t - 1) / (t * e^(s*t))"),
-        FamilySpec("euler", _euler_a, _one, Fraction(0), "2 * e^(s*t) / (e^t + 1)"),
-        FamilySpec("bell", _one, _one, Fraction(1), "e^((e^t - 1)*s)"),
+        FamilySpec("legendre", _legendre_a, _one, Fraction(0), "e^(s*t) * J_0(t*sqrt(1-s^2))",
+                   "a_2k from the even log-derivatives of J_0; odd a_k vanish"),
+        FamilySpec("laguerre", lambda k: Fraction(factorial(k - 1)), _inv_factorial, Fraction(0), "e^(-t*s/(1-t)) / (1-t)",
+                   "a_k = (k-1)!, normalization 1/n!"),
+        FamilySpec("hermite", lambda k: Fraction(-2) if k == 2 else Fraction(0), _one, Fraction(0), "e^(2*s*t - t^2)",
+                   "a_2 = -2, all other a_k = 0"),
+        FamilySpec("fibonacci", _fibonacci_a, _inv_factorial, Fraction(0), "1 / (1 - x*t - t^2)",
+                   "a_2k = 2*(2k-1)!, odd a_k vanish, normalization 1/n!"),
+        FamilySpec("bernoulli", _bernoulli_a, _one, Fraction(0), "t * e^(s*t) / (e^t - 1)",
+                   "a_k = (-1)^(k-1) B_k / k"),
+        FamilySpec("t", _t_a, _one, Fraction(0), "(e^t - 1) / (t * e^(s*t))",
+                   "a_k = (-1)^k B_k / k"),
+        FamilySpec("euler", _euler_a, _one, Fraction(0), "2 * e^(s*t) / (e^t + 1)",
+                   "a_1 = -1/2, a_k = E_(k-1)(0) / 2"),
+        FamilySpec("bell", _one, _one, Fraction(1), "e^((e^t - 1)*s)",
+                   "a_k = 1"),
     )
 }
 

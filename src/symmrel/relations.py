@@ -85,15 +85,17 @@ cancels V(x), and t^(e-1) gives h_{e-m}(x) (Macdonald 1995, I.2-I.3):
 U_n|_{y=1} = (-1)^m sum_{e >= m} [t^e]F(t) h_{e-m}(x), with no division.
 Extraction computes it in the power sums, with no x monomial:
 p_k(t, x_1 - t, ..., x_m - t) = t^k + sum_{r <= k} C(k, r) (-t)^(k-r) p_r
-(p_0 = m), and Newton's identities give h_d and, with e_i = 0 for i > m,
-every p_r (r > m) in p_1..p_m, where the residue is read off directly.
-Give p_r the weight r.  F is homogeneous of degree n in (t, x), so [t^e]F
-is exactly the part F_w of F of weight w = n - e, and the sum runs over
-w <= d = n - m: U_n|_{y=1} = (-1)^m sum_{w <= d} F_w h_{d-w}.  Each shifted
-p_k is held as its parts by weight, the part of weight r being
-C(k, r) (-1)^(k-r) p_r (with t^(k-r) implied), and each product of them
-keeps only its parts of weight <= d, so no part of F above weight d is
-formed.
+(p_0 = m).  Give p_r the weight r, read off a monomial's exponents.  F is
+homogeneous of degree n in (t, x), so [t^e]F is its part F_w of weight
+w = n - e, t stays implicit, and U_n|_{y=1} = (-1)^m sum_{w <= d} F_w h_{d-w}
+with d = n - m.  Each shifted p_k is one polynomial of its terms of weight
+<= d, and each product drops its terms above d, so no factor is heavier
+than d; terms are split by weight only for the products with h_{d-w}.
+``_newton_tables(m, d)``, cached per (m, d), gives h_0..h_d and p_0..p_d in
+p_1..p_m (e_i = 0 for i > m), where the residue is read off directly.  On
+every case the tests check, no product of the tables is larger than the
+largest of a residue that uses them, so a term cap gives the same verdict
+whether or not they were built before.
 
 Sources: every accepted input becomes one ``_Source``, a single MultiPoly
 times the common denominator of its coefficients.  A registry family, the
@@ -743,75 +745,71 @@ def _y_one_residue(source: _Source, m: int) -> PowerSumExpansion:
     with d = n - m and F_w the part of weight w of F(t) = S(t, x_1 - t, ...,
     x_m - t), held in p_1..p_m.
 
-    F is homogeneous of degree n, so F_w = [t^(n-w)]F: each term's product
-    of shifted power sums is formed up to weight d, and the parts the closed
-    form drops are never built.
+    F is homogeneous of degree n, so F_w = [t^(n-w)]F: each shifted power
+    sum is held up to weight d, and each product drops its terms above
+    weight d, so no factor of a product is heavier than d.
     """
     d = source.n - m
+    p, h = _newton_tables(m, d)
     powers: dict = {}  # (k, e) -> q_k^e up to weight d, for this source
 
-    def power(k: int, e: int) -> tuple:
+    def product(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+        # Any subset of a product's terms is canonical as it stands.
+        kept = {mono: c for mono, c in (f * g).terms.items() if _weight(mono) <= d}
+        return MultiPoly._raw(kept)
+
+    def power(k: int, e: int) -> MultiPoly:
         if (k, e) not in powers:
-            q = _shifted_power_sum(k, m)[: d + 1]
-            powers[k, e] = q if e == 1 else _graded_product(power(k, e - 1), q, d)
+            if e == 1:
+                # t^k + sum_{r <= k} C(k, r) (-t)^(k-r) p_r with t implicit, up to weight d.
+                shifted = (comb(k, r) * (-1) ** (k - r) * p[r] for r in range(1, min(k, d) + 1))
+                powers[k, e] = sum(shifted, MultiPoly.constant(1 + (-1) ** k * m))
+            else:
+                powers[k, e] = product(power(k, e - 1), power(k, 1))
         return powers[k, e]
 
-    parts = [{} for _ in range(d + 1)]  # F_w, one accumulator per weight
+    total: dict = {}
     for mono, coeff in source.poly.terms.items():
         # The a_k sort before the p_k, so the coefficient's monomial is a prefix.
         split = next(i for i, (v, _) in enumerate(mono) if v.kind == KIND_P)
         factors = (power(v.index, e) for v, e in mono[split:])
-        graded = reduce(lambda f, g: _graded_product(f, g, d), factors)
-        for part, piece in zip(parts, graded):
-            for key, c in piece.terms.items():
-                key = mono[:split] + key
-                part[key] = part.get(key, 0) + coeff * c
+        for key, c in reduce(product, factors).terms.items():
+            key = mono[:split] + key
+            total[key] = total.get(key, 0) + coeff * c
+    parts = [{} for _ in range(d + 1)]  # F_w, by the weight of each term
+    for key, c in total.items():
+        parts[_weight(key)][key] = c
     residue = sum(
-        (MultiPoly(part) * _newton(d - w, 1, m) for w, part in enumerate(parts)),
-        MultiPoly.zero(),
+        (MultiPoly(part) * h[d - w] for w, part in enumerate(parts)), MultiPoly.zero()
     )
     return read_power_sums(residue * Fraction((-1) ** m, source.denominator), m, d)
 
 
-def _graded_product(f: tuple, g: tuple, d: int) -> tuple:
-    """The parts of weight 0..d of f * g, for f and g tuples of parts indexed by weight."""
-    out = []
-    for w in range(min(d + 1, len(f) + len(g) - 1)):
-        products = [f[i] * g[w - i] for i in range(max(0, w - len(g) + 1), min(w, len(f) - 1) + 1)]
-        out.append(sum(products[1:], products[0]))
-    return tuple(out)
+def _weight(mono) -> int:
+    """The power-sum weight of a monomial: r * e summed over its factors p_r^e."""
+    return sum(v.index * e for v, e in mono if v.kind == KIND_P)
 
 
 @lru_cache(maxsize=None)
-def _shifted_power_sum(k: int, m: int) -> tuple:
-    """p_k(t, x_1 - t, ..., x_m - t) = t^k + sum_{r <= k} C(k, r) (-t)^(k-r) p_r
-    (p_0 = m) by weight: part r is C(k, r) (-1)^(k-r) p_r written in p_1..p_m,
-    part 0 is 1 + (-1)^k m, and part r carries t^(k-r), so t is left implicit.
+def _newton_tables(m: int, d: int) -> tuple:
+    """(p, h): p_0..p_d of m variables written in p_1..p_m (p_0 = m), and
+    h_0..h_d, by Newton's identities (Macdonald 1995, I.2):
+    i e_i = sum_{j <= i} (-1)^(j-1) p_j e_(i-j) for i <= min(m, d),
+    p_r = sum_{i <= m} (-1)^(i-1) e_i p_(r-i) for r > m (e_i = 0 for i > m),
+    and j h_j = sum_{i <= j} p_i h_(j-i).  No product is above weight d.
     """
-    return (MultiPoly.constant(1 + (-1) ** k * m),) + tuple(
-        comb(k, r) * (-1) ** (k - r) * _power_sum_in(r, m) for r in range(1, k + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _newton(d: int, sign: int, m: int) -> MultiPoly:
-    """h_d (sign 1) or e_d (sign -1) of m variables in p_1..p_m, by Newton's
-    identity d * f_d = sum_{i <= d} sign^(i-1) p_i f_{d-i} (Macdonald 1995, I.2).
-    """
-    if d == 0:
-        return MultiPoly.one()
-    terms = (
-        sign ** (i - 1) * _power_sum_in(i, m) * _newton(d - i, sign, m) for i in range(1, d + 1)
-    )
-    return sum(terms, MultiPoly.zero()) / d
-
-
-@lru_cache(maxsize=None)
-def _power_sum_in(r: int, m: int) -> MultiPoly:
-    """p_r of m variables in p_1..p_m: for r > m, Newton's identity with e_i = 0
-    for i > m gives p_r = sum_{i <= m} (-1)^(i-1) e_i p_{r-i}.
-    """
-    if r <= m:
-        return MultiPoly.p(r)
-    terms = ((-1) ** (i - 1) * _newton(i, -1, m) * _power_sum_in(r - i, m) for i in range(1, m + 1))
-    return sum(terms, MultiPoly.zero())
+    zero = MultiPoly.zero()
+    p = [MultiPoly.constant(m)]
+    e = [MultiPoly.one()]
+    for r in range(1, d + 1):
+        if r <= m:
+            p.append(MultiPoly.p(r))
+            terms = ((-1) ** (j - 1) * p[j] * e[r - j] for j in range(1, r + 1))
+            e.append(sum(terms, zero) / r)
+        else:
+            terms = ((-1) ** (i - 1) * e[i] * p[r - i] for i in range(1, m + 1))
+            p.append(sum(terms, zero))
+    h = [MultiPoly.one()]
+    for j in range(1, d + 1):
+        h.append(sum((p[i] * h[j - i] for i in range(1, j + 1)), zero) / j)
+    return tuple(p), tuple(h)

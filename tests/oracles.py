@@ -5,7 +5,9 @@
   ``families.bell_form`` uses;
 * :func:`untruncated_residue` -- the closed-form y = 1 residue in the power
   sums with F(t) expanded in every power of t, against which the
-  weight-truncated ``relations._y_one_residue`` is checked;
+  weight-truncated ``relations._y_one_residue`` is checked, with its own
+  Newton recursion for p_r, e_i and h_d in p_1..p_m (:func:`power_sum_in`,
+  :func:`elementary_in`, :func:`complete_homogeneous_in`);
 * :func:`x_variable_residue` -- the closed-form y = 1 residue computed in the
   x variables, (-1)^m sum_{e >= m} [t^e]F(t) h_{e-m}(x), and converted with
   ``to_power_sum_basis``, which checks symmetry and homogeneity on the way;
@@ -37,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 from symmrel.exactnum import bernoulli_numbers
 from symmrel.polyring import KIND_P, KIND_X, KIND_Y, MultiPoly, RationalFunction, VarId
-from symmrel.relations import _newton, _power_sum_in, _symbolic_rows
+from symmrel.relations import _symbolic_rows
 from symmrel.symmfunc import power_sum, read_power_sums, to_power_sum_basis
 
 
@@ -83,7 +85,7 @@ def untruncated_residue(source, m: int):
     """
     t_var = VarId(KIND_Y, 1)
     t = MultiPoly.variable(t_var)
-    p = [MultiPoly.constant(m)] + [_power_sum_in(r, m) for r in range(1, source.top + 1)]
+    p = [MultiPoly.constant(m)] + [power_sum_in(r, m) for r in range(1, source.top + 1)]
     shifted = {
         VarId(KIND_P, k): sum((comb(k, r) * (-t) ** (k - r) * p[r] for r in range(k + 1)), t**k)
         for k in range(1, source.top + 1)
@@ -94,10 +96,42 @@ def untruncated_residue(source, m: int):
         if e >= m:
             by_power.setdefault(e, {})[mono[1:]] = coeff
     residue = sum(
-        (MultiPoly(terms) * _newton(e - m, 1, m) for e, terms in by_power.items()),
+        (MultiPoly(terms) * complete_homogeneous_in(e - m, m) for e, terms in by_power.items()),
         MultiPoly.zero(),
     )
     return read_power_sums(residue * Fraction((-1) ** m, source.denominator), m, source.n - m)
+
+
+@lru_cache(maxsize=None)
+def elementary_in(i: int, m: int) -> MultiPoly:
+    """e_i in p_1..p_m for i <= m, from i * e_i = sum_{j <= i} (-1)^(j-1) p_j e_(i-j)."""
+    if i == 0:
+        return MultiPoly.one()
+    terms = (
+        (-1) ** (j - 1) * power_sum_in(j, m) * elementary_in(i - j, m) for j in range(1, i + 1)
+    )
+    return sum(terms, MultiPoly.zero()) / i
+
+
+@lru_cache(maxsize=None)
+def power_sum_in(r: int, m: int) -> MultiPoly:
+    """p_r of m variables in p_1..p_m (r >= 1): for r > m, Newton's identity
+    with e_i = 0 for i > m gives p_r = sum_{i <= m} (-1)^(i-1) e_i p_(r-i)."""
+    if r <= m:
+        return MultiPoly.p(r)
+    terms = (
+        (-1) ** (i - 1) * elementary_in(i, m) * power_sum_in(r - i, m) for i in range(1, m + 1)
+    )
+    return sum(terms, MultiPoly.zero())
+
+
+@lru_cache(maxsize=None)
+def complete_homogeneous_in(d: int, m: int) -> MultiPoly:
+    """h_d of m variables in p_1..p_m, from d * h_d = sum_{i <= d} p_i h_(d-i)."""
+    if d == 0:
+        return MultiPoly.one()
+    terms = (power_sum_in(i, m) * complete_homogeneous_in(d - i, m) for i in range(1, d + 1))
+    return sum(terms, MultiPoly.zero()) / d
 
 
 def x_variable_residue(source, m: int):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from symmrel import cli
+from symmrel import cli, exactnum, families, partitions, polyring, relations, solver, symmfunc
 from symmrel.cli import main
 from symmrel.polyring import get_term_cap, set_term_cap
 from symmrel.relations import PRESCREEN_MAX_POINTS, extract_y_basis, extract_z
@@ -291,10 +291,8 @@ class TestTableCommand:
 
 
 # The smallest Z table at m = 2 and the smallest C system whose residues form
-# a product of more than 5 term pairs even when the shifted power sums, p_r
-# in p_1..p_m and h_d they share are already cached (in a fresh process
-# solve-c meets the cap from n = 6, while it builds those).
-@pytest.mark.parametrize("argv", [("table", "Z", "--n", "2", "--m", "2"), ("solve-c", "--n", "8")])
+# a product of more than 5 term pairs.
+@pytest.mark.parametrize("argv", [("table", "Z", "--n", "2", "--m", "2"), ("solve-c", "--n", "4")])
 def test_term_cap_during_extraction(capsys, argv):
     # Earlier runs may have cached these residues; the cap must meet real work.
     clear_caches()
@@ -304,9 +302,45 @@ def test_term_cap_during_extraction(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("resource cap: ")
 
 
+_CAP_GRID = [("solve-c", "--n", str(n)) for n in range(3, 9)] + [
+    ("table", "Z", "--n", str(n), "--m", str(m)) for n in range(5) for m in range(2, 5)
+]
+
+
+def clear_every_cache():
+    """Forget everything the library caches, residues and the tables under them."""
+    for module in (exactnum, families, partitions, polyring, relations, solver, symmfunc):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def test_term_cap_verdicts_do_not_depend_on_earlier_runs(capsys):
+    cap = get_term_cap()
+
+    def exit_codes(clear):
+        codes = []
+        for limit in ("5", "10", "20", "50"):
+            for argv in _CAP_GRID:
+                clear()
+                codes.append(run_cli(capsys, "--term-cap", limit, *argv)[0])
+        set_term_cap(cap)
+        return codes
+
+    cold = exit_codes(clear_every_cache)
+    assert set(cold) == {0, 3}
+    # Warm every cache the grid could use, then forget only the residues.
+    for n in range(2, 10):
+        solver.residue_system(n)
+    for n in range(6):
+        for m in range(2, 6):
+            extract_z(n, m)
+    assert exit_codes(clear_caches) == cold
+
+
 def test_small_extractions_fit_the_term_cap(capsys):
-    # Extraction forms only the parts of weight <= n - m, so these run under
-    # a cap of 5 and give the tabulated values.
+    # Extraction multiplies no factor of weight above n - m, so these run
+    # under a cap of 5 and give the tabulated values.
     clear_caches()
     code, out, err = run_cli(capsys, "--term-cap", "5", "--format", "json", "table", "Z", "--n", "1", "--m", "2")
     assert (code, err) == (0, "")

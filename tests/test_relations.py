@@ -21,6 +21,7 @@ from symmrel.relations import (
     PRESCREEN_MAX_POINTS,
     _alternant_term,
     _make_source,
+    _newton_tables,
     _orbit_residual,
     _point,
     _random_point,
@@ -28,6 +29,7 @@ from symmrel.relations import (
     _samples,
     _symbolic_rows,
     _u_at,
+    _weight,
     _y_one_residue,
     build_s_matrix,
     extract_y_basis,
@@ -46,6 +48,7 @@ from symmrel.symmfunc import (
 from oracles import (
     alternate,
     bell_family_polynomial,
+    complete_homogeneous,
     lcd_frame,
     lcd_numerator,
     lcd_residue,
@@ -873,27 +876,77 @@ class TestClosedFormResidue:
         ("bernoulli", 8, 2),
     ])
     def test_no_product_forms_a_discarded_part(self, monkeypatch, spec, n, m):
-        # Every product inside the extraction returns terms of p-weight at
-        # most d = n - m.  The cached shifted power sums, p_r in p_1..p_m and
-        # h_d are built by a first call, whose products may be heavier.
+        # Both factors of every product inside the extraction, the Newton
+        # tables' included, have p-weight at most d = n - m.
         source = _make_source(spec, n)
-        expected = _y_one_residue(source, m)
         d = n - m
-        weights = []
+        heaviest = []
         multiply = MultiPoly.__mul__
 
         def spy(a, b):
-            out = multiply(a, b)
             if isinstance(b, MultiPoly):
-                weights.extend(
-                    sum(v.index * e for v, e in mono if v.kind == KIND_P) for mono in out.terms
-                )
-            return out
+                heaviest.append(max((_weight(mono) for f in (a, b) for mono in f.terms), default=0))
+            return multiply(a, b)
+
+        def weighed(run):
+            heaviest.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(MultiPoly, "__mul__", spy)
+                patch.setattr(MultiPoly, "__rmul__", spy)
+                result = run()
+            return result, max(heaviest)
+
+        _newton_tables.cache_clear()
+        got, got_heaviest = weighed(lambda: _y_one_residue(source, m))
+        expected, untruncated_heaviest = weighed(lambda: untruncated_residue(source, m))
+        assert got == expected
+        assert got_heaviest <= d, (got_heaviest, d)
+        # Negative control: the untruncated form multiplies heavier factors
+        # except where every factor of p_2 p_3 p_5 stays within d = 6.
+        assert (untruncated_heaviest > d) == (spec != (0, 1, 1, 0, 1, 0, 0, 0, 0, 0)), (
+            untruncated_heaviest, d
+        )
+
+    def test_newton_tables(self):
+        # p_r and h_j in p_1..p_m, written out in x_1..x_m.
+        for m in range(1, 6):
+            p, h = _newton_tables(m, 8)
+            assert p[0] == MultiPoly.constant(m)
+            sums = {VarId(KIND_P, k): power_sum(k, m) for k in range(1, m + 1)}
+            for r in range(1, 9):
+                assert p[r].substitute(sums) == power_sum(r, m), (m, r)
+            for j in range(9):
+                assert h[j].substitute(sums) == complete_homogeneous(j, m), (m, j)
+            for d in range(8):
+                assert _newton_tables(m, d) == (p[: d + 1], h[: d + 1]), (m, d)
+
+    def test_newton_tables_meet_a_term_cap_no_sooner_than_the_residue(self, monkeypatch):
+        # The tables are cached across calls, so a residue may find them
+        # built.  Their largest product is no larger than the residue's own,
+        # so a cap the tables would meet stops the residue either way.
+        largest = []
+        multiply = MultiPoly.__mul__
+
+        def spy(a, b):
+            if isinstance(b, MultiPoly):
+                largest.append(len(a) * len(b))
+            return multiply(a, b)
 
         monkeypatch.setattr(MultiPoly, "__mul__", spy)
         monkeypatch.setattr(MultiPoly, "__rmul__", spy)
-        assert _y_one_residue(source, m) == expected
-        assert weights and max(weights) <= d, (max(weights), d)
+        for m in range(2, 5):
+            for n in range(m, m + 7):
+                _newton_tables.cache_clear()
+                largest.clear()
+                _newton_tables(m, n - m)
+                tables = max(largest, default=0)
+                sources = [_make_source("symbolic", n)]
+                if n <= 8:
+                    sources += [_make_source(key, n) for key in exponent_vectors(n, n)]
+                for source in sources:
+                    largest.clear()
+                    _y_one_residue(source, m)
+                    assert tables <= max(largest), (source.label, n, m)
 
     def test_extraction_does_not_expand_the_numerator(self, monkeypatch):
         calls = []
