@@ -36,7 +36,6 @@ from .polyring import (
     term_cap_from_environment,
 )
 from .relations import (
-    PRESCREEN_MAX_POINTS,
     PreconditionError,
     extract_y_basis,
     extract_z,
@@ -125,9 +124,9 @@ def _emit(document, fmt: str, text_lines) -> None:
 
 def _verify_case(case):
     """Run one verification case; used directly and from worker processes."""
-    regime, source, n, m, prescreen_points = case
+    regime, source, n, m = case
     if regime == "zero":
-        report = verify_conjecture1(source, n, m, prescreen_points=prescreen_points)
+        report = verify_conjecture1(source, n, m)
     else:
         report = verify_conjecture2(source, n, m)
     return report.to_json()
@@ -141,12 +140,6 @@ def _build_cases(args) -> list:
     # An empty --n= or --m= is a bad range, not an absent option.
     m_values = _parse_range(args.m) if args.m is not None else list(range(2, DEFAULT_MAX_M + 1))
     n_values = _parse_range(args.n) if args.n is not None else None
-    if args.prescreen_points < 0:
-        raise UsageError(f"--prescreen-points must be >= 0, got {args.prescreen_points}")
-    if args.prescreen_points > PRESCREEN_MAX_POINTS:
-        raise UsageError(
-            f"--prescreen-points must be <= {PRESCREEN_MAX_POINTS}, got {args.prescreen_points}"
-        )
     cases = []
     if args.conjecture in (1, 2):
         if not args.family:
@@ -165,13 +158,13 @@ def _build_cases(args) -> list:
                         raise UsageError(
                             f"conjecture 1 needs 0 <= n <= m-1, got n={n}, m={m}"
                         )
-                    cases.append(("zero", name, n, m, args.prescreen_points))
+                    cases.append(("zero", name, n, m))
             else:
                 ns = n_values if n_values is not None else list(range(m, DEFAULT_MAX_N + 1))
                 for n in ns:
                     if n < m:
                         raise UsageError(f"conjecture 2 needs n >= m, got n={n}, m={m}")
-                    cases.append(("poly", name, n, m, args.prescreen_points))
+                    cases.append(("poly", name, n, m))
     else:
         if n_values is None:
             raise UsageError("--n is required for conjecture 3")
@@ -184,11 +177,11 @@ def _build_cases(args) -> list:
                     if vector_weight(key) != n or len(key) != n:
                         raise UsageError(f"key {key} does not have weight {n}")
                     regime = "zero" if n <= m - 1 else "poly"
-                    cases.append((regime, key, n, m, args.prescreen_points))
+                    cases.append((regime, key, n, m))
     if not cases:
         raise UsageError("empty case grid")
     if not args.allow_large:
-        for _, _, n, m, _ in cases:
+        for _, _, n, m in cases:
             if n > DEFAULT_MAX_N or m > DEFAULT_MAX_M:
                 raise UsageError(
                     f"case n={n}, m={m} is outside the default bounds "
@@ -314,19 +307,21 @@ def cmd_solve_c(args) -> int:
         raise UsageError(f"tabulated free values cover n <= 5; got n = {args.n}")
     solution = solve_c_coefficients(args.n)
     relations = []
+    lines = [
+        f"n = {args.n}: {len(solution.key_order)} unknowns, "
+        f"{solution.equations} equations, nullspace dimension {solution.nullspace_dimension}",
+        "free: " + ", ".join(_key_text(args.n, k) for k in solution.free_keys),
+    ]
+    # In key order: the pivots are stored in reverse column order.  Each form
+    # is already in key order.
     for key in solution.key_order:
         if key not in solution.dependent:
             continue
         form = solution.dependent[key]
-        relations.append(
-            {
-                "key": list(key),
-                "terms": [
-                    {"free": list(fk), "coeff": format_rational(c)}
-                    for fk, c in sorted(form.items(), key=lambda kv: solution.key_order.index(kv[0]))
-                ],
-            }
-        )
+        terms = [{"free": list(fk), "coeff": format_rational(c)} for fk, c in form.items()]
+        relations.append({"key": list(key), "terms": terms})
+        text = format_terms((_key_text(args.n, fk), c) for fk, c in form.items())
+        lines.append(f"{_key_text(args.n, key)} = {text}")
     document = {
         "command": "solve-c",
         "n": args.n,
@@ -336,29 +331,6 @@ def cmd_solve_c(args) -> int:
         "free_keys": [list(k) for k in solution.free_keys],
         "relations": relations,
     }
-    lines = [
-        f"n = {args.n}: {len(solution.key_order)} unknowns, "
-        f"{solution.equations} equations, nullspace dimension {solution.nullspace_dimension}",
-        "free: " + ", ".join(_key_text(args.n, k) for k in solution.free_keys),
-    ]
-    for key in solution.key_order:
-        if key not in solution.dependent:
-            continue
-        form = solution.dependent[key]
-        if not form:
-            lines.append(f"{_key_text(args.n, key)} = 0")
-            continue
-        parts = []
-        for fk in solution.free_keys:
-            if fk in form:
-                coeff = form[fk]
-                if coeff == 1:
-                    parts.append(_key_text(args.n, fk))
-                elif coeff == -1:
-                    parts.append(f"-{_key_text(args.n, fk)}")
-                else:
-                    parts.append(f"{format_rational(coeff)}*{_key_text(args.n, fk)}")
-        lines.append(f"{_key_text(args.n, key)} = " + " + ".join(parts).replace("+ -", "- "))
     exit_code = EXIT_OK
     if args.check_bernoulli:
         matches = bernoulli_reconstruction_check(args.n)
@@ -460,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--key", help="power-sum product key k1,k2,... (conjecture 3)")
     p_verify.add_argument("--n", help="degree or degree range LO..HI")
     p_verify.add_argument("--m", help="variable count or range LO..HI (default 2..4)")
-    p_verify.add_argument("--prescreen-points", type=int, default=3)
     p_verify.add_argument("--allow-large", action="store_true")
     p_verify.set_defaults(handler=cmd_verify)
 

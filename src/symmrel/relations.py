@@ -69,14 +69,14 @@ quotient to the power-sum basis, and the remainder, or a quotient that is
 not symmetric, is the witness.
 
 The random-point prescreen evaluates U_n from its definition, S(x)/pi(x) -
-sum_i y_i^(m-n-1) S(s_i)/pi(s_i), at rational points where no pi(s_i)
-vanishes.  The points and a-values depend only on (m, point count, seed,
-a_k assigned), so every case of a sweep at one m draws the same ones;
-``_samples`` keeps the few a sweep uses, each point with the power sums of
-its m + 1 component vectors.  The values are exact, so a witness is the
-same Fraction whether its points were drawn or kept.  The point count is
-bounded by ``PRESCREEN_MAX_POINTS``, since every point is built and kept
-before the first is used.
+sum_i y_i^(m-n-1) S(s_i)/pi(s_i), at ``PRESCREEN_POINTS`` rational points
+where no pi(s_i) vanishes.  A nonzero value proves U_n != 0, so it can only
+falsify; every "verified" comes from the exact stage.  The points and
+a-values depend only on m and the a_k assigned, so every case of a sweep at
+one m draws the same ones; ``_samples`` keeps the few a sweep uses, each
+point with the power sums of its m + 1 component vectors.  The values are
+exact, so a witness is the same Fraction whether its points were drawn or
+kept.
 
 Residues in closed form: at y = 1, S(s_i) = F(x_i) with F(t) = S(t, x_1 - t,
 ..., x_m - t), and pi(s_i) = (-1)^(m-1) x_i prod_{j != i} (x_i - x_j), so the
@@ -156,8 +156,6 @@ __all__ = [
 ]
 
 PRESCREEN_POINTS = 3
-# Every point is built and kept before the first is used (~4.5 KB each at m = 4).
-PRESCREEN_MAX_POINTS = 1000
 _PRESCREEN_SEED = 0x5EED
 
 
@@ -519,12 +517,12 @@ def _random_point(rng: random.Random, m: int) -> _Point:
 
 # A sweep over several m, each with a few sets of a_k, uses a handful.
 @lru_cache(maxsize=16)
-def _samples(m: int, points: int, seed: int, a_indices: tuple) -> tuple:
+def _samples(m: int, a_indices: tuple) -> tuple:
     """The prescreen's (point, a-values) pairs: the rng stream draws each
     point and then a value for each a_k in ``a_indices``."""
-    rng = random.Random(seed)
+    rng = random.Random(_PRESCREEN_SEED)
     out = []
-    for _ in range(points):
+    for _ in range(PRESCREEN_POINTS):
         point = _random_point(rng, m)
         a_values = {k: Fraction(rng.randint(1, 40), rng.randint(1, 5)) for k in a_indices}
         out.append((point, MappingProxyType(a_values)))
@@ -542,9 +540,9 @@ def _u_at(source: _Source, point: _Point, exponent: int, a_values) -> Fraction:
     return source.unscale(value)
 
 
-def _prescreen(source: _Source, n: int, m: int, points: int, seed: int):
+def _prescreen(source: _Source, n: int, m: int):
     """Random-evaluation falsification attempt; sound but not complete."""
-    for point, a_values in _samples(m, points, seed, source.a_indices):
+    for point, a_values in _samples(m, source.a_indices):
         value = _u_at(source, point, m - n - 1, a_values)
         if value != 0:
             witness = {f"x_{i+1}": x for i, x in enumerate(point.xs)}
@@ -560,13 +558,7 @@ def _prescreen(source: _Source, n: int, m: int, points: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def verify_conjecture1(
-    poly_source,
-    n: int,
-    m: int,
-    prescreen_points: int = PRESCREEN_POINTS,
-    seed: int = _PRESCREEN_SEED,
-) -> RelationReport:
+def verify_conjecture1(poly_source, n: int, m: int) -> RelationReport:
     """Check that U_n vanishes identically in the regime 0 <= n <= m-1.
 
     A randomized evaluation prescreen may short-circuit to a falsified
@@ -574,8 +566,7 @@ def verify_conjecture1(
     source held in the power sums is decided on the orbit representatives of
     the numerator's alternant; a raw source that is not symmetric, or a
     nonzero residual, is decided by the numerator of :func:`u_function`,
-    which is then the witness.  ``prescreen_points = 0`` skips the
-    prescreen; a count below 0 or above ``PRESCREEN_MAX_POINTS`` is rejected.
+    which is then the witness.
     """
     if m < 1:
         raise PreconditionError("m must be >= 1")
@@ -584,37 +575,42 @@ def verify_conjecture1(
             f"zero relation needs 0 <= n <= m-1 (got n={n}, m={m}); "
             "use verify_conjecture2 for n >= m"
         )
-    if prescreen_points < 0:
-        raise PreconditionError(f"prescreen_points must be >= 0, got {prescreen_points}")
-    if prescreen_points > PRESCREEN_MAX_POINTS:
-        raise PreconditionError(
-            f"prescreen_points must be <= {PRESCREEN_MAX_POINTS}, got {prescreen_points}"
-        )
     source = _make_source(poly_source, n, m)
     conjecture = "C1" if source.family else "C3-zero"
     report = RelationReport(conjecture, n, m, source.label, "unknown")
+    stage = "prescreen"
     try:
-        if prescreen_points > 0:
-            start = time.perf_counter()
-            witness = _prescreen(source, n, m, prescreen_points, seed)
-            report.stages.append(
-                Stage("prescreen", f"{prescreen_points} points", time.perf_counter() - start)
-            )
-            if witness is not None:
-                report.verdict = "falsified"
-                report.witness = witness
-                return report
         start = time.perf_counter()
-        if source.symmetric and not _orbit_residual(_alternant_term(source, m, False, m - n - 1), m):
-            numerator = MultiPoly.zero()
-        else:
-            numerator = _reference_u(source, n, m, False).numerator
+        witness = _prescreen(source, n, m)
         report.stages.append(
-            Stage("expand", f"{len(numerator)} numerator terms", time.perf_counter() - start)
+            Stage(stage, f"{PRESCREEN_POINTS} points", time.perf_counter() - start)
+        )
+        if witness is not None:
+            report.verdict = "falsified"
+            report.witness = witness
+            return report
+        if source.symmetric:
+            stage = "orbit-certificate"
+            start = time.perf_counter()
+            term = _alternant_term(source, m, False, m - n - 1)
+            residual = _orbit_residual(term, m)
+            if residual:
+                detail = f"{len(residual)} orbit representatives left; reference route"
+            else:
+                detail = f"Alt(H) = 0 on {len(term)} terms"
+            report.stages.append(Stage(stage, detail, time.perf_counter() - start))
+            if not residual:
+                report.verdict = "verified"
+                return report
+        stage = "expand"
+        start = time.perf_counter()
+        numerator = _reference_u(source, n, m, False).numerator
+        report.stages.append(
+            Stage(stage, f"{len(numerator)} numerator terms", time.perf_counter() - start)
         )
     except TermCapExceeded as exc:
         report.verdict = "resource-limited"
-        report.stages.append(Stage("expand", str(exc), 0.0))
+        report.stages.append(Stage(stage, str(exc), 0.0))
         return report
     if numerator.is_zero():
         report.verdict = "verified"
@@ -725,7 +721,6 @@ def extract_z(n: int, m: int) -> PowerSumExpansion:
     return PowerSumExpansion(n, m, coefficients)
 
 
-@lru_cache(maxsize=None)
 def extract_y_basis(n: int, m: int, k: ExponentVector) -> PowerSumExpansion:
     """The degree-(n-m) residue of the single power-sum product indexed by k.
 

@@ -9,7 +9,7 @@ import pytest
 from symmrel import cli, exactnum, families, partitions, polyring, relations, solver, symmfunc
 from symmrel.cli import main
 from symmrel.polyring import get_term_cap, set_term_cap
-from symmrel.relations import PRESCREEN_MAX_POINTS, extract_y_basis, extract_z
+from symmrel.relations import extract_z
 from symmrel.solver import solve_c_coefficients
 
 from reference_tables import C_RELATIONS, z_table
@@ -24,7 +24,7 @@ def restore_term_cap():
 
 def clear_caches():
     """Forget cached residues, so a term cap meets real work."""
-    for cached in (extract_z, extract_y_basis, solve_c_coefficients):
+    for cached in (extract_z, solve_c_coefficients):
         cached.cache_clear()
 
 
@@ -78,36 +78,6 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.splitlines() == ["error: bad range ''; expected N or LO..HI"]
-
-    def test_negative_prescreen_points(self, capsys):
-        code, out, err = run_cli(
-            capsys, "verify", "--conjecture", "1", "--family", "bell", "--m", "3",
-            "--prescreen-points", "-1",
-        )
-        assert code == 2
-        assert out == ""
-        assert err.splitlines() == ["error: --prescreen-points must be >= 0, got -1"]
-
-    def test_prescreen_points_above_the_ceiling(self, capsys):
-        count = str(PRESCREEN_MAX_POINTS + 1)
-        code, out, err = run_cli(
-            capsys, "verify", "--conjecture", "1", "--family", "bell", "--m", "3",
-            "--prescreen-points", count,
-        )
-        assert code == 2
-        assert out == ""
-        assert err.splitlines() == [
-            f"error: --prescreen-points must be <= {PRESCREEN_MAX_POINTS}, got {count}"
-        ]
-
-    def test_zero_prescreen_points_skip_the_prescreen(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "--format", "json", "verify", "--conjecture", "1", "--family", "bell",
-            "--n", "1", "--m", "3", "--prescreen-points", "0",
-        )
-        assert code == 0
-        (case,) = json.loads(out)["cases"]
-        assert [stage["name"] for stage in case["stages"]] == ["expand"]
 
     def test_basis_products(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--conjecture", "3", "--n", "2", "--m", "3")
@@ -474,6 +444,17 @@ def test_term_cap_environment_variable():
     script = "from symmrel.polyring import get_term_cap; print(get_term_cap())"
     result = run_subprocess(["-c", script], "12345")
     assert result.stdout.strip() == "12345"
+
+
+def test_prescreen_points_is_not_an_option():
+    # The prescreen runs at a fixed strength; argparse refuses the old flag.
+    argv = ["verify", "--conjecture", "1", "--family", "bell", "--m", "3", "--prescreen-points", "3"]
+    result = run_subprocess(["-m", "symmrel.cli", *argv], "10000000")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: ")
+    assert "unrecognized arguments: --prescreen-points 3" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])

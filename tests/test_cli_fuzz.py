@@ -34,7 +34,6 @@ def argvs(draw):
         argv += option("--conjecture", ["1", "2", "3", "4", "abc"])
         argv += option("--n", VALUES) + option("--m", VALUES)
         argv += maybe("--family", FAMILIES) + maybe("--key", KEYS)
-        argv += maybe("--prescreen-points", ["-1", "0", "1", "abc"])
     elif command == "table":
         argv.append(draw(st.sampled_from(["Z", "Y", "W"])))
         argv += option("--n", VALUES) + option("--m", VALUES) + maybe("--key", KEYS)

@@ -15,10 +15,18 @@ from symmrel.families import (
     symbolic_family_polynomial,
 )
 from symmrel.partitions import exponent_vectors
-from symmrel.polyring import KIND_A, KIND_P, KIND_X, KIND_Y, MultiPoly, VarId
+from symmrel.polyring import (
+    KIND_A,
+    KIND_P,
+    KIND_X,
+    KIND_Y,
+    MultiPoly,
+    VarId,
+    get_term_cap,
+    set_term_cap,
+)
 from symmrel.relations import (
     PreconditionError,
-    PRESCREEN_MAX_POINTS,
     _alternant_term,
     _make_source,
     _newton_tables,
@@ -198,7 +206,7 @@ class TestFrame:
         monkeypatch.setattr(MultiPoly, "__mul__", spy)
         monkeypatch.setattr(MultiPoly, "__rmul__", spy)
         monkeypatch.setattr(relations, "_alternant_term", spy_alternant)
-        report = verify_conjecture1(name, n, m, prescreen_points=0)
+        report = verify_conjecture1(name, n, m)
         assert seen and not any(seen)
         assert report.verified
 
@@ -221,11 +229,13 @@ class TestFrame:
                 nonzero += not numerator.is_zero()
         assert bool(nonzero) == (y_one and spec != "bernoulli")
 
-    def test_raw_source_witness_matches_sequential_products(self):
+    def test_raw_source_witness_matches_sequential_products(self, monkeypatch):
         # A non-symmetric C3 source: the witness is the numerator of
-        # u_function, which sums the products one at a time.
+        # u_function, which sums the products one at a time.  The prescreen
+        # is patched out, so the exact route decides.
+        monkeypatch.setattr(relations, "_prescreen", lambda source, n, m: None)
         raw = x1**2 - F(1, 3) * x1 * x2 + 2 * MultiPoly.x(3) ** 2
-        report = verify_conjecture1(raw, 2, 3, prescreen_points=0)
+        report = verify_conjecture1(raw, 2, 3)
         assert (report.conjecture_id, report.verdict) == ("C3-zero", "falsified")
         expected = u_function(raw, 2, 3).numerator
         assert str(report.witness) == str(expected) != "0"
@@ -279,7 +289,7 @@ class TestOrbitResidual:
 
 
 class TestPrescreenSamples:
-    """The prescreen's points, drawn once per (m, count, seed, a_k assigned)."""
+    """The prescreen's points, drawn once per (m, a_k assigned)."""
 
     def test_a_sweep_at_one_m_draws_its_points_once(self, monkeypatch):
         _samples.cache_clear()
@@ -300,9 +310,9 @@ class TestPrescreenSamples:
         # The same seed draws the same stream, so a kept sample equals a
         # fresh one, power sums included, and nothing in it can be changed.
         _samples.cache_clear()
-        kept = _samples(3, 4, 7, (1, 2))
+        kept = _samples(3, (1, 2))
         _samples.cache_clear()
-        assert _samples(3, 4, 7, (1, 2)) == kept
+        assert _samples(3, (1, 2)) == kept
         point, a_values = kept[0]
         assert point.sums[0] == tuple(symmfunc.power_sums_of(point.xs, 2))
         with pytest.raises(TypeError):
@@ -451,25 +461,6 @@ class TestZeroRelation:
         with pytest.raises(PreconditionError):
             verify_conjecture1("bernoulli", 3, 2)
 
-    def test_negative_prescreen_count_rejected(self):
-        with pytest.raises(PreconditionError):
-            verify_conjecture1("bernoulli", 1, 2, prescreen_points=-1)
-
-    def test_prescreen_count_above_the_ceiling_rejected(self, monkeypatch):
-        # Rejected before a single point is drawn; the ceiling itself runs.
-        def refuse(*args):
-            raise AssertionError("a point was drawn")
-
-        monkeypatch.setattr(relations, "_random_point", refuse)
-        _samples.cache_clear()
-        with pytest.raises(PreconditionError, match=f"<= {PRESCREEN_MAX_POINTS}"):
-            verify_conjecture1("bernoulli", 1, 2, prescreen_points=PRESCREEN_MAX_POINTS + 1)
-        monkeypatch.undo()
-        report = verify_conjecture1("bernoulli", 1, 2, prescreen_points=PRESCREEN_MAX_POINTS)
-        assert report.verified
-        assert report.stages[0].detail == f"{PRESCREEN_MAX_POINTS} points"
-        _samples.cache_clear()
-
     @pytest.mark.parametrize("name", FAMILY_NAMES)
     def test_zero_relation_five_variables(self, name):
         for n in range(0, 5):
@@ -484,8 +475,8 @@ class TestZeroRelation:
 
     def test_symmetric_source_is_decided_on_orbit_representatives(self, monkeypatch):
         # The reference route never runs for a source held in the power sums,
-        # or for a raw one symmetric in x_1..x_m; the expand stage still
-        # reports the count.
+        # or for a raw one symmetric in x_1..x_m: the orbit certificate
+        # decides, and the report names it.
         def refuse(name):
             def spy(*args, **kwargs):
                 raise AssertionError(f"{name} called for a symmetric source")
@@ -500,7 +491,23 @@ class TestZeroRelation:
         for spec, n, m in cases:
             report = verify_conjecture1(spec, n, m)
             assert report.verified, (spec, n, m)
-            assert report.stages[-1].detail == "0 numerator terms"
+            assert [stage.name for stage in report.stages] == ["prescreen", "orbit-certificate"]
+            assert report.stages[-1].detail.startswith("Alt(H) = 0 on "), report.stages[-1]
+
+    def test_term_cap_names_the_running_stage(self, monkeypatch):
+        # A symmetric source meets the cap in the orbit pass; a raw source
+        # that is not symmetric meets it in the reference expansion.
+        monkeypatch.setattr(relations, "_prescreen", lambda source, n, m: None)
+        cap = get_term_cap()
+        set_term_cap(1)
+        try:
+            symmetric = verify_conjecture1("bernoulli", 2, 3)
+            raw = verify_conjecture1(x1**2 - 2 * x1 * x2, 2, 3)
+        finally:
+            set_term_cap(cap)
+        for report, stage in ((symmetric, "orbit-certificate"), (raw, "expand")):
+            assert report.verdict == "resource-limited"
+            assert report.stages[-1].name == stage
 
     def test_nonzero_residual_takes_the_kernel_witness(self, monkeypatch):
         # A nonzero residual hands the case to the reference route, whose
@@ -511,7 +518,8 @@ class TestZeroRelation:
         source.symmetric = True
         monkeypatch.setattr(relations, "_make_source", lambda spec, n, m: source)
         monkeypatch.setattr(relations, "_orbit_residual", lambda poly, m: {((), ()): 1})
-        report = verify_conjecture1(raw, 2, 3, prescreen_points=0)
+        monkeypatch.setattr(relations, "_prescreen", lambda source, n, m: None)
+        report = verify_conjecture1(raw, 2, 3)
         expected = u_function(raw, 2, 3).numerator
         assert report.verdict == "falsified"
         assert str(report.witness) == str(expected) != "0"
@@ -530,9 +538,12 @@ class TestZeroRelation:
         monkeypatch.setattr(relations, "_orbit_residual", lambda poly, m: {((), ()): 1})
         monkeypatch.setattr(relations, "u_function", spy)
         expansion = PowerSumExpansion(2, 3, {(2, 0): F(1, 2) * MultiPoly.a(1), (0, 1): -3})
-        report = verify_conjecture1(expansion, 2, 3, prescreen_points=0)
+        report = verify_conjecture1(expansion, 2, 3)
         assert expanded == [(2, 3)]
         assert report.verified
+        names = [stage.name for stage in report.stages]
+        assert names == ["prescreen", "orbit-certificate", "expand"], names
+        assert report.stages[1].detail == "1 orbit representatives left; reference route"
         assert report.stages[-1].detail == "0 numerator terms"
 
     def test_prescreen_catches_asymmetric_input(self):
@@ -541,14 +552,15 @@ class TestZeroRelation:
         assert report.witness is not None
         assert report.stages[0].name == "prescreen"
 
-    def test_exact_expansion_agrees_with_prescreen(self):
+    def test_exact_expansion_agrees_with_prescreen(self, monkeypatch):
         # Falsified with and without the prescreen short-circuit.
         with_screen = verify_conjecture1(x1, 1, 2)
-        without_screen = verify_conjecture1(x1, 1, 2, prescreen_points=0)
+        monkeypatch.setattr(relations, "_prescreen", lambda source, n, m: None)
+        without_screen = verify_conjecture1(x1, 1, 2)
         assert with_screen.verdict == without_screen.verdict == "falsified"
         assert without_screen.witness is not None
 
-    def test_differential_random_cases(self):
+    def test_differential_random_cases(self, monkeypatch):
         rng = random.Random(11)
         for _ in range(25):
             m = rng.choice((2, 3))
@@ -558,7 +570,9 @@ class TestZeroRelation:
                 n, m, {k: F(rng.randint(-4, 4)) for k in keys}
             )
             screened = verify_conjecture1(expansion, n, m)
-            exact = verify_conjecture1(expansion, n, m, prescreen_points=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(relations, "_prescreen", lambda source, n, m: None)
+                exact = verify_conjecture1(expansion, n, m)
             assert screened.verdict == exact.verdict == "verified"
 
 
@@ -966,12 +980,10 @@ class TestClosedFormResidue:
             for name in ("to_power_sum_basis", "is_symmetric", "gauss_jordan"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse(name))
-        for cached in (extract_z, extract_y_basis):
-            cached.cache_clear()
+        extract_z.cache_clear()
         try:
             assert extract_y_basis(5, 3, (1, 2, 0, 0, 0)).to_polynomial() == y_expected
             assert extract_z(2, 2).coefficient((2, 0)) == z_expected
         finally:
-            for cached in (extract_z, extract_y_basis):
-                cached.cache_clear()
+            extract_z.cache_clear()
         assert calls == []
