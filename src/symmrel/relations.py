@@ -88,12 +88,19 @@ p_k(t, x_1 - t, ..., x_m - t) = t^k + sum_{r <= k} C(k, r) (-t)^(k-r) p_r
 (p_0 = m).  Give p_r the weight r, read off a monomial's exponents.  F is
 homogeneous of degree n in (t, x), so [t^e]F is its part F_w of weight
 w = n - e, t stays implicit, and U_n|_{y=1} = (-1)^m sum_{w <= d} F_w h_{d-w}
-with d = n - m.  Each shifted p_k is one polynomial of its terms of weight
-<= d, and each product drops its terms above d, so no factor is heavier
-than d; terms are split by weight only for the products with h_{d-w}.
-``_newton_tables(m, d)``, cached per (m, d), gives h_0..h_d and p_0..p_d in
-p_1..p_m (e_i = 0 for i > m), where the residue is read off directly.  On
-every case the tests check, no product of the tables is larger than the
+with d = n - m.  F is formed in the free power sums p_1..p_d, as if there
+were at least d variables: each shifted p_k is one polynomial of its terms of
+weight <= d with int coefficients, and each product drops its terms above d,
+so no factor is heavier than d and the integral source multiplies only
+ints.  The m variables enter after that, once per free monomial p^nu of F:
+``_newton_tables(m, d)``, cached per (m, d), gives p_0..p_d and h_0..h_d in
+p_1..p_m (e_i = 0 for i > m), and the image p^nu h_(d-w) of p^nu, times its
+least common denominator, is an int vector over the weight-d keys with parts
+<= m.  The residue is the sum of F's coefficients times their images, read
+off with no linear solve and divided by one denominator at the end.  A
+``_ResidueEngine`` holds the q_k powers and the images of one (m, d): the C
+system uses one per m for all its keys, every other residue one of its own.
+On every case the tests check, no product of the tables is larger than the
 largest of a residue that uses them, so a term cap gives the same verdict
 whether or not they were built before.
 
@@ -113,7 +120,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, prod
+from math import comb, lcm, prod
 from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
@@ -135,11 +142,11 @@ from .symmfunc import (
     PowerSumExpansion,
     NotHomogeneousError,
     NotSymmetricError,
+    _normalize_coefficient,
     denominator_product,
     is_symmetric,
     power_sum_monomial,
     power_sums_of,
-    read_power_sums,
     to_power_sum_basis,
     x_degrees,
 )
@@ -736,48 +743,96 @@ def extract_y_basis(n: int, m: int, k: ExponentVector) -> PowerSumExpansion:
 
 
 def _y_one_residue(source: _Source, m: int) -> PowerSumExpansion:
-    """U_n at y = 1 for a symmetric source, as (-1)^m sum_{w <= d} F_w h_(d-w)
-    with d = n - m and F_w the part of weight w of F(t) = S(t, x_1 - t, ...,
-    x_m - t), held in p_1..p_m.
+    """U_n at y = 1 for a symmetric source, on an engine of its own."""
+    return _ResidueEngine(m, source.n - m).residue(source)
 
-    F is homogeneous of degree n, so F_w = [t^(n-w)]F: each shifted power
-    sum is held up to weight d, and each product drops its terms above
-    weight d, so no factor of a product is heavier than d.
+
+class _ResidueEngine:
+    """U_n at y = 1 as (-1)^m sum_nu F[nu] p^nu h_(d-w), w the weight of nu,
+    for the symmetric sources of one m and one d = n - m ("Residues in closed
+    form" above).
+
+    The memos of the q_k powers and of the images p^nu h_(d-w) last as long
+    as the engine, which serves the sources of one call only, so a term cap
+    meets the same products whatever ran before.
     """
-    d = source.n - m
-    p, h = _newton_tables(m, d)
-    powers: dict = {}  # (k, e) -> q_k^e up to weight d, for this source
 
-    def product(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    def __init__(self, m: int, d: int):
+        self.m = m
+        self.d = d
+        self.keys = exponent_vectors(d, m)
+        self._powers: dict = {}  # (k, e) -> q_k^e up to weight d
+        self._images: dict = {}  # free monomial -> (vector, denominator)
+
+    def _product(self, f: MultiPoly, g: MultiPoly) -> MultiPoly:
         # Any subset of a product's terms is canonical as it stands.
-        kept = {mono: c for mono, c in (f * g).terms.items() if _weight(mono) <= d}
+        kept = {mono: c for mono, c in (f * g).terms.items() if _weight(mono) <= self.d}
         return MultiPoly._raw(kept)
 
-    def power(k: int, e: int) -> MultiPoly:
-        if (k, e) not in powers:
+    def _power(self, k: int, e: int) -> MultiPoly:
+        if (k, e) not in self._powers:
             if e == 1:
                 # t^k + sum_{r <= k} C(k, r) (-t)^(k-r) p_r with t implicit, up to weight d.
-                shifted = (comb(k, r) * (-1) ** (k - r) * p[r] for r in range(1, min(k, d) + 1))
-                powers[k, e] = sum(shifted, MultiPoly.constant(1 + (-1) ** k * m))
+                top = min(k, self.d)
+                shifted = (comb(k, r) * (-1) ** (k - r) * MultiPoly.p(r) for r in range(1, top + 1))
+                self._powers[k, e] = sum(shifted, MultiPoly.constant(1 + (-1) ** k * self.m))
             else:
-                powers[k, e] = product(power(k, e - 1), power(k, 1))
-        return powers[k, e]
+                self._powers[k, e] = self._product(self._power(k, e - 1), self._power(k, 1))
+        return self._powers[k, e]
 
-    total: dict = {}
-    for mono, coeff in source.poly.terms.items():
-        # The a_k sort before the p_k, so the coefficient's monomial is a prefix.
-        split = next(i for i, (v, _) in enumerate(mono) if v.kind == KIND_P)
-        factors = (power(v.index, e) for v, e in mono[split:])
-        for key, c in reduce(product, factors).terms.items():
-            key = mono[:split] + key
-            total[key] = total.get(key, 0) + coeff * c
-    parts = [{} for _ in range(d + 1)]  # F_w, by the weight of each term
-    for key, c in total.items():
-        parts[_weight(key)][key] = c
-    residue = sum(
-        (MultiPoly(part) * h[d - w] for w, part in enumerate(parts)), MultiPoly.zero()
-    )
-    return read_power_sums(residue * Fraction((-1) ** m, source.denominator), m, d)
+    def free_form(self, source: _Source) -> dict:
+        """F times the source's denominator, up to weight d:
+        {free monomial: {monomial in the a_k: int}}."""
+        free: dict = {}
+        for mono, coeff in source.poly.terms.items():
+            # The a_k sort before the p_k, so the coefficient's monomial is a prefix.
+            split = next(i for i, (v, _) in enumerate(mono) if v.kind == KIND_P)
+            factors = (self._power(v.index, e) for v, e in mono[split:])
+            for nu, c in reduce(self._product, factors).terms.items():
+                bucket = free.setdefault(nu, {})
+                bucket[mono[:split]] = bucket.get(mono[:split], 0) + coeff * c
+        return free
+
+    def image(self, nu) -> tuple:
+        """(vector, denominator): p^nu h_(d-w) in p_1..p_m times its least
+        common denominator, as {key: int} over its nonzero keys."""
+        if nu not in self._images:
+            p, h = _newton_tables(self.m, self.d)
+            monomial = prod((p[v.index] ** e for v, e in nu), start=MultiPoly.one())
+            poly, denominator = (h[self.d - _weight(nu)] * monomial).integral_form()
+            vector = {_key(mono, self.d): c for mono, c in poly.terms.items()}
+            self._images[nu] = vector, denominator
+        return self._images[nu]
+
+    def residue(self, source: _Source) -> PowerSumExpansion:
+        """(-1)^m sum_nu F[nu] image(nu), over every weight-d key with parts <= m.
+
+        Each image is brought to the least common denominator of the images
+        used, which is divided out once at the end with the source's.
+        """
+        free = self.free_form(source)
+        images = [self.image(nu) for nu in free]
+        common = lcm(1, *(denominator for _, denominator in images))
+        totals = {key: {} for key in self.keys}
+        for coeffs, (vector, denominator) in zip(free.values(), images):
+            lift = common // denominator
+            for key, v in vector.items():
+                bucket = totals[key]
+                v *= lift
+                for a, c in coeffs.items():
+                    bucket[a] = bucket.get(a, 0) + c * v
+        scale = Fraction((-1) ** self.m, source.denominator * common)
+        coefficients = {
+            key: _normalize_coefficient(MultiPoly({a: c * scale for a, c in bucket.items()}))
+            for key, bucket in totals.items()
+        }
+        return PowerSumExpansion(self.d, self.m, coefficients)
+
+
+def _key(mono, d: int) -> ExponentVector:
+    """The exponent vector of length d of a monomial in the p_k."""
+    exps = {v.index: e for v, e in mono}
+    return tuple(exps.get(i, 0) for i in range(1, d + 1))
 
 
 def _weight(mono) -> int:

@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Sequence
 from .exactnum import bernoulli_numbers
 from .partitions import ExponentVector, exponent_vectors
 from .polyring import KIND_A, MultiPoly, VarId
-from .relations import extract_y_basis, extract_z
+from .relations import _make_source, _ResidueEngine, extract_z
 from .symmfunc import PowerSumExpansion, gauss_jordan
 
 __all__ = [
@@ -101,12 +101,15 @@ def residue_system(n: int) -> tuple[list[list[Fraction]], tuple]:
     """The equations 'every residue basis coefficient vanishes', as a matrix.
 
     One column per weight-n exponent vector in listing order; one row per
-    (m, weight-(n-m) basis key with parts <= m) for m = 2..n.
+    (m, weight-(n-m) basis key with parts <= m) for m = 2..n.  The residues
+    of one m share one engine, so each power q_k^e and each rewritten free
+    monomial is formed once per m.
     """
     keys = tuple(exponent_vectors(n, n))
     rows = []
     for m in range(2, n + 1):
-        residues = {k: extract_y_basis(n, m, k) for k in keys}
+        engine = _ResidueEngine(m, n - m)
+        residues = {k: engine.residue(_make_source(k, n)) for k in keys}
         for basis_key in exponent_vectors(n - m, m):
             rows.append(
                 [Fraction(residues[k].coefficient(basis_key)) for k in keys]

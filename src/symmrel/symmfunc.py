@@ -4,8 +4,7 @@ into the power-sum-product basis.
 The products ``P_{n,k} = p_1^k_1 * ... * p_n^k_n`` indexed by exponent
 vectors k with parts <= m form a basis of the homogeneous symmetric
 polynomials of degree n in m variables.  In the power-sum variables p_k
-(``polyring.KIND_P``) a polynomial is already in that basis, and
-:func:`read_power_sums` reads its PowerSumExpansion off directly.  From x
+(``polyring.KIND_P``) a polynomial is already in that basis.  From x
 monomials, the route of raw input, :func:`to_power_sum_basis` checks symmetry
 and homogeneity and inverts the basis by an exact linear solve on monomial
 coefficients.  Coefficients may themselves be polynomials in the ``a_i``
@@ -35,7 +34,6 @@ __all__ = [
     "power_sum",
     "power_sum_product",
     "power_sum_monomial",
-    "read_power_sums",
     "denominator_product",
     "to_power_sum_basis",
     "is_symmetric",
@@ -144,24 +142,6 @@ def power_sums_of(values: Sequence, up_to: int):
 def power_sum_monomial(k: ExponentVector) -> MultiPoly:
     """p_1^k_1 * p_2^k_2 * ... in the power-sum variables."""
     return MultiPoly([(tuple((VarId(KIND_P, i), e) for i, e in enumerate(k, 1) if e), 1)])
-
-
-def read_power_sums(poly: MultiPoly, m: int, weight: int) -> PowerSumExpansion:
-    """The expansion of poly, a polynomial in p_1..p_m and the a_i of weight
-    ``weight``, over every key of that weight with parts <= m.
-    """
-    keys = exponent_vectors(weight, m)
-    allowed = set(keys)
-    buckets: dict = {}
-    for mono, coeff in poly.terms.items():
-        parts = {var.index: exp for var, exp in mono if var.kind == KIND_P}
-        key = tuple(parts.get(i, 0) for i in range(1, weight + 1))
-        if key not in allowed or any(i > weight for i in parts):
-            raise NotRepresentableError(f"a term is not a weight-{weight} key with parts <= {m}")
-        buckets.setdefault(key, {})[tuple((v, e) for v, e in mono if v.kind != KIND_P)] = coeff
-    return PowerSumExpansion(
-        weight, m, {key: _normalize_coefficient(MultiPoly(buckets.get(key, {}))) for key in keys}
-    )
 
 
 def denominator_product(components: Sequence[MultiPoly]) -> MultiPoly:

@@ -7,7 +7,8 @@
   sums with F(t) expanded in every power of t, against which the
   weight-truncated ``relations._y_one_residue`` is checked, with its own
   Newton recursion for p_r, e_i and h_d in p_1..p_m (:func:`power_sum_in`,
-  :func:`elementary_in`, :func:`complete_homogeneous_in`);
+  :func:`elementary_in`, :func:`complete_homogeneous_in`), read off in the
+  power-sum basis by :func:`read_power_sums`;
 * :func:`x_variable_residue` -- the closed-form y = 1 residue computed in the
   x variables, (-1)^m sum_{e >= m} [t^e]F(t) h_{e-m}(x), and converted with
   ``to_power_sum_basis``, which checks symmetry and homogeneity on the way;
@@ -38,9 +39,16 @@ from math import comb, prod
 from typing import NamedTuple, Sequence
 
 from symmrel.exactnum import bernoulli_numbers
+from symmrel.partitions import exponent_vectors
 from symmrel.polyring import KIND_P, KIND_X, KIND_Y, MultiPoly, RationalFunction, VarId
 from symmrel.relations import _symbolic_rows
-from symmrel.symmfunc import power_sum, read_power_sums, to_power_sum_basis
+from symmrel.symmfunc import (
+    NotRepresentableError,
+    PowerSumExpansion,
+    _normalize_coefficient,
+    power_sum,
+    to_power_sum_basis,
+)
 
 
 def complete_bell(n: int, b: Sequence):
@@ -100,6 +108,24 @@ def untruncated_residue(source, m: int):
         MultiPoly.zero(),
     )
     return read_power_sums(residue * Fraction((-1) ** m, source.denominator), m, source.n - m)
+
+
+def read_power_sums(poly: MultiPoly, m: int, weight: int) -> PowerSumExpansion:
+    """The expansion of poly, a polynomial in p_1..p_m and the a_i of weight
+    ``weight``, over every key of that weight with parts <= m.
+    """
+    keys = exponent_vectors(weight, m)
+    allowed = set(keys)
+    buckets: dict = {}
+    for mono, coeff in poly.terms.items():
+        parts = {var.index: exp for var, exp in mono if var.kind == KIND_P}
+        key = tuple(parts.get(i, 0) for i in range(1, weight + 1))
+        if key not in allowed or any(i > weight for i in parts):
+            raise NotRepresentableError(f"a term is not a weight-{weight} key with parts <= {m}")
+        buckets.setdefault(key, {})[tuple((v, e) for v, e in mono if v.kind != KIND_P)] = coeff
+    return PowerSumExpansion(
+        weight, m, {key: _normalize_coefficient(MultiPoly(buckets.get(key, {}))) for key in keys}
+    )
 
 
 @lru_cache(maxsize=None)

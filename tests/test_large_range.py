@@ -3,15 +3,17 @@
 The tabulated zero-relation claim extends to seven variables (six are in the
 default suite), and to six for the symbolic family; the residue relation
 holds for every family at five variables up to n = 8, and for the symbolic
-family at four and five variables up to n = m + 3; and the C system is
-solvable at n = 8.  These checks are exact: both relations are decided on
-orbit representatives of one alternant, the residue relation with the
-closed-form residue as its certificate.  The weight-truncated residue is
-also checked against the untruncated form on the Z tables at (6, 6) and
-(8, 4) and on every row of the n = 9 C system.  Together they take about
-16 s on a 2-vCPU x86-64 host (the n = 8 C system about half of it, the
-residue sweeps and the untruncated-form checks about 1 s each), so they only
-run when SYMMREL_LARGE_TESTS is set:
+family at four and five variables up to n = m + 3; the C system is
+solvable at n = 8; and its nullspace has dimension floor(n/2) at n = 11
+and 12, as the default suite checks up to n = 10.  These checks are exact:
+both relations are decided on orbit representatives of one alternant, the
+residue relation with the closed-form residue as its certificate.  The
+weight-truncated residue is also checked against the untruncated form on
+the Z tables at (6, 6) and (8, 4) and on every row of the n = 9 C system.
+Together they take about 19 s on a 2-vCPU x86-64 host with Python 3.11
+(the n = 8 C system 7 s, the nullspace dimensions at n = 11 and 12 1.0 s
+and 2.5 s, the residue sweeps and the untruncated-form checks about 1 s
+each), so they only run when SYMMREL_LARGE_TESTS is set:
 
     SYMMREL_LARGE_TESTS=1 pytest tests/test_large_range.py -s
 """
@@ -25,14 +27,17 @@ from fractions import Fraction
 from symmrel.families import FAMILY_NAMES
 from symmrel.partitions import exponent_vectors
 from symmrel.relations import _make_source, extract_z, verify_conjecture1, verify_conjecture2
-from symmrel.solver import residue_system
+from symmrel.solver import residue_system, solve_c_coefficients
 
 from oracles import untruncated_residue
 from test_solver import assert_bernoulli_satisfies_relations
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("SYMMREL_LARGE_TESTS"),
-    reason="set SYMMREL_LARGE_TESTS=1 to run the m=7 sweeps, the m=5 residue sweeps and the n=8 C system",
+    reason=(
+        "set SYMMREL_LARGE_TESTS=1 to run the m=7 sweeps, the m=5 residue sweeps"
+        " and the C systems at n=8, 11 and 12"
+    ),
 )
 
 
@@ -93,3 +98,11 @@ def test_residue_system_against_untruncated_form():
         for basis_key in exponent_vectors(n - m, m):
             expected.append([Fraction(r.coefficient(basis_key)) for r in residues])
     assert rows == expected
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_c_system_nullspace_dimension(n):
+    # floor(n/2) free keys and p(n) - 1 equations: observed, not proved.
+    solution = solve_c_coefficients(n)
+    assert solution.nullspace_dimension == n // 2
+    assert solution.equations == len(exponent_vectors(n, n)) - 1

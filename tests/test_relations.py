@@ -27,6 +27,7 @@ from symmrel.polyring import (
 )
 from symmrel.relations import (
     PreconditionError,
+    _ResidueEngine,
     _alternant_term,
     _make_source,
     _newton_tables,
@@ -46,10 +47,13 @@ from symmrel.relations import (
     verify_conjecture1,
     verify_conjecture2,
 )
+from symmrel.solver import residue_system
 from symmrel.symmfunc import (
+    NotRepresentableError,
     PowerSumExpansion,
     denominator_product,
     power_sum,
+    power_sum_monomial,
     power_sum_product,
 )
 
@@ -60,6 +64,7 @@ from oracles import (
     lcd_frame,
     lcd_numerator,
     lcd_residue,
+    read_power_sums,
     untruncated_residue,
     x_variable_residue,
 )
@@ -793,6 +798,28 @@ class TestExtractYBasis:
                         assert coeff == 0
 
 
+class TestPowerSumVariables:
+    """The oracle that reads an expansion off a polynomial in the p_k."""
+
+    def test_read_off(self):
+        a1 = MultiPoly.a(1)
+        poly = 3 * power_sum_monomial((2, 0)) - a1 * power_sum_monomial((0, 1)) / 2
+        expansion = read_power_sums(poly, 2, 2)
+        assert list(expansion.coefficients) == exponent_vectors(2, 2)
+        assert expansion.coefficients == {(2, 0): F(3), (0, 1): -a1 / 2}
+        assert type(expansion.coefficients[(2, 0)]) is F
+        assert read_power_sums(MultiPoly.zero(), 3, 2).coefficients == {(2, 0): F(0), (0, 1): F(0)}
+
+    def test_rejects_terms_outside_the_keys(self):
+        for poly, m, weight in [
+            (power_sum_monomial((0, 0, 1)), 2, 3),  # part 3 > m
+            (power_sum_monomial((0, 1)), 2, 1),  # weight 2, stated 1
+            (power_sum_monomial((2, 0, 1)), 3, 2),  # p_1^2 p_3: p_3 past the stated weight
+        ]:
+            with pytest.raises(NotRepresentableError):
+                read_power_sums(poly, m, weight)
+
+
 class TestClosedFormResidue:
     """The divided-difference residue against the expansion over pi(x) * W,
     exact division and basis solve of ``oracles.lcd_residue``, and the
@@ -920,6 +947,55 @@ class TestClosedFormResidue:
         assert (untruncated_heaviest > d) == (spec != (0, 1, 1, 0, 1, 0, 0, 0, 0, 0)), (
             untruncated_heaviest, d
         )
+
+    def test_residue_system_matches_the_untruncated_form_per_key(self):
+        for n in range(2, 8):
+            rows, keys = residue_system(n)
+            expected = []
+            for m in range(2, n + 1):
+                residues = [untruncated_residue(_make_source(k, n), m) for k in keys]
+                for basis_key in exponent_vectors(n - m, m):
+                    expected.append([F(r.coefficient(basis_key)) for r in residues])
+            assert rows == expected, n
+
+    def test_a_shared_engine_keeps_nothing_of_earlier_sources(self):
+        # One engine serves every key in reverse listing order; each residue
+        # equals the one of an engine of its own.
+        engine = _ResidueEngine(3, 5)
+        for key in reversed(exponent_vectors(8, 8)):
+            source = _make_source(key, 8)
+            got = engine.residue(source)
+            expected = _y_one_residue(source, 3)
+            assert got == expected, key
+            assert list(got.coefficients) == list(expected.coefficients)
+
+    @pytest.mark.parametrize("spec, n, m", [((1, 1, 0, 0, 1, 0, 0, 0), 8, 2), ("symbolic", 7, 3)])
+    def test_forming_f_multiplies_only_ints(self, monkeypatch, spec, n, m):
+        # F is formed in the free power sums, so p_5 (or p_7) is never
+        # rewritten in p_1..p_m before a product.
+        source = _make_source(spec, n)
+        factors = []
+        multiply = MultiPoly.__mul__
+
+        def spy(a, b):
+            if isinstance(b, MultiPoly):
+                factors.extend((a, b))
+            return multiply(a, b)
+
+        def integral(f):
+            return all(type(c) is int for c in f.terms.values())
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MultiPoly, "__mul__", spy)
+            patch.setattr(MultiPoly, "__rmul__", spy)
+            _ResidueEngine(m, n - m).free_form(source)
+            formed = list(factors)
+            factors.clear()
+            untruncated_residue(source, m)
+        assert formed and all(integral(f) for f in formed)
+        # Negative control: with p_r rewritten in p_1..p_m first, a product
+        # has a Fraction factor.
+        assert not all(integral(f) for f in factors)
 
     def test_newton_tables(self):
         # p_r and h_j in p_1..p_m, written out in x_1..x_m.

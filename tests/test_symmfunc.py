@@ -8,14 +8,11 @@ from symmrel.polyring import KIND_A, MultiPoly, VarId
 from symmrel.partitions import exponent_vectors
 from symmrel.symmfunc import (
     NotHomogeneousError,
-    NotRepresentableError,
     NotSymmetricError,
     denominator_product,
     is_symmetric,
     power_sum,
-    power_sum_monomial,
     power_sum_product,
-    read_power_sums,
     to_power_sum_basis,
 )
 
@@ -116,26 +113,6 @@ class TestSymmetryCheck:
     def test_not_symmetric(self):
         assert not is_symmetric(x1**2 + x2, 2)
         assert not is_symmetric(x1 * x2**2 + x2 * x3**2 + x3 * x1**2, 3)
-
-
-class TestPowerSumVariables:
-    def test_read_off(self):
-        a1 = MultiPoly.a(1)
-        poly = 3 * power_sum_monomial((2, 0)) - a1 * power_sum_monomial((0, 1)) / 2
-        expansion = read_power_sums(poly, 2, 2)
-        assert list(expansion.coefficients) == exponent_vectors(2, 2)
-        assert expansion.coefficients == {(2, 0): F(3), (0, 1): -a1 / 2}
-        assert type(expansion.coefficients[(2, 0)]) is F
-        assert read_power_sums(MultiPoly.zero(), 3, 2).coefficients == {(2, 0): F(0), (0, 1): F(0)}
-
-    def test_rejects_terms_outside_the_keys(self):
-        for poly, m, weight in [
-            (power_sum_monomial((0, 0, 1)), 2, 3),  # part 3 > m
-            (power_sum_monomial((0, 1)), 2, 1),  # weight 2, stated 1
-            (power_sum_monomial((2, 0, 1)), 3, 2),  # p_1^2 p_3: p_3 past the stated weight
-        ]:
-            with pytest.raises(NotRepresentableError):
-                read_power_sums(poly, m, weight)
 
 
 class TestBasisConversion:
