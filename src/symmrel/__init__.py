@@ -25,10 +25,8 @@ from .partitions import equation_count, exponent_vectors, partition_count
 from .polyring import (
     MultiPoly,
     NonDivisibleError,
-    RationalFunction,
     TermCapExceeded,
     VarId,
-    ratfunc_combine,
 )
 from .relations import (
     RelationReport,
@@ -49,7 +47,6 @@ from .solver import (
 )
 from .symmfunc import (
     PowerSumExpansion,
-    denominator_product,
     power_sum,
     power_sum_product,
     to_power_sum_basis,

@@ -55,10 +55,9 @@ from __future__ import annotations
 
 import os
 from bisect import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 __all__ = [
     "KIND_X",
@@ -68,11 +67,9 @@ __all__ = [
     "VarId",
     "Monomial",
     "MultiPoly",
-    "RationalFunction",
     "TermCapExceeded",
     "NonDivisibleError",
     "MissingVariableError",
-    "ratfunc_combine",
     "get_term_cap",
     "set_term_cap",
     "term_cap_from_environment",
@@ -658,54 +655,3 @@ def format_terms(terms: Iterable) -> str:
     for sign, text in chunks[1:]:
         out += f" {sign} {text}"
     return out
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """A numerator/denominator pair; not reduced by gcd.
-
-    Normal form only fixes the sign: the denominator's leading coefficient
-    is positive.  Zero tests are numerator tests.
-    """
-
-    numerator: MultiPoly
-    denominator: MultiPoly
-
-    def __post_init__(self):
-        if self.denominator.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        lead = self.denominator._terms[self.denominator.leading_monomial()]
-        if lead < 0:
-            object.__setattr__(self, "numerator", -self.numerator)
-            object.__setattr__(self, "denominator", -self.denominator)
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
-    def __str__(self) -> str:
-        return f"({self.numerator}) / ({self.denominator})"
-
-
-def ratfunc_combine(parts: Sequence) -> RationalFunction:
-    """Combine coefficient-weighted rational functions over the product denominator.
-
-    ``parts`` is a sequence of (coefficient polynomial, RationalFunction);
-    the result is sum(c_i * r_i) over the product of all denominators, fully
-    expanded, with no gcd reduction.  Part i is multiplied by the product of
-    the denominators before it, a running prefix product whose last entry is
-    the denominator, and by that of the denominators after it, a running
-    suffix product.
-    """
-    prefix = [MultiPoly.one()]
-    for _, rf in parts:
-        prefix.append(prefix[-1] * rf.denominator)
-    numerator = MultiPoly.zero()
-    suffix = MultiPoly.one()
-    for i in range(len(parts) - 1, -1, -1):
-        coeff, rf = parts[i]
-        if isinstance(coeff, (int, Fraction)):
-            coeff = MultiPoly.constant(coeff)
-        numerator = numerator + coeff * rf.numerator * (prefix[i] * suffix)
-        if i:
-            suffix = suffix * rf.denominator
-    return RationalFunction(numerator, prefix[-1])

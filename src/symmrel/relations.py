@@ -20,6 +20,12 @@ the polynomial under test, uniformly.  For n >= m the exponent would be
 negative; that regime is only defined here at y = 1, where the weight drops
 out.
 
+Denominator note: pi(v) of a component vector is read as the plain product
+of its components: x_1 * ... * x_m for the plain variables, the product of
+the entries for a row.  Every relation here uses this reading; it is
+validated by the degree-0 instances of the zero relation, which reduce to
+exact identities under it.
+
 Implementation note: pi(s_i) is (-1)^(i-1) x_i times the pair factors
 w_ij = y_i x_j - y_j x_i (i < j) that involve i, so pi(x) * W, with
 W = prod_{i<j} w_ij, clears every denominator of U_n.  Neither relation
@@ -109,7 +115,8 @@ times the common denominator of its coefficients.  A registry family, the
 symbolic family, a power-sum key, a PowerSumExpansion and a raw MultiPoly
 symmetric in x_1..x_m are held in the power-sum variables p_k over Q[a]
 (families by ``families.bell_form``), which makes them symmetric by
-construction; any other raw MultiPoly stays in x as it stands.  ``scaled``
+construction; any other raw MultiPoly stays in x as it stands.  A raw
+MultiPoly checked at m may hold x_1..x_m and the a_k alone.  ``scaled``
 substitutes the components' power sums, or the components themselves.
 """
 
@@ -133,17 +140,14 @@ from .polyring import (
     KIND_Y,
     MultiPoly,
     NonDivisibleError,
-    RationalFunction,
     TermCapExceeded,
     VarId,
-    ratfunc_combine,
 )
 from .symmfunc import (
     PowerSumExpansion,
     NotHomogeneousError,
     NotSymmetricError,
     _normalize_coefficient,
-    denominator_product,
     is_symmetric,
     power_sum_monomial,
     power_sums_of,
@@ -265,17 +269,11 @@ def _power_sum_poly(expansion: PowerSumExpansion) -> MultiPoly:
     )
 
 
-def _symmetric_in_x(poly: MultiPoly, m: int) -> bool:
-    """poly is in x_1..x_m and the a_k alone, and symmetric in x_1..x_m."""
-    in_x = all(v.kind == KIND_A or (v.kind == KIND_X and v.index <= m) for v in poly.variables())
-    return in_x and is_symmetric(poly, m)
-
-
 def _make_source(poly_source, n: int, m: Optional[int] = None) -> _Source:
     """Normalize the accepted source spellings into a _Source.
 
-    Given m, a raw MultiPoly in x_1..x_m and the a_k that is symmetric in
-    x_1..x_m is rewritten once in p_1..p_m.
+    Given m, a raw MultiPoly may hold x_1..x_m and the a_k alone, and one
+    that is symmetric in x_1..x_m is rewritten once in p_1..p_m.
     """
     if isinstance(poly_source, str) and poly_source.lower() == SYMBOLIC_NAME:
         a = [MultiPoly.a(k) for k in range(1, n + 1)]
@@ -295,8 +293,15 @@ def _make_source(poly_source, n: int, m: Optional[int] = None) -> _Source:
         # The zero polynomial is homogeneous of every degree.
         degree = _raw_degree(poly_source) if poly_source else n
         poly = poly_source
-        if m is not None and _symmetric_in_x(poly, m):
-            poly = _power_sum_poly(to_power_sum_basis(poly, m, max_part=m, weight=degree))
+        if m is not None:
+            for v in sorted(poly.variables()):
+                if v.kind != KIND_A and not (v.kind == KIND_X and v.index <= m):
+                    raise ValueError(
+                        f"raw polynomial has variable {v!r}; "
+                        f"it may hold only x_1..x_{m} and the a_k"
+                    )
+            if is_symmetric(poly, m):
+                poly = _power_sum_poly(to_power_sum_basis(poly, m, max_part=m, weight=degree))
         source = _Source(degree, "raw", poly)
     else:
         raise TypeError(f"cannot interpret {poly_source!r} as a polynomial source")
@@ -369,16 +374,24 @@ def _witness_json(witness):
 # ---------------------------------------------------------------------------
 
 
-def u_function(
-    s_poly: MultiPoly, n: int, m: int, specialize_y: bool = False
-) -> RationalFunction:
-    """U_n as a rational function over the product of all the denominators.
+class UFunction(NamedTuple):
+    """U_n as its numerator over the full product of denominators
+    pi(x) * prod_i pi(s_i), whose leading coefficient is positive."""
+
+    numerator: MultiPoly
+    denominator: MultiPoly
+
+
+def u_function(s_poly: MultiPoly, n: int, m: int, specialize_y: bool = False) -> UFunction:
+    """U_n over the product of all the denominators, not reduced by gcd.
 
     This is the direct construction: each term S(s_i) / pi(s_i) is built by
     generic substitution and combined over the full product denominator
-    pi(x) * prod_i pi(s_i).  It is the reference route: the relations use it
-    only for a raw input that is not symmetric, or a case the orbit residual
-    does not prove.
+    pi(x) * prod_i pi(s_i).  Term i is multiplied by the denominators before
+    it, a running prefix product whose last entry is the denominator, and by
+    those after it, a running suffix product.  It is the reference route: the
+    relations use it only for a raw input that is not symmetric, or a case
+    the orbit residual does not prove.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -390,16 +403,30 @@ def u_function(
     degree = _raw_degree(s_poly)
     if degree != n:
         raise ValueError(f"polynomial has degree {degree}, expected {n}")
+    one = MultiPoly.one()
     xs, ys, rows = _symbolic_rows(m, specialize_y)
-    parts = [(MultiPoly.one(), RationalFunction(s_poly, denominator_product(xs)))]
+    terms = [(one, s_poly, prod(xs, start=one))]
     for y, row in zip(ys, rows):
-        weight = 1 if specialize_y else y**exponent
+        weight = -one if specialize_y else -(y**exponent)
         on_row = s_poly.substitute({VarId(KIND_X, j): c for j, c in enumerate(row, 1)})
-        parts.append((-weight, RationalFunction(on_row, denominator_product(row))))
-    return ratfunc_combine(parts)
+        terms.append((weight, on_row, prod(row, start=one)))
+    prefix = [one]
+    for _, _, den in terms:
+        prefix.append(prefix[-1] * den)
+    numerator = MultiPoly.zero()
+    suffix = one
+    for i in range(len(terms) - 1, -1, -1):
+        weight, num, den = terms[i]
+        numerator = numerator + weight * num * (prefix[i] * suffix)
+        if i:
+            suffix = suffix * den
+    denominator = prefix[-1]
+    if denominator.terms[denominator.leading_monomial()] < 0:
+        return UFunction(-numerator, -denominator)
+    return UFunction(numerator, denominator)
 
 
-def _reference_u(source: _Source, n: int, m: int, y_one: bool) -> RationalFunction:
+def _reference_u(source: _Source, n: int, m: int, y_one: bool) -> UFunction:
     """``u_function`` on the source written out in x_1..x_m."""
     s_poly = source.unscale(source.scaled(_symbolic_rows(m, y_one)[0]))
     return u_function(s_poly, n, m, specialize_y=y_one)
@@ -822,11 +849,16 @@ class _ResidueEngine:
                 for a, c in coeffs.items():
                     bucket[a] = bucket.get(a, 0) + c * v
         scale = Fraction((-1) ** self.m, source.denominator * common)
-        coefficients = {
-            key: _normalize_coefficient(MultiPoly({a: c * scale for a, c in bucket.items()}))
-            for key, bucket in totals.items()
-        }
+        coefficients = {key: _coefficient(bucket, scale) for key, bucket in totals.items()}
         return PowerSumExpansion(self.d, self.m, coefficients)
+
+
+def _coefficient(bucket: dict, scale: Fraction):
+    """scale * the polynomial {monomial in the a_k: int} ``bucket``: a
+    Fraction when it has no a-monomial, as ``_normalize_coefficient`` gives."""
+    if bucket.keys() <= {()}:
+        return scale * bucket.get((), 0)
+    return _normalize_coefficient(MultiPoly({a: c * scale for a, c in bucket.items()}))
 
 
 def _key(mono, d: int) -> ExponentVector:

@@ -88,14 +88,6 @@ class CSolution:
                 out[key] = Fraction(free_values[key])
         return out
 
-    def basis_vectors(self) -> list[dict]:
-        """One coefficient map per free key (that key 1, the others 0)."""
-        out = []
-        for fk in self.free_keys:
-            values = {k: Fraction(1 if k == fk else 0) for k in self.free_keys}
-            out.append(self.coefficient_map(values))
-        return out
-
 
 def residue_system(n: int) -> tuple[list[list[Fraction]], tuple]:
     """The equations 'every residue basis coefficient vanishes', as a matrix.
@@ -111,9 +103,7 @@ def residue_system(n: int) -> tuple[list[list[Fraction]], tuple]:
         engine = _ResidueEngine(m, n - m)
         residues = {k: engine.residue(_make_source(k, n)) for k in keys}
         for basis_key in exponent_vectors(n - m, m):
-            rows.append(
-                [Fraction(residues[k].coefficient(basis_key)) for k in keys]
-            )
+            rows.append([residues[k].coefficient(basis_key) for k in keys])
     return rows, keys
 
 

@@ -12,11 +12,6 @@ symbols (symbolic mode): the matrix of the solve is always rational, so
 elimination never divides by a polynomial.  :func:`gauss_jordan` is the
 package's one elimination kernel; the coefficient solver in ``solver`` uses
 it too.
-
-The denominator product pi(v) of a variable vector is read as the plain
-product of its components.  This reading is used in every relation built
-here; it is validated by the fact that the degree-0 instances of the zero
-relations reduce to exact identities under it (see the relations module).
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ __all__ = [
     "power_sum",
     "power_sum_product",
     "power_sum_monomial",
-    "denominator_product",
     "to_power_sum_basis",
     "is_symmetric",
     "x_degrees",
@@ -142,21 +136,6 @@ def power_sums_of(values: Sequence, up_to: int):
 def power_sum_monomial(k: ExponentVector) -> MultiPoly:
     """p_1^k_1 * p_2^k_2 * ... in the power-sum variables."""
     return MultiPoly([(tuple((VarId(KIND_P, i), e) for i, e in enumerate(k, 1) if e), 1)])
-
-
-def denominator_product(components: Sequence[MultiPoly]) -> MultiPoly:
-    """Product of the components of a variable vector.
-
-    This is the denominator normalization used by every relation in the
-    package: for the plain variables it is x_1*...*x_m, for a substitution
-    row it is the product of the row entries.
-    """
-    if not components:
-        raise ValueError("need at least one component")
-    out = MultiPoly.one()
-    for c in components:
-        out = out * c
-    return out
 
 
 def is_symmetric(p: MultiPoly, m: int) -> bool:

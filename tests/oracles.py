@@ -19,9 +19,9 @@
   and at y = 1 that numerator divided by pi(x) and each w_ij and converted
   with ``to_power_sum_basis``, against which the closed-form residue, the
   orbit-representative certificate and ``u_function`` are checked;
-* :func:`sequential_ratfunc_combine` -- rational functions combined over the
-  product denominator one product at a time, against which
-  ``polyring.ratfunc_combine`` is checked;
+* :func:`sequential_ratfunc_combine` -- fractions combined over the product
+  of their denominators one product at a time, against which the running
+  prefix and suffix products of ``relations.u_function`` are checked;
 * :func:`alternate` -- the full signed sum over S_m, against which the
   orbit-representative residual in ``relations._orbit_residual`` is checked;
 * :func:`euler_poly_at_zero` -- E_n(0) from the Bernoulli numbers by DLMF
@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 from symmrel.exactnum import bernoulli_numbers
 from symmrel.partitions import exponent_vectors
-from symmrel.polyring import KIND_P, KIND_X, KIND_Y, MultiPoly, RationalFunction, VarId
+from symmrel.polyring import KIND_P, KIND_X, KIND_Y, MultiPoly, VarId
 from symmrel.relations import _symbolic_rows
 from symmrel.symmfunc import (
     NotRepresentableError,
@@ -249,19 +249,21 @@ def lcd_residue(source, m: int):
     return to_power_sum_basis(quotient, m, max_part=m, weight=source.n - m)
 
 
-def sequential_ratfunc_combine(parts: Sequence) -> RationalFunction:
-    """sum(c_i * r_i) over the product of all denominators, each part
-    multiplied by every other denominator in turn."""
-    denominators = [rf.denominator for _, rf in parts]
+def sequential_ratfunc_combine(parts: Sequence) -> tuple:
+    """(numerator, denominator): sum(c_i * n_i / d_i) over the product of all
+    denominators, for ``parts`` of the form (c_i, (n_i, d_i)), each numerator
+    multiplied by every other denominator in turn.  The sign is not
+    normalized."""
+    denominators = [den for _, (_, den) in parts]
     numerator = MultiPoly.zero()
-    for i, (coeff, rf) in enumerate(parts):
+    for i, (coeff, (num, _)) in enumerate(parts):
         term = MultiPoly.constant(coeff) if isinstance(coeff, (int, Fraction)) else coeff
-        term = term * rf.numerator
+        term = term * num
         for j, den in enumerate(denominators):
             if j != i:
                 term = term * den
         numerator = numerator + term
-    return RationalFunction(numerator, prod(denominators, start=MultiPoly.one()))
+    return numerator, prod(denominators, start=MultiPoly.one())
 
 
 def alternate(poly: MultiPoly, m: int) -> MultiPoly:

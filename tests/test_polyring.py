@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,9 @@ from symmrel.polyring import (
     MissingVariableError,
     MultiPoly,
     NonDivisibleError,
-    RationalFunction,
     TermCapExceeded,
     VarId,
     get_term_cap,
-    ratfunc_combine,
     set_term_cap,
 )
 from symmrel.relations import _symbolic_rows
@@ -253,61 +252,61 @@ def assert_remainder_of(error: NonDivisibleError, p: MultiPoly, d: MultiPoly) ->
 
 
 class TestRationalFunctions:
-    def test_cancellation_to_zero(self):
-        one_over_x1 = RationalFunction(MultiPoly.one(), x1)
-        combined = ratfunc_combine([(MultiPoly.one(), one_over_x1), (-MultiPoly.one(), one_over_x1)])
-        assert combined.is_zero()
-        assert combined.denominator == x1**2
+    """U_n over the full product of denominators, as ``u_function`` forms it."""
 
-    def test_sum_of_reciprocals(self):
-        combined = ratfunc_combine(
-            [
-                (MultiPoly.one(), RationalFunction(MultiPoly.one(), x1)),
-                (MultiPoly.one(), RationalFunction(MultiPoly.one(), x2)),
-            ]
-        )
-        assert combined.numerator == x1 + x2
-        assert combined.denominator == x1 * x2
+    def test_cancellation_to_zero(self):
+        # S = x_1 at m = 1 and y = 1: x_1/x_1 - x_1/x_1 over x_1 * x_1.
+        u = relations.u_function(x1, 1, 1, specialize_y=True)
+        assert u.numerator.is_zero()
+        assert u.denominator == x1**2
 
     def test_weighted_three_term_zero(self):
         # 1/(x1 x2) - y1/(x1 (y1 x2 - y2 x1)) - y2/(x2 (y2 x1 - y1 x2)) == 0
         w = y1 * x2 - y2 * x1
-        parts = [
-            (MultiPoly.one(), RationalFunction(MultiPoly.one(), x1 * x2)),
-            (-y1, RationalFunction(MultiPoly.one(), x1 * w)),
-            (-y2, RationalFunction(MultiPoly.one(), x2 * (-w))),
-        ]
-        assert ratfunc_combine(parts).is_zero()
+        u = relations.u_function(MultiPoly.one(), 0, 2)
+        assert u.numerator.is_zero()
+        assert u.denominator == -(x1 * x2 * x1 * w * x2 * (-w))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_matches_sequential_products(self, monkeypatch, m):
-        # The parts u_function combines for a raw polynomial that is not
-        # symmetric, at y = 1 and, where n <= m - 1, at general y.
+    def test_matches_sequential_products(self, m):
+        # A raw polynomial that is not symmetric, at y = 1 and, where
+        # n <= m - 1, at general y.
         xs = [MultiPoly.x(j) for j in range(1, m + 1)]
         s_poly = xs[0] ** 2 - xs[0] * xs[-1] / 3 + 2 * xs[-1] ** 2
-        seen = []
+        for y_one in (True, False) if m >= 3 else (True,):
+            u = relations.u_function(s_poly, 2, m, specialize_y=y_one)
+            numerator, denominator = sequential_ratfunc_combine(_u_parts(s_poly, 2, m, y_one))
+            sign = 1 if u.denominator == denominator else -1
+            assert (u.numerator, u.denominator) == (sign * numerator, sign * denominator)
 
-        def spy(parts):
-            seen.append(parts)
-            return ratfunc_combine(parts)
-
-        monkeypatch.setattr(relations, "ratfunc_combine", spy)
-        relations.u_function(s_poly, 2, m, specialize_y=True)
-        if m >= 3:
-            relations.u_function(s_poly, 2, m)
-        assert len(seen) == (2 if m >= 3 else 1)
-        for parts in seen:
-            assert len(parts) == m + 1
-            assert ratfunc_combine(parts) == sequential_ratfunc_combine(parts)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFunction(x1, MultiPoly.zero())
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("y_one", [False, True])
+    def test_denominator_lead_is_positive(self, m, y_one):
+        den = relations.u_function(MultiPoly.one(), 0, m, specialize_y=y_one).denominator
+        assert den.terms[den.leading_monomial()] > 0
 
     def test_denominator_sign_normalized(self):
-        rf = RationalFunction(x1, -x2)
-        assert rf.denominator == x2
-        assert rf.numerator == -x1
+        # The product pi(x) * pi(s_1) * pi(s_2) leads with -1 at m = 2, so
+        # u_function negates both numerator and denominator.
+        s_poly = x1**2 + 3 * x2**2
+        parts = _u_parts(s_poly, 2, 2, True)
+        numerator, denominator = sequential_ratfunc_combine(parts)
+        assert denominator.terms[denominator.leading_monomial()] == -1
+        u = relations.u_function(s_poly, 2, 2, specialize_y=True)
+        assert u.denominator == -denominator
+        assert u.numerator == -numerator
+
+
+def _u_parts(s_poly, n, m, y_one):
+    """The fractions of U_n from its definition, as (weight, (S(v), pi(v)))
+    for v = x, s_1, ..., s_m."""
+    xs, ys, rows = _symbolic_rows(m, y_one)
+    parts = [(1, (s_poly, prod(xs, start=MultiPoly.one())))]
+    for y, row in zip(ys, rows):
+        on_row = s_poly.substitute({VarId(KIND_X, j): c for j, c in enumerate(row, 1)})
+        weight = -1 if y_one else -(y ** (m - n - 1))
+        parts.append((weight, (on_row, prod(row, start=MultiPoly.one()))))
+    return parts
 
 
 class TestTermCap:

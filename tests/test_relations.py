@@ -51,7 +51,6 @@ from symmrel.solver import residue_system
 from symmrel.symmfunc import (
     NotRepresentableError,
     PowerSumExpansion,
-    denominator_product,
     power_sum,
     power_sum_monomial,
     power_sum_product,
@@ -100,9 +99,9 @@ class TestFrame:
         # c_i * pi(s_i) = (-1)^(i-1) * pi(x) * W as polynomials.
         for m in range(1, 5):
             frame = lcd_frame(m, y_one)
-            lcd = denominator_product(_x_vars(m)) * frame.pair_product
+            lcd = _product(_x_vars(m)) * frame.pair_product
             for i, (row, cofactor) in enumerate(zip(frame.rows, frame.cofactors)):
-                assert cofactor * denominator_product(list(row)) == (-1) ** i * lcd, (m, i)
+                assert cofactor * _product(row) == (-1) ** i * lcd, (m, i)
 
     @pytest.mark.parametrize("y_one", [False, True])
     def test_divisors_multiply_to_the_denominator(self, y_one):
@@ -341,27 +340,32 @@ class TestPrescreenSamples:
 class TestUFunction:
     def test_constant_vanishes(self):
         rf = u_function(MultiPoly.one(), 0, 2)
-        assert rf.is_zero()
+        assert rf.numerator.is_zero()
 
     def test_single_variable_at_unit_weights(self):
         rf = u_function(MultiPoly.x(1), 1, 1, specialize_y=True)
-        assert rf.is_zero()
+        assert rf.numerator.is_zero()
 
     def test_bernoulli_linear(self):
         rf = u_function(family_polynomial("bernoulli", 1, 2), 1, 2)
-        assert rf.is_zero()
+        assert rf.numerator.is_zero()
 
     def test_full_product_denominator(self):
+        # pi(v) is the plain product of the components of v.
         s = power_sum(1, 2)
         rf = u_function(s, 1, 2)
         rows = build_s_matrix(2)
-        expected = denominator_product([x1, x2])
+        expected = x1 * x2
         for row in rows:
-            expected = expected * denominator_product(list(row))
+            expected = expected * row[0] * row[1]
         lead = expected.terms[expected.leading_monomial()]
         if lead < 0:
             expected = -expected
         assert rf.denominator == expected
+
+    def test_needs_a_variable(self):
+        with pytest.raises(ValueError):
+            u_function(MultiPoly.one(), 0, 0)
 
     def test_negative_weight_regime_rejected(self):
         with pytest.raises(PreconditionError):
@@ -380,12 +384,16 @@ class TestUFunction:
             rf = u_function(poly, n, m, specialize_y=y_one)
             num = lcd_numerator(_make_source(poly, n), lcd_frame(m, y_one), 0 if y_one else m - n - 1)
             x_vars = [MultiPoly.x(i) for i in range(1, m + 1)]
-            lcm_den = denominator_product(x_vars) * lcd_frame(m, y_one).pair_product
+            lcm_den = _product(x_vars) * lcd_frame(m, y_one).pair_product
             assert rf.numerator * lcm_den == num * rf.denominator
 
 
 def _x_vars(m):
     return [MultiPoly.x(i) for i in range(1, m + 1)]
+
+
+def _product(components):
+    return prod(components, start=MultiPoly.one())
 
 
 def _instantiate(source, comps):
@@ -444,6 +452,34 @@ class TestSources:
                 for row in _symbolic_rows(m, True)[2]:
                     coeffs = _instantiate(source, row).terms.values()
                     assert not any(isinstance(c, F) and c.denominator == 1 for c in coeffs)
+
+
+class TestRawVariables:
+    """A raw source may hold only x_1..x_m and the a_k."""
+
+    def test_residue_relation_rejects_a_higher_x(self):
+        with pytest.raises(ValueError, match="variable x_3"):
+            verify_conjecture2(MultiPoly.x(3) ** 2, 2, 2)
+
+    def test_residue_relation_rejects_a_higher_x_in_a_symmetric_looking_sum(self):
+        with pytest.raises(ValueError, match="variable x_3"):
+            verify_conjecture2(x1 * MultiPoly.x(3) + x2 * MultiPoly.x(3), 2, 2)
+
+    def test_zero_relation_rejects_a_higher_x(self):
+        with pytest.raises(ValueError, match="variable x_3"):
+            verify_conjecture1(MultiPoly.x(3), 1, 2)
+
+    def test_residue_relation_rejects_y(self):
+        with pytest.raises(ValueError, match="variable y_1"):
+            verify_conjecture2(x1**2 + x2**2 + y1 * x1 * x2, 2, 2)
+
+    def test_zero_relation_rejects_y(self):
+        with pytest.raises(ValueError, match="variable y_1"):
+            verify_conjecture1(y1 * (x1 + x2), 1, 2)
+
+    def test_a_symbols_pass(self):
+        a1 = MultiPoly.a(1)
+        assert verify_conjecture1(a1 * (x1 + x2), 1, 2).verified
 
 
 class TestZeroRelation:

@@ -164,8 +164,10 @@ class TestCSolutions:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_round_trip_residues_vanish(self, n):
+        # One coefficient map per free key: that key 1, the others 0.
         solution = solve_c_coefficients(n)
-        for values in solution.basis_vectors():
+        for fk in solution.free_keys:
+            values = solution.coefficient_map({k: int(k == fk) for k in solution.free_keys})
             for m in range(2, n + 1):
                 total = {}
                 for key, c in values.items():

@@ -9,7 +9,6 @@ from symmrel.partitions import exponent_vectors
 from symmrel.symmfunc import (
     NotHomogeneousError,
     NotSymmetricError,
-    denominator_product,
     is_symmetric,
     power_sum,
     power_sum_product,
@@ -88,22 +87,6 @@ class TestCompleteBell:
             n, [stream[r - 1] * power_sum(r, m) for r in range(1, n + 1)]
         )
         assert symbolic.substitute(assignment) == numeric
-
-
-class TestDenominatorProduct:
-    def test_plain_variables(self):
-        assert denominator_product([x1, x2]) == x1 * x2
-
-    def test_row_at_unit_weights(self):
-        # first substitution row at y = 1: (x_1, x_2 - x_1)
-        assert denominator_product([x1, x2 - x1]) == x1 * (x2 - x1)
-
-    def test_all_ones(self):
-        assert denominator_product([MultiPoly.one()] * 4) == MultiPoly.one()
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            denominator_product([])
 
 
 class TestSymmetryCheck:
