@@ -59,11 +59,13 @@ costs two instantiations, two products by one monomial and one pass that
 sorts each term of H.  Every call does this work afresh: nothing of it is
 cached, so a term cap meets the same work whatever ran before.
 
-* Zero relation (``verify_conjecture1``): U_n = 0 exactly when Alt(H) = 0.
-* Residue relation (``verify_conjecture2``): for a symmetric G,
-  W G = Alt(M G) at y = 1, so U_n = G exactly when Alt(H - M pi(x) G) = 0.
-  G is the closed-form residue below (times the source's denominator, as
-  H is), so an empty orbit residual certifies the extracted residue.
+Both relations are one check, U_n = G for a known symmetric G (``_decide``).
+The zero relation (``verify_conjecture1``) has G = 0 at general y: U_n = 0
+exactly when Alt(H) = 0.  The residue relation (``verify_conjecture2``) has
+G the closed-form residue below at y = 1, times the source's denominator as
+H is; W G = Alt(M G) at y = 1, so U_n = G exactly when Alt(H - M pi(x) G) = 0,
+and an empty orbit residual certifies G.  A case that meets the term cap is
+resource-limited, with the cap's message under the stage that was running.
 
 Reference route: a raw MultiPoly in x that is symmetric in x_1..x_m is
 rewritten once in p_1..p_m and so takes the route above; one that is not,
@@ -124,6 +126,7 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -262,6 +265,15 @@ def _raw_degree(poly: MultiPoly) -> int:
     return degrees.pop() if degrees else 0
 
 
+def _check_raw_variables(poly: MultiPoly, m: int) -> None:
+    """Reject, by name, any variable of ``poly`` but x_1..x_m and the a_k."""
+    for v in sorted(poly.variables()):
+        if v.kind != KIND_A and not (v.kind == KIND_X and v.index <= m):
+            raise ValueError(
+                f"raw polynomial has variable {v!r}; it may hold only x_1..x_{m} and the a_k"
+            )
+
+
 def _power_sum_poly(expansion: PowerSumExpansion) -> MultiPoly:
     return sum(
         (c * power_sum_monomial(key) for key, c in expansion.coefficients.items()),
@@ -294,12 +306,7 @@ def _make_source(poly_source, n: int, m: Optional[int] = None) -> _Source:
         degree = _raw_degree(poly_source) if poly_source else n
         poly = poly_source
         if m is not None:
-            for v in sorted(poly.variables()):
-                if v.kind != KIND_A and not (v.kind == KIND_X and v.index <= m):
-                    raise ValueError(
-                        f"raw polynomial has variable {v!r}; "
-                        f"it may hold only x_1..x_{m} and the a_k"
-                    )
+            _check_raw_variables(poly, m)
             if is_symmetric(poly, m):
                 poly = _power_sum_poly(to_power_sum_basis(poly, m, max_part=m, weight=degree))
         source = _Source(degree, "raw", poly)
@@ -391,7 +398,8 @@ def u_function(s_poly: MultiPoly, n: int, m: int, specialize_y: bool = False) ->
     it, a running prefix product whose last entry is the denominator, and by
     those after it, a running suffix product.  It is the reference route: the
     relations use it only for a raw input that is not symmetric, or a case
-    the orbit residual does not prove.
+    the orbit residual does not prove.  ``s_poly`` may hold x_1..x_m and the
+    a_k alone.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -401,6 +409,7 @@ def u_function(s_poly: MultiPoly, n: int, m: int, specialize_y: bool = False) ->
             "general-y U is only defined for n <= m-1; set specialize_y for n >= m"
         )
     degree = _raw_degree(s_poly)
+    _check_raw_variables(s_poly, m)
     if degree != n:
         raise ValueError(f"polynomial has degree {degree}, expected {n}")
     one = MultiPoly.one()
@@ -424,12 +433,6 @@ def u_function(s_poly: MultiPoly, n: int, m: int, specialize_y: bool = False) ->
     if denominator.terms[denominator.leading_monomial()] < 0:
         return UFunction(-numerator, -denominator)
     return UFunction(numerator, denominator)
-
-
-def _reference_u(source: _Source, n: int, m: int, y_one: bool) -> UFunction:
-    """``u_function`` on the source written out in x_1..x_m."""
-    s_poly = source.unscale(source.scaled(_symbolic_rows(m, y_one)[0]))
-    return u_function(s_poly, n, m, specialize_y=y_one)
 
 
 # ---------------------------------------------------------------------------
@@ -485,20 +488,20 @@ def _orbit_residual(poly: MultiPoly, m: int) -> dict:
     return {key: c for key, c in residual.items() if c}
 
 
-def _residue_residual(source: _Source, m: int, residue: PowerSumExpansion) -> tuple:
-    """(terms, residual): the orbit residual of H - M * pi(x) * G at y = 1 and
-    the term count of that polynomial, with H = ``_alternant_term(source, m,
-    True, 0)`` and G the residue written out in x_1..x_m, times the source's
-    denominator as H is.
-
-    G is symmetric, so Alt(M * pi(x) * G) = pi(x) * W * G, and the residual
-    is empty exactly when pi(x) * W * U_n = pi(x) * W * G, that is U_n = G.
+def _certificate(source: _Source, m: int, residue: Optional[PowerSumExpansion]) -> tuple:
+    """(terms, residual): the term count and orbit residual of a polynomial
+    whose alternant is pi(x) * W * (U_n - G) times the source's denominator,
+    so the residual is empty exactly when U_n = G.  With ``residue`` None,
+    G = 0 and it is H at general y; otherwise H - M * pi(x) * G at y = 1.
     """
-    xs = _symbolic_rows(m, True)[0]
-    weight = prod((x ** (j + 1) for j, x in enumerate(xs)), start=MultiPoly.one())
-    g = residue.to_polynomial() * source.denominator
-    difference = _alternant_term(source, m, True, 0) - weight * g
-    return len(difference), _orbit_residual(difference, m)
+    if residue is None:
+        poly = _alternant_term(source, m, False, m - source.n - 1)
+    else:
+        xs = _symbolic_rows(m, True)[0]
+        weight = prod((x ** (j + 1) for j, x in enumerate(xs)), start=MultiPoly.one())
+        g = residue.to_polynomial() * source.denominator
+        poly = _alternant_term(source, m, True, 0) - weight * g
+    return len(poly), _orbit_residual(poly, m)
 
 
 # ---------------------------------------------------------------------------
@@ -609,49 +612,7 @@ def verify_conjecture1(poly_source, n: int, m: int) -> RelationReport:
             f"zero relation needs 0 <= n <= m-1 (got n={n}, m={m}); "
             "use verify_conjecture2 for n >= m"
         )
-    source = _make_source(poly_source, n, m)
-    conjecture = "C1" if source.family else "C3-zero"
-    report = RelationReport(conjecture, n, m, source.label, "unknown")
-    stage = "prescreen"
-    try:
-        start = time.perf_counter()
-        witness = _prescreen(source, n, m)
-        report.stages.append(
-            Stage(stage, f"{PRESCREEN_POINTS} points", time.perf_counter() - start)
-        )
-        if witness is not None:
-            report.verdict = "falsified"
-            report.witness = witness
-            return report
-        if source.symmetric:
-            stage = "orbit-certificate"
-            start = time.perf_counter()
-            term = _alternant_term(source, m, False, m - n - 1)
-            residual = _orbit_residual(term, m)
-            if residual:
-                detail = f"{len(residual)} orbit representatives left; reference route"
-            else:
-                detail = f"Alt(H) = 0 on {len(term)} terms"
-            report.stages.append(Stage(stage, detail, time.perf_counter() - start))
-            if not residual:
-                report.verdict = "verified"
-                return report
-        stage = "expand"
-        start = time.perf_counter()
-        numerator = _reference_u(source, n, m, False).numerator
-        report.stages.append(
-            Stage(stage, f"{len(numerator)} numerator terms", time.perf_counter() - start)
-        )
-    except TermCapExceeded as exc:
-        report.verdict = "resource-limited"
-        report.stages.append(Stage(stage, str(exc), 0.0))
-        return report
-    if numerator.is_zero():
-        report.verdict = "verified"
-    else:
-        report.verdict = "falsified"
-        report.witness = numerator
-    return report
+    return _decide(_make_source(poly_source, n, m), m, zero=True)
 
 
 def verify_conjecture2(poly_source, n: int, m: int) -> RelationReport:
@@ -672,62 +633,83 @@ def verify_conjecture2(poly_source, n: int, m: int) -> RelationReport:
             f"residue relation needs n >= m (got n={n}, m={m}); "
             "use verify_conjecture1 for n <= m-1"
         )
-    source = _make_source(poly_source, n, m)
-    conjecture = "C2" if source.family else "C3-poly"
-    report = RelationReport(conjecture, n, m, source.label, "unknown")
-    stage = "orbit-certificate"
+    return _decide(_make_source(poly_source, n, m), m, zero=False)
+
+
+def _decide(source: _Source, m: int, zero: bool) -> RelationReport:
+    """Decide U_n = G, G = 0 for the zero relation, through the stages that
+    apply: prescreen (zero relation), orbit-certificate (a source held in
+    the power sums), expand, then divide and basis (residue relation)."""
+    n = source.n
+    family, raw = ("C1", "C3-zero") if zero else ("C2", "C3-poly")
+    report = RelationReport(family if source.family else raw, n, m, source.label, "unknown")
     try:
+        if zero:
+            with _stage(report, "prescreen") as stage:
+                witness = _prescreen(source, n, m)
+                stage.detail = f"{PRESCREEN_POINTS} points"
+            if witness is not None:
+                return _close(report, witness)
         if source.symmetric:
-            start = time.perf_counter()
-            extracted = _y_one_residue(source, m)
-            terms, residual = _residue_residual(source, m, extracted)
-            if residual:
-                detail = f"{len(residual)} orbit representatives left; reference route"
-            else:
-                detail = f"closed-form residue G; Alt(H - M*pi(x)*G) = 0 on {terms} terms"
-            report.stages.append(Stage(stage, detail, time.perf_counter() - start))
+            with _stage(report, "orbit-certificate") as stage:
+                residue = None if zero else _y_one_residue(source, m)
+                terms, residual = _certificate(source, m, residue)
+                if residual:
+                    stage.detail = f"{len(residual)} orbit representatives left; reference route"
+                elif zero:
+                    stage.detail = f"Alt(H) = 0 on {terms} terms"
+                else:
+                    stage.detail = f"closed-form residue G; Alt(H - M*pi(x)*G) = 0 on {terms} terms"
             if not residual:
-                report.verdict = "verified"
-                report.extracted = extracted
-                return report
-        stage = "expand"
-        _decide_by_division(report, source, n, m)
-    except TermCapExceeded as exc:
+                return _close(report, extracted=residue)
+        with _stage(report, "expand") as stage:
+            s_poly = source.unscale(source.scaled(_symbolic_rows(m, not zero)[0]))
+            u = u_function(s_poly, n, m, specialize_y=not zero)
+            stage.detail = f"{len(u.numerator)} numerator terms"
+        if zero:
+            return _close(report, None if u.numerator.is_zero() else u.numerator)
+        with _stage(report, "divide") as stage:
+            try:
+                quotient = u.numerator.exact_divide(u.denominator)
+            except NonDivisibleError as exc:
+                stage.detail = "nonzero remainder"
+                return _close(report, exc.remainder)
+            stage.detail = f"{len(quotient)} quotient terms"
+        try:
+            with _stage(report, "basis") as stage:
+                extracted = to_power_sum_basis(quotient, m, max_part=m, weight=n - m)
+                stage.detail = f"{len(extracted.coefficients)} basis keys"
+        except (NotHomogeneousError, NotSymmetricError):
+            return _close(report, quotient)
+        return _close(report, extracted=extracted)
+    except TermCapExceeded:
         report.verdict = "resource-limited"
-        report.stages.append(Stage(stage, str(exc), 0.0))
-    return report
+        return report
 
 
-def _decide_by_division(report: RelationReport, source: _Source, n: int, m: int) -> None:
-    """The reference route of the residue relation, recorded on ``report``."""
-    start = time.perf_counter()
-    u = _reference_u(source, n, m, True)
-    report.stages.append(
-        Stage("expand", f"{len(u.numerator)} numerator terms", time.perf_counter() - start)
-    )
-    start = time.perf_counter()
-    try:
-        quotient = u.numerator.exact_divide(u.denominator)
-    except NonDivisibleError as exc:
-        report.verdict = "falsified"
-        report.witness = exc.remainder
-        report.stages.append(Stage("divide", "nonzero remainder", time.perf_counter() - start))
-        return
-    report.stages.append(
-        Stage("divide", f"{len(quotient)} quotient terms", time.perf_counter() - start)
-    )
+@contextmanager
+def _stage(report: RelationReport, name: str):
+    """Time the body as stage ``name``, described by the yielded record's
+    ``detail``, and append it to ``report`` when the body ends or meets the
+    term cap, whose message becomes the detail; any other error leaves it out."""
+    record = Stage(name, "", 0.0)
     start = time.perf_counter()
     try:
-        extracted = to_power_sum_basis(quotient, m, max_part=m, weight=n - m)
-    except (NotHomogeneousError, NotSymmetricError):
-        report.verdict = "falsified"
-        report.witness = quotient
-        return
-    report.stages.append(
-        Stage("basis", f"{len(extracted.coefficients)} basis keys", time.perf_counter() - start)
-    )
-    report.verdict = "verified"
+        yield record
+    except TermCapExceeded as exc:
+        record.detail = str(exc)
+        report.stages.append(record)
+        raise
+    record.seconds = time.perf_counter() - start
+    report.stages.append(record)
+
+
+def _close(report: RelationReport, witness=None, extracted=None) -> RelationReport:
+    """Falsified with a witness, verified without one."""
+    report.verdict = "verified" if witness is None else "falsified"
+    report.witness = witness
     report.extracted = extracted
+    return report
 
 
 # ---------------------------------------------------------------------------

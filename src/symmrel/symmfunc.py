@@ -163,8 +163,8 @@ def _split_x_part(p: MultiPoly):
     """Split every term into its x-monomial and the residual coefficient.
 
     Returns a dict x-monomial -> MultiPoly in the remaining (a) variables.
-    Rejects y variables: basis conversion is only defined for the x ring
-    with optional a-symbol coefficients.
+    Rejects any other variable, naming it: basis conversion is only defined
+    for the x ring with optional a-symbol coefficients.
     """
     rows: dict = {}
     for mono, coeff in p.terms.items():
@@ -176,7 +176,9 @@ def _split_x_part(p: MultiPoly):
             elif var.kind == KIND_A:
                 rest.append((var, exp))
             else:
-                raise ValueError("basis conversion got a polynomial with y variables")
+                raise ValueError(
+                    f"basis conversion got variable {var!r}; it takes the x_i and the a_k alone"
+                )
         bucket = rows.setdefault(tuple(x_part), {})
         key = tuple(rest)
         bucket[key] = bucket.get(key, 0) + coeff

@@ -29,12 +29,12 @@ from symmrel.relations import (
     PreconditionError,
     _ResidueEngine,
     _alternant_term,
+    _certificate,
     _make_source,
     _newton_tables,
     _orbit_residual,
     _point,
     _random_point,
-    _residue_residual,
     _samples,
     _symbolic_rows,
     _u_at,
@@ -481,6 +481,18 @@ class TestRawVariables:
         a1 = MultiPoly.a(1)
         assert verify_conjecture1(a1 * (x1 + x2), 1, 2).verified
 
+    @pytest.mark.parametrize(
+        "poly, n, m, specialize_y, name",
+        [
+            (MultiPoly.x(3) ** 2, 2, 2, True, "x_3"),
+            (x1 * MultiPoly.p(2), 1, 3, False, "p_2"),
+            (y1 * x1, 1, 2, False, "y_1"),
+        ],
+    )
+    def test_u_function_rejects_other_variables(self, poly, n, m, specialize_y, name):
+        with pytest.raises(ValueError, match=f"variable {name}"):
+            u_function(poly, n, m, specialize_y=specialize_y)
+
 
 class TestZeroRelation:
     def test_family_cases(self):
@@ -536,19 +548,27 @@ class TestZeroRelation:
             assert report.stages[-1].detail.startswith("Alt(H) = 0 on "), report.stages[-1]
 
     def test_term_cap_names_the_running_stage(self, monkeypatch):
-        # A symmetric source meets the cap in the orbit pass; a raw source
-        # that is not symmetric meets it in the reference expansion.
+        # In both relations a symmetric source meets the cap in the orbit
+        # pass, and a raw source that is not symmetric meets it in the
+        # reference expansion.  No stage is recorded twice.
         monkeypatch.setattr(relations, "_prescreen", lambda source, n, m: None)
         cap = get_term_cap()
         set_term_cap(1)
         try:
-            symmetric = verify_conjecture1("bernoulli", 2, 3)
-            raw = verify_conjecture1(x1**2 - 2 * x1 * x2, 2, 3)
+            cases = [
+                (verify_conjecture1("bernoulli", 2, 3), "orbit-certificate"),
+                (verify_conjecture1(x1**2 - 2 * x1 * x2, 2, 3), "expand"),
+                (verify_conjecture2("bernoulli", 4, 2), "orbit-certificate"),
+                (verify_conjecture2(x1**3 + x1**2 * x2, 3, 2), "expand"),
+            ]
         finally:
             set_term_cap(cap)
-        for report, stage in ((symmetric, "orbit-certificate"), (raw, "expand")):
+        for report, stage in cases:
             assert report.verdict == "resource-limited"
             assert report.stages[-1].name == stage
+            assert "exceeds the cap" in report.stages[-1].detail, report.stages[-1]
+            names = [s.name for s in report.stages]
+            assert len(names) == len(set(names)), names
 
     def test_nonzero_residual_takes_the_kernel_witness(self, monkeypatch):
         # A nonzero residual hands the case to the reference route, whose
@@ -681,12 +701,12 @@ class TestResidueCertificate:
         for spec in ("symbolic", "bernoulli", (n,) + (0,) * (n - 1)):
             source = _make_source(spec, n)
             residue = _y_one_residue(source, m)
-            assert _residue_residual(source, m, residue)[1] == {}
+            assert _certificate(source, m, residue)[1] == {}
             key = exponent_vectors(n - m, m)[0]
             coefficients = dict(residue.coefficients)
             coefficients[key] = coefficients[key] + 1
             perturbed = PowerSumExpansion(n - m, m, coefficients)
-            assert _residue_residual(source, m, perturbed)[1], (spec, n, m)
+            assert _certificate(source, m, perturbed)[1], (spec, n, m)
 
             expected = verify_conjecture2(spec, n, m)
             references = []

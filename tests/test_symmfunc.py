@@ -144,6 +144,12 @@ class TestBasisConversion:
         with pytest.raises(NotRepresentableError):
             to_power_sum_basis(power_sum(1, 2) ** 3, 2, 3)
 
+    def test_rejects_other_variables_by_name(self):
+        with pytest.raises(ValueError, match="variable p_1"):
+            to_power_sum_basis(MultiPoly.p(1), 1, 1)
+        with pytest.raises(ValueError, match="variable y_2"):
+            to_power_sum_basis(MultiPoly.y(2) * (x1 + x2), 2, 2)
+
     def test_zero_needs_weight(self):
         with pytest.raises(ValueError):
             to_power_sum_basis(MultiPoly.zero(), 2, 2)
