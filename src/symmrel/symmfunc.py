@@ -9,9 +9,10 @@ monomials, the route of raw input, :func:`to_power_sum_basis` checks symmetry
 and homogeneity and inverts the basis by an exact linear solve on monomial
 coefficients.  Coefficients may themselves be polynomials in the ``a_i``
 symbols (symbolic mode): the matrix of the solve is always rational, so
-elimination never divides by a polynomial.  :func:`gauss_jordan` is the
-package's one elimination kernel; the coefficient solver in ``solver`` uses
-it too.
+elimination never divides by a polynomial.  :func:`gauss_jordan` is that
+solve's exact ``Fraction`` elimination; the coefficient solver in ``solver``
+eliminates its larger, right-hand-side-free system with a certified
+multimodular kernel instead.
 """
 
 from __future__ import annotations

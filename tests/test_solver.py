@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from symmrel import solver
 from symmrel.families import family_polynomial
 from symmrel.partitions import exponent_vectors
 from symmrel.polyring import MultiPoly
@@ -12,6 +14,8 @@ from symmrel.solver import (
     CSolution,
     NONLINEAR_RELATIONS,
     TABULATED_BERNOULLI_FREE_VALUES,
+    _certified_rref,
+    _primes,
     bernoulli_reconstruction_check,
     reconstruct_s_bar,
     residue_system,
@@ -122,6 +126,105 @@ class TestNullspace:
             assert value == a1 * sum((e * v for e, v in zip(row, solution)), F(0))
 
 
+def gauss_jordan_forms(matrix, columns):
+    """gauss_jordan's pivot rows as {pivot column: {column: nonzero entry}},
+    the shape the modular kernel returns, in the same orders."""
+    pivots, rows, _ = gauss_jordan(matrix, columns)
+    return {col: {c: v for c, v in enumerate(rows[r]) if c != col and v != 0} for col, r in pivots.items()}
+
+
+def assert_same_forms(got, expected):
+    # Equal as ordered mappings, every entry a Fraction like gauss_jordan's.
+    assert list(got) == list(expected)
+    for col, form in expected.items():
+        assert list(got[col].items()) == list(form.items()), col
+        assert all(type(v) is F for v in got[col].values())
+
+
+class TestModularKernel:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_gauss_jordan_random(self, seed):
+        # The matrices of TestNullspace.test_kernel_property_random.
+        matrix = _random_matrix(random.Random(seed))
+        cols = len(matrix[0])
+        for order in (list(range(cols)), list(range(cols - 1, -1, -1))):
+            forms, _ = _certified_rref(matrix, order)
+            assert_same_forms(forms, gauss_jordan_forms(matrix, order))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0, 0, 0], [0, 0, 0]],
+            [[2, 1, 0], [F(1, 3), 5, -1], [7, 0, F(-2, 5)]],
+            # Rows with fractional entries, one a multiple of another.
+            [[F(1, 2), F(1, 3), 1, 0], [F(2, 3), F(-1, 4), F(5, 6), F(7, 9)], [1, F(2, 3), 2, 0]],
+        ],
+        ids=["zero", "full-rank", "fractional-rows"],
+    )
+    def test_matches_gauss_jordan_by_hand(self, matrix):
+        cols = len(matrix[0])
+        for order in (range(cols), range(cols - 1, -1, -1)):
+            forms, primes = _certified_rref(matrix, order)
+            assert_same_forms(forms, gauss_jordan_forms(matrix, order))
+            assert primes == 1
+
+    def test_residue_system_is_not_integral(self):
+        # Rows carry denominators (2 at n = 4, up to 4 at n = 6), which the
+        # kernel clears row by row before reducing.
+        for n, denominator in [(4, 2), (6, 4)]:
+            rows, _ = residue_system(n)
+            assert max(F(v).denominator for row in rows for v in row) == denominator
+        rows, keys = residue_system(6)
+        order = range(len(keys) - 1, -1, -1)
+        assert_same_forms(_certified_rref(rows, order)[0], gauss_jordan_forms(rows, order))
+
+    def test_primes_are_the_largest_below_2_62(self):
+        sympy = pytest.importorskip("sympy")
+        primes = list(itertools.islice(_primes(), 4))
+        assert primes[0] == sympy.prevprime(2**62)
+        assert all(sympy.prevprime(a) == b for a, b in zip(primes, primes[1:]))
+
+    def test_unlucky_prime_is_replaced(self):
+        first = next(_primes())
+        # Rank 0 modulo the first prime, rank 1 over Q.
+        assert _certified_rref([[first]], [0]) == ({0: {}}, 2)
+        # Same rank modulo the first prime, but the pivot lands on the later
+        # column; the next prime's earlier pivot replaces it.  Reconstructing
+        # the entry 1/first, a 62-bit denominator, then takes three primes.
+        for matrix in ([[first, 1]], [[first, 1], [2 * first, 2]]):
+            assert _certified_rref(matrix, [0, 1]) == ({0: {1: F(1, first)}}, 4)
+
+    def test_large_entry_needs_crt(self):
+        # -a/b with a and b above 2^31: past what one 62-bit prime can
+        # reconstruct, within reach of two.
+        a, b = 2**40 + 15, 2**35 + 1
+        forms, primes = _certified_rref([[b, a], [3 * b, 3 * a]], [0, 1])
+        assert F(a, b).numerator > 2**31 and F(a, b).denominator > 2**31
+        assert forms == {0: {1: F(a, b)}}
+        assert primes == 2
+
+    def test_certificate_rejects_a_perturbed_value(self, monkeypatch):
+        rows, keys = residue_system(6)
+        order = range(len(keys) - 1, -1, -1)
+        expected = gauss_jordan_forms(rows, order)
+        assert _certified_rref(rows, order)[1] == 1
+        reconstruct = solver._rational
+        perturbed = []
+
+        def perturb_first_nonzero(residue, modulus):
+            value = reconstruct(residue, modulus)
+            if value and not perturbed:
+                perturbed.append(value)
+                return value + 1
+            return value
+
+        monkeypatch.setattr(solver, "_rational", perturb_first_nonzero)
+        forms, primes = _certified_rref(rows, order)
+        # The perturbed answer failed M v = 0, so a second prime was added.
+        assert len(perturbed) == 1 and primes == 2
+        assert_same_forms(forms, expected)
+
+
 def assert_bernoulli_satisfies_relations(n):
     """The power-sum coefficients of the degree-n Bernoulli member over n
     variables obey every dependent form of the degree-n solution."""
@@ -155,6 +258,19 @@ class TestCSolutions:
 
         for n in range(2, 7):
             assert solve_c_coefficients(n).equations == equation_count(n)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_gauss_jordan_forms(self, n):
+        # The forms of the Fraction elimination the modular kernel replaced.
+        rows, keys = residue_system(n)
+        forms = gauss_jordan_forms(rows, range(len(keys) - 1, -1, -1))
+        solution = solve_c_coefficients(n)
+        assert solution.free_keys == tuple(k for c, k in enumerate(keys) if c not in forms)
+        expected = {keys[col]: {keys[c]: -v for c, v in form.items()} for col, form in forms.items()}
+        assert list(solution.dependent) == list(expected)
+        for key, form in expected.items():
+            assert list(solution.dependent[key].items()) == list(form.items()), key
+            assert all(type(v) is F for v in solution.dependent[key].values())
 
     def test_nullspace_agrees_with_parametrization(self):
         for n in range(2, 7):
