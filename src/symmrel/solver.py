@@ -12,20 +12,10 @@ Two solvers live here:
   relations among Bernoulli numbers checked by
   :func:`verify_nonlinear_bernoulli`.
 
-The C system is eliminated by one certified multimodular kernel,
-:func:`_certified_rref`: the rows, scaled to integers, are brought to
-Gauss-Jordan form modulo 62-bit primes, the entries are combined by CRT
-and rationally reconstructed (Wang, SYMSAC 1981), and the result is
-accepted only once M v_f = 0 holds exactly in integers for every free
-column f, where v_f is 1 at f and minus the reconstructed entry at each
-pivot column.  That makes the answer exact, not probable.  The pivot
-columns mod p are independent over Q, since a minor that is nonzero mod p
-is nonzero over Z.  Each v_f uses only pivots that precede f in the column
-order, so M v_f = 0 puts every free column in the span of the pivots
-before it.  The pivots mod p are therefore the greedy basis over Q, which
-fixes the free keys and, the pivots being independent, the dependent forms.
-:func:`symmrel.symmfunc.gauss_jordan` stays the elimination of the
-power-sum basis conversion and, in the tests, this kernel's oracle.
+The C system is eliminated by the library's one exact-elimination kernel,
+:func:`symmrel.symmfunc._certified_rref`, which the power-sum basis
+conversion shares: certified multimodular Gauss-Jordan elimination, with
+the free keys the columns left without a pivot.
 """
 
 from __future__ import annotations
@@ -33,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
 from typing import Mapping, Optional, Sequence
 
 from .exactnum import bernoulli_numbers
 from .partitions import ExponentVector, exponent_vectors
 from .polyring import KIND_A, MultiPoly, VarId
 from .relations import _make_source, _ResidueEngine, extract_z
-from .symmfunc import PowerSumExpansion
+from .symmfunc import PowerSumExpansion, _certified_rref
 
 __all__ = [
     "CSolution",
@@ -118,161 +107,6 @@ def residue_system(n: int) -> tuple[list[list[Fraction]], tuple]:
         for basis_key in exponent_vectors(n - m, m):
             rows.append([residues[k].coefficient(basis_key) for k in keys])
     return rows, keys
-
-
-def _primes():
-    """The primes below 2^62 from the largest down: the kernel's fixed order.
-
-    The largest, 2^62 - 57, is a constant, so a system that one prime
-    settles searches for none.  Below it, Miller-Rabin on the first twelve
-    prime bases, deterministic below 3.3 * 10^24, finds the rest.
-    """
-    yield (1 << 62) - 57
-    candidate = (1 << 62) - 59
-    while True:
-        d, s = candidate - 1, 0
-        while d % 2 == 0:
-            d, s = d // 2, s + 1
-        for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-            x = pow(base, d, candidate)
-            if x == 1 or x == candidate - 1:
-                continue
-            for _ in range(s - 1):
-                x = x * x % candidate
-                if x == candidate - 1:
-                    break
-            else:
-                break
-        else:
-            yield candidate
-        candidate -= 2
-
-
-def _rref_mod(rows: list, p: int) -> tuple[tuple, list]:
-    """Gauss-Jordan form mod p of integer rows, pivoting on the columns in
-    the order the rows list them.
-
-    Returns the pivot positions in order, and the entries of each pivot's
-    row at the free positions after it, flattened in that order.  A row is
-    packed into one int, one byte-aligned field per entry.  A row operation
-    adds (p - f) times a pivot row whose fields are below p, so it is one
-    big-int multiply-add; a row takes at most one per pivot, so no field
-    reaches (k + 1) p^2 for k pivots and no carry crosses into the next.
-    """
-    cols = len(rows[0])
-    width = ((min(len(rows), cols) + 1) * p * p).bit_length() // 8 + 1
-    shift, mask = 8 * width, (1 << 8 * width) - 1
-
-    def pack(values):
-        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
-
-    def unpack(value):
-        data = value.to_bytes(cols * width, "little")
-        return [int.from_bytes(data[i : i + width], "little") % p for i in range(0, len(data), width)]
-
-    packed = [pack([v % p for v in row]) for row in rows]
-    unused = list(range(len(rows)))
-    pivots: dict = {}
-    for pos in range(cols):
-        offset = pos * shift
-        pivot = next((r for r in unused if (packed[r] >> offset & mask) % p), None)
-        if pivot is None:
-            continue
-        unused.remove(pivot)
-        pivots[pos] = pivot
-        values = unpack(packed[pivot])
-        inverse = pow(values[pos], -1, p)
-        packed[pivot] = pivot_row = pack([v * inverse % p for v in values])
-        for r, row in enumerate(packed):
-            factor = (row >> offset & mask) % p
-            if factor and r != pivot:
-                packed[r] = row + (p - factor) * pivot_row
-    free = [pos for pos in range(cols) if pos not in pivots]
-    entries = []
-    for pos, r in pivots.items():
-        values = unpack(packed[r])
-        entries.extend(values[q] for q in free if q > pos)
-    return tuple(pivots), entries
-
-
-def _rational(residue: int, modulus: int) -> Optional[Fraction]:
-    """The fraction a/b with |a|, b <= sqrt(modulus / 2) congruent to the
-    residue, or None (Wang's rational reconstruction)."""
-    bound = isqrt(modulus // 2)
-    r0, r1, s0, s1 = modulus, residue, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if abs(s1) > bound:
-        return None
-    return Fraction(r1, s1)
-
-
-def _certified_rref(matrix, columns) -> tuple[dict, int]:
-    """The reduced row echelon form of a rational matrix over Q, pivoting on
-    ``columns`` in the order given, by certified multimodular elimination.
-
-    Returns ({pivot column: {free column: entry}}, primes used).  The pivot
-    columns come in elimination order, and each pivot row's nonzero entries
-    at free columns in ascending column order: the pivot row is 1 at its
-    pivot and 0 at every other pivot column.
-
-    Each row is scaled to integers by the lcm of its denominators.  For each
-    prime in ``_primes()`` order the rows are reduced mod p; a prime whose
-    pivot positions are fewer, or as many but later, than the best so far
-    is skipped, one with a better set restarts the combination, and the
-    rest are combined by CRT.  Then the entries are rationally reconstructed
-    and certified: for every free column f, the vector v_f that is 1 at f
-    and minus the entry at each pivot row is checked to give M v_f = 0 in
-    integers.  If a reconstruction or a check fails, another prime is added.
-    """
-    columns = list(columns)
-    permuted = []
-    for row in matrix:
-        scale = lcm(*(v.denominator for v in row))
-        permuted.append([row[c].numerator * (scale // row[c].denominator) for c in columns])
-    if not permuted:
-        return {}, 0
-    best, modulus, residues = None, 1, []
-    for count, p in enumerate(_primes(), 1):
-        positions, entries = _rref_mod(permuted, p)
-        # More pivots, then earlier ones, are nearer the pivots over Q.
-        standing = (-len(positions), positions)
-        if best is None or standing < best:
-            best, modulus, residues = standing, p, entries
-        elif standing > best:
-            continue
-        else:
-            step = pow(modulus, -1, p)
-            residues = [x + modulus * ((a - x) * step % p) for x, a in zip(residues, entries)]
-            modulus *= p
-        values = [_rational(x, modulus) for x in residues]
-        if None in values:
-            continue
-        pivot_set = set(positions)
-        free = [pos for pos in range(len(columns)) if pos not in pivot_set]
-        forms = {}
-        by_free = {q: [] for q in free}
-        flat = iter(values)
-        for pos in positions:
-            form = {}
-            for q in free:
-                if q > pos and (value := next(flat)):
-                    form[q] = value
-                    by_free[q].append((pos, value))
-            forms[columns[pos]] = {columns[q]: form[q] for q in sorted(form, key=columns.__getitem__)}
-        if all(_in_kernel(permuted, q, by_free[q]) for q in free):
-            return forms, count
-
-
-def _in_kernel(rows: list, free: int, form: list) -> bool:
-    """M v = 0 in integers for v = 1 at ``free`` and -value at each
-    (pivot, value) of ``form``, scaled by the lcm of the denominators."""
-    scale = lcm(*(value.denominator for _, value in form))
-    weights = [(pos, value.numerator * (scale // value.denominator)) for pos, value in form]
-    return all(
-        row[free] * scale == sum(row[pos] * w for pos, w in weights) for row in rows
-    )
 
 
 @lru_cache(maxsize=None)

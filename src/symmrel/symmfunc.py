@@ -1,5 +1,5 @@
-"""Power sums, power-sum products, and conversion of symmetric polynomials
-into the power-sum-product basis.
+"""Power sums, power-sum products, conversion of symmetric polynomials
+into the power-sum-product basis, and the library's exact-elimination kernel.
 
 The products ``P_{n,k} = p_1^k_1 * ... * p_n^k_n`` indexed by exponent
 vectors k with parts <= m form a basis of the homogeneous symmetric
@@ -8,11 +8,22 @@ polynomials of degree n in m variables.  In the power-sum variables p_k
 monomials, the route of raw input, :func:`to_power_sum_basis` checks symmetry
 and homogeneity and inverts the basis by an exact linear solve on monomial
 coefficients.  Coefficients may themselves be polynomials in the ``a_i``
-symbols (symbolic mode): the matrix of the solve is always rational, so
-elimination never divides by a polynomial.  :func:`gauss_jordan` is that
-solve's exact ``Fraction`` elimination; the coefficient solver in ``solver``
-eliminates its larger, right-hand-side-free system with a certified
-multimodular kernel instead.
+symbols (symbolic mode): the matrix of the solve is always rational, and the
+right-hand side enters it as one rational column per a-monomial.
+
+Both exact solves of the library, this one and the C system of ``solver``,
+run through one certified multimodular kernel, :func:`_certified_rref`: the
+rows, scaled to integers, are brought to Gauss-Jordan form modulo 62-bit
+primes, the entries are combined by CRT and rationally reconstructed (Wang,
+SYMSAC 1981), and the result is accepted only once M v_f = 0 holds exactly
+in integers for every free column f, where v_f is 1 at f and minus the
+reconstructed entry at each pivot column.  That makes the answer exact, not
+probable.  The pivot columns mod p are independent over Q, since a minor
+that is nonzero mod p is nonzero over Z.  Each v_f uses only pivots that
+precede f in the column order, so M v_f = 0 puts every free column in the
+span of the pivots before it.  The pivots mod p are therefore the greedy
+basis over Q, which fixes the free columns and, the pivots being
+independent, the forms of the pivot rows.
 """
 
 from __future__ import annotations
@@ -20,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from math import isqrt, lcm
+from typing import Mapping, Optional, Sequence, Union
 
 from .partitions import ExponentVector, exponent_vectors, vector_weight
 from .polyring import KIND_A, KIND_P, KIND_X, MultiPoly, VarId
@@ -33,7 +45,6 @@ __all__ = [
     "to_power_sum_basis",
     "is_symmetric",
     "x_degrees",
-    "gauss_jordan",
     "NotSymmetricError",
     "NotHomogeneousError",
     "NotRepresentableError",
@@ -206,6 +217,8 @@ def to_power_sum_basis(
     degree of the zero polynomial; a nonzero p of another degree raises
     NotHomogeneousError, as a p of mixed degrees does.
     """
+    if m < 1:
+        raise ValueError("need at least one variable")
     if p.is_zero():
         if weight is None:
             raise ValueError("the zero polynomial needs an explicit weight")
@@ -231,23 +244,28 @@ def to_power_sum_basis(
         monomials.update(row)
     monomials = sorted(monomials)
 
-    # One rational matrix column per basis key; the right-hand side may be
-    # symbolic (MultiPoly in a variables).
+    # One rational column per basis key, then one per a-monomial alpha of
+    # the right-hand side, holding the coefficient of alpha in each row.
     zero = MultiPoly.zero()
+    a_monomials = sorted({alpha for row in target.values() for alpha in row.terms})
     matrix = [
-        [Fraction(basis_rows[j].get(mono, zero).constant_term()) for j in range(len(keys))]
+        [Fraction(row.get(mono, zero).constant_term()) for row in basis_rows]
+        + [Fraction(target.get(mono, zero).coefficient(alpha)) for alpha in a_monomials]
         for mono in monomials
     ]
-    rhs = [target.get(mono, zero) for mono in monomials]
 
-    pivots, _, values = gauss_jordan(matrix, range(len(keys)), rhs)
-    if len(pivots) < len(keys):
+    forms, _ = _certified_rref(matrix, range(len(keys) + len(a_monomials)))
+    if any(col not in forms for col in range(len(keys))):
         raise NotRepresentableError("basis is not independent: underdetermined column")
-    pivot_rows = set(pivots.values())
-    if any(v != 0 for r, v in enumerate(values) if r not in pivot_rows):
+    if any(col >= len(keys) for col in forms):
         raise NotRepresentableError("polynomial is outside the span of the requested basis")
+    # M v_f = 0 for the column f of alpha says that column is the sum of
+    # form[k][f] times key k's column, so key k carries form[k][f] * alpha.
     coefficients = {
-        key: _normalize_coefficient(values[pivots[col]]) for col, key in enumerate(keys)
+        key: _normalize_coefficient(
+            MultiPoly({a_monomials[f - len(keys)]: value for f, value in forms[col].items()})
+        )
+        for col, key in enumerate(keys)
     }
     return PowerSumExpansion(degree, m, coefficients)
 
@@ -263,36 +281,156 @@ def _normalize_coefficient(value: Coefficient) -> Coefficient:
     return Fraction(value)
 
 
-def gauss_jordan(matrix, columns, rhs=None):
-    """Gauss-Jordan elimination over Q, pivoting on ``columns`` in the order given.
+def _primes():
+    """The primes below 2^62 from the largest down: the kernel's fixed order.
 
-    ``matrix`` is a list of rows of rationals.  ``rhs``, if given, has one
-    entry per row from a vector space over Q (Fractions or a-symbol
-    polynomials); row operations only ever scale it by exact rationals.
-    Returns (pivots, rows, rhs): ``pivots`` maps each pivot column to its
-    row, whose entry there is 1 and is 0 in every other row.  The columns
-    without a pivot are the free ones; the rows without a pivot are zero in
-    the matrix part.
+    The largest, 2^62 - 57, is a constant, so a system that one prime
+    settles searches for none.  Below it, Miller-Rabin on the first twelve
+    prime bases, deterministic below 3.3 * 10^24, finds the rest.
     """
-    rows = [list(map(Fraction, row)) for row in matrix]
-    values = None if rhs is None else list(rhs)
-    pivots: dict = {}
+    yield (1 << 62) - 57
+    candidate = (1 << 62) - 59
+    while True:
+        d, s = candidate - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+            x = pow(base, d, candidate)
+            if x == 1 or x == candidate - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % candidate
+                if x == candidate - 1:
+                    break
+            else:
+                break
+        else:
+            yield candidate
+        candidate -= 2
+
+
+def _rref_mod(rows: list, p: int) -> tuple[tuple, list]:
+    """Gauss-Jordan form mod p of integer rows, pivoting on the columns in
+    the order the rows list them.
+
+    Returns the pivot positions in order, and the entries of each pivot's
+    row at the free positions after it, flattened in that order.  A row is
+    packed into one int, one byte-aligned field per entry.  A row operation
+    adds (p - f) times a pivot row whose fields are below p, so it is one
+    big-int multiply-add; a row takes at most one per pivot, so no field
+    reaches (k + 1) p^2 for k pivots and no carry crosses into the next.
+    """
+    cols = len(rows[0])
+    width = ((min(len(rows), cols) + 1) * p * p).bit_length() // 8 + 1
+    shift, mask = 8 * width, (1 << 8 * width) - 1
+
+    def pack(values):
+        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+    def unpack(value):
+        data = value.to_bytes(cols * width, "little")
+        return [int.from_bytes(data[i : i + width], "little") % p for i in range(0, len(data), width)]
+
+    packed = [pack([v % p for v in row]) for row in rows]
     unused = list(range(len(rows)))
-    for col in columns:
-        pivot = next((r for r in unused if rows[r][col] != 0), None)
+    pivots: dict = {}
+    for pos in range(cols):
+        offset = pos * shift
+        pivot = next((r for r in unused if (packed[r] >> offset & mask) % p), None)
         if pivot is None:
             continue
         unused.remove(pivot)
-        pivots[col] = pivot
-        inv = 1 / rows[pivot][col]
-        if inv != 1:
-            rows[pivot] = [entry * inv for entry in rows[pivot]]
-            if values is not None:
-                values[pivot] = values[pivot] * inv
-        for r, row in enumerate(rows):
-            factor = row[col]
-            if r != pivot and factor != 0:
-                rows[r] = [entry - factor * p for entry, p in zip(row, rows[pivot])]
-                if values is not None:
-                    values[r] = values[r] - factor * values[pivot]
-    return pivots, rows, values
+        pivots[pos] = pivot
+        values = unpack(packed[pivot])
+        inverse = pow(values[pos], -1, p)
+        packed[pivot] = pivot_row = pack([v * inverse % p for v in values])
+        for r, row in enumerate(packed):
+            factor = (row >> offset & mask) % p
+            if factor and r != pivot:
+                packed[r] = row + (p - factor) * pivot_row
+    free = [pos for pos in range(cols) if pos not in pivots]
+    entries = []
+    for pos, r in pivots.items():
+        values = unpack(packed[r])
+        entries.extend(values[q] for q in free if q > pos)
+    return tuple(pivots), entries
+
+
+def _rational(residue: int, modulus: int) -> Optional[Fraction]:
+    """The fraction a/b with |a|, b <= sqrt(modulus / 2) congruent to the
+    residue, or None (Wang's rational reconstruction)."""
+    bound = isqrt(modulus // 2)
+    r0, r1, s0, s1 = modulus, residue, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return Fraction(r1, s1)
+
+
+def _certified_rref(matrix, columns) -> tuple[dict, int]:
+    """The reduced row echelon form of a rational matrix over Q, pivoting on
+    ``columns`` in the order given, by certified multimodular elimination.
+
+    Returns ({pivot column: {free column: entry}}, primes used).  The pivot
+    columns come in elimination order, and each pivot row's nonzero entries
+    at free columns in ascending column order: the pivot row is 1 at its
+    pivot and 0 at every other pivot column.
+
+    Each row is scaled to integers by the lcm of its denominators.  For each
+    prime in ``_primes()`` order the rows are reduced mod p; a prime whose
+    pivot positions are fewer, or as many but later, than the best so far
+    is skipped, one with a better set restarts the combination, and the
+    rest are combined by CRT.  Then the entries are rationally reconstructed
+    and certified: for every free column f, the vector v_f that is 1 at f
+    and minus the entry at each pivot row is checked to give M v_f = 0 in
+    integers.  If a reconstruction or a check fails, another prime is added.
+    """
+    columns = list(columns)
+    permuted = []
+    for row in matrix:
+        scale = lcm(*(v.denominator for v in row))
+        permuted.append([row[c].numerator * (scale // row[c].denominator) for c in columns])
+    if not permuted:
+        return {}, 0
+    best, modulus, residues = None, 1, []
+    for count, p in enumerate(_primes(), 1):
+        positions, entries = _rref_mod(permuted, p)
+        # More pivots, then earlier ones, are nearer the pivots over Q.
+        standing = (-len(positions), positions)
+        if best is None or standing < best:
+            best, modulus, residues = standing, p, entries
+        elif standing > best:
+            continue
+        else:
+            step = pow(modulus, -1, p)
+            residues = [x + modulus * ((a - x) * step % p) for x, a in zip(residues, entries)]
+            modulus *= p
+        values = [_rational(x, modulus) for x in residues]
+        if None in values:
+            continue
+        pivot_set = set(positions)
+        free = [pos for pos in range(len(columns)) if pos not in pivot_set]
+        forms = {}
+        by_free = {q: [] for q in free}
+        flat = iter(values)
+        for pos in positions:
+            form = {}
+            for q in free:
+                if q > pos and (value := next(flat)):
+                    form[q] = value
+                    by_free[q].append((pos, value))
+            forms[columns[pos]] = {columns[q]: form[q] for q in sorted(form, key=columns.__getitem__)}
+        if all(_in_kernel(permuted, q, by_free[q]) for q in free):
+            return forms, count
+
+
+def _in_kernel(rows: list, free: int, form: list) -> bool:
+    """M v = 0 in integers for v = 1 at ``free`` and -value at each
+    (pivot, value) of ``form``, scaled by the lcm of the denominators."""
+    scale = lcm(*(value.denominator for _, value in form))
+    weights = [(pos, value.numerator * (scale // value.denominator)) for pos, value in form]
+    return all(
+        row[free] * scale == sum(row[pos] * w for pos, w in weights) for row in rows
+    )

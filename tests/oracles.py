@@ -27,7 +27,10 @@
 * :func:`euler_poly_at_zero` -- E_n(0) from the Bernoulli numbers by DLMF
   §24.4, a cross-check of the Euler stream in ``families``;
 * :func:`series_mul`, :func:`series_inverse` and :func:`series_exp` --
-  truncated power series as coefficient lists, for generating-function checks.
+  truncated power series as coefficient lists, for generating-function checks;
+* :func:`gauss_jordan` -- exact ``Fraction`` Gauss-Jordan elimination,
+  against which the certified multimodular kernel
+  ``symmfunc._certified_rref`` is checked, and with it the C system.
 """
 
 from __future__ import annotations
@@ -322,3 +325,38 @@ def series_exp(a: Sequence) -> list:
     for k in range(1, len(a)):
         out.append(sum(i * a[i] * out[k - i] for i in range(1, k + 1)) / k)
     return out
+
+
+def gauss_jordan(matrix, columns, rhs=None):
+    """Gauss-Jordan elimination over Q, pivoting on ``columns`` in the order given.
+
+    ``matrix`` is a list of rows of rationals.  ``rhs``, if given, has one
+    entry per row from a vector space over Q (Fractions or a-symbol
+    polynomials); row operations only ever scale it by exact rationals.
+    Returns (pivots, rows, rhs): ``pivots`` maps each pivot column to its
+    row, whose entry there is 1 and is 0 in every other row.  The columns
+    without a pivot are the free ones; the rows without a pivot are zero in
+    the matrix part.
+    """
+    rows = [list(map(Fraction, row)) for row in matrix]
+    values = None if rhs is None else list(rhs)
+    pivots: dict = {}
+    unused = list(range(len(rows)))
+    for col in columns:
+        pivot = next((r for r in unused if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        unused.remove(pivot)
+        pivots[col] = pivot
+        inv = 1 / rows[pivot][col]
+        if inv != 1:
+            rows[pivot] = [entry * inv for entry in rows[pivot]]
+            if values is not None:
+                values[pivot] = values[pivot] * inv
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if r != pivot and factor != 0:
+                rows[r] = [entry - factor * p for entry, p in zip(row, rows[pivot])]
+                if values is not None:
+                    values[r] = values[r] - factor * values[pivot]
+    return pivots, rows, values

@@ -10,10 +10,11 @@ both relations are decided on orbit representatives of one alternant, the
 residue relation with the closed-form residue as its certificate.  The
 weight-truncated residue is also checked against the untruncated form on
 the Z tables at (6, 6) and (8, 4) and on every row of the n = 9 C system.
-Together they take about 24 s on a 2-vCPU x86-64 host with Python 3.11
-(the n = 8 C system 7 s, the nullspace dimensions at n = 11 to 16 9 s
-in all, the residue sweeps and the untruncated-form checks about 1 s
-each), so they only run when SYMMREL_LARGE_TESTS is set:
+Together they take about 12 s on a 2-vCPU x86-64 host with Python 3.11
+(the n = 8 C system 1.3 s, the nullspace dimensions at n = 11 to 16 5 s
+in all, the seven-variable sweeps 4 s, the residue sweeps and the
+untruncated-form checks under 1 s each), so they only run when
+SYMMREL_LARGE_TESTS is set:
 
     SYMMREL_LARGE_TESTS=1 pytest tests/test_large_range.py -s
 """

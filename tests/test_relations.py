@@ -740,10 +740,12 @@ class TestResidueCertificate:
 
         monkeypatch.setattr(relations, "u_function", refuse("u_function"))
         monkeypatch.setattr(MultiPoly, "exact_divide", refuse("exact_divide"))
-        for module in (relations, symmfunc):
-            for name in ("to_power_sum_basis", "gauss_jordan"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse(name))
+        for module, name in [
+            (relations, "to_power_sum_basis"),
+            (symmfunc, "to_power_sum_basis"),
+            (symmfunc, "_certified_rref"),
+        ]:
+            monkeypatch.setattr(module, name, refuse(name))
         expansion = PowerSumExpansion(4, 3, {(4, 0, 0, 0): F(1, 2), (1, 0, 1, 0): -3})
         for spec, n, m in [("symbolic", 6, 3), ("laguerre", 5, 2), ((0, 2, 0, 0), 4, 4), (expansion, 4, 3)]:
             report = verify_conjecture2(spec, n, m)
@@ -1108,10 +1110,14 @@ class TestClosedFormResidue:
         z_expected = z_table()[(2, 2)][(2, 0)]
         monkeypatch.setattr(relations, "u_function", refuse("u_function"))
         monkeypatch.setattr(MultiPoly, "exact_divide", refuse("exact_divide"))
-        for module in (relations, symmfunc):
-            for name in ("to_power_sum_basis", "is_symmetric", "gauss_jordan"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse(name))
+        for module, name in [
+            (relations, "to_power_sum_basis"),
+            (relations, "is_symmetric"),
+            (symmfunc, "to_power_sum_basis"),
+            (symmfunc, "is_symmetric"),
+            (symmfunc, "_certified_rref"),
+        ]:
+            monkeypatch.setattr(module, name, refuse(name))
         extract_z.cache_clear()
         try:
             assert extract_y_basis(5, 3, (1, 2, 0, 0, 0)).to_polynomial() == y_expected

@@ -4,18 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from symmrel import solver
+from symmrel import symmfunc
 from symmrel.families import family_polynomial
 from symmrel.partitions import exponent_vectors
 from symmrel.polyring import MultiPoly
 from symmrel.relations import extract_y_basis
-from symmrel.symmfunc import gauss_jordan, to_power_sum_basis
+from symmrel.symmfunc import _certified_rref, _primes, to_power_sum_basis
 from symmrel.solver import (
     CSolution,
     NONLINEAR_RELATIONS,
     TABULATED_BERNOULLI_FREE_VALUES,
-    _certified_rref,
-    _primes,
     bernoulli_reconstruction_check,
     reconstruct_s_bar,
     residue_system,
@@ -25,6 +23,7 @@ from symmrel.solver import (
     verify_nonlinear_bernoulli,
 )
 
+from oracles import gauss_jordan
 from reference_tables import (
     BERNOULLI_C_VALUES,
     BERNOULLI_EXPANSIONS,
@@ -208,7 +207,7 @@ class TestModularKernel:
         order = range(len(keys) - 1, -1, -1)
         expected = gauss_jordan_forms(rows, order)
         assert _certified_rref(rows, order)[1] == 1
-        reconstruct = solver._rational
+        reconstruct = symmfunc._rational
         perturbed = []
 
         def perturb_first_nonzero(residue, modulus):
@@ -218,7 +217,7 @@ class TestModularKernel:
                 return value + 1
             return value
 
-        monkeypatch.setattr(solver, "_rational", perturb_first_nonzero)
+        monkeypatch.setattr(symmfunc, "_rational", perturb_first_nonzero)
         forms, primes = _certified_rref(rows, order)
         # The perturbed answer failed M v = 0, so a second prime was added.
         assert len(perturbed) == 1 and primes == 2

@@ -3,7 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from symmrel import symmfunc
 from symmrel.exactnum import bernoulli_numbers
+from symmrel.families import (
+    FAMILY_NAMES,
+    SYMBOLIC_NAME,
+    family_polynomial,
+    symbolic_family_polynomial,
+)
 from symmrel.polyring import KIND_A, MultiPoly, VarId
 from symmrel.partitions import exponent_vectors
 from symmrel.symmfunc import (
@@ -134,15 +141,24 @@ class TestBasisConversion:
     def test_rejects_out_of_span(self):
         from symmrel.symmfunc import NotRepresentableError
 
-        with pytest.raises(NotRepresentableError):
+        with pytest.raises(
+            NotRepresentableError, match="^polynomial is outside the span of the requested basis$"
+        ):
             to_power_sum_basis(power_sum(3, 3), 3, 2)
 
     def test_rejects_dependent_basis(self):
         from symmrel.symmfunc import NotRepresentableError
 
         # parts <= 3 products are linearly dependent in two variables
-        with pytest.raises(NotRepresentableError):
+        with pytest.raises(
+            NotRepresentableError, match="^basis is not independent: underdetermined column$"
+        ):
             to_power_sum_basis(power_sum(1, 2) ** 3, 2, 3)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_no_variables(self, m):
+        with pytest.raises(ValueError, match="^need at least one variable$"):
+            to_power_sum_basis(x1 + x2, m, 2)
 
     def test_rejects_other_variables_by_name(self):
         with pytest.raises(ValueError, match="variable p_1"):
@@ -168,6 +184,43 @@ class TestBasisConversion:
         poly = 3 * power_sum_product((1, 1, 0), 3) - power_sum_product((0, 0, 1), 3) / 2
         expansion = to_power_sum_basis(poly, 3, 3)
         assert expansion.to_polynomial() == poly
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES + (SYMBOLIC_NAME,))
+    def test_family_members_round_trip(self, name):
+        for m in range(1, 5):
+            for n in range(0, 7):
+                if name == SYMBOLIC_NAME:
+                    poly = symbolic_family_polynomial(n, m)
+                else:
+                    poly = family_polynomial(name, n, m)
+                expansion = to_power_sum_basis(poly, m, m, weight=n)
+                assert expansion.to_polynomial() == poly, (n, m)
+                for coeff in expansion.coefficients.values():
+                    if isinstance(coeff, MultiPoly):
+                        assert coeff.variables(), (n, m)
+                    else:
+                        assert type(coeff) is F, (n, m)
+
+    def test_right_hand_side_needing_crt(self, monkeypatch):
+        # Numerator and denominator near 2^80 need a modulus above 2^161:
+        # three 62-bit primes.
+        big = F(2**80 + 1, 3**50)
+        poly = big * power_sum(2, 2) + MultiPoly.a(3) * power_sum(1, 2) ** 2
+        kernel = symmfunc._certified_rref
+        primes = []
+
+        def spy(matrix, columns):
+            forms, count = kernel(matrix, columns)
+            primes.append(count)
+            return forms, count
+
+        monkeypatch.setattr(symmfunc, "_certified_rref", spy)
+        expansion = to_power_sum_basis(poly, 2, 2)
+        assert primes == [3]
+        assert list(expansion.coefficients) == [(2, 0), (0, 1)]
+        assert expansion.coefficient((2, 0)) == MultiPoly.a(3)
+        assert type(expansion.coefficient((0, 1))) is F
+        assert expansion.coefficient((0, 1)) == big
 
 
 def _fact(n):
