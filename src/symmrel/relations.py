@@ -74,17 +74,8 @@ or a case the orbit residual does not prove, is decided from
 relation holds when its numerator is 0, which is otherwise the witness; the
 residue relation divides the numerator by the denominator and converts the
 quotient to the power-sum basis, and the remainder, or a quotient that is
-not symmetric, is the witness.
-
-The random-point prescreen evaluates U_n from its definition, S(x)/pi(x) -
-sum_i y_i^(m-n-1) S(s_i)/pi(s_i), at ``PRESCREEN_POINTS`` rational points
-where no pi(s_i) vanishes.  A nonzero value proves U_n != 0, so it can only
-falsify; every "verified" comes from the exact stage.  The points and
-a-values depend only on m and the a_k assigned, so every case of a sweep at
-one m draws the same ones; ``_samples`` keeps the few a sweep uses, each
-point with the power sums of its m + 1 component vectors.  The values are
-exact, so a witness is the same Fraction whether its points were drawn or
-kept.
+not symmetric, is the witness.  Every verdict, a falsified one included,
+comes from one of these exact stages.
 
 Residues in closed form: at y = 1, S(s_i) = F(x_i) with F(t) = S(t, x_1 - t,
 ..., x_m - t), and pi(s_i) = (-1)^(m-1) x_i prod_{j != i} (x_i - x_j), so the
@@ -124,14 +115,12 @@ substitutes the components' power sums, or the components themselves.
 
 from __future__ import annotations
 
-import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, lcm, prod
-from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
 from .families import SYMBOLIC_NAME, FamilySpec, bell_form, family_form, get_family
@@ -169,10 +158,6 @@ __all__ = [
     "extract_y_basis",
 ]
 
-PRESCREEN_POINTS = 3
-_PRESCREEN_SEED = 0x5EED
-
-
 class PreconditionError(ValueError):
     """The (n, m) regime does not match the requested check."""
 
@@ -187,21 +172,16 @@ def build_s_matrix(m: int) -> tuple:
     return _symbolic_rows(m, False)[2]
 
 
-def _rows(xs: Sequence, ys: Sequence) -> tuple:
-    """The rows s_i at components (xs, ys) that are MultiPoly or exact rationals."""
-    m = len(xs)
-    return tuple(
-        tuple(xs[i] if i == j else ys[i] * xs[j] - ys[j] * xs[i] for j in range(m))
-        for i in range(m)
-    )
-
-
 @lru_cache(maxsize=None)
 def _symbolic_rows(m: int, y_one: bool) -> tuple:
     """(xs, ys, rows): x_1..x_m, then y_1..y_m or m ones at y = 1, and the rows on them."""
     xs = tuple(MultiPoly.x(i) for i in range(1, m + 1))
     ys = (1,) * m if y_one else tuple(MultiPoly.y(i) for i in range(1, m + 1))
-    return xs, ys, _rows(xs, ys)
+    rows = tuple(
+        tuple(xs[i] if i == j else ys[i] * xs[j] - ys[j] * xs[i] for j in range(m))
+        for i in range(m)
+    )
+    return xs, ys, rows
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +208,6 @@ class _Source:
         # Held in the power sums and the a_k alone, so symmetric by construction.
         self.symmetric = all(v.kind in (KIND_P, KIND_A) for v in variables)
         self.top = max((v.index for v in variables if v.kind == KIND_P), default=0)
-        # The a symbols a numeric point must assign, in index order.
-        self.a_indices = tuple(sorted(v.index for v in variables if v.kind == KIND_A))
 
     def unscale(self, value):
         """value / denominator, for a value built from ``scaled`` results."""
@@ -244,18 +222,6 @@ class _Source:
         point = {VarId(KIND_X, j): c for j, c in enumerate(comps, 1)}
         point.update({VarId(KIND_P, k): s for k, s in enumerate(power_sums_of(comps, self.top), 1)})
         return self.poly.substitute(point)
-
-    def scaled_at(self, comps: Sequence, sums: Sequence, a_values) -> Fraction:
-        """denominator * the polynomial at the rational components ``comps``,
-        whose power sums p_1, p_2, ... are ``sums`` (any more the source
-        needs are computed here); ``a_values`` maps k to the value of a_k.
-        """
-        if self.top > len(sums):
-            sums = power_sums_of(comps, self.top)
-        point = {VarId(KIND_A, k): v for k, v in a_values.items()}
-        point.update({VarId(KIND_X, j): c for j, c in enumerate(comps, 1)})
-        point.update({VarId(KIND_P, k): s for k, s in enumerate(sums, 1)})
-        return self.poly.evaluate(point)
 
 
 def _raw_degree(poly: MultiPoly) -> int:
@@ -340,7 +306,7 @@ class RelationReport:
     m: int
     source_label: str
     verdict: str  # verified | falsified | resource-limited
-    witness: Optional[object] = None
+    witness: Optional[MultiPoly] = None
     extracted: Optional[PowerSumExpansion] = None
     stages: list = field(default_factory=list)
 
@@ -357,7 +323,7 @@ class RelationReport:
             "verdict": self.verdict,
         }
         if self.witness is not None:
-            out["witness"] = _witness_json(self.witness)
+            out["witness"] = str(self.witness)
         if self.extracted is not None:
             out["extracted"] = {
                 "weight": self.extracted.weight,
@@ -368,12 +334,6 @@ class RelationReport:
             }
         out["stages"] = [s.to_json() for s in self.stages]
         return out
-
-
-def _witness_json(witness):
-    if isinstance(witness, dict):
-        return {str(k): str(v) for k, v in witness.items()}
-    return str(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -505,92 +465,6 @@ def _certificate(source: _Source, m: int, residue: Optional[PowerSumExpansion]) 
 
 
 # ---------------------------------------------------------------------------
-# Prescreen
-# ---------------------------------------------------------------------------
-
-
-class _Point(NamedTuple):
-    """The substitution matrix at a numeric point, with pi(x) and each
-    pi(s_i), and the power sums p_1..p_(m-1) of the m + 1 component vectors
-    x, s_1, ..., s_m: every p_k a symmetric source of degree n <= m - 1 has.
-    """
-
-    xs: tuple
-    ys: tuple
-    rows: tuple
-    products: tuple  # pi(x), pi(s_1), ..., pi(s_m)
-    sums: tuple
-
-
-def _point(xs: Sequence, ys: Sequence) -> _Point:
-    rows = _rows(xs, ys)
-    vectors = (tuple(xs), *rows)
-    return _Point(
-        tuple(xs),
-        tuple(ys),
-        rows,
-        tuple(map(prod, vectors)),
-        tuple(tuple(power_sums_of(v, len(xs) - 1)) for v in vectors),
-    )
-
-
-def _random_point(rng: random.Random, m: int) -> _Point:
-    """A point at distinct nonzero rationals x and rationals y with every pi(s_i)
-    nonzero; for nonzero x that is W nonzero."""
-    for _ in range(200):
-        xs = []
-        seen = set()
-        while len(xs) < m:
-            value = Fraction(rng.randint(1, 60), rng.randint(1, 7)) * rng.choice((1, -1))
-            if value and value not in seen:
-                seen.add(value)
-                xs.append(value)
-        ys = [Fraction(rng.randint(1, 60), rng.randint(1, 7)) for _ in range(m)]
-        point = _point(xs, ys)
-        if all(point.products):
-            return point
-    raise RuntimeError("could not sample a valid evaluation point")
-
-
-# A sweep over several m, each with a few sets of a_k, uses a handful.
-@lru_cache(maxsize=16)
-def _samples(m: int, a_indices: tuple) -> tuple:
-    """The prescreen's (point, a-values) pairs: the rng stream draws each
-    point and then a value for each a_k in ``a_indices``."""
-    rng = random.Random(_PRESCREEN_SEED)
-    out = []
-    for _ in range(PRESCREEN_POINTS):
-        point = _random_point(rng, m)
-        a_values = {k: Fraction(rng.randint(1, 40), rng.randint(1, 5)) for k in a_indices}
-        out.append((point, MappingProxyType(a_values)))
-    return tuple(out)
-
-
-def _u_at(source: _Source, point: _Point, exponent: int, a_values) -> Fraction:
-    """U_n = S(x)/pi(x) - sum_i y_i^exponent * S(s_i)/pi(s_i) at a numeric
-    point; ``a_values`` maps k to the value of a_k."""
-    vectors = (point.xs, *point.rows)
-    at = [source.scaled_at(v, sums, a_values) for v, sums in zip(vectors, point.sums)]
-    value = at[0] / point.products[0]
-    for y, v, product in zip(point.ys, at[1:], point.products[1:]):
-        value -= y**exponent * v / product
-    return source.unscale(value)
-
-
-def _prescreen(source: _Source, n: int, m: int):
-    """Random-evaluation falsification attempt; sound but not complete."""
-    for point, a_values in _samples(m, source.a_indices):
-        value = _u_at(source, point, m - n - 1, a_values)
-        if value != 0:
-            witness = {f"x_{i+1}": x for i, x in enumerate(point.xs)}
-            witness.update({f"y_{i+1}": y for i, y in enumerate(point.ys)})
-            witness.update({f"a_{k}": v for k, v in a_values.items()})
-            witness["value"] = value
-            return witness
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------
 
@@ -598,12 +472,10 @@ def _prescreen(source: _Source, n: int, m: int):
 def verify_conjecture1(poly_source, n: int, m: int) -> RelationReport:
     """Check that U_n vanishes identically in the regime 0 <= n <= m-1.
 
-    A randomized evaluation prescreen may short-circuit to a falsified
-    verdict with the witness point; the authoritative verdict is exact.  A
-    source held in the power sums is decided on the orbit representatives of
-    the numerator's alternant; a raw source that is not symmetric, or a
-    nonzero residual, is decided by the numerator of :func:`u_function`,
-    which is then the witness.
+    Every verdict is exact.  A source held in the power sums is decided on
+    the orbit representatives of the numerator's alternant; a raw source
+    that is not symmetric, or a nonzero residual, is decided by the
+    numerator of :func:`u_function`, which is then the witness.
     """
     if m < 1:
         raise PreconditionError("m must be >= 1")
@@ -637,19 +509,13 @@ def verify_conjecture2(poly_source, n: int, m: int) -> RelationReport:
 
 
 def _decide(source: _Source, m: int, zero: bool) -> RelationReport:
-    """Decide U_n = G, G = 0 for the zero relation, through the stages that
-    apply: prescreen (zero relation), orbit-certificate (a source held in
-    the power sums), expand, then divide and basis (residue relation)."""
+    """Decide U_n = G, G = 0 for the zero relation, exactly, through the
+    stages that apply: orbit-certificate (a source held in the power sums),
+    expand, then divide and basis (residue relation)."""
     n = source.n
     family, raw = ("C1", "C3-zero") if zero else ("C2", "C3-poly")
     report = RelationReport(family if source.family else raw, n, m, source.label, "unknown")
     try:
-        if zero:
-            with _stage(report, "prescreen") as stage:
-                witness = _prescreen(source, n, m)
-                stage.detail = f"{PRESCREEN_POINTS} points"
-            if witness is not None:
-                return _close(report, witness)
         if source.symmetric:
             with _stage(report, "orbit-certificate") as stage:
                 residue = None if zero else _y_one_residue(source, m)

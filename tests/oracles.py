@@ -19,6 +19,10 @@
   and at y = 1 that numerator divided by pi(x) and each w_ij and converted
   with ``to_power_sum_basis``, against which the closed-form residue, the
   orbit-representative certificate and ``u_function`` are checked;
+* :func:`u_at_point` -- U_n = S(x)/pi(x) - sum_i y_i^(m-n-1) S(s_i)/pi(s_i)
+  from its definition at a rational point, S evaluated on the
+  ``build_s_matrix`` rows there, against which every zero-relation verdict
+  the CLI can build and the reference route ``u_function`` are checked;
 * :func:`sequential_ratfunc_combine` -- fractions combined over the product
   of their denominators one product at a time, against which the running
   prefix and suffix products of ``relations.u_function`` are checked;
@@ -43,8 +47,8 @@ from typing import NamedTuple, Sequence
 
 from symmrel.exactnum import bernoulli_numbers
 from symmrel.partitions import exponent_vectors
-from symmrel.polyring import KIND_P, KIND_X, KIND_Y, MultiPoly, VarId
-from symmrel.relations import _symbolic_rows
+from symmrel.polyring import KIND_A, KIND_P, KIND_X, KIND_Y, MultiPoly, VarId
+from symmrel.relations import _symbolic_rows, build_s_matrix
 from symmrel.symmfunc import (
     NotRepresentableError,
     PowerSumExpansion,
@@ -250,6 +254,28 @@ def lcd_residue(source, m: int):
     for divisor in (frame.pi_x, *frame.pairs):
         quotient = quotient.exact_divide(divisor)
     return to_power_sum_basis(quotient, m, max_part=m, weight=source.n - m)
+
+
+def u_at_point(poly: MultiPoly, n: int, m: int, xs: Sequence, ys: Sequence, a_values) -> Fraction:
+    """U_n = S(x)/pi(x) - sum_i y_i^(m-n-1) * S(s_i)/pi(s_i) at x = xs, y = ys.
+
+    S is ``poly``, a MultiPoly in x_1..x_m and the a_k, with a_k =
+    ``a_values[k]``; each s_i is the ``build_s_matrix`` row evaluated at the
+    point, and pi(v) is the product of the components of v.  A point where
+    some pi(s_i) vanishes raises ZeroDivisionError.
+    """
+    point = {VarId(KIND_X, j): Fraction(v) for j, v in enumerate(xs, 1)}
+    point.update({VarId(KIND_Y, j): Fraction(v) for j, v in enumerate(ys, 1)})
+    a_point = {VarId(KIND_A, k): v for k, v in a_values.items()}
+
+    def v_at(components):
+        assignment = {VarId(KIND_X, j): c for j, c in enumerate(components, 1)}
+        return poly.evaluate({**a_point, **assignment}) / prod(components)
+
+    value = v_at(xs)
+    for y, row in zip(ys, build_s_matrix(m)):
+        value -= Fraction(y) ** (m - n - 1) * v_at([entry.evaluate(point) for entry in row])
+    return value
 
 
 def sequential_ratfunc_combine(parts: Sequence) -> tuple:

@@ -201,6 +201,20 @@ class TestVerifyCommand:
         stages = [s for case in json.loads(first)["cases"] for s in case["stages"]]
         assert stages and all(set(s) == {"name", "detail"} for s in stages)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--conjecture", "1", "--family", "laguerre", "--m", "2..4"),
+            ("--conjecture", "3", "--n", "2", "--m", "3", "--key", "0,1"),
+        ],
+    )
+    def test_zero_relation_is_decided_by_the_orbit_certificate_alone(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", *argv)
+        assert code == 0
+        cases = json.loads(out)["cases"]
+        assert cases and all(case["verdict"] == "verified" for case in cases)
+        assert all([s["name"] for s in case["stages"]] == ["orbit-certificate"] for case in cases)
+
 
 class TestTableCommand:
     def test_z_entry(self, capsys):
@@ -447,7 +461,7 @@ def test_term_cap_environment_variable():
 
 
 def test_prescreen_points_is_not_an_option():
-    # The prescreen runs at a fixed strength; argparse refuses the old flag.
+    # The zero relation has no tunable stage; argparse refuses the old flag.
     argv = ["verify", "--conjecture", "1", "--family", "bell", "--m", "3", "--prescreen-points", "3"]
     result = run_subprocess(["-m", "symmrel.cli", *argv], "10000000")
     assert result.returncode == 2

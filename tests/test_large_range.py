@@ -10,9 +10,9 @@ both relations are decided on orbit representatives of one alternant, the
 residue relation with the closed-form residue as its certificate.  The
 weight-truncated residue is also checked against the untruncated form on
 the Z tables at (6, 6) and (8, 4) and on every row of the n = 9 C system.
-Together they take about 12 s on a 2-vCPU x86-64 host with Python 3.11
-(the n = 8 C system 1.3 s, the nullspace dimensions at n = 11 to 16 5 s
-in all, the seven-variable sweeps 4 s, the residue sweeps and the
+Together they take about 13 s on a 2-vCPU x86-64 host with Python 3.11
+(the n = 8 C system 1.4 s, the nullspace dimensions at n = 11 to 16 5-6 s
+in all, the zero sweeps 4 s, the residue sweeps and the
 untruncated-form checks under 1 s each), so they only run when
 SYMMREL_LARGE_TESTS is set:
 

@@ -1,4 +1,5 @@
 import random
+from argparse import Namespace
 from fractions import Fraction as F
 from math import prod
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmrel import relations, symmfunc
+from symmrel import cli, relations, symmfunc
 from symmrel.families import (
     FAMILY_NAMES,
     family_polynomial,
@@ -33,11 +34,7 @@ from symmrel.relations import (
     _make_source,
     _newton_tables,
     _orbit_residual,
-    _point,
-    _random_point,
-    _samples,
     _symbolic_rows,
-    _u_at,
     _weight,
     _y_one_residue,
     build_s_matrix,
@@ -64,6 +61,7 @@ from oracles import (
     lcd_numerator,
     lcd_residue,
     read_power_sums,
+    u_at_point,
     untruncated_residue,
     x_variable_residue,
 )
@@ -92,7 +90,7 @@ class TestSMatrix:
 
 
 class TestFrame:
-    """The least-common-denominator oracle's frame, and the prescreen's points."""
+    """The least-common-denominator oracle's frame, and the reference route at points."""
 
     @pytest.mark.parametrize("y_one", [False, True])
     def test_cofactor_identity(self, y_one):
@@ -114,9 +112,10 @@ class TestFrame:
             assert len(frame.pairs) == m * (m - 1) // 2
 
     def test_numerator_at_points(self):
-        # The prescreen's value at a point against the defining sum
-        # S(x)/pi(x) - sum_i y_i^(m-n-1) S(s_i)/pi(s_i), with S evaluated on
-        # the build_s_matrix rows at the point.
+        # u_function's numerator over its denominator at a point against the
+        # defining sum S(x)/pi(x) - sum_i y_i^(m-n-1) S(s_i)/pi(s_i), with S
+        # evaluated on the build_s_matrix rows at the point; at y = 1 the
+        # closed-form residue of a symmetric source reads the same value.
         rng = random.Random(7)
         raw = x1**3 - F(1, 2) * x1 * x2**2 + 3 * x2**3
         cases = [
@@ -130,54 +129,23 @@ class TestFrame:
         ]
         nonzero = 0
         for spec, n, m, y_one in cases:
-            if spec == "symbolic":
-                poly = symbolic_family_polynomial(n, m)
-            elif isinstance(spec, str):
-                poly = family_polynomial(spec, n, m)
-            else:
-                poly = spec
-            source = _make_source(spec, n)
+            poly = _instantiate(_make_source(spec, n), _x_vars(m))
+            u = u_function(poly, n, m, specialize_y=y_one)
+            symmetric = y_one and isinstance(spec, str)
+            residue = verify_conjecture2(spec, n, m).extracted if symmetric else None
             for _ in range(3):
-                xs = [F(v, rng.randint(1, 5)) for v in rng.sample(range(1, 40), m)]
-                ys = [F(1)] * m if y_one else _random_rationals(rng, m)
+                xs, ys = _nonsingular_point(rng, m, y_one)
                 a_values = dict(enumerate(_random_rationals(rng, n), 1))
                 point = {VarId(KIND_X, j): v for j, v in enumerate(xs, 1)}
                 point.update({VarId(KIND_Y, j): v for j, v in enumerate(ys, 1)})
-                sample = _point(xs, ys)
-                if not all(sample.products):
-                    continue
-                exponent = 0 if y_one else m - n - 1
-                value = _u_at(source, sample, exponent, a_values)
-
-                def s_at(components):
-                    assignment = {VarId(KIND_X, j): v for j, v in enumerate(components, 1)}
-                    assignment.update({VarId(KIND_A, k): v for k, v in a_values.items()})
-                    return poly.evaluate(assignment)
-
-                expected = s_at(xs) / prod(xs)
-                for y, row in zip(ys, build_s_matrix(m)):
-                    entries = [entry.evaluate(point) for entry in row]
-                    expected -= y**exponent * s_at(entries) / prod(entries)
-                assert value == expected, (spec, n, m, y_one)
+                point.update({VarId(KIND_A, k): v for k, v in a_values.items()})
+                value = u_at_point(poly, n, m, xs, ys, a_values)
+                expected = value * u.denominator.evaluate(point)
+                assert u.numerator.evaluate(point) == expected, (spec, n, m)
+                if residue is not None:
+                    assert residue.to_polynomial().evaluate(point) == value, (spec, n, m)
                 nonzero += value != 0
         assert nonzero
-
-    def test_random_point_skips_zero_pair_product(self):
-        class ScriptedRng:
-            """x = (1, 2), y = (1, 2): w_12 = 0; then x = (1, 2), y = (1, 3)."""
-
-            def __init__(self):
-                self.draws = iter([1, 1, 2, 1, 1, 1, 2, 1] + [1, 1, 2, 1, 1, 1, 3, 1])
-
-            def randint(self, lo, hi):
-                return next(self.draws)
-
-            def choice(self, options):
-                return 1
-
-        point = _random_point(ScriptedRng(), 2)
-        assert point.ys == (1, 3)
-        assert point.rows[0][1] == 1 * 2 - 3 * 1
 
     @pytest.mark.parametrize("name, n, m", [("laguerre", 3, 5), ("bernoulli", 2, 3)])
     def test_numerator_products_stay_integral(self, monkeypatch, name, n, m):
@@ -233,11 +201,9 @@ class TestFrame:
                 nonzero += not numerator.is_zero()
         assert bool(nonzero) == (y_one and spec != "bernoulli")
 
-    def test_raw_source_witness_matches_sequential_products(self, monkeypatch):
+    def test_raw_source_witness_matches_sequential_products(self):
         # A non-symmetric C3 source: the witness is the numerator of
-        # u_function, which sums the products one at a time.  The prescreen
-        # is patched out, so the exact route decides.
-        monkeypatch.setattr(relations, "_prescreen", lambda source, n, m: None)
+        # u_function, which sums the products one at a time.
         raw = x1**2 - F(1, 3) * x1 * x2 + 2 * MultiPoly.x(3) ** 2
         report = verify_conjecture1(raw, 2, 3)
         assert (report.conjecture_id, report.verdict) == ("C3-zero", "falsified")
@@ -290,51 +256,6 @@ class TestOrbitResidual:
         # x_2 x_3^2 a_1: sorting (0, 0), (1, 0), (2, 0) takes three swaps.
         key = (((2, 0), (1, 0), (0, 0)), ((VarId(KIND_A, 1), 1),))
         assert _orbit_residual(x2 * MultiPoly.x(3) ** 2 * a1, 3) == {key: -1}
-
-
-class TestPrescreenSamples:
-    """The prescreen's points, drawn once per (m, a_k assigned)."""
-
-    def test_a_sweep_at_one_m_draws_its_points_once(self, monkeypatch):
-        _samples.cache_clear()
-        drawn = []
-        draw = relations._random_point
-
-        def spy(rng, m):
-            drawn.append(m)
-            return draw(rng, m)
-
-        monkeypatch.setattr(relations, "_random_point", spy)
-        for n in range(4):
-            assert verify_conjecture1("laguerre", n, 4).verified, n
-        assert drawn == [4] * relations.PRESCREEN_POINTS
-        assert _samples.cache_info().currsize == 1
-
-    def test_kept_points_are_the_drawn_points(self):
-        # The same seed draws the same stream, so a kept sample equals a
-        # fresh one, power sums included, and nothing in it can be changed.
-        _samples.cache_clear()
-        kept = _samples(3, (1, 2))
-        _samples.cache_clear()
-        assert _samples(3, (1, 2)) == kept
-        point, a_values = kept[0]
-        assert point.sums[0] == tuple(symmfunc.power_sums_of(point.xs, 2))
-        with pytest.raises(TypeError):
-            a_values[1] = F(0)
-
-    def test_prescreen_witness_does_not_depend_on_cache_order(self):
-        # x_1 a_1 is not symmetric, so the prescreen falsifies it at (1, 2).
-        # Warm sources at m = 2 share its rng stream (symbolic, n = 1, also
-        # draws a_1) or draw a different one (bernoulli draws no a-values).
-        raw = x1 * MultiPoly.a(1)
-        _samples.cache_clear()
-        cold = verify_conjecture1(raw, 1, 2).to_json()
-        assert cold["verdict"] == "falsified" and "a_1" in cold["witness"]
-        for warm in ("symbolic", "bernoulli"):
-            _samples.cache_clear()
-            assert verify_conjecture1(warm, 1, 2).verified
-            assert verify_conjecture1(raw, 1, 2).to_json() == cold, warm
-        assert verify_conjecture1(raw, 1, 2).to_json() == cold
 
 
 class TestUFunction:
@@ -404,6 +325,16 @@ def _random_rationals(rng, count):
     return [F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(count)]
 
 
+def _nonsingular_point(rng, m, y_one=False):
+    """(xs, ys): nonzero rationals x and positive rationals y, or y = 1, with
+    every pair factor y_i x_j - y_j x_i nonzero, so no pi(s_i) vanishes."""
+    while True:
+        xs = [F(rng.choice((1, -1)) * rng.randint(1, 40), rng.randint(1, 5)) for _ in range(m)]
+        ys = [F(1)] * m if y_one else [F(rng.randint(1, 30), rng.randint(1, 6)) for _ in range(m)]
+        if all(ys[i] * xs[j] != ys[j] * xs[i] for i in range(m) for j in range(i + 1, m)):
+            return xs, ys
+
+
 class TestSources:
     """The power-sum sources and the families against the Bell recursion."""
 
@@ -424,25 +355,6 @@ class TestSources:
                 expected = bell_family_polynomial(a, 1, n, m)
                 assert _instantiate(_make_source("symbolic", n), _x_vars(m)) == expected, (n, m)
                 assert symbolic_family_polynomial(n, m) == expected, (n, m)
-
-    def test_numeric_instantiation_matches_evaluate(self):
-        # A point carries the power sums p_1..p_(m-1); a source of higher
-        # degree computes the rest.
-        rng = random.Random(3)
-        a1 = MultiPoly.a(1)
-        expansion = PowerSumExpansion(2, 2, {(2, 0): a1 * F(1, 3), (0, 1): F(5, 2)})
-        cases = [(name, n) for name in FAMILY_NAMES + ("symbolic",) for n in range(0, 6)]
-        cases += [((1, 2, 0, 0, 0), 5), (expansion, 2), (x1**3 - F(1, 2) * x1 * x2**2, 3)]
-        for spec, n in cases:
-            for m in (2, 3):
-                source = _make_source(spec, n)
-                poly = _instantiate(source, _x_vars(m))
-                xs = _random_rationals(rng, m)
-                a_values = dict(enumerate(_random_rationals(rng, max(n, 1)), 1))
-                point = {VarId(KIND_X, j): v for j, v in enumerate(xs, 1)}
-                point.update({VarId(KIND_A, k): v for k, v in a_values.items()})
-                value = source.scaled_at(xs, symmfunc.power_sums_of(xs, m - 1), a_values)
-                assert source.unscale(value) == poly.evaluate(point), (spec, n, m)
 
     @pytest.mark.parametrize("name", ["laguerre", "bernoulli"])
     def test_rows_carry_no_integral_fraction(self, name):
@@ -544,14 +456,13 @@ class TestZeroRelation:
         for spec, n, m in cases:
             report = verify_conjecture1(spec, n, m)
             assert report.verified, (spec, n, m)
-            assert [stage.name for stage in report.stages] == ["prescreen", "orbit-certificate"]
+            assert [stage.name for stage in report.stages] == ["orbit-certificate"]
             assert report.stages[-1].detail.startswith("Alt(H) = 0 on "), report.stages[-1]
 
-    def test_term_cap_names_the_running_stage(self, monkeypatch):
+    def test_term_cap_names_the_running_stage(self):
         # In both relations a symmetric source meets the cap in the orbit
         # pass, and a raw source that is not symmetric meets it in the
         # reference expansion.  No stage is recorded twice.
-        monkeypatch.setattr(relations, "_prescreen", lambda source, n, m: None)
         cap = get_term_cap()
         set_term_cap(1)
         try:
@@ -579,7 +490,6 @@ class TestZeroRelation:
         source.symmetric = True
         monkeypatch.setattr(relations, "_make_source", lambda spec, n, m: source)
         monkeypatch.setattr(relations, "_orbit_residual", lambda poly, m: {((), ()): 1})
-        monkeypatch.setattr(relations, "_prescreen", lambda source, n, m: None)
         report = verify_conjecture1(raw, 2, 3)
         expected = u_function(raw, 2, 3).numerator
         assert report.verdict == "falsified"
@@ -603,38 +513,79 @@ class TestZeroRelation:
         assert expanded == [(2, 3)]
         assert report.verified
         names = [stage.name for stage in report.stages]
-        assert names == ["prescreen", "orbit-certificate", "expand"], names
-        assert report.stages[1].detail == "1 orbit representatives left; reference route"
+        assert names == ["orbit-certificate", "expand"], names
+        assert report.stages[0].detail == "1 orbit representatives left; reference route"
         assert report.stages[-1].detail == "0 numerator terms"
 
-    def test_prescreen_catches_asymmetric_input(self):
+    def test_asymmetric_input_is_falsified_by_its_numerator(self):
+        # x_1 is not symmetric: the reference expansion decides, and the
+        # nonzero numerator of u_function is the witness.
         report = verify_conjecture1(x1, 1, 2)
         assert report.verdict == "falsified"
-        assert report.witness is not None
-        assert report.stages[0].name == "prescreen"
+        assert [stage.name for stage in report.stages] == ["expand"]
+        expected = u_function(x1, 1, 2).numerator
+        assert report.witness == expected != 0
+        assert report.to_json()["witness"] == str(expected)
 
-    def test_exact_expansion_agrees_with_prescreen(self, monkeypatch):
-        # Falsified with and without the prescreen short-circuit.
-        with_screen = verify_conjecture1(x1, 1, 2)
-        monkeypatch.setattr(relations, "_prescreen", lambda source, n, m: None)
-        without_screen = verify_conjecture1(x1, 1, 2)
-        assert with_screen.verdict == without_screen.verdict == "falsified"
-        assert without_screen.witness is not None
-
-    def test_differential_random_cases(self, monkeypatch):
+    def test_differential_random_cases(self):
+        # The exact verdict against U_n from its definition at a random
+        # point: expansions are verified by the orbit certificate alone and
+        # read 0 there; raw polynomials in x are verified exactly when they
+        # read 0.
         rng = random.Random(11)
-        for _ in range(25):
+        verdicts = set()
+        for i in range(25):
             m = rng.choice((2, 3))
             n = rng.randrange(0, m)
-            keys = exponent_vectors(n, max(n, 1))
-            expansion = PowerSumExpansion(
-                n, m, {k: F(rng.randint(-4, 4)) for k in keys}
+            if i % 2:
+                keys = exponent_vectors(n, max(n, 1))
+                spec = PowerSumExpansion(n, m, {k: F(rng.randint(-4, 4)) for k in keys})
+            else:
+                spec = sum(
+                    (rng.randint(-3, 3) * _product(rng.choices(_x_vars(m), k=n)) for _ in range(3)),
+                    MultiPoly.zero(),
+                )
+            report = verify_conjecture1(spec, n, m)
+            poly = _instantiate(_make_source(spec, n), _x_vars(m))
+            value = u_at_point(poly, n, m, *_nonsingular_point(rng, m), {})
+            assert report.verdict == ("verified" if value == 0 else "falsified"), (spec, n, m)
+            if i % 2:
+                assert [stage.name for stage in report.stages] == ["orbit-certificate"]
+            verdicts.add(report.verdict)
+        assert verdicts == {"verified", "falsified"}
+
+    def test_cli_cases_against_the_definition(self):
+        # Every zero-relation case the CLI can build is verified by the
+        # orbit certificate alone, and U_n from its definition reads 0 at
+        # three random points.  Inputs that are not symmetric are falsified,
+        # and U_n is nonzero at one of three.
+        rng = random.Random(21)
+        grids = [(1, name, "2..5") for name in FAMILY_NAMES] + [(1, "symbolic", "2..4")]
+        grids.append((3, None, "1..4"))
+        cases = []
+        for conjecture, family, m_range in grids:
+            args = Namespace(
+                conjecture=conjecture, family=family, key=None, m=m_range,
+                n=None if family else "0..3", allow_large=True,
             )
-            screened = verify_conjecture1(expansion, n, m)
-            with monkeypatch.context() as patch:
-                patch.setattr(relations, "_prescreen", lambda source, n, m: None)
-                exact = verify_conjecture1(expansion, n, m)
-            assert screened.verdict == exact.verdict == "verified"
+            cases += [case for case in cli._build_cases(args) if case[0] == "zero"]
+        assert len(cases) == 8 * 14 + 9 + 14
+        for _, spec, n, m in cases:
+            report = verify_conjecture1(spec, n, m)
+            assert report.verified and [s.name for s in report.stages] == ["orbit-certificate"]
+            poly = _instantiate(_make_source(spec, n), _x_vars(m))
+            for _ in range(3):
+                a_values = dict(enumerate(_random_rationals(rng, n), 1))
+                value = u_at_point(poly, n, m, *_nonsingular_point(rng, m), a_values)
+                assert value == 0, (spec, n, m)
+        raw = x1**2 - F(1, 3) * x1 * x2 + 2 * MultiPoly.x(3) ** 2
+        for poly, n, m in [(x1, 1, 2), (x1 * MultiPoly.a(1), 1, 2), (raw, 2, 3)]:
+            assert verify_conjecture1(poly, n, m).verdict == "falsified", poly
+            values = [
+                u_at_point(poly, n, m, *_nonsingular_point(rng, m), {1: F(rng.randint(1, 9))})
+                for _ in range(3)
+            ]
+            assert any(values), poly
 
 
 class TestResidueRelation:
