@@ -26,7 +26,7 @@ import sys
 
 from . import __version__
 from .families import FAMILY_NAMES, SYMBOLIC_NAME, get_family
-from .partitions import exponent_vectors, vector_weight
+from .partitions import _count_exceeds, exponent_vectors, partition_count, vector_weight
 from .polyring import (
     TermCapExceeded,
     format_rational,
@@ -57,24 +57,48 @@ EXIT_RESOURCE = 3
 
 DEFAULT_MAX_N = 8
 DEFAULT_MAX_M = 4
+# More cases than any run could list, let alone decide, even with --allow-large.
+_MAX_CASES = 10**6
 
 
 class UsageError(ValueError):
     pass
 
 
-def _parse_range(spec: str) -> list[int]:
-    """Accept '3' or '2..4' (inclusive)."""
+def _parse_range(spec: str) -> range:
+    """Accept '3' or '2..4' (inclusive).  No list is built: a range is checked
+    against the bounds by its ends."""
     try:
         if ".." in spec:
             lo_text, hi_text = spec.split("..", 1)
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(spec)]
+        else:
+            lo = hi = int(spec)
     except ValueError:
         raise UsageError(f"bad range {spec!r}; expected N or LO..HI") from None
+    return range(lo, hi + 1)
+
+
+def _check_keys(weight: int, max_part: int) -> None:
+    """Refuse more exponent vectors of ``weight`` with parts <= ``max_part``
+    than the term cap, before any is listed.
+
+    Within the default bounds there are at most P(8) = 22 of them and the cap
+    meets the products instead.  The count is made afresh on every call, so
+    the verdict does not depend on what ran before.
+    """
+    if weight > DEFAULT_MAX_N and _count_exceeds(weight, max_part, get_term_cap()):
+        raise TermCapExceeded(
+            f"the exponent vectors of weight {weight} with parts <= {max_part} "
+            f"number more than the cap of {get_term_cap()}"
+        )
+
+
+def _check_grid(size: int) -> None:
+    if size > _MAX_CASES:
+        raise UsageError(f"the case grid has {size} cases; no grid holds more than {_MAX_CASES}")
 
 
 def _parse_key(spec: str) -> tuple[int, ...]:
@@ -138,9 +162,8 @@ def _case_label(result) -> str:
 
 def _build_cases(args) -> list:
     # An empty --n= or --m= is a bad range, not an absent option.
-    m_values = _parse_range(args.m) if args.m is not None else list(range(2, DEFAULT_MAX_M + 1))
+    m_values = _parse_range(args.m) if args.m is not None else range(2, DEFAULT_MAX_M + 1)
     n_values = _parse_range(args.n) if args.n is not None else None
-    cases = []
     if args.conjecture in (1, 2):
         if not args.family:
             raise UsageError("--family is required for conjectures 1 and 2")
@@ -150,9 +173,45 @@ def _build_cases(args) -> list:
                 get_family(name)
             except KeyError as exc:
                 raise UsageError(exc.args[0]) from None
+    else:
+        if n_values is None:
+            raise UsageError("--n is required for conjecture 3")
+        if n_values[0] < 0:
+            raise UsageError("conjecture 3 needs --n >= 0")
+    # The bounds, sizes and key counts are checked on the ends of the
+    # ranges, before any list is built.  The default degrees are n <= m - 1
+    # (conjecture 1) and m <= n <= DEFAULT_MAX_N (conjecture 2).
+    top_m = m_values[-1]
+    if n_values is not None:
+        top_n = n_values[-1]
+        size = (top_m - m_values[0] + 1) * (top_n - n_values[0] + 1)
+    elif args.conjecture == 1:
+        top_n = top_m - 1
+        lo = max(m_values[0], 1)
+        size = (top_m - lo + 1) * (lo + top_m) // 2 if top_m >= lo else 0  # m cases per m
+    else:
+        top_n = DEFAULT_MAX_N
+        lo, hi = m_values[0], min(top_m, DEFAULT_MAX_N)
+        # DEFAULT_MAX_N + 1 - m cases per m
+        size = (hi - lo + 1) * (2 * DEFAULT_MAX_N + 2 - lo - hi) // 2 if hi >= lo else 0
+    if not args.allow_large and (top_n > DEFAULT_MAX_N or top_m > DEFAULT_MAX_M):
+        raise UsageError(
+            f"the grid reaches n={top_n}, m={top_m}, outside the default bounds "
+            f"(n <= {DEFAULT_MAX_N}, m <= {DEFAULT_MAX_M}); pass --allow-large"
+        )
+    _check_grid(size)
+    if args.conjecture == 1:
+        # No degree above m - 1 is listed: the grid is refused first.
+        _check_keys(min(top_n, top_m - 1), min(top_n, top_m - 1))
+    elif args.conjecture == 2 or not args.key:
+        _check_keys(top_n, top_n)  # a family, or every key, of that degree
+    if args.conjecture == 3 and not args.key:
+        _check_grid((top_m - m_values[0] + 1) * sum(partition_count(n, n) for n in n_values))
+    cases = []
+    if args.conjecture in (1, 2):
         for m in m_values:
             if args.conjecture == 1:
-                ns = n_values if n_values is not None else list(range(0, m))
+                ns = n_values if n_values is not None else range(0, m)
                 for n in ns:
                     if not 0 <= n <= m - 1:
                         raise UsageError(
@@ -160,16 +219,12 @@ def _build_cases(args) -> list:
                         )
                     cases.append(("zero", name, n, m))
             else:
-                ns = n_values if n_values is not None else list(range(m, DEFAULT_MAX_N + 1))
+                ns = n_values if n_values is not None else range(m, DEFAULT_MAX_N + 1)
                 for n in ns:
                     if n < m:
                         raise UsageError(f"conjecture 2 needs n >= m, got n={n}, m={m}")
                     cases.append(("poly", name, n, m))
     else:
-        if n_values is None:
-            raise UsageError("--n is required for conjecture 3")
-        if min(n_values) < 0:
-            raise UsageError("conjecture 3 needs --n >= 0")
         for m in m_values:
             for n in n_values:
                 keys = [_parse_key(args.key)] if args.key else exponent_vectors(n, n if n else 1)
@@ -177,16 +232,11 @@ def _build_cases(args) -> list:
                     if vector_weight(key) != n or len(key) != n:
                         raise UsageError(f"key {key} does not have weight {n}")
                     regime = "zero" if n <= m - 1 else "poly"
+                    if args.key and regime == "poly":
+                        _check_keys(n - m, m)  # the residue's keys
                     cases.append((regime, key, n, m))
     if not cases:
         raise UsageError("empty case grid")
-    if not args.allow_large:
-        for _, _, n, m in cases:
-            if n > DEFAULT_MAX_N or m > DEFAULT_MAX_M:
-                raise UsageError(
-                    f"case n={n}, m={m} is outside the default bounds "
-                    f"(n <= {DEFAULT_MAX_N}, m <= {DEFAULT_MAX_M}); pass --allow-large"
-                )
     return cases
 
 
@@ -256,6 +306,8 @@ def cmd_table(args) -> int:
             f"table n={args.n}, m={args.m} is outside the default bounds; pass --allow-large"
         )
     if args.table == "Z":
+        # The symbolic source of degree n + m lists every key of that weight.
+        _check_keys(args.n + args.m, args.n + args.m)
         expansion = extract_z(args.n, args.m)
         entries = [
             {"key": list(key), "coeff": str(coeff)}
@@ -273,6 +325,7 @@ def cmd_table(args) -> int:
     key = _parse_key(args.key)
     if vector_weight(key) != args.n or len(key) != args.n:
         raise UsageError(f"key {key} does not have weight {args.n}")
+    _check_keys(args.n - args.m, args.m)
     expansion = extract_y_basis(args.n, args.m, key)
     entries = [
         {"key": list(entry_key), "coeff": format_rational(coeff)}
@@ -305,6 +358,7 @@ def cmd_solve_c(args) -> int:
         raise UsageError("solve-c needs --n >= 2")
     if args.check_bernoulli and args.n not in TABULATED_BERNOULLI_FREE_VALUES:
         raise UsageError(f"tabulated free values cover n <= 5; got n = {args.n}")
+    _check_keys(args.n, args.n)
     solution = solve_c_coefficients(args.n)
     relations = []
     lines = [

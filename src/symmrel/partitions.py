@@ -12,7 +12,7 @@ n = 4: (4,0,0,0), (2,1,0,0), (0,2,0,0), (1,0,1,0), (0,0,0,1).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import deque
 
 ExponentVector = tuple[int, ...]
 
@@ -74,22 +74,51 @@ def _gather(remaining: int, max_part: int) -> list[list[int]]:
     return out
 
 
-@lru_cache(maxsize=None)
 def partition_count(n: int, max_part: int) -> int:
     """Number of partitions of n into parts <= max_part.
 
-    Implements the recurrence P_m(n) = P_{m-1}(n) + P_m(n - m) with
-    memoization; partition_count(n, n) is the unrestricted count P(n).
+    Implements the recurrence P_m(n) = P_{m-1}(n) + P_m(n - m) bottom up,
+    with no recursion and no cache; partition_count(n, n) is the
+    unrestricted count P(n).
     """
     if n < 0:
         return 0
     if max_part < 0:
         raise ValueError("max_part must be >= 0")
-    if n == 0:
-        return 1
-    if max_part == 0:
-        return 0
-    return partition_count(n, max_part - 1) + partition_count(n - max_part, max_part)
+    for count in _rising_counts(n, max_part):
+        pass
+    return count
+
+
+def _rising_counts(n: int, max_part: int):
+    """P_max_part(s) for s = 0, 1, ..., n in turn.  Row s holds P_j(s) for
+    j <= min(max_part, s) and is built from the rows of the max_part weights
+    below it, the only ones kept."""
+    rows: deque = deque(maxlen=max(max_part, 1))
+    for s in range(n + 1):
+        row = [1 if s == 0 else 0]
+        for j in range(1, min(max_part, s) + 1):
+            below = rows[-j]  # row s - j; P_j(s - j) = P_min(j, s - j)(s - j)
+            row.append(row[-1] + below[min(j, len(below) - 1)])
+        rows.append(row)
+        yield row[-1]
+
+
+def _count_exceeds(n: int, max_part: int, limit: int) -> bool:
+    """Whether more than ``limit`` partitions of n have parts <= max_part,
+    decided without listing any.
+
+    The count is nondecreasing in n, so the rows of :func:`_rising_counts`
+    stop at the first weight whose count passes ``limit``.  With parts 1 and
+    2 allowed the count is at least n // 2 + 1, exactly that when 2 is the
+    largest part, which settles a large n at once.
+    """
+    if min(max_part, n) < 2:
+        # One partition (into ones, or the empty one of 0), or none.
+        return int(n == 0 or (n > 0 and max_part >= 1)) > limit
+    if max_part == 2 or n // 2 + 1 > limit:
+        return n // 2 + 1 > limit
+    return any(count > limit for count in _rising_counts(n, max_part))
 
 
 def equation_count(n: int) -> int:

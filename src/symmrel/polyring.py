@@ -34,7 +34,9 @@ multiplies coefficients and accumulates in a single dict.  Keys are decoded
 only at the end, and only where the coefficient survived: for each key the
 loop keeps the first pair of monomials that produced it, and merges that
 pair into the canonical tuple.  A factor with a single term skips packing,
-since multiplying by one monomial cannot merge two terms.
+since multiplying by one monomial cannot merge two terms.  Two monomials
+whose variables do not interleave, such as a monomial in the a_k and one in
+x and y, are merged by concatenating the tuples.
 
 Exact division is long division in u, the divisor's last variable in VarId
 order, over the ring of the others (Geddes, Czapor & Labahn, *Algorithms for
@@ -159,6 +161,11 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
         return m2
     if not m2:
         return m1
+    # Variables that do not interleave (an a-monomial and an x/y one, say).
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
     out = []
     i = j = 0
     n1, n2 = len(m1), len(m2)

@@ -54,17 +54,22 @@ Alt(t) of a monomial t is 0 when two of its exponent pairs
 monomial t_0 = g^(-1)(t) with its pairs in descending order.  The Alt(t_0)
 of distinct sorted monomials have disjoint supports, so Alt(H) = 0 exactly
 when the signed sum of H's coefficients on each sorted key is 0
-(``_orbit_residual``; monomials in the a_k ride along in the key).  That
-costs two instantiations, two products by one monomial and one pass that
-sorts each term of H.  Every call does this work afresh: nothing of it is
-cached, so a term cap meets the same work whatever ran before.
+(``_orbit_residual``; monomials in the a_k ride along in the key).  H itself
+is never formed.  Since e + n = m - 1, H = M y_1^e (y_1^n S(x) - S(s_1)), and
+the monomial M y_1^e enters the pass as offsets to each term's exponent
+pairs; multiplying by a monomial merges no terms, so H has as many terms as
+the factor.  That costs two instantiations, one product of S(x) by y_1^n
+(none at y = 1) and one pass that sorts each term of the factor.  Every call
+does this work afresh: nothing of it is cached, so a term cap meets the same
+work whatever ran before.
 
 Both relations are one check, U_n = G for a known symmetric G (``_decide``).
 The zero relation (``verify_conjecture1``) has G = 0 at general y: U_n = 0
 exactly when Alt(H) = 0.  The residue relation (``verify_conjecture2``) has
 G the closed-form residue below at y = 1, times the source's denominator as
 H is; W G = Alt(M G) at y = 1, so U_n = G exactly when Alt(H - M pi(x) G) = 0,
-and an empty orbit residual certifies G.  A case that meets the term cap is
+with H - M pi(x) G = M (S(x) - S(s_1) - pi(x) G) read off the same way, and
+an empty orbit residual certifies G.  A case that meets the term cap is
 resource-limited, with the cap's message under the stage that was running.
 
 Reference route: a raw MultiPoly in x that is symmetric in x_1..x_m is
@@ -400,42 +405,30 @@ def u_function(s_poly: MultiPoly, n: int, m: int, specialize_y: bool = False) ->
 # ---------------------------------------------------------------------------
 
 
-def _alternant_term(source: _Source, m: int, y_one: bool, exponent: int) -> MultiPoly:
-    """H = M * (y_1^(m-1) * S(x) - y_1^exponent * S(s_1)), times the source's
-    denominator, with M = prod_{j >= 2} x_j^(j-1) y_j^(m-j).
+def _orbit_residual(poly: MultiPoly, m: int, offsets: Optional[Sequence] = None) -> dict:
+    """The coefficients of Alt(t * poly) on sorted orbit representatives, t
+    the monomial prod_j x_j^dx_j y_j^dy_j of the pairs ``offsets`` =
+    ((dx_1, dy_1), ..., (dx_m, dy_m)), or 1 when it is None.
 
-    For a symmetric source, Alt(H) is the denominator times the numerator
-    pi(x) * W * U_n with the weights y_i^exponent.
+    t * poly is never formed: t's pairs are added to each term's exponent
+    pairs (deg x_j, deg y_j), j = 1..m.  A term with two equal shifted pairs
+    alternates to 0.  Any other is g(t') for the term t' with the
+    pairs sorted in descending order, and alternates to sgn(g) * Alt(t'); t'
+    is keyed by its sorted pairs and the rest of its monomial.  Alt(t * poly)
+    = 0 exactly when every key's signed sum is 0, which leaves the result
+    empty.
     """
-    xs, ys, rows = _symbolic_rows(m, y_one)
-    staircase = prod(
-        (xs[j] ** j * ys[j] ** (m - 1 - j) for j in range(1, m)), start=MultiPoly.one()
-    )
-    return (
-        staircase * ys[0] ** (m - 1) * source.scaled(xs)
-        - staircase * ys[0] ** exponent * source.scaled(rows[0])
-    )
-
-
-def _orbit_residual(poly: MultiPoly, m: int) -> dict:
-    """The coefficients of Alt(poly) on sorted orbit representatives.
-
-    A term whose exponent pairs (deg x_j, deg y_j), j = 1..m, has two equal
-    pairs alternates to 0.  Any other term is g(t) for the term t with the
-    pairs sorted in descending order, and alternates to sgn(g) * Alt(t); t is
-    keyed by its sorted pairs and the rest of its monomial.  Alt(poly) = 0
-    exactly when every key's signed sum is 0, which leaves the result empty.
-    """
+    x_base, y_base = zip(*offsets) if offsets is not None else ((0,) * m, (0,) * m)
     residual: dict = {}
     for mono, coeff in poly.terms.items():
-        x_exps = [0] * m
-        y_exps = [0] * m
+        x_exps = list(x_base)
+        y_exps = list(y_base)
         rest = ()  # x and y lead every monomial (x < y < a < p)
         for pos, (var, e) in enumerate(mono):
             if var.kind == KIND_X:
-                x_exps[var.index - 1] = e
+                x_exps[var.index - 1] += e
             elif var.kind == KIND_Y:
-                y_exps[var.index - 1] = e
+                y_exps[var.index - 1] += e
             else:
                 rest = mono[pos:]
                 break
@@ -449,19 +442,28 @@ def _orbit_residual(poly: MultiPoly, m: int) -> dict:
 
 
 def _certificate(source: _Source, m: int, residue: Optional[PowerSumExpansion]) -> tuple:
-    """(terms, residual): the term count and orbit residual of a polynomial
-    whose alternant is pi(x) * W * (U_n - G) times the source's denominator,
-    so the residual is empty exactly when U_n = G.  With ``residue`` None,
-    G = 0 and it is H at general y; otherwise H - M * pi(x) * G at y = 1.
+    """(terms, residual): the term count and orbit residual of H, whose
+    alternant is pi(x) * W * (U_n - G) times the source's denominator, so the
+    residual is empty exactly when U_n = G.
+
+    With ``residue`` None, G = 0 and H = M * y_1^e * (y_1^n * S(x) - S(s_1))
+    at general y, e = m - n - 1; otherwise H = M * (S(x) - S(s_1) - pi(x) * G)
+    at y = 1.  Only the factor after the monomial M * y_1^e is formed: its
+    exponents enter ``_orbit_residual`` as offsets, and a product by one
+    monomial merges no terms, so H has as many terms as that factor.
     """
-    if residue is None:
-        poly = _alternant_term(source, m, False, m - source.n - 1)
-    else:
-        xs = _symbolic_rows(m, True)[0]
-        weight = prod((x ** (j + 1) for j, x in enumerate(xs)), start=MultiPoly.one())
+    n = source.n
+    y_one = residue is not None
+    xs, ys, rows = _symbolic_rows(m, y_one)
+    if y_one:
+        pi_x = prod(xs, start=MultiPoly.one())
         g = residue.to_polynomial() * source.denominator
-        poly = _alternant_term(source, m, True, 0) - weight * g
-    return len(poly), _orbit_residual(poly, m)
+        poly = source.scaled(xs) - source.scaled(rows[0]) - pi_x * g
+        offsets = [(j, 0) for j in range(m)]
+    else:
+        poly = ys[0] ** n * source.scaled(xs) - source.scaled(rows[0])
+        offsets = [(0, m - n - 1)] + [(j, m - 1 - j) for j in range(1, m)]
+    return len(poly), _orbit_residual(poly, m, offsets)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,12 @@
   prefix and suffix products of ``relations.u_function`` are checked;
 * :func:`alternate` -- the full signed sum over S_m, against which the
   orbit-representative residual in ``relations._orbit_residual`` is checked;
+* :func:`alternant_term` and :func:`orbit_certificate` -- the polynomial H
+  whose alternant is the numerator of U_n (minus that of the residue G),
+  formed with the staircase monomial multiplied in one product at a time,
+  and its term count and orbit residual, against which
+  ``relations._certificate``, which adds the staircase's exponents to H's
+  factor without forming H, is checked;
 * :func:`euler_poly_at_zero` -- E_n(0) from the Bernoulli numbers by DLMF
   §24.4, a cross-check of the Euler stream in ``families``;
 * :func:`series_mul`, :func:`series_inverse` and :func:`series_exp` --
@@ -48,7 +54,7 @@ from typing import NamedTuple, Sequence
 from symmrel.exactnum import bernoulli_numbers
 from symmrel.partitions import exponent_vectors
 from symmrel.polyring import KIND_A, KIND_P, KIND_X, KIND_Y, MultiPoly, VarId
-from symmrel.relations import _symbolic_rows, build_s_matrix
+from symmrel.relations import _orbit_residual, _symbolic_rows, build_s_matrix
 from symmrel.symmfunc import (
     NotRepresentableError,
     PowerSumExpansion,
@@ -310,6 +316,38 @@ def alternate(poly: MultiPoly, m: int) -> MultiPoly:
             moved = tuple(sorted((moves.get(v, v), e) for v, e in mono))
             total[moved] = total.get(moved, 0) + sign * coeff
     return MultiPoly({mono: c for mono, c in total.items() if c})
+
+
+def alternant_term(source, m: int, y_one: bool, exponent: int) -> MultiPoly:
+    """H = M * (y_1^(m-1) * S(x) - y_1^exponent * S(s_1)), times the source's
+    denominator, with M = prod_{j >= 2} x_j^(j-1) y_j^(m-j), each monomial
+    multiplied in by its own product.
+
+    For a symmetric source, Alt(H) is the denominator times the numerator
+    pi(x) * W * U_n with the weights y_i^exponent.
+    """
+    xs, ys, rows = _symbolic_rows(m, y_one)
+    staircase = prod(
+        (xs[j] ** j * ys[j] ** (m - 1 - j) for j in range(1, m)), start=MultiPoly.one()
+    )
+    return (
+        staircase * ys[0] ** (m - 1) * source.scaled(xs)
+        - staircase * ys[0] ** exponent * source.scaled(rows[0])
+    )
+
+
+def orbit_certificate(source, m: int, residue) -> tuple:
+    """(len(H), _orbit_residual(H, m)) with H formed in full: the alternant
+    term at general y with e = m - n - 1 when ``residue`` is None, and
+    otherwise the one at y = 1 minus M * pi(x) * G, G the residue times the
+    source's denominator."""
+    if residue is None:
+        poly = alternant_term(source, m, False, m - source.n - 1)
+    else:
+        xs = _symbolic_rows(m, True)[0]
+        weight = prod((x ** (j + 1) for j, x in enumerate(xs)), start=MultiPoly.one())
+        poly = alternant_term(source, m, True, 0) - weight * residue.to_polynomial() * source.denominator
+    return len(poly), _orbit_residual(poly, m)
 
 
 def euler_poly_at_zero(n_max: int) -> list:

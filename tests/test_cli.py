@@ -89,6 +89,31 @@ class TestVerifyCommand:
         assert code == 2
         assert "allow-large" in err
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (("verify", "--conjecture", "1", "--family", "bell", "--m", "2", "--n",
+              "0..99999999999999999999"), 2, "error: the grid reaches n=99999999999999999999"),
+            (("verify", "--conjecture", "1", "--family", "bell", "--m", "99999999999999999999",
+              "--allow-large"), 2, "error: the case grid has "),
+            (("verify", "--conjecture", "2", "--family", "bell", "--m=-1000000000000..2"), 2,
+             "error: the case grid has "),
+            (("solve-c", "--n", "1000"), 3, "resource cap: the exponent vectors of weight 1000 "),
+            (("table", "Z", "--n", "1000", "--m", "2", "--allow-large"), 3,
+             "resource cap: the exponent vectors of weight 1002 "),
+            (("verify", "--conjecture", "3", "--n", "1000", "--m", "2", "--allow-large"), 3,
+             "resource cap: the exponent vectors of weight 1000 "),
+            (("verify", "--conjecture", "2", "--family", "t", "--n", "1000", "--m", "2",
+              "--allow-large"), 3, "resource cap: the exponent vectors of weight 1000 "),
+        ],
+    )
+    def test_huge_grids_are_refused_before_any_list(self, capsys, argv, code, message):
+        # Ranges are checked by their ends and key counts without listing a
+        # key, so each refusal is immediate, with or without --allow-large.
+        result = run_cli(capsys, *argv)
+        assert result[:2] == (code, "")
+        assert len(result[2].splitlines()) == 1 and result[2].startswith(message), result[2]
+
     def test_allow_large(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--conjecture", "1", "--family", "hermite", "--n", "2", "--m", "5", "--allow-large"
@@ -320,6 +345,22 @@ def test_term_cap_verdicts_do_not_depend_on_earlier_runs(capsys):
         for m in range(2, 6):
             extract_z(n, m)
     assert exit_codes(clear_caches) == cold
+
+
+@pytest.mark.parametrize("conjecture", ["1", "2"])
+def test_relation_term_cap_verdicts_are_the_same_cold_and_warm(capsys, conjecture):
+    # The orbit certificate and the key counts are made afresh on every
+    # call: after an uncapped run has filled every cache, each capped run
+    # prints the same document, verdicts and cap messages included.
+    argv = ("--format", "json", "verify", "--conjecture", conjecture, "--family", "symbolic",
+            "--m", "2..5", "--allow-large")
+    caps = ("10", "100", "1000", "10000")
+    clear_every_cache()
+    cold = [run_cli(capsys, "--term-cap", cap, *argv) for cap in caps]
+    verdicts = {case["verdict"] for _, out, _ in cold for case in json.loads(out)["cases"]}
+    assert verdicts == {"verified", "resource-limited"}
+    assert run_cli(capsys, "--term-cap", "10000000", *argv)[0] == 0
+    assert [run_cli(capsys, "--term-cap", cap, *argv) for cap in caps] == cold
 
 
 def test_small_extractions_fit_the_term_cap(capsys):

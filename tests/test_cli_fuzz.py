@@ -51,6 +51,14 @@ def argvs(draw):
 @example(["table", "Y", "--n=2", "--m=2", "--key=-2,2"])
 @example(["--term-cap=5", "table", "Z", "--n=1", "--m=2"])
 @example(["verify", "--conjecture=2", "--n=", "--m=", "--family=symbolic"])
+# Ranges no grid can hold, refused by their ends before any list is built.
+@example(["verify", "--conjecture", "1", "--family", "bell", "--m", "2", "--n", "0..99999999999999999999"])
+@example(["verify", "--conjecture", "1", "--family", "bell", "--m", "99999999999999999999", "--allow-large"])
+# Degrees with more exponent vectors than the term cap, refused before any
+# is listed.
+@example(["solve-c", "--n", "1000"])
+@example(["table", "Z", "--n", "1000", "--m", "2", "--allow-large"])
+@example(["verify", "--conjecture", "3", "--n", "1000", "--m", "2", "--allow-large"])
 def test_exit_code_contract(argv):
     cap = get_term_cap()
     err = io.StringIO()

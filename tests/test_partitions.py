@@ -1,6 +1,7 @@
 import pytest
 
 from symmrel.partitions import (
+    _count_exceeds,
     equation_count,
     exponent_vectors,
     partition_count,
@@ -71,6 +72,27 @@ class TestPartitionCount:
                 assert partition_count(n, m) == partition_count(n, m - 1) + partition_count(
                     n - m, m
                 )
+
+
+    def test_counts_without_recursion(self):
+        # One part size: the old memoised recursion went n levels deep.
+        assert partition_count(5000, 1) == 1
+        assert partition_count(3000, 2) == 1501
+        assert partition_count(100, 100) == 190569292
+
+    def test_count_exceeds_matches_the_count(self):
+        for n in range(0, 26):
+            for max_part in range(0, 28):
+                count = partition_count(n, max_part)
+                for limit in (0, count - 1, count, count + 1):
+                    assert _count_exceeds(n, max_part, limit) == (count > limit), (n, max_part, limit)
+
+    def test_count_exceeds_settles_huge_degrees(self):
+        assert _count_exceeds(10**20, 10**20, 10**7)
+        assert _count_exceeds(1000, 1000, 10**7)
+        assert _count_exceeds(10**20, 2, 10**7)
+        assert not _count_exceeds(10**20, 1, 10**7)
+        assert not _count_exceeds(30, 30, partition_count(30, 30))
 
 
 class TestEquationCount:

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symmrel import polyring, relations
@@ -379,6 +379,59 @@ def wide_polys(draw, min_terms=0, max_terms=6, variables=WIDE_VARS):
         )
     )
     return MultiPoly([(tuple(mono.items()), c) for mono, c in terms])
+
+
+def dict_monomial_product(m1, m2) -> tuple:
+    """m1 * m2 by adding exponents in a dict and sorting the variables."""
+    exponents = dict(m1)
+    for v, e in m2:
+        exponents[v] = exponents.get(v, 0) + e
+    return tuple(sorted(exponents.items()))
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two canonical monomials over WIDE_VARS, possibly empty: drawn freely
+    (usually interleaved), one wholly before the other, or meeting at one
+    variable that is the last of the first and the first of the second."""
+    exps = st.integers(1, 5)
+
+    def mono(variables):
+        chosen = draw(st.lists(st.sampled_from(variables), unique=True)) if variables else []
+        return tuple(sorted((v, draw(exps)) for v in chosen))
+
+    shape = draw(st.sampled_from(["free", "apart", "boundary"]))
+    if shape == "free":
+        first, second = mono(WIDE_VARS), mono(WIDE_VARS)
+    elif shape == "apart":
+        cut = draw(st.integers(0, len(WIDE_VARS)))
+        first, second = mono(WIDE_VARS[:cut]), mono(WIDE_VARS[cut:])
+    else:
+        cut = draw(st.integers(0, len(WIDE_VARS) - 1))
+        pivot = WIDE_VARS[cut]
+        first = mono(WIDE_VARS[:cut]) + ((pivot, draw(exps)),)
+        second = ((pivot, draw(exps)),) + mono(WIDE_VARS[cut + 1 :])
+    return (second, first) if draw(st.booleans()) else (first, second)
+
+
+class TestMonomialProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(monomial_pairs())
+    @example(((), ()))
+    @example((((VarId(KIND_A, 1), 2),), ()))
+    @example(((), ((VarId(KIND_X, 3), 1),)))
+    # Boundary-equal: the last variable of one is the first of the other.
+    @example((((VarId(KIND_X, 1), 1), (VarId(KIND_Y, 2), 2)), ((VarId(KIND_Y, 2), 3), (VarId(KIND_A, 1), 1))))
+    @example((((VarId(KIND_Y, 2), 3), (VarId(KIND_A, 1), 1)), ((VarId(KIND_X, 1), 1), (VarId(KIND_Y, 2), 2))))
+    # An a-monomial joined to an x/y product, in both orders.
+    @example((((VarId(KIND_A, 1), 2), (VarId(KIND_A, 3), 1)), ((VarId(KIND_X, 2), 1), (VarId(KIND_Y, 1), 4))))
+    @example((((VarId(KIND_X, 2), 1), (VarId(KIND_Y, 1), 4)), ((VarId(KIND_A, 1), 2),)))
+    def test_matches_dict_product(self, pair):
+        m1, m2 = pair
+        product = polyring._mono_mul(m1, m2)
+        assert type(product) is tuple
+        assert product == dict_monomial_product(m1, m2)
+        assert polyring._mono_mul(m2, m1) == product
 
 
 class TestMultiplicationKernel:

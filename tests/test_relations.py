@@ -29,7 +29,6 @@ from symmrel.polyring import (
 from symmrel.relations import (
     PreconditionError,
     _ResidueEngine,
-    _alternant_term,
     _certificate,
     _make_source,
     _newton_tables,
@@ -54,12 +53,14 @@ from symmrel.symmfunc import (
 )
 
 from oracles import (
+    alternant_term,
     alternate,
     bell_family_polynomial,
     complete_homogeneous,
     lcd_frame,
     lcd_numerator,
     lcd_residue,
+    orbit_certificate,
     read_power_sums,
     u_at_point,
     untruncated_residue,
@@ -149,8 +150,8 @@ class TestFrame:
 
     @pytest.mark.parametrize("name, n, m", [("laguerre", 3, 5), ("bernoulli", 2, 3)])
     def test_numerator_products_stay_integral(self, monkeypatch, name, n, m):
-        # The alternant of the numerator is built on the source's integral
-        # form: no product of the exact zero relation sees a Fraction.
+        # The orbit certificate is built on the source's integral form: no
+        # product of the exact zero relation sees a Fraction.
         multiply = MultiPoly.__mul__
         seen = []
 
@@ -160,12 +161,12 @@ class TestFrame:
             return isinstance(operand, F)
 
         inside = []
-        alternant = relations._alternant_term
+        certificate = relations._certificate
 
-        def spy_alternant(*args):
+        def spy_certificate(*args):
             inside.append(True)
             try:
-                return alternant(*args)
+                return certificate(*args)
             finally:
                 inside.pop()
 
@@ -177,7 +178,7 @@ class TestFrame:
         assert _make_source(name, n).denominator > 1
         monkeypatch.setattr(MultiPoly, "__mul__", spy)
         monkeypatch.setattr(MultiPoly, "__rmul__", spy)
-        monkeypatch.setattr(relations, "_alternant_term", spy_alternant)
+        monkeypatch.setattr(relations, "_certificate", spy_certificate)
         report = verify_conjecture1(name, n, m)
         assert seen and not any(seen)
         assert report.verified
@@ -237,7 +238,7 @@ class TestOrbitResidual:
                     source = _make_source(_zero_relation_source(spec, n, m), n)
                     # At y = 1 the weight y_1^e is 1 for every e.
                     for e in {0} if y_one else {e for e in (0, 1, 2, m - n - 1) if e >= 0}:
-                        term = _alternant_term(source, m, y_one, e)
+                        term = alternant_term(source, m, y_one, e)
                         expected = lcd_numerator(source, frame, e)
                         assert source.unscale(alternate(term, m)) == expected, (m, n, e, y_one)
                         assert (not _orbit_residual(term, m)) == expected.is_zero(), (m, n, e)
@@ -256,6 +257,51 @@ class TestOrbitResidual:
         # x_2 x_3^2 a_1: sorting (0, 0), (1, 0), (2, 0) takes three swaps.
         key = (((2, 0), (1, 0), (0, 0)), ((VarId(KIND_A, 1), 1),))
         assert _orbit_residual(x2 * MultiPoly.x(3) ** 2 * a1, 3) == {key: -1}
+
+
+class TestCertificateAgainstOracle:
+    """``_certificate`` adds the staircase monomial's exponents to each term
+    as it sorts, without forming H: its term count and orbit residual equal
+    those of H formed in full by the oracle."""
+
+    def test_every_zero_sweep_case(self):
+        # The 8 families at m = 2..5 and symbolic at m = 2..4, n = 0..m-1.
+        cases = 0
+        for spec in FAMILY_NAMES + ("symbolic",):
+            for m in range(2, 5 if spec == "symbolic" else 6):
+                for n in range(m):
+                    source = _make_source(spec, n, m)
+                    terms, residual = _certificate(source, m, None)
+                    assert (terms, residual) == orbit_certificate(source, m, None), (spec, n, m)
+                    assert residual == {}
+                    cases += 1
+        assert cases == 121
+
+    def test_residue_relation_for_every_family(self):
+        # C2 at m = 2..4 over the CLI's default degrees n = m..8.
+        for spec in FAMILY_NAMES + ("symbolic",):
+            for m in range(2, 5):
+                for n in range(m, 9):
+                    source = _make_source(spec, n, m)
+                    residue = _y_one_residue(source, m)
+                    folded = _certificate(source, m, residue)
+                    assert folded == orbit_certificate(source, m, residue), (spec, n, m)
+                    assert folded[1] == {}
+
+    @pytest.mark.parametrize("spec", ["bernoulli", "symbolic", "key"])
+    def test_perturbed_residue(self, spec):
+        # G plus one symmetric term leaves a nonempty residual, the same
+        # representatives with the same coefficients as the oracle's.
+        for n, m in [(4, 2), (5, 3), (6, 4)]:
+            source = _make_source((n,) + (0,) * (n - 1) if spec == "key" else spec, n, m)
+            residue = _y_one_residue(source, m)
+            for key in exponent_vectors(n - m, m):
+                coefficients = dict(residue.coefficients)
+                coefficients[key] = coefficients[key] + F(1, 3)
+                perturbed = PowerSumExpansion(n - m, m, coefficients)
+                folded = _certificate(source, m, perturbed)
+                assert folded[1], (spec, n, m, key)
+                assert folded == orbit_certificate(source, m, perturbed), (spec, n, m, key)
 
 
 class TestUFunction:
@@ -489,7 +535,9 @@ class TestZeroRelation:
         source = _make_source(raw, 2)
         source.symmetric = True
         monkeypatch.setattr(relations, "_make_source", lambda spec, n, m: source)
-        monkeypatch.setattr(relations, "_orbit_residual", lambda poly, m: {((), ()): 1})
+        monkeypatch.setattr(
+            relations, "_certificate", lambda source, m, residue: (0, {((), ()): 1})
+        )
         report = verify_conjecture1(raw, 2, 3)
         expected = u_function(raw, 2, 3).numerator
         assert report.verdict == "falsified"
@@ -506,7 +554,9 @@ class TestZeroRelation:
             expanded.append(args[1:])
             return expand(*args, **kwargs)
 
-        monkeypatch.setattr(relations, "_orbit_residual", lambda poly, m: {((), ()): 1})
+        monkeypatch.setattr(
+            relations, "_certificate", lambda source, m, residue: (0, {((), ()): 1})
+        )
         monkeypatch.setattr(relations, "u_function", spy)
         expansion = PowerSumExpansion(2, 3, {(2, 0): F(1, 2) * MultiPoly.a(1), (0, 1): -3})
         report = verify_conjecture1(expansion, 2, 3)
