@@ -54,14 +54,30 @@ Alt(t) of a monomial t is 0 when two of its exponent pairs
 monomial t_0 = g^(-1)(t) with its pairs in descending order.  The Alt(t_0)
 of distinct sorted monomials have disjoint supports, so Alt(H) = 0 exactly
 when the signed sum of H's coefficients on each sorted key is 0
-(``_orbit_residual``; monomials in the a_k ride along in the key).  H itself
-is never formed.  Since e + n = m - 1, H = M y_1^e (y_1^n S(x) - S(s_1)), and
-the monomial M y_1^e enters the pass as offsets to each term's exponent
-pairs; multiplying by a monomial merges no terms, so H has as many terms as
-the factor.  That costs two instantiations, one product of S(x) by y_1^n
-(none at y = 1) and one pass that sorts each term of the factor.  Every call
-does this work afresh: nothing of it is cached, so a term cap meets the same
-work whatever ran before.
+(``_alternate`` takes one term to its key and sign, for ``_orbit_residual``
+and for the row expansion below; monomials in the a_k ride along in the
+key).  H itself is never formed.  Since e + n = m - 1,
+H = M y_1^e (y_1^n S(x) - S(s_1)), and the exponents of the monomial M y_1^e
+enter the pass as offsets to each term's exponent pairs.
+
+The zero relation reads H off S(x) alone (``_row_expansion_certificate``):
+S is instantiated once, on x_1..x_m.  By the binomial theorem a term c x^b
+of S(x) becomes at s_1 = (x_1, y_1 x_2 - y_2 x_1, ...) the terms
+c prod_{j>=2} C(b_j, r_j) (-1)^r_j x_1^(b_1 + R) y_1^(n - b_1 - R)
+prod_{j>=2} x_j^(b_j - r_j) y_j^r_j, 0 <= r_j <= b_j, R = sum r_j, and each
+enters the pass as it is made.  The pairs (b_j - r_j, r_j), j >= 2, fix b
+and r, and S is homogeneous, so no two of them merge, and one meets a term
+of y_1^n S(x) only at b_1 = 0 and r = 0, where the two cancel.  So H has
+exactly len(S(x)) + sum_t prod_{j>=2} (b_j + 1) - 2 #{t : b_1 = 0} terms,
+with no product, no substitution on the row and no term map of H; the sum,
+the number of terms the expansion makes, is held to the term cap before the
+pass.  At y = 1 the row's terms merge heavily (4332 made for 383 distinct
+at bernoulli (12, 4)), so the residue relation instantiates S on x and on
+the row s_1 = (x_1, x_2 - x_1, ...) and sorts each term of the factor after
+M, whose exponents enter as offsets; a product by a monomial merges no
+terms, so H has as many terms as that factor.  Neither relation builds the
+m x m matrix.  Every call does this work afresh: nothing of it is cached,
+so a term cap meets the same work whatever ran before.
 
 Both relations are one check, U_n = G for a known symmetric G (``_decide``).
 The zero relation (``verify_conjecture1``) has G = 0 at general y: U_n = 0
@@ -139,6 +155,7 @@ from .polyring import (
     NonDivisibleError,
     TermCapExceeded,
     VarId,
+    get_term_cap,
 )
 from .symmfunc import (
     PowerSumExpansion,
@@ -177,10 +194,15 @@ def build_s_matrix(m: int) -> tuple:
     return _symbolic_rows(m, False)[2]
 
 
+def _x_vector(m: int) -> tuple:
+    """x_1..x_m as MultiPoly."""
+    return tuple(MultiPoly.x(i) for i in range(1, m + 1))
+
+
 @lru_cache(maxsize=None)
 def _symbolic_rows(m: int, y_one: bool) -> tuple:
     """(xs, ys, rows): x_1..x_m, then y_1..y_m or m ones at y = 1, and the rows on them."""
-    xs = tuple(MultiPoly.x(i) for i in range(1, m + 1))
+    xs = _x_vector(m)
     ys = (1,) * m if y_one else tuple(MultiPoly.y(i) for i in range(1, m + 1))
     rows = tuple(
         tuple(xs[i] if i == j else ys[i] * xs[j] - ys[j] * xs[i] for j in range(m))
@@ -411,12 +433,9 @@ def _orbit_residual(poly: MultiPoly, m: int, offsets: Optional[Sequence] = None)
     ((dx_1, dy_1), ..., (dx_m, dy_m)), or 1 when it is None.
 
     t * poly is never formed: t's pairs are added to each term's exponent
-    pairs (deg x_j, deg y_j), j = 1..m.  A term with two equal shifted pairs
-    alternates to 0.  Any other is g(t') for the term t' with the
-    pairs sorted in descending order, and alternates to sgn(g) * Alt(t'); t'
-    is keyed by its sorted pairs and the rest of its monomial.  Alt(t * poly)
-    = 0 exactly when every key's signed sum is 0, which leaves the result
-    empty.
+    pairs (deg x_j, deg y_j), j = 1..m, and the term goes through
+    ``_alternate``.  Alt(t * poly) = 0 exactly when every key's signed sum
+    is 0, which leaves the result empty.
     """
     x_base, y_base = zip(*offsets) if offsets is not None else ((0,) * m, (0,) * m)
     residual: dict = {}
@@ -432,13 +451,30 @@ def _orbit_residual(poly: MultiPoly, m: int, offsets: Optional[Sequence] = None)
             else:
                 rest = mono[pos:]
                 break
-        pairs = list(zip(x_exps, y_exps))
-        if len(set(pairs)) < m:
-            continue
-        inversions = sum(pairs[i] < pairs[j] for i in range(m) for j in range(i + 1, m))
-        key = (tuple(sorted(pairs, reverse=True)), rest)
-        residual[key] = residual.get(key, 0) + (-coeff if inversions % 2 else coeff)
+        _alternate(residual, list(zip(x_exps, y_exps)), rest, coeff)
     return {key: c for key, c in residual.items() if c}
+
+
+def _alternate(residual: dict, pairs: list, rest: tuple, coeff) -> None:
+    """Add Alt of one term to ``residual``: nothing when two of its exponent
+    ``pairs`` are equal, and otherwise sgn(g) * coeff on the key of its pairs
+    in descending order and ``rest``, the rest of its monomial, g the sort:
+    the term is g(t') for the term t' with sorted pairs, and alternates to
+    sgn(g) * Alt(t')."""
+    m = len(pairs)
+    if len(set(pairs)) < m:
+        return
+    order = sorted(range(m), key=pairs.__getitem__, reverse=True)
+    key = (tuple([pairs[i] for i in order]), rest)
+    # The sort's parity: each swap puts one more position in place.
+    odd = False
+    for i in range(m):
+        while order[i] != i:
+            k = order[i]
+            order[i] = order[k]
+            order[k] = k
+            odd = not odd
+    residual[key] = residual.get(key, 0) + (-coeff if odd else coeff)
 
 
 def _certificate(source: _Source, m: int, residue: Optional[PowerSumExpansion]) -> tuple:
@@ -447,23 +483,81 @@ def _certificate(source: _Source, m: int, residue: Optional[PowerSumExpansion]) 
     residual is empty exactly when U_n = G.
 
     With ``residue`` None, G = 0 and H = M * y_1^e * (y_1^n * S(x) - S(s_1))
-    at general y, e = m - n - 1; otherwise H = M * (S(x) - S(s_1) - pi(x) * G)
-    at y = 1.  Only the factor after the monomial M * y_1^e is formed: its
-    exponents enter ``_orbit_residual`` as offsets, and a product by one
-    monomial merges no terms, so H has as many terms as that factor.
+    at general y, e = m - n - 1, read off S(x) alone by
+    ``_row_expansion_certificate``.  Otherwise H = M * (S(x) - S(s_1) -
+    pi(x) * G) at y = 1, and only the factor after M is formed: its exponents
+    enter ``_orbit_residual`` as offsets, and a product by one monomial
+    merges no terms, so H has as many terms as that factor.
     """
-    n = source.n
-    y_one = residue is not None
-    xs, ys, rows = _symbolic_rows(m, y_one)
-    if y_one:
-        pi_x = prod(xs, start=MultiPoly.one())
-        g = residue.to_polynomial() * source.denominator
-        poly = source.scaled(xs) - source.scaled(rows[0]) - pi_x * g
-        offsets = [(j, 0) for j in range(m)]
-    else:
-        poly = ys[0] ** n * source.scaled(xs) - source.scaled(rows[0])
-        offsets = [(0, m - n - 1)] + [(j, m - 1 - j) for j in range(1, m)]
-    return len(poly), _orbit_residual(poly, m, offsets)
+    xs = _x_vector(m)
+    if residue is None:
+        return _row_expansion_certificate(source.scaled(xs), m, source.n)
+    row = (xs[0],) + tuple(x - xs[0] for x in xs[1:])
+    pi_x = prod(xs, start=MultiPoly.one())
+    g = residue.to_polynomial() * source.denominator
+    poly = source.scaled(xs) - source.scaled(row) - pi_x * g
+    return len(poly), _orbit_residual(poly, m, [(j, 0) for j in range(m)])
+
+
+def _row_expansion_certificate(s_x: MultiPoly, m: int, n: int) -> tuple:
+    """(terms, residual) of H = M * y_1^e * (y_1^n * S(x) - S(s_1)), e = m - n - 1,
+    from the terms of S(x) = ``s_x``, homogeneous of degree n in x_1..x_m:
+    each term of S(s_1) is made from its term of S(x) by the binomial theorem
+    and enters the orbit pass at once, and the count is the closed form of
+    the module docstring.  The number of terms made is held to the term cap
+    before any is made.
+    """
+    groups: dict = {}  # the rest of the monomial -> [(b, coefficient)]
+    for mono, coeff in s_x.terms.items():
+        b = [0] * m
+        rest = ()  # the x_j lead every monomial
+        for pos, (var, e) in enumerate(mono):
+            if var.kind != KIND_X:
+                rest = mono[pos:]
+                break
+            b[var.index - 1] = e
+        groups.setdefault(rest, []).append((b, coeff))
+    made = sum(prod(e + 1 for e in b[1:]) for group in groups.values() for b, _ in group)
+    cap = get_term_cap()
+    if made > cap:
+        raise TermCapExceeded(f"row expansion of {made} terms exceeds the cap of {cap}")
+    residual: dict = {}
+    cancelled = 0
+    for rest, group in groups.items():
+        # No key is shared across groups, so each group's residual is final.
+        part: dict = {}
+        for b, coeff in group:
+            b_1 = b[0]
+            pairs = [(b_1, m - 1)] + [(b[j] + j, m - 1 - j) for j in range(1, m)]
+            if b_1:
+                _alternate(part, pairs, rest, coeff)
+            else:
+                cancelled += 1
+            # Only the x_j y_j with b_j > 0 have a choice of r_j.  Their pairs
+            # sum to more than m - 1 and the others to m - 1, so a repeated
+            # pair among them alternates to 0 whatever the other r_j: such a
+            # choice is dropped at once.
+            moving = [j for j in range(1, m) if b[j]]
+            partial = [((), 0, -coeff)]  # (their pairs so far, R so far, coefficient)
+            for j in moving:
+                e = b[j]
+                choices = [
+                    ((e - r + j, r + m - 1 - j), r, (-1) ** r * comb(e, r)) for r in range(e + 1)
+                ]
+                partial = [
+                    (tail + (pair,), shift + r, c * f)
+                    for tail, shift, c in partial
+                    for pair, r, f in choices
+                    if pair not in tail
+                ]
+            for tail, shift, c in partial:
+                if shift or b_1:
+                    pairs[0] = (b_1 + shift, m - 1 - b_1 - shift)
+                    for j, pair in zip(moving, tail):
+                        pairs[j] = pair
+                    _alternate(part, pairs, rest, c)
+        residual.update((key, c) for key, c in part.items() if c)
+    return len(s_x) + made - 2 * cancelled, residual
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +625,7 @@ def _decide(source: _Source, m: int, zero: bool) -> RelationReport:
             if not residual:
                 return _close(report, extracted=residue)
         with _stage(report, "expand") as stage:
-            s_poly = source.unscale(source.scaled(_symbolic_rows(m, not zero)[0]))
+            s_poly = source.unscale(source.scaled(_x_vector(m)))
             u = u_function(s_poly, n, m, specialize_y=not zero)
             stage.detail = f"{len(u.numerator)} numerator terms"
         if zero:

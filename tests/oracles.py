@@ -32,8 +32,8 @@
   whose alternant is the numerator of U_n (minus that of the residue G),
   formed with the staircase monomial multiplied in one product at a time,
   and its term count and orbit residual, against which
-  ``relations._certificate``, which adds the staircase's exponents to H's
-  factor without forming H, is checked;
+  ``relations._certificate``, which forms neither H nor, at general y,
+  S(s_1), is checked;
 * :func:`euler_poly_at_zero` -- E_n(0) from the Bernoulli numbers by DLMF
   §24.4, a cross-check of the Euler stream in ``families``;
 * :func:`series_mul`, :func:`series_inverse` and :func:`series_exp` --

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from argparse import Namespace
 from fractions import Fraction as F
 from math import prod
@@ -33,6 +34,7 @@ from symmrel.relations import (
     _make_source,
     _newton_tables,
     _orbit_residual,
+    _row_expansion_certificate,
     _symbolic_rows,
     _weight,
     _y_one_residue,
@@ -302,6 +304,90 @@ class TestCertificateAgainstOracle:
                 folded = _certificate(source, m, perturbed)
                 assert folded[1], (spec, n, m, key)
                 assert folded == orbit_certificate(source, m, perturbed), (spec, n, m, key)
+
+
+    @pytest.mark.parametrize("spec", ["bernoulli", "symbolic"])
+    def test_six_variables(self, spec):
+        # At (5, 6) the oracle forms H, 2031 and 8925 terms, in well under a second.
+        source = _make_source(spec, 5, 6)
+        folded = _certificate(source, 6, None)
+        assert folded == orbit_certificate(source, 6, None)
+        assert folded[1] == {}
+
+
+def _random_homogeneous(rng, m, n):
+    """A homogeneous polynomial of degree n in x_1..x_m and the a_k: a few
+    random terms, symmetrised over S_m for one draw in three, or with x_1
+    in every term for another."""
+    a_monomials = [MultiPoly.one(), MultiPoly.a(1), MultiPoly.a(2) ** 2 * MultiPoly.a(1)]
+    kind = rng.choice(("raw", "symmetric", "x_1 in every term"))
+    poly = MultiPoly.zero()
+    for _ in range(rng.randint(1, 4)):
+        b = [0] * m
+        for _ in range(n):
+            b[0 if kind != "raw" and n and not any(b) else rng.randrange(m)] += 1
+        orbit = set(permutations(b)) if kind == "symmetric" else {tuple(b)}
+        coeff = F(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3)))
+        shape = rng.choice(a_monomials)
+        for exps in orbit:
+            poly = poly + coeff * shape * _product(x**e for x, e in zip(_x_vars(m), exps))
+    return poly
+
+
+class TestRowExpansion:
+    """``_row_expansion_certificate`` reads H's term count and orbit residual
+    off S(x) alone, with S(s_1) expanded term by term by the binomial
+    theorem."""
+
+    def test_matches_h_formed_in_full(self):
+        # Raw homogeneous polynomials, symmetric or not, with and without
+        # terms free of x_1, at m = 1..5 and n = 0..m-1, against H formed in
+        # full by the oracle.
+        rng = random.Random(23)
+        residuals, free_of_x1 = set(), set()
+        for _ in range(160):
+            m = rng.randint(1, 5)
+            n = rng.randrange(m)
+            poly = _random_homogeneous(rng, m, n)
+            source = _make_source(poly, n)
+            expected = orbit_certificate(source, m, None)
+            folded = _row_expansion_certificate(source.scaled(_x_vars(m)), m, n)
+            assert folded == expected, (poly, m)
+            residuals.add(bool(expected[1]))
+            free_of_x1.add(any(VarId(KIND_X, 1) not in dict(mono) for mono in poly.terms))
+        assert residuals == {True, False}
+        assert free_of_x1 == {True, False}
+
+    def test_the_row_expansion_is_held_to_the_cap(self):
+        # bell at (3, 4): S(x) has 20 terms and its largest product 40 term
+        # pairs; the row expansion makes 84 terms.
+        cap = get_term_cap()
+        try:
+            set_term_cap(83)
+            over = verify_conjecture1("bell", 3, 4)
+            set_term_cap(84)
+            at = verify_conjecture1("bell", 3, 4)
+        finally:
+            set_term_cap(cap)
+        assert over.verdict == "resource-limited"
+        stages = [(stage.name, stage.detail) for stage in over.stages]
+        assert stages == [("orbit-certificate", "row expansion of 84 terms exceeds the cap of 83")]
+        assert at.verified
+
+    def test_no_substitution_matrix_is_built(self, monkeypatch):
+        # The certificate instantiates the source on x_1..x_m, and at y = 1
+        # on the row s_1 alone: no m x m matrix, under either relation.
+        def refuse(*args):
+            raise AssertionError(f"_symbolic_rows{args} called")
+
+        monkeypatch.setattr(relations, "_symbolic_rows", refuse)
+        raw = family_polynomial("laguerre", 2, 3)
+        for spec, n, m in [("bernoulli", 3, 4), ("symbolic", 2, 3), ((0, 1), 2, 3), (raw, 2, 3)]:
+            report = verify_conjecture1(spec, n, m)
+            assert report.verified and [s.name for s in report.stages] == ["orbit-certificate"]
+        for spec, n, m in [("bernoulli", 5, 3), ("symbolic", 4, 2), ((1, 1, 0), 3, 2)]:
+            report = verify_conjecture2(spec, n, m)
+            assert report.verified and [s.name for s in report.stages] == ["orbit-certificate"]
 
 
 class TestUFunction:
