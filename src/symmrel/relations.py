@@ -110,19 +110,21 @@ homogeneous of degree n in (t, x), so [t^e]F is its part F_w of weight
 w = n - e, t stays implicit, and U_n|_{y=1} = (-1)^m sum_{w <= d} F_w h_{d-w}
 with d = n - m.  F is formed in the free power sums p_1..p_d, as if there
 were at least d variables: each shifted p_k is one polynomial of its terms of
-weight <= d with int coefficients, and each product drops its terms above d,
-so no factor is heavier than d and the integral source multiplies only
-ints.  The m variables enter after that, once per free monomial p^nu of F:
-``_newton_tables(m, d)``, cached per (m, d), gives p_0..p_d and h_0..h_d in
-p_1..p_m (e_i = 0 for i > m), and the image p^nu h_(d-w) of p^nu, times its
-least common denominator, is an int vector over the weight-d keys with parts
-<= m.  The residue is the sum of F's coefficients times their images, read
-off with no linear solve and divided by one denominator at the end.  A
-``_ResidueEngine`` holds the q_k powers and the images of one (m, d): the C
-system uses one per m for all its keys, every other residue one of its own.
-On every case the tests check, no product of the tables is larger than the
-largest of a residue that uses them, so a term cap gives the same verdict
-whether or not they were built before.
+weight <= d with int coefficients, and each product forms only the pairs of
+parts whose weights sum to at most d, so no factor is heavier than d and the
+integral source multiplies only ints.  The m variables enter after that,
+once per free monomial p^nu of F.  Newton's identities give p_1..p_d and
+h_0..h_d in p_1..p_m (e_i = 0 for i > m), each as ints over one
+denominator; p^nu is its parent p^(nu - e_r) times p_r, and its image
+p^nu h_(d-w), times its least common denominator, is an int vector over the
+weight-d keys with parts <= m.  The residue is the sum of F's coefficients
+times their images, one int vector per monomial in the a_k, read off with no
+linear solve and divided by one denominator at the end.  All of it is int
+arithmetic on exponents packed into one int (``_ResidueEngine``), with no
+MultiPoly but the source and the result.  An engine holds the q_k powers,
+the tables, the p^nu and the images of one (m, d): the C system uses one per
+m for all its keys, every other residue one of its own, and nothing outlives
+the call, so a term cap meets the same products whatever ran before.
 
 Sources: every accepted input becomes one ``_Source``, a single MultiPoly
 times the common denominator of its coefficients.  A registry family, the
@@ -137,11 +139,12 @@ substitutes the components' power sums, or the components themselves.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .families import SYMBOLIC_NAME, FamilySpec, bell_form, family_form, get_family
@@ -155,6 +158,7 @@ from .polyring import (
     NonDivisibleError,
     TermCapExceeded,
     VarId,
+    _cap_error,
     get_term_cap,
 )
 from .symmfunc import (
@@ -721,80 +725,183 @@ def _y_one_residue(source: _Source, m: int) -> PowerSumExpansion:
 class _ResidueEngine:
     """U_n at y = 1 as (-1)^m sum_nu F[nu] p^nu h_(d-w), w the weight of nu,
     for the symmetric sources of one m and one d = n - m ("Residues in closed
-    form" above).
+    form" above), in ints alone.
 
-    The memos of the q_k powers and of the images p^nu h_(d-w) last as long
-    as the engine, which serves the sources of one call only, so a term cap
-    meets the same products whatever ran before.
+    A polynomial of weight <= d in p_1..p_d is held graded, as
+    {weight: {packed exponents: int}}.  Field r of a packed int holds the
+    exponent of p_r and has room for d // r, so a product kept to weight
+    <= d never carries from one field into the next (the packing of
+    ``MultiPoly.__mul__``, with no decoding).  ``_product`` is the one
+    product.  The images are in p_1..p_m, so they use the fields r <= m.
+
+    The memos of the q_k powers, the Newton tables, the p^nu and the images
+    last as long as the engine, which serves the sources of one call only,
+    so a term cap meets the same products whatever ran before.
     """
 
     def __init__(self, m: int, d: int):
         self.m = m
         self.d = d
         self.keys = exponent_vectors(d, m)
+        self._unit = [0]  # the packed p_r, r = 1..d, increasing
+        shift = 0
+        for r in range(1, d + 1):
+            self._unit.append(1 << shift)
+            shift += (d // r).bit_length()
+        self._packed_keys = [self._pack(key) for key in self.keys]
         self._powers: dict = {}  # (k, e) -> q_k^e up to weight d
-        self._images: dict = {}  # free monomial -> (vector, denominator)
+        self._tables = None  # (p, h) in p_1..p_m, built for the first image
+        self._monomials: dict = {0: ({0: {0: 1}}, 1)}  # packed nu -> p^nu integral, denominator
+        self._images: dict = {}  # packed nu -> (vector, denominator)
 
-    def _product(self, f: MultiPoly, g: MultiPoly) -> MultiPoly:
-        # Any subset of a product's terms is canonical as it stands.
-        kept = {mono: c for mono, c in (f * g).terms.items() if _weight(mono) <= self.d}
-        return MultiPoly._raw(kept)
+    def _pack(self, vector) -> int:
+        """The packed int of an exponent vector (e_1, e_2, ...) of p_1, p_2, ..."""
+        return sum(e * unit for e, unit in zip(vector, self._unit[1:]))
 
-    def _power(self, k: int, e: int) -> MultiPoly:
+    def _product(self, f: dict, g: dict) -> dict:
+        """f * g up to weight d, for graded f and g.  Like ``MultiPoly.__mul__``,
+        it refuses len(f) * len(g) terms above the term cap."""
+        len_f = sum(map(len, f.values()))
+        len_g = sum(map(len, g.values()))
+        if not len_f or not len_g:
+            return {}
+        if len_f * len_g > get_term_cap():
+            raise _cap_error(min(len_f, len_g), max(len_f, len_g))
+        out: dict = {}
+        for w1, part1 in f.items():
+            for w2, part2 in g.items():
+                if w1 + w2 > self.d:
+                    continue
+                acc = out.setdefault(w1 + w2, {})
+                get = acc.get
+                for k1, c1 in part1.items():
+                    for k2, c2 in part2.items():
+                        key = k1 + k2
+                        acc[key] = get(key, 0) + c1 * c2
+        return _nonzero(out)
+
+    def _power(self, k: int, e: int) -> dict:
         if (k, e) not in self._powers:
             if e == 1:
                 # t^k + sum_{r <= k} C(k, r) (-t)^(k-r) p_r with t implicit, up to weight d.
-                top = min(k, self.d)
-                shifted = (comb(k, r) * (-1) ** (k - r) * MultiPoly.p(r) for r in range(1, top + 1))
-                self._powers[k, e] = sum(shifted, MultiPoly.constant(1 + (-1) ** k * self.m))
+                q = {r: {self._unit[r]: comb(k, r) * (-1) ** (k - r)} for r in range(1, min(k, self.d) + 1)}
+                if 1 + (-1) ** k * self.m:
+                    q[0] = {0: 1 + (-1) ** k * self.m}
+                self._powers[k, e] = q
             else:
                 self._powers[k, e] = self._product(self._power(k, e - 1), self._power(k, 1))
         return self._powers[k, e]
 
     def free_form(self, source: _Source) -> dict:
         """F times the source's denominator, up to weight d:
-        {free monomial: {monomial in the a_k: int}}."""
+        {weight: {packed free monomial: {monomial in the a_k: int}}}."""
         free: dict = {}
         for mono, coeff in source.poly.terms.items():
             # The a_k sort before the p_k, so the coefficient's monomial is a prefix.
             split = next(i for i, (v, _) in enumerate(mono) if v.kind == KIND_P)
+            a = mono[:split]
             factors = (self._power(v.index, e) for v, e in mono[split:])
-            for nu, c in reduce(self._product, factors).terms.items():
-                bucket = free.setdefault(nu, {})
-                bucket[mono[:split]] = bucket.get(mono[:split], 0) + coeff * c
+            for w, part in reduce(self._product, factors).items():
+                by_nu = free.setdefault(w, {})
+                for nu, c in part.items():
+                    bucket = by_nu.setdefault(nu, {})
+                    bucket[a] = bucket.get(a, 0) + coeff * c
         return free
 
-    def image(self, nu) -> tuple:
+    def _newton_tables(self) -> tuple:
+        """(p, h): p_0..p_d of m variables written in p_1..p_m (p_0 = m), and
+        h_0..h_d, each as (graded ints, least common denominator), by Newton's
+        identities (Macdonald 1995, I.2):
+        i e_i = sum_{j <= i} (-1)^(j-1) p_j e_(i-j) for i <= min(m, d),
+        p_r = sum_{i <= m} (-1)^(i-1) e_i p_(r-i) for r > m (e_i = 0 for i > m),
+        and h_j = sum_{i <= min(j, m)} (-1)^(i-1) e_i h_(j-i).
+        """
+        m, d = self.m, self.d
+        one = ({0: {0: 1}}, 1)
+        p = [({0: {0: m}}, 1)] + [({r: {self._unit[r]: 1}}, 1) for r in range(1, min(m, d) + 1)]
+        e = [one]
+        for i in range(1, min(m, d) + 1):
+            e.append(self._combination([((-1) ** (j - 1), p[j], e[i - j]) for j in range(1, i + 1)], i))
+        for r in range(m + 1, d + 1):
+            p.append(self._combination([((-1) ** (i - 1), e[i], p[r - i]) for i in range(1, m + 1)]))
+        h = [one]
+        for j in range(1, d + 1):
+            h.append(self._combination([((-1) ** (i - 1), e[i], h[j - i]) for i in range(1, min(j, m) + 1)]))
+        return p, h
+
+    def _combination(self, terms: list, divisor: int = 1) -> tuple:
+        """(sum of c * f * g over (c, (f, f's denominator), (g, g's)) in
+        ``terms``) / divisor, as (graded ints, least common denominator)."""
+        denominator = divisor * lcm(*(df * dg for _, (_, df), (_, dg) in terms))
+        total: dict = {}
+        for c, (f, df), (g, dg) in terms:
+            lift = c * denominator // (divisor * df * dg)
+            for w, part in self._product(f, g).items():
+                acc = total.setdefault(w, {})
+                for k, v in part.items():
+                    acc[k] = acc.get(k, 0) + lift * v
+        return _lowest(_nonzero(total), denominator)
+
+    def _monomial(self, nu: int) -> tuple:
+        """p^nu in p_1..p_m as (graded ints, least common denominator), peeled
+        off its parent p^(nu - e_r), r the least index of nu, by one product."""
+        if nu not in self._monomials:
+            r = bisect_right(self._unit, nu & -nu) - 1  # the field of nu's lowest set bit
+            parent, parent_denominator = self._monomial(nu - self._unit[r])
+            p_r, denominator = self._tables[0][r]
+            self._monomials[nu] = _lowest(self._product(parent, p_r), parent_denominator * denominator)
+        return self._monomials[nu]
+
+    def image(self, nu: int, w: int) -> tuple:
         """(vector, denominator): p^nu h_(d-w) in p_1..p_m times its least
-        common denominator, as {key: int} over its nonzero keys."""
+        common denominator, as {packed key: int} over its nonzero keys."""
         if nu not in self._images:
-            p, h = _newton_tables(self.m, self.d)
-            monomial = prod((p[v.index] ** e for v, e in nu), start=MultiPoly.one())
-            poly, denominator = (h[self.d - _weight(nu)] * monomial).integral_form()
-            vector = {_key(mono, self.d): c for mono, c in poly.terms.items()}
-            self._images[nu] = vector, denominator
+            if self._tables is None:
+                self._tables = self._newton_tables()
+            monomial, denominator = self._monomial(nu)
+            h, h_denominator = self._tables[1][self.d - w]
+            image, denominator = _lowest(self._product(monomial, h), denominator * h_denominator)
+            self._images[nu] = image.get(self.d, {}), denominator
         return self._images[nu]
 
     def residue(self, source: _Source) -> PowerSumExpansion:
         """(-1)^m sum_nu F[nu] image(nu), over every weight-d key with parts <= m.
 
         Each image is brought to the least common denominator of the images
-        used, which is divided out once at the end with the source's.
+        used, which is divided out once at the end with the source's.  The
+        sum is one int vector per monomial in the a_k, over packed keys.
         """
         free = self.free_form(source)
-        images = [self.image(nu) for nu in free]
-        common = lcm(1, *(denominator for _, denominator in images))
-        totals = {key: {} for key in self.keys}
-        for coeffs, (vector, denominator) in zip(free.values(), images):
+        images = [(self.image(nu, w), coeffs) for w, by_nu in free.items() for nu, coeffs in by_nu.items()]
+        common = lcm(1, *(denominator for (_, denominator), _ in images))
+        totals: dict = {}  # monomial in the a_k -> {packed key: int}
+        for (vector, denominator), coeffs in images:
             lift = common // denominator
-            for key, v in vector.items():
-                bucket = totals[key]
-                v *= lift
-                for a, c in coeffs.items():
-                    bucket[a] = bucket.get(a, 0) + c * v
+            for a, c in coeffs.items():
+                acc = totals.setdefault(a, {})
+                get = acc.get
+                c *= lift
+                for key, v in vector.items():
+                    acc[key] = get(key, 0) + c * v
         scale = Fraction((-1) ** self.m, source.denominator * common)
-        coefficients = {key: _coefficient(bucket, scale) for key, bucket in totals.items()}
+        coefficients = {}
+        for key, packed in zip(self.keys, self._packed_keys):
+            bucket = {a: acc[packed] for a, acc in totals.items() if packed in acc}
+            coefficients[key] = _coefficient(bucket, scale)
         return PowerSumExpansion(self.d, self.m, coefficients)
+
+
+def _nonzero(poly: dict) -> dict:
+    """The graded ints ``poly`` without their zero terms and empty weights."""
+    return {w: kept for w, part in poly.items() if (kept := {k: c for k, c in part.items() if c})}
+
+
+def _lowest(poly: dict, denominator: int) -> tuple:
+    """(poly, denominator) of graded ints with their common factor divided out."""
+    g = gcd(denominator, *(c for part in poly.values() for c in part.values()))
+    if g == 1:
+        return poly, denominator
+    return {w: {k: c // g for k, c in part.items()} for w, part in poly.items()}, denominator // g
 
 
 def _coefficient(bucket: dict, scale: Fraction):
@@ -803,39 +910,3 @@ def _coefficient(bucket: dict, scale: Fraction):
     if bucket.keys() <= {()}:
         return scale * bucket.get((), 0)
     return _normalize_coefficient(MultiPoly({a: c * scale for a, c in bucket.items()}))
-
-
-def _key(mono, d: int) -> ExponentVector:
-    """The exponent vector of length d of a monomial in the p_k."""
-    exps = {v.index: e for v, e in mono}
-    return tuple(exps.get(i, 0) for i in range(1, d + 1))
-
-
-def _weight(mono) -> int:
-    """The power-sum weight of a monomial: r * e summed over its factors p_r^e."""
-    return sum(v.index * e for v, e in mono if v.kind == KIND_P)
-
-
-@lru_cache(maxsize=None)
-def _newton_tables(m: int, d: int) -> tuple:
-    """(p, h): p_0..p_d of m variables written in p_1..p_m (p_0 = m), and
-    h_0..h_d, by Newton's identities (Macdonald 1995, I.2):
-    i e_i = sum_{j <= i} (-1)^(j-1) p_j e_(i-j) for i <= min(m, d),
-    p_r = sum_{i <= m} (-1)^(i-1) e_i p_(r-i) for r > m (e_i = 0 for i > m),
-    and j h_j = sum_{i <= j} p_i h_(j-i).  No product is above weight d.
-    """
-    zero = MultiPoly.zero()
-    p = [MultiPoly.constant(m)]
-    e = [MultiPoly.one()]
-    for r in range(1, d + 1):
-        if r <= m:
-            p.append(MultiPoly.p(r))
-            terms = ((-1) ** (j - 1) * p[j] * e[r - j] for j in range(1, r + 1))
-            e.append(sum(terms, zero) / r)
-        else:
-            terms = ((-1) ** (i - 1) * e[i] * p[r - i] for i in range(1, m + 1))
-            p.append(sum(terms, zero))
-    h = [MultiPoly.one()]
-    for j in range(1, d + 1):
-        h.append(sum((p[i] * h[j - i] for i in range(1, j + 1)), zero) / j)
-    return tuple(p), tuple(h)

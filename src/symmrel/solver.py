@@ -97,13 +97,14 @@ def residue_system(n: int) -> tuple[list[list[Fraction]], tuple]:
     One column per weight-n exponent vector in listing order; one row per
     (m, weight-(n-m) basis key with parts <= m) for m = 2..n.  The residues
     of one m share one engine, so each power q_k^e and each rewritten free
-    monomial is formed once per m.
+    monomial is formed once per m; each key's source is made once.
     """
     keys = tuple(exponent_vectors(n, n))
+    sources = [_make_source(k, n) for k in keys]
     rows = []
     for m in range(2, n + 1):
         engine = _ResidueEngine(m, n - m)
-        residues = {k: engine.residue(_make_source(k, n)) for k in keys}
+        residues = {k: engine.residue(source) for k, source in zip(keys, sources)}
         for basis_key in exponent_vectors(n - m, m):
             rows.append([residues[k].coefficient(basis_key) for k in keys])
     return rows, keys

@@ -23,6 +23,7 @@ from symmrel.polyring import (
     KIND_X,
     KIND_Y,
     MultiPoly,
+    TermCapExceeded,
     VarId,
     get_term_cap,
     set_term_cap,
@@ -32,11 +33,9 @@ from symmrel.relations import (
     _ResidueEngine,
     _certificate,
     _make_source,
-    _newton_tables,
     _orbit_residual,
     _row_expansion_certificate,
     _symbolic_rows,
-    _weight,
     _y_one_residue,
     build_s_matrix,
     extract_y_basis,
@@ -965,6 +964,38 @@ class TestPowerSumVariables:
                 read_power_sums(poly, m, weight)
 
 
+def _mono_weight(mono) -> int:
+    """The p-weight of a monomial: r * e summed over its factors p_r^e."""
+    return sum(v.index * e for v, e in mono if v.kind == KIND_P)
+
+
+def _packed(engine, poly: MultiPoly) -> dict:
+    """A MultiPoly in p_1..p_d of weight <= d in the engine's graded packed form."""
+    graded: dict = {}
+    for mono, c in poly.terms.items():
+        vector = [0] * engine.d
+        for v, e in mono:
+            vector[v.index - 1] = e
+        graded.setdefault(_mono_weight(mono), {})[engine._pack(vector)] = c
+    return graded
+
+
+def _unpacked(engine, graded: dict, denominator=1) -> MultiPoly:
+    """The MultiPoly of the engine's graded packed polynomial over denominator,
+    checking that each term sits at its own weight."""
+    d = engine.d
+    decode = {
+        engine._pack(v): v + (0,) * (d - len(v)) for w in range(d + 1) for v in exponent_vectors(w, max(w, 1))
+    }
+    terms = {}
+    for w, part in graded.items():
+        for packed, c in part.items():
+            vector = decode[packed]
+            assert sum(r * e for r, e in enumerate(vector, 1)) == w, (vector, w)
+            terms[tuple((VarId(KIND_P, r), e) for r, e in enumerate(vector, 1) if e)] = F(c, denominator)
+    return MultiPoly(terms)
+
+
 class TestClosedFormResidue:
     """The divided-difference residue against the expansion over pi(x) * W,
     exact division and basis solve of ``oracles.lcd_residue``, and the
@@ -1067,24 +1098,33 @@ class TestClosedFormResidue:
         source = _make_source(spec, n)
         d = n - m
         heaviest = []
-        multiply = MultiPoly.__mul__
 
-        def spy(a, b):
-            if isinstance(b, MultiPoly):
-                heaviest.append(max((_weight(mono) for f in (a, b) for mono in f.terms), default=0))
-            return multiply(a, b)
-
-        def weighed(run):
+        def weighed(run, owner, name, weight):
             heaviest.clear()
+            multiply = getattr(owner, name)
+
+            def spy(*args):
+                a, b = args[-2:]
+                if isinstance(b, (dict, MultiPoly)):
+                    heaviest.append(max((weight(f) for f in (a, b)), default=0))
+                return multiply(*args)
+
             with monkeypatch.context() as patch:
-                patch.setattr(MultiPoly, "__mul__", spy)
-                patch.setattr(MultiPoly, "__rmul__", spy)
+                patch.setattr(owner, name, spy)
+                if owner is MultiPoly:
+                    patch.setattr(MultiPoly, "__rmul__", spy)
                 result = run()
             return result, max(heaviest)
 
-        _newton_tables.cache_clear()
-        got, got_heaviest = weighed(lambda: _y_one_residue(source, m))
-        expected, untruncated_heaviest = weighed(lambda: untruncated_residue(source, m))
+        got, got_heaviest = weighed(
+            lambda: _y_one_residue(source, m), _ResidueEngine, "_product", lambda f: max(f, default=0)
+        )
+        expected, untruncated_heaviest = weighed(
+            lambda: untruncated_residue(source, m),
+            MultiPoly,
+            "__mul__",
+            lambda f: max(map(_mono_weight, f.terms), default=0),
+        )
         assert got == expected
         assert got_heaviest <= d, (got_heaviest, d)
         # Negative control: the untruncated form multiplies heavier factors
@@ -1092,6 +1132,78 @@ class TestClosedFormResidue:
         assert (untruncated_heaviest > d) == (spec != (0, 1, 1, 0, 1, 0, 0, 0, 0, 0)), (
             untruncated_heaviest, d
         )
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_truncated_product_is_the_filtered_product(self, data):
+        # The graded product equals MultiPoly's product with its terms above
+        # weight d dropped.
+        d = data.draw(st.integers(0, 9), label="d")
+        engine = _ResidueEngine(data.draw(st.integers(1, 5), label="m"), d)
+        vectors = [v + (0,) * (d - len(v)) for w in range(d + 1) for v in exponent_vectors(w, max(w, 1))]
+
+        def poly(label):
+            chosen = data.draw(st.lists(st.sampled_from(vectors), max_size=8), label=label)
+            return MultiPoly(
+                {
+                    tuple((VarId(KIND_P, r), e) for r, e in enumerate(v, 1) if e): data.draw(
+                        st.integers(-30, 30), label=f"{label}{v}"
+                    )
+                    for v in chosen
+                }
+            )
+
+        f, g = poly("f"), poly("g")
+        expected = MultiPoly({mono: c for mono, c in (f * g).terms.items() if _mono_weight(mono) <= d})
+        got = engine._product(_packed(engine, f), _packed(engine, g))
+        assert _unpacked(engine, got) == expected
+        assert all(part for part in got.values())
+
+    @pytest.mark.parametrize("name", ["bernoulli", "euler"])
+    def test_numeric_residues_match_the_untruncated_form(self, name):
+        for m in range(2, 5):
+            for n in range(m, 15):
+                source = _make_source(name, n)
+                got = _y_one_residue(source, m)
+                expected = untruncated_residue(source, m)
+                assert got == expected, (name, n, m)
+                assert list(got.coefficients) == list(expected.coefficients)
+
+    def test_the_kernel_meets_the_cap_as_multipoly_does(self):
+        # At the cap the graded product refuses the same operands with the
+        # same message as MultiPoly.__mul__, and a residue meets it with the
+        # same message cold and warm.
+        engine = _ResidueEngine(3, 6)
+        f = MultiPoly.p(1) + MultiPoly.p(2) + 1
+        g = MultiPoly.p(1) ** 2 + MultiPoly.p(3) - MultiPoly.p(2) + 2
+        cap = get_term_cap()
+        try:
+            set_term_cap(11)
+            messages = []
+            for a, b in ((f, g), (g, f)):
+                for run in (lambda: a * b, lambda: engine._product(_packed(engine, a), _packed(engine, b))):
+                    with pytest.raises(TermCapExceeded) as caught:
+                        run()
+                    messages.append(str(caught.value))
+            assert messages == ["product of 3 x 4 terms exceeds the cap of 11"] * 4
+            set_term_cap(12)
+            assert _unpacked(engine, engine._product(_packed(engine, f), _packed(engine, g))) == f * g
+            source = _make_source("symbolic", 9)
+            residues = []
+            for warm in (False, True):
+                set_term_cap(cap)
+                if warm:
+                    _y_one_residue(source, 3)
+                    extract_z(6, 3)
+                set_term_cap(40)
+                with pytest.raises(TermCapExceeded) as caught:
+                    _y_one_residue(source, 3)
+                residues.append(str(caught.value))
+        finally:
+            set_term_cap(cap)
+            extract_z.cache_clear()
+        assert residues[0] == residues[1]
+        assert residues[0].startswith("product of ") and residues[0].endswith(" exceeds the cap of 40")
 
     def test_residue_system_matches_the_untruncated_form_per_key(self):
         for n in range(2, 8):
@@ -1119,8 +1231,14 @@ class TestClosedFormResidue:
         # F is formed in the free power sums, so p_5 (or p_7) is never
         # rewritten in p_1..p_m before a product.
         source = _make_source(spec, n)
+        formed = []
         factors = []
+        product = _ResidueEngine._product
         multiply = MultiPoly.__mul__
+
+        def engine_spy(engine, a, b):
+            formed.extend((a, b))
+            return product(engine, a, b)
 
         def spy(a, b):
             if isinstance(b, MultiPoly):
@@ -1131,13 +1249,13 @@ class TestClosedFormResidue:
             return all(type(c) is int for c in f.terms.values())
 
         with monkeypatch.context() as patch:
+            patch.setattr(_ResidueEngine, "_product", engine_spy)
+            _ResidueEngine(m, n - m).free_form(source)
+        with monkeypatch.context() as patch:
             patch.setattr(MultiPoly, "__mul__", spy)
             patch.setattr(MultiPoly, "__rmul__", spy)
-            _ResidueEngine(m, n - m).free_form(source)
-            formed = list(factors)
-            factors.clear()
             untruncated_residue(source, m)
-        assert formed and all(integral(f) for f in formed)
+        assert formed and all(type(c) is int for f in formed for part in f.values() for c in part.values())
         # Negative control: with p_r rewritten in p_1..p_m first, a product
         # has a Fraction factor.
         assert not all(integral(f) for f in factors)
@@ -1145,7 +1263,11 @@ class TestClosedFormResidue:
     def test_newton_tables(self):
         # p_r and h_j in p_1..p_m, written out in x_1..x_m.
         for m in range(1, 6):
-            p, h = _newton_tables(m, 8)
+            engine = _ResidueEngine(m, 8)
+            p, h = (
+                [_unpacked(engine, poly, denominator) for poly, denominator in table]
+                for table in engine._newton_tables()
+            )
             assert p[0] == MultiPoly.constant(m)
             sums = {VarId(KIND_P, k): power_sum(k, m) for k in range(1, m + 1)}
             for r in range(1, 9):
@@ -1153,27 +1275,29 @@ class TestClosedFormResidue:
             for j in range(9):
                 assert h[j].substitute(sums) == complete_homogeneous(j, m), (m, j)
             for d in range(8):
-                assert _newton_tables(m, d) == (p[: d + 1], h[: d + 1]), (m, d)
+                smaller = _ResidueEngine(m, d)
+                tables = [
+                    [_unpacked(smaller, poly, denominator) for poly, denominator in table]
+                    for table in smaller._newton_tables()
+                ]
+                assert tables == [p[: d + 1], h[: d + 1]], (m, d)
 
     def test_newton_tables_meet_a_term_cap_no_sooner_than_the_residue(self, monkeypatch):
-        # The tables are cached across calls, so a residue may find them
-        # built.  Their largest product is no larger than the residue's own,
-        # so a cap the tables would meet stops the residue either way.
+        # Each engine builds its tables for its first image.  Their largest
+        # product is no larger than the residue's own, so a cap the tables
+        # would meet stops the residue either way.
         largest = []
-        multiply = MultiPoly.__mul__
+        product = _ResidueEngine._product
 
-        def spy(a, b):
-            if isinstance(b, MultiPoly):
-                largest.append(len(a) * len(b))
-            return multiply(a, b)
+        def spy(engine, a, b):
+            largest.append(sum(map(len, a.values())) * sum(map(len, b.values())))
+            return product(engine, a, b)
 
-        monkeypatch.setattr(MultiPoly, "__mul__", spy)
-        monkeypatch.setattr(MultiPoly, "__rmul__", spy)
+        monkeypatch.setattr(_ResidueEngine, "_product", spy)
         for m in range(2, 5):
             for n in range(m, m + 7):
-                _newton_tables.cache_clear()
                 largest.clear()
-                _newton_tables(m, n - m)
+                _ResidueEngine(m, n - m)._newton_tables()
                 tables = max(largest, default=0)
                 sources = [_make_source("symbolic", n)]
                 if n <= 8:
