@@ -519,6 +519,16 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # --term-cap holds for this call alone: an in-process caller's next call
+    # runs under the cap it had before.
+    previous_cap = get_term_cap()
+    try:
+        return _run(args)
+    finally:
+        set_term_cap(previous_cap)
+
+
+def _run(args) -> int:
     if args.term_cap is not None:
         try:
             set_term_cap(args.term_cap)

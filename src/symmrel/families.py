@@ -9,7 +9,8 @@ where p_k is the k-th power sum.  :func:`bell_form` builds it once, in the
 power-sum variables p_k, by the closed form: p_1^k_1 * ... * p_n^k_n has
 coefficient n! / prod_i (k_i! (i!)^k_i) * prod_i a_i^k_i.  The relations
 engine keeps that form; :func:`family_polynomial` and
-:func:`symbolic_family_polynomial` substitute p_k -> p_k(x_1..x_m) into it.
+:func:`symbolic_family_polynomial` take it to x_1..x_m through the monomial
+basis (``symmfunc.in_variables``), with no substitution.
 The streams come from the classical
 exponential generating functions noted on each entry; the shift value s_0
 at which the log-derivative stream was taken is recorded for documentation
@@ -36,8 +37,8 @@ from typing import Callable, Sequence, Union
 
 from .exactnum import bernoulli_numbers
 from .partitions import exponent_vectors
-from .polyring import KIND_A, KIND_P, MultiPoly, VarId
-from .symmfunc import power_sum, power_sum_monomial
+from .polyring import KIND_A, MultiPoly, VarId
+from .symmfunc import in_variables, power_sum_monomial
 
 __all__ = [
     "FamilySpec",
@@ -167,21 +168,13 @@ def family_form(family: Union[FamilySpec, str], n: int) -> MultiPoly:
     return bell_form(n, [family.a_coeff(k) for k in range(1, n + 1)], family.b_norm(n))
 
 
-def _in_variables(form: MultiPoly, m: int) -> MultiPoly:
-    """form with each p_k -> p_k(x_1..x_m), substituted into its integral
-    multiple and divided once, so integral results carry ints."""
-    integral, denominator = form.integral_form()
-    sums = {v: power_sum(v.index, m) for v in form.variables() if v.kind == KIND_P}
-    return integral.substitute(sums) / denominator
-
-
 def family_polynomial(family: Union[FamilySpec, str], n: int, m: int) -> MultiPoly:
     """The degree-n member of a family over m variables, fully expanded."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _in_variables(family_form(family, n), m)
+    return in_variables(family_form(family, n), m)
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +184,7 @@ def symbolic_family_polynomial(n: int, m: int) -> MultiPoly:
         raise ValueError("n must be >= 0")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _in_variables(bell_form(n, [MultiPoly.a(k) for k in range(1, n + 1)]), m)
+    return in_variables(bell_form(n, [MultiPoly.a(k) for k in range(1, n + 1)]), m)
 
 
 def symbolic_coefficient_values(family: Union[FamilySpec, str], up_to: int) -> dict:

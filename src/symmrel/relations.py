@@ -61,23 +61,32 @@ H = M y_1^e (y_1^n S(x) - S(s_1)), and the exponents of the monomial M y_1^e
 enter the pass as offsets to each term's exponent pairs.
 
 The zero relation reads H off S(x) alone (``_row_expansion_certificate``):
-S is instantiated once, on x_1..x_m.  By the binomial theorem a term c x^b
-of S(x) becomes at s_1 = (x_1, y_1 x_2 - y_2 x_1, ...) the terms
+S is instantiated once, on x_1..x_m, in the monomial basis (see Sources
+below).  By the binomial theorem a term c x^b of S(x) becomes at
+s_1 = (x_1, y_1 x_2 - y_2 x_1, ...) the terms
 c prod_{j>=2} C(b_j, r_j) (-1)^r_j x_1^(b_1 + R) y_1^(n - b_1 - R)
 prod_{j>=2} x_j^(b_j - r_j) y_j^r_j, 0 <= r_j <= b_j, R = sum r_j, and each
 enters the pass as it is made.  The pairs (b_j - r_j, r_j), j >= 2, fix b
 and r, and S is homogeneous, so no two of them merge, and one meets a term
 of y_1^n S(x) only at b_1 = 0 and r = 0, where the two cancel.  So H has
 exactly len(S(x)) + sum_t prod_{j>=2} (b_j + 1) - 2 #{t : b_1 = 0} terms,
-with no product, no substitution on the row and no term map of H; the sum,
-the number of terms the expansion makes, is held to the term cap before the
-pass.  At y = 1 the row's terms merge heavily (4332 made for 383 distinct
-at bernoulli (12, 4)), so the residue relation instantiates S on x and on
-the row s_1 = (x_1, x_2 - x_1, ...) and sorts each term of the factor after
-M, whose exponents enter as offsets; a product by a monomial merges no
-terms, so H has as many terms as that factor.  Neither relation builds the
-m x m matrix.  Every call does this work afresh: nothing of it is cached,
-so a term cap meets the same work whatever ran before.
+with no product, no substitution on the row and no term map of H.  Each of
+the three sums is fixed per orbit: over the orbit of mu,
+prod_{j>=2} (b_j + 1) sums to the sum over the distinct parts v of mu of
+(the orderings of mu - v) * prod_{u in mu - v} (u + 1) (``_orbit_counts``).
+So the number of terms of S(x), and then the number the expansion makes,
+are held to the term cap before any term is listed.  H is linear in S, so
+its residual is the sum of S's coefficients on the m_mu times the residuals
+of the orbits (``_orbit_image``), and each orbit's terms x^b, b the
+orderings of mu, are expanded once per call, whatever the number of
+a-monomials it comes with.  At y = 1 the row's terms merge heavily (4332
+made for 383 distinct at bernoulli (12, 4)), so the residue relation
+instantiates S on x and on the row s_1 = (x_1, x_2 - x_1, ...) and sorts
+each term of the factor after M, whose exponents enter as offsets; a
+product by a monomial merges no terms, so H has as many terms as that
+factor.  Neither relation builds the m x m matrix.  Every call does this
+work afresh; only a family's source, which meets no term cap, is kept for
+the process, so a cap meets the same work whatever ran before.
 
 Both relations are one check, U_n = G for a known symmetric G (``_decide``).
 The zero relation (``verify_conjecture1``) has G = 0 at general y: U_n = 0
@@ -132,8 +141,12 @@ symbolic family, a power-sum key, a PowerSumExpansion and a raw MultiPoly
 symmetric in x_1..x_m are held in the power-sum variables p_k over Q[a]
 (families by ``families.bell_form``), which makes them symmetric by
 construction; any other raw MultiPoly stays in x as it stands.  A raw
-MultiPoly checked at m may hold x_1..x_m and the a_k alone.  ``scaled``
-substitutes the components' power sums, or the components themselves.
+MultiPoly checked at m may hold x_1..x_m and the a_k alone.  A registry or
+the symbolic family's source is built once per (family, n) per process
+(``_family_source``).  A symmetric source reaches x_1..x_m through the
+monomial basis (``symmfunc.monomial_expansion``: the p -> m transition,
+Macdonald 1995, I.6), with no substitution; ``scaled`` substitutes the
+power sums of other components, the row s_1 at y = 1.
 """
 
 from __future__ import annotations
@@ -166,7 +179,11 @@ from .symmfunc import (
     NotHomogeneousError,
     NotSymmetricError,
     _normalize_coefficient,
+    _orbit_size,
+    _orderings,
+    in_variables,
     is_symmetric,
+    monomial_expansion,
     power_sum_monomial,
     power_sums_of,
     to_power_sum_basis,
@@ -221,13 +238,15 @@ def _symbolic_rows(m: int, y_one: bool) -> tuple:
 
 
 class _Source:
-    """A degree-n polynomial that can be instantiated on any component vector.
+    """A degree-n polynomial that can be instantiated on x_1..x_m or on any
+    component vector.
 
     ``poly`` is the polynomial times the common ``denominator`` of its
     coefficients, so every product runs on integral data and the
     denominator is divided out once, at the end.  A symmetric input is held
     in the power-sum variables p_k (and the a_k); a raw MultiPoly that is
-    not symmetric in x_1..x_m is held in x as it stands.
+    not symmetric in x_1..x_m is held in x as it stands.  A source is never
+    changed once built, so a family's is shared (``_family_source``).
     """
 
     def __init__(self, n, label, poly, family=False):
@@ -238,17 +257,23 @@ class _Source:
         variables = self.poly.variables()
         # Held in the power sums and the a_k alone, so symmetric by construction.
         self.symmetric = all(v.kind in (KIND_P, KIND_A) for v in variables)
+        self.in_x = any(v.kind == KIND_X for v in variables)  # a raw source
         self.top = max((v.index for v in variables if v.kind == KIND_P), default=0)
 
     def unscale(self, value):
         """value / denominator, for a value built from ``scaled`` results."""
         return value / self.denominator if self.denominator != 1 else value
 
+    def on_x(self, m: int) -> MultiPoly:
+        """denominator * S(x_1..x_m), by the monomial basis for a symmetric
+        source; a raw one is held in x already."""
+        return self.poly if self.in_x else in_variables(self.poly, m)
+
     def scaled(self, comps: Sequence) -> MultiPoly:
         """denominator * the polynomial at the MultiPoly components ``comps``
-        (plain variables or substitution-matrix rows): integral for integral
-        data.  Each p_k becomes the k-th power sum of the components, each
-        x_j the j-th component.
+        (substitution-matrix rows): integral for integral data.  Each p_k
+        becomes the k-th power sum of the components, each x_j the j-th
+        component.
         """
         point = {VarId(KIND_X, j): c for j, c in enumerate(comps, 1)}
         point.update({VarId(KIND_P, k): s for k, s in enumerate(power_sums_of(comps, self.top), 1)})
@@ -271,11 +296,15 @@ def _check_raw_variables(poly: MultiPoly, m: int) -> None:
             )
 
 
-def _power_sum_poly(expansion: PowerSumExpansion) -> MultiPoly:
-    return sum(
-        (c * power_sum_monomial(key) for key, c in expansion.coefficients.items()),
-        MultiPoly.zero(),
-    )
+@lru_cache(maxsize=None)
+def _family_source(spec: Optional[FamilySpec], n: int) -> _Source:
+    """The degree-n source of a registry family, or of the symbolic family
+    for None, built once per process: building it meets no term cap, so a
+    cap meets the same work whatever ran before."""
+    if spec is None:
+        a = [MultiPoly.a(k) for k in range(1, n + 1)]
+        return _Source(n, SYMBOLIC_NAME, bell_form(n, a), family=True)
+    return _Source(n, spec.name, family_form(spec, n), family=True)
 
 
 def _make_source(poly_source, n: int, m: Optional[int] = None) -> _Source:
@@ -285,14 +314,13 @@ def _make_source(poly_source, n: int, m: Optional[int] = None) -> _Source:
     that is symmetric in x_1..x_m is rewritten once in p_1..p_m.
     """
     if isinstance(poly_source, str) and poly_source.lower() == SYMBOLIC_NAME:
-        a = [MultiPoly.a(k) for k in range(1, n + 1)]
-        source = _Source(n, SYMBOLIC_NAME, bell_form(n, a), family=True)
+        source = _family_source(None, n)
     elif isinstance(poly_source, (str, FamilySpec)):
         spec = get_family(poly_source) if isinstance(poly_source, str) else poly_source
-        source = _Source(n, spec.name, family_form(spec, n), family=True)
+        source = _family_source(spec, n)
     elif isinstance(poly_source, PowerSumExpansion):
         label = f"expansion(weight={poly_source.weight})"
-        source = _Source(poly_source.weight, label, _power_sum_poly(poly_source))
+        source = _Source(poly_source.weight, label, poly_source.in_power_sums())
     elif isinstance(poly_source, tuple):
         weight = vector_weight(poly_source)
         check_vector(poly_source, weight)
@@ -305,7 +333,7 @@ def _make_source(poly_source, n: int, m: Optional[int] = None) -> _Source:
         if m is not None:
             _check_raw_variables(poly, m)
             if is_symmetric(poly, m):
-                poly = _power_sum_poly(to_power_sum_basis(poly, m, max_part=m, weight=degree))
+                poly = to_power_sum_basis(poly, m, max_part=m, weight=degree).in_power_sums()
         source = _Source(degree, "raw", poly)
     else:
         raise TypeError(f"cannot interpret {poly_source!r} as a polynomial source")
@@ -487,81 +515,113 @@ def _certificate(source: _Source, m: int, residue: Optional[PowerSumExpansion]) 
     residual is empty exactly when U_n = G.
 
     With ``residue`` None, G = 0 and H = M * y_1^e * (y_1^n * S(x) - S(s_1))
-    at general y, e = m - n - 1, read off S(x) alone by
-    ``_row_expansion_certificate``.  Otherwise H = M * (S(x) - S(s_1) -
+    at general y, e = m - n - 1, read off S(x) in the monomial basis alone
+    by ``_row_expansion_certificate``.  Otherwise H = M * (S(x) - S(s_1) -
     pi(x) * G) at y = 1, and only the factor after M is formed: its exponents
     enter ``_orbit_residual`` as offsets, and a product by one monomial
     merges no terms, so H has as many terms as that factor.
     """
-    xs = _x_vector(m)
     if residue is None:
-        return _row_expansion_certificate(source.scaled(xs), m, source.n)
+        return _row_expansion_certificate(monomial_expansion(source.poly, m), m)
+    xs = _x_vector(m)
     row = (xs[0],) + tuple(x - xs[0] for x in xs[1:])
     pi_x = prod(xs, start=MultiPoly.one())
     g = residue.to_polynomial() * source.denominator
-    poly = source.scaled(xs) - source.scaled(row) - pi_x * g
+    poly = source.on_x(m) - source.scaled(row) - pi_x * g
     return len(poly), _orbit_residual(poly, m, [(j, 0) for j in range(m)])
 
 
-def _row_expansion_certificate(s_x: MultiPoly, m: int, n: int) -> tuple:
+def _row_expansion_certificate(expansion: dict, m: int) -> tuple:
     """(terms, residual) of H = M * y_1^e * (y_1^n * S(x) - S(s_1)), e = m - n - 1,
-    from the terms of S(x) = ``s_x``, homogeneous of degree n in x_1..x_m:
-    each term of S(s_1) is made from its term of S(x) by the binomial theorem
-    and enters the orbit pass at once, and the count is the closed form of
-    the module docstring.  The number of terms made is held to the term cap
-    before any is made.
+    from S(x) in the monomial basis, {monomial in the a_k: {mu: coefficient}}
+    as ``symmfunc.monomial_expansion`` gives it.  The counts of the closed
+    form in the module docstring are summed per orbit (``_orbit_counts``),
+    and the number of terms made is held to the term cap before any term of
+    S(x) is listed.  H is linear in S, so its residual is the sum of the
+    coefficients times the residuals of the orbits (``_orbit_image``).
     """
-    groups: dict = {}  # the rest of the monomial -> [(b, coefficient)]
-    for mono, coeff in s_x.terms.items():
-        b = [0] * m
-        rest = ()  # the x_j lead every monomial
-        for pos, (var, e) in enumerate(mono):
-            if var.kind != KIND_X:
-                rest = mono[pos:]
-                break
-            b[var.index - 1] = e
-        groups.setdefault(rest, []).append((b, coeff))
-    made = sum(prod(e + 1 for e in b[1:]) for group in groups.values() for b, _ in group)
+    length = made = cancelled = 0
+    for bucket in expansion.values():
+        for mu in bucket:
+            size, row_terms, free_of_x1 = _orbit_counts(mu)
+            length += size
+            made += row_terms
+            cancelled += free_of_x1
     cap = get_term_cap()
     if made > cap:
         raise TermCapExceeded(f"row expansion of {made} terms exceeds the cap of {cap}")
+    images: dict = {}  # mu -> _orbit_image(mu, m), shared by the a-monomials
     residual: dict = {}
-    cancelled = 0
-    for rest, group in groups.items():
-        # No key is shared across groups, so each group's residual is final.
+    for rest, bucket in expansion.items():
+        # No key is shared across a-monomials, so each one's residual is final.
         part: dict = {}
-        for b, coeff in group:
-            b_1 = b[0]
-            pairs = [(b_1, m - 1)] + [(b[j] + j, m - 1 - j) for j in range(1, m)]
-            if b_1:
-                _alternate(part, pairs, rest, coeff)
-            else:
-                cancelled += 1
-            # Only the x_j y_j with b_j > 0 have a choice of r_j.  Their pairs
-            # sum to more than m - 1 and the others to m - 1, so a repeated
-            # pair among them alternates to 0 whatever the other r_j: such a
-            # choice is dropped at once.
-            moving = [j for j in range(1, m) if b[j]]
-            partial = [((), 0, -coeff)]  # (their pairs so far, R so far, coefficient)
-            for j in moving:
-                e = b[j]
-                choices = [
-                    ((e - r + j, r + m - 1 - j), r, (-1) ** r * comb(e, r)) for r in range(e + 1)
-                ]
-                partial = [
-                    (tail + (pair,), shift + r, c * f)
-                    for tail, shift, c in partial
-                    for pair, r, f in choices
-                    if pair not in tail
-                ]
-            for tail, shift, c in partial:
-                if shift or b_1:
-                    pairs[0] = (b_1 + shift, m - 1 - b_1 - shift)
-                    for j, pair in zip(moving, tail):
-                        pairs[j] = pair
-                    _alternate(part, pairs, rest, c)
-        residual.update((key, c) for key, c in part.items() if c)
-    return len(s_x) + made - 2 * cancelled, residual
+        get = part.get
+        for mu, coeff in bucket.items():
+            if mu not in images:
+                images[mu] = _orbit_image(mu, m)
+            for pairs, c in images[mu]:
+                part[pairs] = get(pairs, 0) + coeff * c
+        residual.update(((pairs, rest), c) for pairs, c in part.items() if c)
+    return length + made - 2 * cancelled, residual
+
+
+def _orbit_counts(mu: tuple) -> tuple:
+    """(terms, made, cancelled) over the orbit of x^mu, the x^b with b an
+    ordering of mu: the number of terms, the number the row expansion makes
+    from them, sum_b prod_{j>=2} (b_j + 1), and the number with b_1 = 0.
+    With b_1 = v, b_2..b_m run over the orderings of mu - v, so the middle
+    sum is sum_v orderings(mu - v) * prod_{u in mu - v} (u + 1) over the
+    distinct parts v of mu."""
+    made = cancelled = 0
+    for i, v in enumerate(mu):
+        if i and mu[i - 1] == v:
+            continue
+        others = mu[:i] + mu[i + 1 :]
+        count = _orbit_size(others)
+        made += count * prod(u + 1 for u in others)
+        if not v:
+            cancelled = count
+    return _orbit_size(mu), made, cancelled
+
+
+def _orbit_image(mu: tuple, m: int) -> tuple:
+    """The orbit residual of H for S = m_mu, as (sorted pairs, int) items,
+    from the terms x^b of m_mu, b the orderings of mu, by ``_row_terms``."""
+    part: dict = {}
+    for b in _orderings(mu):
+        _row_terms(part, b, 1, m)
+    return tuple((pairs, c) for (pairs, _), c in part.items() if c)
+
+
+def _row_terms(part: dict, b: Sequence, coeff, m: int) -> None:
+    """Add to the orbit residual ``part`` the terms of H made from one term
+    coeff * x^b of S(x), b the exponents of x_1..x_m: y_1^n times the term
+    itself, and the terms of S(s_1) it gives by the binomial theorem, each
+    sent through ``_alternate`` as it is made."""
+    b_1 = b[0]
+    pairs = [(b_1, m - 1)] + [(b[j] + j, m - 1 - j) for j in range(1, m)]
+    if b_1:
+        _alternate(part, pairs, (), coeff)
+    # Only the x_j y_j with b_j > 0 have a choice of r_j.  Their pairs sum to
+    # more than m - 1 and the others to m - 1, so a repeated pair among them
+    # alternates to 0 whatever the other r_j: such a choice is dropped at once.
+    moving = [j for j in range(1, m) if b[j]]
+    partial = [((), 0, -coeff)]  # (their pairs so far, R so far, coefficient)
+    for j in moving:
+        e = b[j]
+        choices = [((e - r + j, r + m - 1 - j), r, (-1) ** r * comb(e, r)) for r in range(e + 1)]
+        partial = [
+            (tail + (pair,), shift + r, c * f)
+            for tail, shift, c in partial
+            for pair, r, f in choices
+            if pair not in tail
+        ]
+    for tail, shift, c in partial:
+        if shift or b_1:
+            pairs[0] = (b_1 + shift, m - 1 - b_1 - shift)
+            for j, pair in zip(moving, tail):
+                pairs[j] = pair
+            _alternate(part, pairs, (), c)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +689,7 @@ def _decide(source: _Source, m: int, zero: bool) -> RelationReport:
             if not residual:
                 return _close(report, extracted=residue)
         with _stage(report, "expand") as stage:
-            s_poly = source.unscale(source.scaled(_x_vector(m)))
+            s_poly = source.unscale(source.on_x(m))
             u = u_function(s_poly, n, m, specialize_y=not zero)
             stage.detail = f"{len(u.numerator)} numerator terms"
         if zero:

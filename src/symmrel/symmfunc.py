@@ -1,15 +1,28 @@
-"""Power sums, power-sum products, conversion of symmetric polynomials
-into the power-sum-product basis, and the library's exact-elimination kernel.
+"""Power sums, power-sum products, their instantiation on x_1..x_m,
+conversion of symmetric polynomials into the power-sum-product basis, and
+the library's exact-elimination kernel.
 
 The products ``P_{n,k} = p_1^k_1 * ... * p_n^k_n`` indexed by exponent
 vectors k with parts <= m form a basis of the homogeneous symmetric
 polynomials of degree n in m variables.  In the power-sum variables p_k
-(``polyring.KIND_P``) a polynomial is already in that basis.  From x
-monomials, the route of raw input, :func:`to_power_sum_basis` checks symmetry
-and homogeneity and inverts the basis by an exact linear solve on monomial
-coefficients.  Coefficients may themselves be polynomials in the ``a_i``
-symbols (symbolic mode): the matrix of the solve is always rational, and the
-right-hand side enters it as one rational column per a-monomial.
+(``polyring.KIND_P``) a polynomial is already in that basis.
+
+Every form in the p_k over Q[a] reaches x_1..x_m by one kernel,
+:func:`monomial_expansion`, through the monomial symmetric functions m_mu
+(the p -> m transition, Macdonald 1995, I.6): p_r m_nu is the sum of the m_mu
+for the mu made by adding r to one part of nu, a zero part included, each
+with the multiplicity of the new part in mu as its coefficient.  So each
+p^lambda is peeled off its parent p^(lambda - e_r) by one such step, with int
+coefficients, and a form's coefficient on m_mu is read off with no product
+of polynomials and no substitution.  :func:`in_variables` spreads each m_mu
+over the distinct orderings of mu; :func:`power_sum_product`, the families
+and ``PowerSumExpansion.to_polynomial`` go through it.
+
+From x monomials, the route of raw input, :func:`to_power_sum_basis` checks
+symmetry and homogeneity and inverts the basis by an exact linear solve on
+monomial coefficients.  Coefficients may themselves be polynomials in the
+``a_i`` symbols (symbolic mode): the matrix of the solve is always rational,
+and the right-hand side enters it as one rational column per a-monomial.
 
 Both exact solves of the library, this one and the C system of ``solver``,
 run through one certified multimodular kernel, :func:`_certified_rref`: the
@@ -31,17 +44,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from itertools import combinations
+from math import factorial, isqrt, lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from .partitions import ExponentVector, exponent_vectors, vector_weight
-from .polyring import KIND_A, KIND_P, KIND_X, MultiPoly, VarId
+from .polyring import KIND_A, KIND_P, KIND_X, MultiPoly, TermCapExceeded, VarId, get_term_cap
 
 __all__ = [
     "PowerSumExpansion",
     "power_sum",
     "power_sum_product",
     "power_sum_monomial",
+    "monomial_expansion",
+    "in_variables",
     "to_power_sum_basis",
     "is_symmetric",
     "x_degrees",
@@ -90,14 +106,16 @@ class PowerSumExpansion:
     def coefficient(self, key: ExponentVector) -> Coefficient:
         return self.coefficients.get(key, Fraction(0))
 
+    def in_power_sums(self) -> MultiPoly:
+        """The expansion as a polynomial in the power-sum variables p_k."""
+        return sum(
+            (c * power_sum_monomial(key) for key, c in self.coefficients.items()),
+            MultiPoly.zero(),
+        )
+
     def to_polynomial(self) -> MultiPoly:
         """Expand back into the x variables (times any symbolic coefficients)."""
-        out = MultiPoly.zero()
-        for key, coeff in self.coefficients.items():
-            if coeff == 0:
-                continue
-            out = out + coeff * power_sum_product(key, self.num_vars)
-        return out
+        return in_variables(self.in_power_sums(), self.num_vars)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSumExpansion):
@@ -121,11 +139,7 @@ def power_sum(k: int, m: int) -> MultiPoly:
 @lru_cache(maxsize=None)
 def power_sum_product(k: ExponentVector, m: int) -> MultiPoly:
     """The expanded product p_1^k_1 * p_2^k_2 * ... over m variables."""
-    out = MultiPoly.one()
-    for part, exp in enumerate(k, start=1):
-        if exp:
-            out = out * power_sum(part, m) ** exp
-    return out
+    return in_variables(power_sum_monomial(k), m)
 
 
 def power_sums_of(values: Sequence, up_to: int):
@@ -148,6 +162,145 @@ def power_sums_of(values: Sequence, up_to: int):
 def power_sum_monomial(k: ExponentVector) -> MultiPoly:
     """p_1^k_1 * p_2^k_2 * ... in the power-sum variables."""
     return MultiPoly([(tuple((VarId(KIND_P, i), e) for i, e in enumerate(k, 1) if e), 1)])
+
+
+def monomial_expansion(form: MultiPoly, m: int) -> dict:
+    """``form``, a polynomial in the power sums p_k over Q[a], in the monomial
+    symmetric functions of x_1..x_m: {monomial in the a_k: {mu: coefficient}},
+    each mu a partition into at most m parts written as m parts in descending
+    order, zeros last, and every coefficient nonzero.
+
+    Each p^lambda of the form is its parent p^(lambda - e_r), r its largest
+    index, times p_r, by :func:`_times_power_sum`, on the form's integral
+    multiple; the common denominator is divided out once per coefficient.
+    The x terms this stands for, the orbit sizes of its mu summed over every
+    a-monomial, are held to the term cap before any is listed.
+    """
+    if m < 1:
+        raise ValueError("need at least one variable")
+    integral, denominator = form.integral_form()
+    memo = {(): {(0,) * m: 1}}  # the p-part of a monomial -> p^lambda in the m_mu
+
+    def expand(powers: tuple) -> dict:
+        chain = []
+        while powers not in memo:
+            chain.append(powers)
+            powers = _parent(powers)
+        for powers in reversed(chain):
+            memo[powers] = _times_power_sum(powers[-1][0].index, memo[_parent(powers)])
+        return memo[powers]
+
+    out: dict = {}
+    for mono, coeff in integral.terms.items():
+        # The a_k sort before the p_k, so the monomial in the a_k is a prefix.
+        split = next((i for i, (v, _) in enumerate(mono) if v.kind != KIND_A), len(mono))
+        for var, _ in mono[split:]:
+            if var.kind != KIND_P:
+                raise ValueError(f"a form in the power sums got variable {var!r}")
+        bucket = out.setdefault(mono[:split], {})
+        for mu, c in expand(mono[split:]).items():
+            bucket[mu] = bucket.get(mu, 0) + coeff * c
+    out = {
+        rest: kept
+        for rest, bucket in out.items()
+        if (kept := {mu: _over(c, denominator) for mu, c in bucket.items() if c})
+    }
+    count = sum(_orbit_size(mu) for bucket in out.values() for mu in bucket)
+    if count > get_term_cap():
+        raise TermCapExceeded(
+            f"expansion in x_1..x_{m} of {count} terms exceeds the cap of {get_term_cap()}"
+        )
+    return out
+
+
+def _parent(powers: tuple) -> tuple:
+    """The p-part of a monomial with one factor of its last p_r taken off."""
+    var, e = powers[-1]
+    return powers[:-1] + ((var, e - 1),) if e > 1 else powers[:-1]
+
+
+def _times_power_sum(r: int, by_nu: dict) -> dict:
+    """p_r times sum_nu c_nu m_nu: r is added to one part of each nu per
+    distinct value u of its parts, the new part moved into place, and the
+    product carries the multiplicity of u + r in the result."""
+    out: dict = {}
+    get = out.get
+    for nu, c in by_nu.items():
+        previous = None
+        for i, u in enumerate(nu):
+            if u == previous:
+                continue
+            previous = u
+            new = u + r
+            j = i
+            while j and nu[j - 1] < new:
+                j -= 1
+            multiplicity = 1
+            while multiplicity <= j and nu[j - multiplicity] == new:
+                multiplicity += 1
+            mu = nu[:j] + (new,) + nu[j:i] + nu[i + 1 :]
+            out[mu] = get(mu, 0) + c * multiplicity
+    return out
+
+
+def _over(c: int, denominator: int):
+    """c / denominator: an int when it is integral, a Fraction otherwise."""
+    if c % denominator:
+        return Fraction(c, denominator)
+    return c // denominator
+
+
+def _orbit_size(mu: tuple) -> int:
+    """The number of distinct orderings of mu: len(mu)! / prod of the
+    multiplicities' factorials."""
+    size, run = factorial(len(mu)), 1
+    for i in range(1, len(mu)):
+        run = run + 1 if mu[i] == mu[i - 1] else 1
+        size //= run
+    return size
+
+
+def _orderings(mu: tuple) -> list:
+    """The distinct orderings of the parts of mu, a nonempty descending
+    tuple: the positions of each value in turn are chosen among those left,
+    and the last value, zero when mu is padded, fills the rest."""
+    groups = [(v, mu.count(v)) for i, v in enumerate(mu) if not i or mu[i - 1] != v]
+    vector = list(mu)
+    out = []
+
+    def fill(free: tuple, g: int) -> None:
+        value, count = groups[g]
+        if g == len(groups) - 1:
+            for pos in free:
+                vector[pos] = value
+            out.append(tuple(vector))
+            return
+        for chosen in combinations(free, count):
+            for pos in chosen:
+                vector[pos] = value
+            fill(tuple(pos for pos in free if pos not in chosen), g + 1)
+
+    fill(tuple(range(len(mu))), 0)
+    return out
+
+
+def in_variables(form: MultiPoly, m: int) -> MultiPoly:
+    """``form``, a polynomial in the power sums p_k over Q[a], expanded in
+    x_1..x_m: each m_mu of :func:`monomial_expansion` spread over the
+    distinct orderings of mu."""
+    xs = [VarId(KIND_X, j) for j in range(1, m + 1)]
+    spread: dict = {}  # mu -> its x monomials
+    terms = {}
+    for rest, bucket in monomial_expansion(form, m).items():
+        for mu, c in bucket.items():
+            monomials = spread.get(mu)
+            if monomials is None:
+                monomials = spread[mu] = [
+                    tuple((x, e) for x, e in zip(xs, b) if e) for b in _orderings(mu)
+                ]
+            for x_part in monomials:
+                terms[x_part + rest] = c
+    return MultiPoly._raw(terms)
 
 
 def is_symmetric(p: MultiPoly, m: int) -> bool:

@@ -3,6 +3,9 @@
 * :func:`complete_bell` / :func:`complete_bell_sequence` -- the complete Bell
   polynomials by their recurrence, independent of the closed form that
   ``families.bell_form`` uses;
+* :func:`substituted_in_variables` -- a form in the power sums taken to
+  x_1..x_m by substituting p_k -> p_k(x_1..x_m), against which the monomial
+  basis kernel ``symmfunc.in_variables`` is checked;
 * :func:`untruncated_residue` -- the closed-form y = 1 residue in the power
   sums with F(t) expanded in every power of t, against which the
   weight-truncated ``relations._y_one_residue`` is checked, with its own
@@ -93,6 +96,14 @@ def bell_family_polynomial(a: Sequence, scale, n: int, m: int) -> MultiPoly:
     """scale * B_n(a_1 p_1(x), ..., a_n p_n(x)) by the recurrence, in x_1..x_m."""
     value = scale * complete_bell(n, [a[k - 1] * power_sum(k, m) for k in range(1, n + 1)])
     return value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
+
+
+def substituted_in_variables(form: MultiPoly, m: int) -> MultiPoly:
+    """``form``, a polynomial in the p_k over Q[a], with each p_k ->
+    p_k(x_1..x_m) substituted into its integral multiple and divided once."""
+    integral, denominator = form.integral_form()
+    sums = {v: power_sum(v.index, m) for v in form.variables() if v.kind == KIND_P}
+    return integral.substitute(sums) / denominator
 
 
 def untruncated_residue(source, m: int):

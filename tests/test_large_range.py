@@ -11,8 +11,8 @@ both relations are decided on orbit representatives of one alternant, the
 residue relation with the closed-form residue as its certificate.  The
 weight-truncated residue is also checked against the untruncated form on
 the Z tables at (6, 6) and (8, 4) and on every row of the n = 9 C system.
-Together they take about 27-33 s on a 2-vCPU x86-64 host with Python 3.11
-(the symbolic zero relation at (8, 9) 17-23 s, the n = 8 C system 1.1 s,
+Together they take about 11-17 s on a 2-vCPU x86-64 host with Python 3.11
+(the symbolic zero relation at (8, 9) 2.6-4 s, the n = 8 C system 1.3 s,
 the nullspace dimensions at n = 11 to 16 5-6 s in all, the other zero
 sweeps 2 s, the residue sweeps and the untruncated-form checks under 1 s
 each), so they only run when
@@ -67,8 +67,9 @@ def test_symbolic_five_and_six_variables(m):
 
 def test_symbolic_nine_variables_at_degree_eight():
     """The orbit certificate alone verifies symbolic (8, 9) under the default
-    term cap: the row expansion makes 3 955 472 terms from the 80 955 of
-    S(x), in 17-23 s and about 90 MB on a 2-vCPU x86-64 host with Python 3.11.
+    term cap: its H has 3 955 472 terms from the 80 955 of S(x), and its
+    22 orbits of m_mu are expanded once each, in 2.6-4 s and about 26 MB on
+    a 2-vCPU x86-64 host with Python 3.11.
     """
     cap = get_term_cap()
     set_term_cap(_DEFAULT_TERM_CAP)

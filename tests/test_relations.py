@@ -35,6 +35,7 @@ from symmrel.relations import (
     _make_source,
     _orbit_residual,
     _row_expansion_certificate,
+    _row_terms,
     _symbolic_rows,
     _y_one_residue,
     build_s_matrix,
@@ -151,37 +152,34 @@ class TestFrame:
 
     @pytest.mark.parametrize("name, n, m", [("laguerre", 3, 5), ("bernoulli", 2, 3)])
     def test_numerator_products_stay_integral(self, monkeypatch, name, n, m):
-        # The orbit certificate is built on the source's integral form: no
-        # product of the exact zero relation sees a Fraction.
-        multiply = MultiPoly.__mul__
-        seen = []
+        # The orbit certificate is built on the source's integral form: every
+        # step of the p -> m transition and every coefficient of S(x) in the
+        # monomial basis is an int, and no polynomial product is formed.
+        step = symmfunc._times_power_sum
+        seen, products = [], []
 
-        def holds_fraction(operand):
-            if isinstance(operand, MultiPoly):
-                return any(isinstance(c, F) for c in operand.terms.values())
-            return isinstance(operand, F)
+        def spy(r, by_nu):
+            out = step(r, by_nu)
+            seen.append(all(type(c) is int for c in (*by_nu.values(), *out.values())))
+            return out
 
-        inside = []
-        certificate = relations._certificate
+        expansion = relations._row_expansion_certificate
 
-        def spy_certificate(*args):
-            inside.append(True)
-            try:
-                return certificate(*args)
-            finally:
-                inside.pop()
+        def spy_expansion(s_x, m):
+            seen.append(all(type(c) is int for bucket in s_x.values() for c in bucket.values()))
+            return expansion(s_x, m)
 
-        def spy(a, b):
-            if inside:
-                seen.append(holds_fraction(a) or holds_fraction(b))
-            return multiply(a, b)
+        def refuse(a, b):
+            products.append((a, b))
+            raise AssertionError("a polynomial product in the zero relation")
 
         assert _make_source(name, n).denominator > 1
-        monkeypatch.setattr(MultiPoly, "__mul__", spy)
-        monkeypatch.setattr(MultiPoly, "__rmul__", spy)
-        monkeypatch.setattr(relations, "_certificate", spy_certificate)
+        monkeypatch.setattr(symmfunc, "_times_power_sum", spy)
+        monkeypatch.setattr(relations, "_row_expansion_certificate", spy_expansion)
+        monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+        monkeypatch.setattr(MultiPoly, "__rmul__", refuse)
         report = verify_conjecture1(name, n, m)
-        assert seen and not any(seen)
+        assert len(seen) > 1 and all(seen) and not products
         assert report.verified
 
     @pytest.mark.parametrize("spec", ["bernoulli", "laguerre", "symbolic"])
@@ -333,6 +331,21 @@ def _random_homogeneous(rng, m, n):
     return poly
 
 
+def _row_residual(poly, m):
+    """The orbit residual of H from the terms c x^b of S(x) = ``poly``, a
+    polynomial in x_1..x_m and the a_k, one term at a time by ``_row_terms``."""
+    parts = {}  # the a-monomial of a term -> its part of the residual
+    for mono, coeff in poly.terms.items():
+        b, rest = [0] * m, ()
+        for pos, (var, e) in enumerate(mono):
+            if var.kind != KIND_X:
+                rest = mono[pos:]
+                break
+            b[var.index - 1] = e
+        _row_terms(parts.setdefault(rest, {}), b, coeff, m)
+    return {(pairs, rest): c for rest, part in parts.items() for (pairs, _), c in part.items() if c}
+
+
 class TestRowExpansion:
     """``_row_expansion_certificate`` reads H's term count and orbit residual
     off S(x) alone, with S(s_1) expanded term by term by the binomial
@@ -341,21 +354,29 @@ class TestRowExpansion:
     def test_matches_h_formed_in_full(self):
         # Raw homogeneous polynomials, symmetric or not, with and without
         # terms free of x_1, at m = 1..5 and n = 0..m-1, against H formed in
-        # full by the oracle.
+        # full by the oracle: the terms of S(x), each expanded on its own,
+        # give H's orbit residual, and for a symmetric S, rewritten in the
+        # power sums, the certificate from its orbits gives H's term count
+        # and residual.
         rng = random.Random(23)
-        residuals, free_of_x1 = set(), set()
+        residuals, free_of_x1, counted = set(), set(), 0
         for _ in range(160):
             m = rng.randint(1, 5)
             n = rng.randrange(m)
             poly = _random_homogeneous(rng, m, n)
             source = _make_source(poly, n)
             expected = orbit_certificate(source, m, None)
-            folded = _row_expansion_certificate(source.scaled(_x_vars(m)), m, n)
-            assert folded == expected, (poly, m)
+            assert _row_residual(source.poly, m) == expected[1], (poly, m)
+            if symmfunc.is_symmetric(poly, m):
+                held = _make_source(poly, n, m)
+                folded = _row_expansion_certificate(symmfunc.monomial_expansion(held.poly, m), m)
+                assert folded == orbit_certificate(held, m, None), (poly, m)
+                counted += 1
             residuals.add(bool(expected[1]))
             free_of_x1.add(any(VarId(KIND_X, 1) not in dict(mono) for mono in poly.terms))
         assert residuals == {True, False}
         assert free_of_x1 == {True, False}
+        assert counted >= 40
 
     def test_the_row_expansion_is_held_to_the_cap(self):
         # bell at (3, 4): S(x) has 20 terms and its largest product 40 term
@@ -372,6 +393,40 @@ class TestRowExpansion:
         stages = [(stage.name, stage.detail) for stage in over.stages]
         assert stages == [("orbit-certificate", "row expansion of 84 terms exceeds the cap of 83")]
         assert at.verified
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    def test_orbit_counts_match_the_terms(self, parts):
+        # Per orbit: its terms b, the terms the row expansion makes from
+        # them, prod_{j>=2} (b_j + 1) each, and those with b_1 = 0.
+        mu = tuple(sorted(parts, reverse=True))
+        orbit = set(permutations(mu))
+        made = sum(prod(e + 1 for e in b[1:]) for b in orbit)
+        free = sum(1 for b in orbit if b[0] == 0)
+        assert relations._orbit_counts(mu) == (len(orbit), made, free)
+
+    def test_the_caps_are_met_before_any_term_is_listed(self, monkeypatch):
+        # bell at (3, 4): S(x) has 20 terms and the row expansion makes 84;
+        # both are counted per orbit, before any ordering is listed.
+        def refuse(mu):
+            raise AssertionError(f"orderings of {mu} listed")
+
+        monkeypatch.setattr(relations, "_orderings", refuse)
+        monkeypatch.setattr(symmfunc, "_orderings", refuse)
+        cap = get_term_cap()
+        details = []
+        try:
+            for limit in (19, 83):
+                set_term_cap(limit)
+                report = verify_conjecture1("bell", 3, 4)
+                assert report.verdict == "resource-limited"
+                details.extend(stage.detail for stage in report.stages)
+        finally:
+            set_term_cap(cap)
+        assert details == [
+            "expansion in x_1..x_4 of 20 terms exceeds the cap of 19",
+            "row expansion of 84 terms exceeds the cap of 83",
+        ]
 
     def test_no_substitution_matrix_is_built(self, monkeypatch):
         # The certificate instantiates the source on x_1..x_m, and at y = 1

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symmrel import symmfunc
 from symmrel.exactnum import bernoulli_numbers
@@ -11,18 +13,28 @@ from symmrel.families import (
     family_polynomial,
     symbolic_family_polynomial,
 )
-from symmrel.polyring import KIND_A, MultiPoly, VarId
+from symmrel.polyring import (
+    KIND_A,
+    KIND_P,
+    MultiPoly,
+    TermCapExceeded,
+    VarId,
+    get_term_cap,
+    set_term_cap,
+)
 from symmrel.partitions import exponent_vectors
 from symmrel.symmfunc import (
     NotHomogeneousError,
     NotSymmetricError,
+    in_variables,
     is_symmetric,
+    monomial_expansion,
     power_sum,
     power_sum_product,
     to_power_sum_basis,
 )
 
-from oracles import complete_bell, complete_bell_sequence, series_exp
+from oracles import complete_bell, complete_bell_sequence, series_exp, substituted_in_variables
 
 x1, x2, x3 = MultiPoly.x(1), MultiPoly.x(2), MultiPoly.x(3)
 
@@ -43,6 +55,79 @@ class TestPowerSums:
             product = power_sum_product(k, 3)
             degrees = {sum(e for _, e in mono) for mono in product.terms}
             assert degrees == {6}
+
+
+@st.composite
+def power_sum_forms(draw):
+    """(form, m): a polynomial in p_1..p_6 over Q[a] with int, Fraction and
+    a-monomial coefficients, parts above m included, and m = 1..4."""
+    m = draw(st.integers(1, 4))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        powers = draw(st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=3))
+        if sum(k * e for k, e in powers.items()) > 8:
+            continue
+        numerator = draw(st.integers(-9, 9))
+        coeff = draw(st.sampled_from([numerator, F(numerator, 2), F(numerator, 6)]))
+        a_part = draw(st.dictionaries(st.integers(1, 3), st.integers(1, 2), max_size=2))
+        mono = [(VarId(KIND_A, k), e) for k, e in a_part.items()]
+        mono += [(VarId(KIND_P, k), e) for k, e in powers.items()]
+        terms.append((mono, coeff))
+    return MultiPoly(terms), m
+
+
+class TestMonomialKernel:
+    """``in_variables`` takes a form in the power sums to x_1..x_m through
+    the monomial basis, against substituting the power sums."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(power_sum_forms())
+    def test_matches_the_substitution_route(self, case):
+        form, m = case
+        got = in_variables(form, m)
+        assert got == substituted_in_variables(form, m)
+        # An integral Fraction is stored as the int it equals.
+        assert not any(type(c) is F and c.denominator == 1 for c in got.terms.values())
+
+    @pytest.mark.parametrize(
+        "form, m, vanishes",
+        [
+            (MultiPoly.zero(), 3, True),  # the zero form
+            (MultiPoly.constant(F(5, 3)), 2, False),  # degree 0
+            (MultiPoly.p(4) * MultiPoly.p(1) ** 2 * F(1, 2), 1, False),  # one variable
+            (MultiPoly.p(5) * MultiPoly.a(2), 2, False),  # a part above m
+            ((MultiPoly.p(1) ** 2 - MultiPoly.p(2)) * MultiPoly.a(1), 1, True),  # 2 e_2 of one variable
+        ],
+    )
+    def test_edge_forms(self, form, m, vanishes):
+        got = in_variables(form, m)
+        assert got == substituted_in_variables(form, m)
+        assert got.is_zero() == vanishes
+
+    def test_coefficients_are_the_p_to_m_transition(self):
+        # p_1^3 = m_3 + 3 m_21 + 6 m_111, and p_2 p_1 = m_3 + m_21 in three
+        # variables (Macdonald 1995, I.6).
+        p1, p2 = MultiPoly.p(1), MultiPoly.p(2)
+        assert monomial_expansion(p1**3, 3) == {(): {(3, 0, 0): 1, (2, 1, 0): 3, (1, 1, 1): 6}}
+        assert monomial_expansion(p2 * p1, 3) == {(): {(3, 0, 0): 1, (2, 1, 0): 1}}
+        assert monomial_expansion(p1**3, 2) == {(): {(3, 0): 1, (2, 1): 3}}
+
+    def test_the_x_terms_are_held_to_the_cap(self):
+        # p_1^3 in three variables has 3 + 6 + 1 = 10 terms.
+        cap = get_term_cap()
+        try:
+            set_term_cap(9)
+            message = "^expansion in x_1..x_3 of 10 terms exceeds the cap of 9$"
+            with pytest.raises(TermCapExceeded, match=message):
+                in_variables(MultiPoly.p(1) ** 3, 3)
+            set_term_cap(10)
+            assert len(in_variables(MultiPoly.p(1) ** 3, 3)) == 10
+        finally:
+            set_term_cap(cap)
+
+    def test_rejects_variables_outside_the_power_sums(self):
+        with pytest.raises(ValueError, match="got variable x_1"):
+            monomial_expansion(MultiPoly.x(1) * MultiPoly.p(1), 2)
 
 
 class TestCompleteBell:
