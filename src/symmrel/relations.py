@@ -29,8 +29,8 @@ exact identities under it.
 Implementation note: pi(s_i) is (-1)^(i-1) x_i times the pair factors
 w_ij = y_i x_j - y_j x_i (i < j) that involve i, so pi(x) * W, with
 W = prod_{i<j} w_ij, clears every denominator of U_n.  Neither relation
-forms that numerator for a symmetric source: both are decided on orbit
-representatives of one alternant.  Put Alt(f) = sum_{g in S_m} sgn(g) g(f),
+forms that numerator: both are decided on orbit representatives of one
+alternant.  Put Alt(f) = sum_{g in S_m} sgn(g) g(f),
 with g moving x_j and y_j together, and M = prod_{j=2..m} x_j^(j-1) y_j^(m-j).
 Then:
 
@@ -54,58 +54,63 @@ Alt(t) of a monomial t is 0 when two of its exponent pairs
 monomial t_0 = g^(-1)(t) with its pairs in descending order.  The Alt(t_0)
 of distinct sorted monomials have disjoint supports, so Alt(H) = 0 exactly
 when the signed sum of H's coefficients on each sorted key is 0
-(``_alternate`` takes one term to its key and sign, for ``_orbit_residual``
-and for the row expansion below; monomials in the a_k ride along in the
-key).  H itself is never formed.  Since e + n = m - 1,
-H = M y_1^e (y_1^n S(x) - S(s_1)), and the exponents of the monomial M y_1^e
-enter the pass as offsets to each term's exponent pairs.
+(``_alternate`` takes one term to its key and sign as the pass makes it;
+monomials in the a_k ride along in the key).  H itself is never formed.
+Since e + n = m - 1, H = M y_1^e (y_1^n S(x) - S(s_1)), and the exponents of
+the monomial M y_1^e enter the pass as offsets to each term's exponent pairs.
 
-The zero relation reads H off S(x) alone (``_row_expansion_certificate``):
-S is instantiated once, on x_1..x_m, in the monomial basis (see Sources
-below).  By the binomial theorem a term c x^b of S(x) becomes at
-s_1 = (x_1, y_1 x_2 - y_2 x_1, ...) the terms
+Both relations read H off S(x) alone (``_certificate``): S is instantiated
+once, on x_1..x_m, as its coefficients on the monomial symmetric functions
+m_mu (see Sources below).  H is linear in S, so its residual is the sum of
+those coefficients times the residuals of the orbits, one image per
+distinct mu, made once per call whatever the number of a-monomials it comes
+with (``_weigh``, ``_orbit_image``).  By the binomial theorem a term c x^b
+of S(x) becomes at s_1 = (x_1, y_1 x_2 - y_2 x_1, ...) the terms
 c prod_{j>=2} C(b_j, r_j) (-1)^r_j x_1^(b_1 + R) y_1^(n - b_1 - R)
 prod_{j>=2} x_j^(b_j - r_j) y_j^r_j, 0 <= r_j <= b_j, R = sum r_j, and each
-enters the pass as it is made.  The pairs (b_j - r_j, r_j), j >= 2, fix b
-and r, and S is homogeneous, so no two of them merge, and one meets a term
-of y_1^n S(x) only at b_1 = 0 and r = 0, where the two cancel.  So H has
-exactly len(S(x)) + sum_t prod_{j>=2} (b_j + 1) - 2 #{t : b_1 = 0} terms,
-with no product, no substitution on the row and no term map of H.  Each of
-the three sums is fixed per orbit: over the orbit of mu,
-prod_{j>=2} (b_j + 1) sums to the sum over the distinct parts v of mu of
+enters the pass as it is made (``_row_terms``).  The pairs
+(b_j - r_j, r_j), j >= 2, fix b and r, and S is homogeneous, so no two of
+them merge, and one meets a term of y_1^n S(x) only at b_1 = 0 and r = 0,
+where the two cancel.  So H has exactly
+len(S(x)) + sum_t prod_{j>=2} (b_j + 1) - 2 #{t : b_1 = 0} terms, with no
+product, no substitution on the row and no term map of H.  Each of the
+three sums is fixed per orbit: over the orbit of mu, prod_{j>=2} (b_j + 1)
+sums to the sum over the distinct parts v of mu of
 (the orderings of mu - v) * prod_{u in mu - v} (u + 1) (``_orbit_counts``).
-So the number of terms of S(x), and then the number the expansion makes,
-are held to the term cap before any term is listed.  H is linear in S, so
-its residual is the sum of S's coefficients on the m_mu times the residuals
-of the orbits (``_orbit_image``), and each orbit's terms x^b, b the
-orderings of mu, are expanded once per call, whatever the number of
-a-monomials it comes with.  At y = 1 the row's terms merge heavily (4332
-made for 383 distinct at bernoulli (12, 4)), so the residue relation
-instantiates S on x and on the row s_1 = (x_1, x_2 - x_1, ...) and sorts
-each term of the factor after M, whose exponents enter as offsets; a
-product by a monomial merges no terms, so H has as many terms as that
-factor.  Neither relation builds the m x m matrix.  Every call does this
-work afresh; only a family's source, which meets no term cap, is kept for
-the process, so a cap meets the same work whatever ran before.
 
-Both relations are one check, U_n = G for a known symmetric G (``_decide``).
-The zero relation (``verify_conjecture1``) has G = 0 at general y: U_n = 0
-exactly when Alt(H) = 0.  The residue relation (``verify_conjecture2``) has
-G the closed-form residue below at y = 1, times the source's denominator as
-H is; W G = Alt(M G) at y = 1, so U_n = G exactly when Alt(H - M pi(x) G) = 0,
-with H - M pi(x) G = M (S(x) - S(s_1) - pi(x) G) read off the same way, and
-an empty orbit residual certifies G.  A case that meets the term cap is
-resource-limited, with the cap's message under the stage that was running.
+At y = 1 the row is s_1 = (x_1, x_2 - x_1, ..., x_m - x_1), the y exponents
+drop out, and the pairs are (deg x_j, 0).  The same expansion gives the
+terms c prod_{j>=2} C(b_j, r_j) (-1)^r_j x_1^(b_1 + R) x_j^(b_j - r_j), and
+the one at r = 0 is c x^b, which cancels the term of S(x) itself
+(``_y_one_terms``).  pi(x) m_nu = m_(nu + 1^m), so the term of pi(x) G below
+is G's own monomial expansion shifted by one in every part, alternated
+with the same offsets (``_staircase_terms``).  The number of terms of S(x),
+and then the number the pass makes, the made counts of the distinct orbits
+of S (and at y = 1 the sizes of G's), are held to the term cap before any
+term is listed.  Neither relation builds the m x m matrix, forms S(s_1) or
+substitutes.  Every call does this work afresh; only a family's source,
+which meets no term cap, is kept for the process, so a cap meets the same
+work whatever ran before.
 
-Reference route: a raw MultiPoly in x that is symmetric in x_1..x_m is
-rewritten once in p_1..p_m and so takes the route above; one that is not,
-or a case the orbit residual does not prove, is decided from
-:func:`u_function`, U_n over the full product of denominators.  The zero
-relation holds when its numerator is 0, which is otherwise the witness; the
-residue relation divides the numerator by the denominator and converts the
-quotient to the power-sum basis, and the remainder, or a quotient that is
-not symmetric, is the witness.  Every verdict, a falsified one included,
-comes from one of these exact stages.
+Both relations are one check, U_n = G for a known symmetric G, in one stage,
+orbit-certificate (``_decide``).  The zero relation (``verify_conjecture1``)
+has G = 0 at general y: U_n = 0 exactly when Alt(H) = 0.  The residue
+relation (``verify_conjecture2``) has G the closed-form residue below at
+y = 1, times the source's denominator as H is; W G = Alt(M G) at y = 1, so
+U_n = G exactly when Alt(H - M pi(x) G) = 0, with
+H - M pi(x) G = M (S(x) - S(s_1) - pi(x) G) read off the same way, and an
+empty orbit residual certifies G.  A nonempty one falsifies the relation:
+over the source's denominator it is the witness, the sum of each
+coefficient times its sorted representative monomial and its monomial in
+the a_k (``_witness``), whose alternant is pi(x) W (U_n - G).  A case that
+meets the term cap is resource-limited, with the cap's message as the
+stage's detail.
+
+Reference form: :func:`u_function` builds U_n over the full product of
+denominators by substitution, for any polynomial in x, symmetric or not.
+Neither relation calls it: a raw MultiPoly they are given must be
+symmetric in x_1..x_m, or PreconditionError is raised, and is rewritten
+once in p_1..p_m.
 
 Residues in closed form: at y = 1, S(s_i) = F(x_i) with F(t) = S(t, x_1 - t,
 ..., x_m - t), and pi(s_i) = (-1)^(m-1) x_i prod_{j != i} (x_i - x_j), so the
@@ -136,17 +141,15 @@ m for all its keys, every other residue one of its own, and nothing outlives
 the call, so a term cap meets the same products whatever ran before.
 
 Sources: every accepted input becomes one ``_Source``, a single MultiPoly
-times the common denominator of its coefficients.  A registry family, the
-symbolic family, a power-sum key, a PowerSumExpansion and a raw MultiPoly
-symmetric in x_1..x_m are held in the power-sum variables p_k over Q[a]
-(families by ``families.bell_form``), which makes them symmetric by
-construction; any other raw MultiPoly stays in x as it stands.  A raw
-MultiPoly checked at m may hold x_1..x_m and the a_k alone.  A registry or
-the symbolic family's source is built once per (family, n) per process
-(``_family_source``).  A symmetric source reaches x_1..x_m through the
-monomial basis (``symmfunc.monomial_expansion``: the p -> m transition,
-Macdonald 1995, I.6), with no substitution; ``scaled`` substitutes the
-power sums of other components, the row s_1 at y = 1.
+in the power-sum variables p_k over Q[a], which makes it symmetric by
+construction, times the common denominator of its coefficients: a registry
+family or the symbolic family (by ``families.bell_form``), a power-sum key,
+a PowerSumExpansion, or a raw MultiPoly symmetric in x_1..x_m, which may
+hold x_1..x_m and the a_k alone.  A registry or the symbolic family's
+source is built once per (family, n) per process (``_family_source``).  A
+source reaches x_1..x_m through the monomial basis
+(``symmfunc.monomial_expansion``: the p -> m transition, Macdonald 1995,
+I.6), with no substitution.
 """
 
 from __future__ import annotations
@@ -168,7 +171,6 @@ from .polyring import (
     KIND_X,
     KIND_Y,
     MultiPoly,
-    NonDivisibleError,
     TermCapExceeded,
     VarId,
     _cap_error,
@@ -176,16 +178,12 @@ from .polyring import (
 )
 from .symmfunc import (
     PowerSumExpansion,
-    NotHomogeneousError,
-    NotSymmetricError,
     _normalize_coefficient,
     _orbit_size,
     _orderings,
-    in_variables,
     is_symmetric,
     monomial_expansion,
     power_sum_monomial,
-    power_sums_of,
     to_power_sum_basis,
     x_degrees,
 )
@@ -215,15 +213,10 @@ def build_s_matrix(m: int) -> tuple:
     return _symbolic_rows(m, False)[2]
 
 
-def _x_vector(m: int) -> tuple:
-    """x_1..x_m as MultiPoly."""
-    return tuple(MultiPoly.x(i) for i in range(1, m + 1))
-
-
 @lru_cache(maxsize=None)
 def _symbolic_rows(m: int, y_one: bool) -> tuple:
     """(xs, ys, rows): x_1..x_m, then y_1..y_m or m ones at y = 1, and the rows on them."""
-    xs = _x_vector(m)
+    xs = tuple(MultiPoly.x(i) for i in range(1, m + 1))
     ys = (1,) * m if y_one else tuple(MultiPoly.y(i) for i in range(1, m + 1))
     rows = tuple(
         tuple(xs[i] if i == j else ys[i] * xs[j] - ys[j] * xs[i] for j in range(m))
@@ -238,15 +231,13 @@ def _symbolic_rows(m: int, y_one: bool) -> tuple:
 
 
 class _Source:
-    """A degree-n polynomial that can be instantiated on x_1..x_m or on any
-    component vector.
+    """A degree-n symmetric polynomial, held in the power-sum variables p_k
+    over Q[a].
 
     ``poly`` is the polynomial times the common ``denominator`` of its
     coefficients, so every product runs on integral data and the
-    denominator is divided out once, at the end.  A symmetric input is held
-    in the power-sum variables p_k (and the a_k); a raw MultiPoly that is
-    not symmetric in x_1..x_m is held in x as it stands.  A source is never
-    changed once built, so a family's is shared (``_family_source``).
+    denominator is divided out once, at the end.  A source is never changed
+    once built, so a family's is shared (``_family_source``).
     """
 
     def __init__(self, n, label, poly, family=False):
@@ -254,30 +245,6 @@ class _Source:
         self.label = label
         self.family = family  # a registry or symbolic family: C1/C2, not C3
         self.poly, self.denominator = poly.integral_form()
-        variables = self.poly.variables()
-        # Held in the power sums and the a_k alone, so symmetric by construction.
-        self.symmetric = all(v.kind in (KIND_P, KIND_A) for v in variables)
-        self.in_x = any(v.kind == KIND_X for v in variables)  # a raw source
-        self.top = max((v.index for v in variables if v.kind == KIND_P), default=0)
-
-    def unscale(self, value):
-        """value / denominator, for a value built from ``scaled`` results."""
-        return value / self.denominator if self.denominator != 1 else value
-
-    def on_x(self, m: int) -> MultiPoly:
-        """denominator * S(x_1..x_m), by the monomial basis for a symmetric
-        source; a raw one is held in x already."""
-        return self.poly if self.in_x else in_variables(self.poly, m)
-
-    def scaled(self, comps: Sequence) -> MultiPoly:
-        """denominator * the polynomial at the MultiPoly components ``comps``
-        (substitution-matrix rows): integral for integral data.  Each p_k
-        becomes the k-th power sum of the components, each x_j the j-th
-        component.
-        """
-        point = {VarId(KIND_X, j): c for j, c in enumerate(comps, 1)}
-        point.update({VarId(KIND_P, k): s for k, s in enumerate(power_sums_of(comps, self.top), 1)})
-        return self.poly.substitute(point)
 
 
 def _raw_degree(poly: MultiPoly) -> int:
@@ -310,8 +277,8 @@ def _family_source(spec: Optional[FamilySpec], n: int) -> _Source:
 def _make_source(poly_source, n: int, m: Optional[int] = None) -> _Source:
     """Normalize the accepted source spellings into a _Source.
 
-    Given m, a raw MultiPoly may hold x_1..x_m and the a_k alone, and one
-    that is symmetric in x_1..x_m is rewritten once in p_1..p_m.
+    A raw MultiPoly needs m: it may hold x_1..x_m and the a_k alone, must be
+    symmetric in x_1..x_m, and is rewritten once in p_1..p_m.
     """
     if isinstance(poly_source, str) and poly_source.lower() == SYMBOLIC_NAME:
         source = _family_source(None, n)
@@ -326,14 +293,13 @@ def _make_source(poly_source, n: int, m: Optional[int] = None) -> _Source:
         check_vector(poly_source, weight)
         label = "P_" + "{" + ",".join(map(str, poly_source)) + "}"
         source = _Source(weight, label, power_sum_monomial(poly_source))
-    elif isinstance(poly_source, MultiPoly):
+    elif isinstance(poly_source, MultiPoly) and m is not None:
         # The zero polynomial is homogeneous of every degree.
         degree = _raw_degree(poly_source) if poly_source else n
-        poly = poly_source
-        if m is not None:
-            _check_raw_variables(poly, m)
-            if is_symmetric(poly, m):
-                poly = to_power_sum_basis(poly, m, max_part=m, weight=degree).in_power_sums()
+        _check_raw_variables(poly_source, m)
+        if not is_symmetric(poly_source, m):
+            raise PreconditionError(f"raw polynomial is not symmetric in x_1..x_{m}")
+        poly = to_power_sum_basis(poly_source, m, max_part=m, weight=degree).in_power_sums()
         source = _Source(degree, "raw", poly)
     else:
         raise TypeError(f"cannot interpret {poly_source!r} as a polynomial source")
@@ -415,10 +381,9 @@ def u_function(s_poly: MultiPoly, n: int, m: int, specialize_y: bool = False) ->
     generic substitution and combined over the full product denominator
     pi(x) * prod_i pi(s_i).  Term i is multiplied by the denominators before
     it, a running prefix product whose last entry is the denominator, and by
-    those after it, a running suffix product.  It is the reference route: the
-    relations use it only for a raw input that is not symmetric, or a case
-    the orbit residual does not prove.  ``s_poly`` may hold x_1..x_m and the
-    a_k alone.
+    those after it, a running suffix product.  Neither relation calls it:
+    it is the slow reference form of U_n, for a polynomial symmetric or
+    not.  ``s_poly`` may hold x_1..x_m and the a_k alone.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -459,34 +424,6 @@ def u_function(s_poly: MultiPoly, n: int, m: int, specialize_y: bool = False) ->
 # ---------------------------------------------------------------------------
 
 
-def _orbit_residual(poly: MultiPoly, m: int, offsets: Optional[Sequence] = None) -> dict:
-    """The coefficients of Alt(t * poly) on sorted orbit representatives, t
-    the monomial prod_j x_j^dx_j y_j^dy_j of the pairs ``offsets`` =
-    ((dx_1, dy_1), ..., (dx_m, dy_m)), or 1 when it is None.
-
-    t * poly is never formed: t's pairs are added to each term's exponent
-    pairs (deg x_j, deg y_j), j = 1..m, and the term goes through
-    ``_alternate``.  Alt(t * poly) = 0 exactly when every key's signed sum
-    is 0, which leaves the result empty.
-    """
-    x_base, y_base = zip(*offsets) if offsets is not None else ((0,) * m, (0,) * m)
-    residual: dict = {}
-    for mono, coeff in poly.terms.items():
-        x_exps = list(x_base)
-        y_exps = list(y_base)
-        rest = ()  # x and y lead every monomial (x < y < a < p)
-        for pos, (var, e) in enumerate(mono):
-            if var.kind == KIND_X:
-                x_exps[var.index - 1] += e
-            elif var.kind == KIND_Y:
-                y_exps[var.index - 1] += e
-            else:
-                rest = mono[pos:]
-                break
-        _alternate(residual, list(zip(x_exps, y_exps)), rest, coeff)
-    return {key: c for key, c in residual.items() if c}
-
-
 def _alternate(residual: dict, pairs: list, rest: tuple, coeff) -> None:
     """Add Alt of one term to ``residual``: nothing when two of its exponent
     ``pairs`` are equal, and otherwise sgn(g) * coeff on the key of its pairs
@@ -510,59 +447,61 @@ def _alternate(residual: dict, pairs: list, rest: tuple, coeff) -> None:
 
 
 def _certificate(source: _Source, m: int, residue: Optional[PowerSumExpansion]) -> tuple:
-    """(terms, residual): the term count and orbit residual of H, whose
+    """(terms, residual): a term count and the orbit residual of H, whose
     alternant is pi(x) * W * (U_n - G) times the source's denominator, so the
     residual is empty exactly when U_n = G.
 
-    With ``residue`` None, G = 0 and H = M * y_1^e * (y_1^n * S(x) - S(s_1))
-    at general y, e = m - n - 1, read off S(x) in the monomial basis alone
-    by ``_row_expansion_certificate``.  Otherwise H = M * (S(x) - S(s_1) -
-    pi(x) * G) at y = 1, and only the factor after M is formed: its exponents
-    enter ``_orbit_residual`` as offsets, and a product by one monomial
-    merges no terms, so H has as many terms as that factor.
+    S(x) is read in the monomial basis.  With ``residue`` None, G = 0 and
+    H = M * y_1^e * (y_1^n * S(x) - S(s_1)) at general y, e = m - n - 1, and
+    the count is H's number of terms.  Otherwise H = M * (S(x) - S(s_1) -
+    pi(x) * G) at y = 1: pi(x) * m_nu = m_(nu + 1^m), so G's own monomial
+    expansion, shifted by one in every part, enters as a second expansion,
+    and the count is the number of terms the pass makes.
     """
+    expansion = monomial_expansion(source.poly, m)
     if residue is None:
-        return _row_expansion_certificate(monomial_expansion(source.poly, m), m)
-    xs = _x_vector(m)
-    row = (xs[0],) + tuple(x - xs[0] for x in xs[1:])
-    pi_x = prod(xs, start=MultiPoly.one())
-    g = residue.to_polynomial() * source.denominator
-    poly = source.on_x(m) - source.scaled(row) - pi_x * g
-    return len(poly), _orbit_residual(poly, m, [(j, 0) for j in range(m)])
+        counts = {mu: _orbit_counts(mu) for bucket in expansion.values() for mu in bucket}
+        terms = sum(
+            size + row - 2 * free_of_x1
+            for bucket in expansion.values()
+            for size, row, free_of_x1 in map(counts.__getitem__, bucket)
+        )
+        made = sum(row for _, row, _ in counts.values())
+        return terms, _weigh(made, [(expansion, _row_terms)], m)
+    shifted = {
+        rest: {tuple(v + 1 for v in nu): -c * source.denominator for nu, c in bucket.items()}
+        for rest, bucket in monomial_expansion(residue.in_power_sums(), m).items()
+    }
+    made = sum(_orbit_counts(mu)[1] for mu in set().union(*expansion.values()))
+    made += sum(map(_orbit_size, set().union(*shifted.values())))
+    return made, _weigh(made, [(expansion, _y_one_terms), (shifted, _staircase_terms)], m)
 
 
-def _row_expansion_certificate(expansion: dict, m: int) -> tuple:
-    """(terms, residual) of H = M * y_1^e * (y_1^n * S(x) - S(s_1)), e = m - n - 1,
-    from S(x) in the monomial basis, {monomial in the a_k: {mu: coefficient}}
-    as ``symmfunc.monomial_expansion`` gives it.  The counts of the closed
-    form in the module docstring are summed per orbit (``_orbit_counts``),
-    and the number of terms made is held to the term cap before any term of
-    S(x) is listed.  H is linear in S, so its residual is the sum of the
-    coefficients times the residuals of the orbits (``_orbit_image``).
+def _weigh(made: int, parts: list, m: int) -> dict:
+    """The orbit residual of the sum over ``parts``, each (expansion, terms):
+    an expansion {monomial in the a_k: {mu: coefficient}} as
+    ``symmfunc.monomial_expansion`` gives it, whose m_mu each stand for the
+    orbit residual ``_orbit_image(mu, m, terms)``.  H is linear in S, so its
+    residual is the sum of the coefficients times the residuals of the
+    orbits, and each is made once per call, whatever the number of
+    a-monomials it comes with.  ``made``, the number of terms those images
+    make, is held to the term cap before any term is listed.
     """
-    length = made = cancelled = 0
-    for bucket in expansion.values():
-        for mu in bucket:
-            size, row_terms, free_of_x1 = _orbit_counts(mu)
-            length += size
-            made += row_terms
-            cancelled += free_of_x1
     cap = get_term_cap()
     if made > cap:
         raise TermCapExceeded(f"row expansion of {made} terms exceeds the cap of {cap}")
-    images: dict = {}  # mu -> _orbit_image(mu, m), shared by the a-monomials
-    residual: dict = {}
-    for rest, bucket in expansion.items():
-        # No key is shared across a-monomials, so each one's residual is final.
-        part: dict = {}
-        get = part.get
-        for mu, coeff in bucket.items():
-            if mu not in images:
-                images[mu] = _orbit_image(mu, m)
-            for pairs, c in images[mu]:
-                part[pairs] = get(pairs, 0) + coeff * c
-        residual.update(((pairs, rest), c) for pairs, c in part.items() if c)
-    return length + made - 2 * cancelled, residual
+    by_rest: dict = {}  # monomial in the a_k -> its part of the residual
+    for expansion, terms in parts:
+        images: dict = {}  # mu -> _orbit_image(mu, m, terms), shared by the a-monomials
+        for rest, bucket in expansion.items():
+            part = by_rest.setdefault(rest, {})
+            get = part.get
+            for mu, coeff in bucket.items():
+                if mu not in images:
+                    images[mu] = _orbit_image(mu, m, terms)
+                for pairs, c in images[mu]:
+                    part[pairs] = get(pairs, 0) + coeff * c
+    return {(pairs, rest): c for rest, part in by_rest.items() for pairs, c in part.items() if c}
 
 
 def _orbit_counts(mu: tuple) -> tuple:
@@ -584,12 +523,14 @@ def _orbit_counts(mu: tuple) -> tuple:
     return _orbit_size(mu), made, cancelled
 
 
-def _orbit_image(mu: tuple, m: int) -> tuple:
-    """The orbit residual of H for S = m_mu, as (sorted pairs, int) items,
-    from the terms x^b of m_mu, b the orderings of mu, by ``_row_terms``."""
+def _orbit_image(mu: tuple, m: int, terms) -> tuple:
+    """The orbit residual of H for S = m_mu, as (sorted pairs, coefficient)
+    items, from the terms x^b of m_mu, b the orderings of mu, each sent
+    through ``terms``: ``_row_terms`` at general y, ``_y_one_terms`` at
+    y = 1, ``_staircase_terms`` for the G term."""
     part: dict = {}
     for b in _orderings(mu):
-        _row_terms(part, b, 1, m)
+        terms(part, b, 1, m)
     return tuple((pairs, c) for (pairs, _), c in part.items() if c)
 
 
@@ -624,6 +565,60 @@ def _row_terms(part: dict, b: Sequence, coeff, m: int) -> None:
             _alternate(part, pairs, (), c)
 
 
+def _y_one_terms(part: dict, b: Sequence, coeff, m: int) -> None:
+    """Add to the orbit residual ``part`` the terms of M * coeff * (x^b -
+    x^b(s_1)) at y = 1, s_1 = (x_1, x_2 - x_1, ..., x_m - x_1).  By the
+    binomial theorem x^b(s_1) is the sum over 0 <= r_j <= b_j of
+    prod_{j>=2} C(b_j, r_j) (-1)^r_j x_1^(b_1 + R) x_j^(b_j - r_j),
+    R = sum r_j, and its r = 0 term is x^b, which cancels.  Each term, M's
+    exponent j - 1 added to that of x_j, is sent through ``_alternate`` with
+    the pairs (deg x_j, 0) as it is made."""
+    b_1 = b[0]
+    exponents = [b_1] + list(range(1, m))
+    # Only the x_j with b_j > 0 have a choice of r_j.  A choice that repeats
+    # an exponent, one of theirs or the j - 1 of an x_j with b_j = 0,
+    # alternates to 0 whatever the other r_j, so it is dropped at once.
+    moving = [j for j in range(1, m) if b[j]]
+    fixed = set(range(1, m)).difference(moving)
+    partial = [((), 0, -coeff)]  # (their exponents so far, R so far, coefficient)
+    for j in moving:
+        e = b[j]
+        choices = [(e - r + j, r, (-1) ** r * comb(e, r)) for r in range(e + 1) if e - r + j not in fixed]
+        partial = [
+            (tail + (x,), shift + r, c * f)
+            for tail, shift, c in partial
+            for x, r, f in choices
+            if x not in tail
+        ]
+    for tail, shift, c in partial:
+        if shift:
+            exponents[0] = b_1 + shift
+            for j, x in zip(moving, tail):
+                exponents[j] = x
+            _alternate(part, [(x, 0) for x in exponents], (), c)
+
+
+def _staircase_terms(part: dict, b: Sequence, coeff, m: int) -> None:
+    """Add to the orbit residual ``part`` the term M * coeff * x^b at y = 1,
+    M's exponent j - 1 added to that of x_j."""
+    _alternate(part, [(v + j, 0) for j, v in enumerate(b)], (), coeff)
+
+
+def _witness(residual: dict, denominator: int) -> MultiPoly:
+    """The orbit residual over the source's denominator, as the polynomial
+    sum of each coefficient times its sorted representative monomial
+    prod_j x_j^dx_j y_j^dy_j and its monomial in the a_k."""
+    return MultiPoly(
+        (
+            [(VarId(KIND_X, j), dx) for j, (dx, _) in enumerate(pairs, 1)]
+            + [(VarId(KIND_Y, j), dy) for j, (_, dy) in enumerate(pairs, 1)]
+            + list(rest),
+            Fraction(c) / denominator,
+        )
+        for (pairs, rest), c in residual.items()
+    )
+
+
 # ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------
@@ -632,10 +627,10 @@ def _row_terms(part: dict, b: Sequence, coeff, m: int) -> None:
 def verify_conjecture1(poly_source, n: int, m: int) -> RelationReport:
     """Check that U_n vanishes identically in the regime 0 <= n <= m-1.
 
-    Every verdict is exact.  A source held in the power sums is decided on
-    the orbit representatives of the numerator's alternant; a raw source
-    that is not symmetric, or a nonzero residual, is decided by the
-    numerator of :func:`u_function`, which is then the witness.
+    Every verdict is exact: U_n = 0 exactly when the orbit residual of the
+    numerator's alternant is empty, and a nonempty one, over the source's
+    denominator, is the witness.  A raw MultiPoly that is not symmetric in
+    x_1..x_m raises PreconditionError.
     """
     if m < 1:
         raise PreconditionError("m must be >= 1")
@@ -650,13 +645,11 @@ def verify_conjecture1(poly_source, n: int, m: int) -> RelationReport:
 def verify_conjecture2(poly_source, n: int, m: int) -> RelationReport:
     """Check that U_n at y = 1 is a symmetric polynomial of degree n - m.
 
-    For a source held in the power sums, the closed-form residue G is
-    certified by an empty orbit residual of H - M * pi(x) * G and returned
-    as it is.  A raw source that is not symmetric, or a nonzero residual, is
-    decided by :func:`u_function`: its numerator is divided by its
-    denominator, and a nonzero remainder, or a quotient that is not
-    symmetric, is the witness.  On success the residue is returned in the
-    power-sum basis with parts <= m.
+    The closed-form residue G is certified by an empty orbit residual of
+    H - M * pi(x) * G and returned in the power-sum basis with parts <= m;
+    a nonempty residual, over the source's denominator, is the witness.  A
+    raw MultiPoly that is not symmetric in x_1..x_m raises
+    PreconditionError.
     """
     if m < 1:
         raise PreconditionError("m must be >= 1")
@@ -669,48 +662,26 @@ def verify_conjecture2(poly_source, n: int, m: int) -> RelationReport:
 
 
 def _decide(source: _Source, m: int, zero: bool) -> RelationReport:
-    """Decide U_n = G, G = 0 for the zero relation, exactly, through the
-    stages that apply: orbit-certificate (a source held in the power sums),
-    expand, then divide and basis (residue relation)."""
-    n = source.n
+    """Decide U_n = G, G = 0 for the zero relation, exactly, in the one
+    stage orbit-certificate."""
     family, raw = ("C1", "C3-zero") if zero else ("C2", "C3-poly")
-    report = RelationReport(family if source.family else raw, n, m, source.label, "unknown")
+    report = RelationReport(family if source.family else raw, source.n, m, source.label, "unknown")
     try:
-        if source.symmetric:
-            with _stage(report, "orbit-certificate") as stage:
-                residue = None if zero else _y_one_residue(source, m)
-                terms, residual = _certificate(source, m, residue)
-                if residual:
-                    stage.detail = f"{len(residual)} orbit representatives left; reference route"
-                elif zero:
-                    stage.detail = f"Alt(H) = 0 on {terms} terms"
-                else:
-                    stage.detail = f"closed-form residue G; Alt(H - M*pi(x)*G) = 0 on {terms} terms"
-            if not residual:
-                return _close(report, extracted=residue)
-        with _stage(report, "expand") as stage:
-            s_poly = source.unscale(source.on_x(m))
-            u = u_function(s_poly, n, m, specialize_y=not zero)
-            stage.detail = f"{len(u.numerator)} numerator terms"
-        if zero:
-            return _close(report, None if u.numerator.is_zero() else u.numerator)
-        with _stage(report, "divide") as stage:
-            try:
-                quotient = u.numerator.exact_divide(u.denominator)
-            except NonDivisibleError as exc:
-                stage.detail = "nonzero remainder"
-                return _close(report, exc.remainder)
-            stage.detail = f"{len(quotient)} quotient terms"
-        try:
-            with _stage(report, "basis") as stage:
-                extracted = to_power_sum_basis(quotient, m, max_part=m, weight=n - m)
-                stage.detail = f"{len(extracted.coefficients)} basis keys"
-        except (NotHomogeneousError, NotSymmetricError):
-            return _close(report, quotient)
-        return _close(report, extracted=extracted)
+        with _stage(report, "orbit-certificate") as stage:
+            residue = None if zero else _y_one_residue(source, m)
+            terms, residual = _certificate(source, m, residue)
+            if residual:
+                stage.detail = f"{len(residual)} orbit representatives left"
+            elif zero:
+                stage.detail = f"Alt(H) = 0 on {terms} terms"
+            else:
+                stage.detail = f"closed-form residue G; Alt(H - M*pi(x)*G) = 0 on {terms} terms"
     except TermCapExceeded:
         report.verdict = "resource-limited"
         return report
+    if residual:
+        return _close(report, _witness(residual, source.denominator))
+    return _close(report, extracted=residue)
 
 
 @contextmanager

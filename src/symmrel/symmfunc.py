@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, isqrt, lcm
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from .partitions import ExponentVector, exponent_vectors, vector_weight
 from .polyring import KIND_A, KIND_P, KIND_X, MultiPoly, TermCapExceeded, VarId, get_term_cap
@@ -140,23 +140,6 @@ def power_sum(k: int, m: int) -> MultiPoly:
 def power_sum_product(k: ExponentVector, m: int) -> MultiPoly:
     """The expanded product p_1^k_1 * p_2^k_2 * ... over m variables."""
     return in_variables(power_sum_monomial(k), m)
-
-
-def power_sums_of(values: Sequence, up_to: int):
-    """Power sums p_1..p_up_to of an explicit component vector.
-
-    Components may be MultiPoly (rows of a substitution matrix) or exact
-    rationals (numeric evaluation); the result list is 1-indexed via
-    position 0 holding p_1.
-    """
-    if up_to < 1:
-        return []
-    powers = list(values)
-    sums = [sum(powers[1:], powers[0])]
-    for _ in range(2, up_to + 1):
-        powers = [p * v for p, v in zip(powers, values)]
-        sums.append(sum(powers[1:], powers[0]))
-    return sums
 
 
 def power_sum_monomial(k: ExponentVector) -> MultiPoly:
@@ -306,17 +289,19 @@ def in_variables(form: MultiPoly, m: int) -> MultiPoly:
 def is_symmetric(p: MultiPoly, m: int) -> bool:
     """Check invariance under x_1<->x_2 and the full cycle x_1->x_2->...->x_1.
 
-    The two substitutions generate the symmetric group, so this is a
-    complete symmetry test with two substitutions instead of m!.
+    The two permutations generate the symmetric group, so this is a
+    complete symmetry test with two renamings of the x_j instead of m!.
     """
     if m == 1:
         return True
-    x = [VarId(KIND_X, i) for i in range(1, m + 1)]
-    swap = {x[0]: MultiPoly.variable(x[1]), x[1]: MultiPoly.variable(x[0])}
-    if p.substitute(swap) != p:
-        return False
-    cycle = {x[i]: MultiPoly.variable(x[(i + 1) % m]) for i in range(m)}
-    return p.substitute(cycle) == p
+    for image in ({1: 2, 2: 1}, {i: i % m + 1 for i in range(1, m + 1)}):
+        renamed = MultiPoly(
+            (tuple((VarId(KIND_X, image.get(v.index, v.index)) if v.kind == KIND_X else v, e) for v, e in mono), c)
+            for mono, c in p.terms.items()
+        )
+        if renamed != p:
+            return False
+    return True
 
 
 def x_degrees(p: MultiPoly) -> set:

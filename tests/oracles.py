@@ -29,13 +29,19 @@
 * :func:`sequential_ratfunc_combine` -- fractions combined over the product
   of their denominators one product at a time, against which the running
   prefix and suffix products of ``relations.u_function`` are checked;
-* :func:`alternate` -- the full signed sum over S_m, against which the
-  orbit-representative residual in ``relations._orbit_residual`` is checked;
-* :func:`alternant_term` and :func:`orbit_certificate` -- the polynomial H
+* :func:`power_sums_of` and :func:`scaled` -- a source instantiated on any
+  component vector by substituting the power sums of the components, the
+  row s_1 at y = 1 included, against which the monomial-basis route of
+  ``relations._certificate`` is checked;
+* :func:`alternate` -- the full signed sum over S_m, and
+  :func:`orbit_residual` -- its coefficients on sorted orbit
+  representatives, term by term through ``relations._alternate``;
+* :func:`alternant_term`, :func:`certified_term` and
+  :func:`orbit_certificate` -- the polynomial H
   whose alternant is the numerator of U_n (minus that of the residue G),
-  formed with the staircase monomial multiplied in one product at a time,
-  and its term count and orbit residual, against which
-  ``relations._certificate``, which forms neither H nor, at general y,
+  formed with the staircase monomial multiplied in one product at a time
+  and S(s_1) by substitution, and its term count and orbit residual,
+  against which ``relations._certificate``, which forms neither H nor
   S(s_1), is checked;
 * :func:`euler_poly_at_zero` -- E_n(0) from the Bernoulli numbers by DLMF
   §24.4, a cross-check of the Euler stream in ``families``;
@@ -57,7 +63,7 @@ from typing import NamedTuple, Sequence
 from symmrel.exactnum import bernoulli_numbers
 from symmrel.partitions import exponent_vectors
 from symmrel.polyring import KIND_A, KIND_P, KIND_X, KIND_Y, MultiPoly, VarId
-from symmrel.relations import _orbit_residual, _symbolic_rows, build_s_matrix
+from symmrel.relations import _alternate, _symbolic_rows, build_s_matrix
 from symmrel.symmfunc import (
     NotRepresentableError,
     PowerSumExpansion,
@@ -106,6 +112,37 @@ def substituted_in_variables(form: MultiPoly, m: int) -> MultiPoly:
     return integral.substitute(sums) / denominator
 
 
+def power_sums_of(values: Sequence, up_to: int) -> list:
+    """Power sums p_1..p_up_to of an explicit component vector, p_1 first.
+
+    Components may be MultiPoly (rows of a substitution matrix) or exact
+    rationals.
+    """
+    if up_to < 1:
+        return []
+    powers = list(values)
+    sums = [sum(powers[1:], powers[0])]
+    for _ in range(2, up_to + 1):
+        powers = [p * v for p, v in zip(powers, values)]
+        sums.append(sum(powers[1:], powers[0]))
+    return sums
+
+
+def _top_power_sum(source) -> int:
+    """The largest k of a power sum p_k in the source, 0 if it has none."""
+    return max((v.index for v in source.poly.variables() if v.kind == KIND_P), default=0)
+
+
+def scaled(source, comps: Sequence) -> MultiPoly:
+    """The source's denominator times the source at the MultiPoly components
+    ``comps`` (substitution-matrix rows), integral for integral data: each
+    p_k becomes the k-th power sum of the components, each x_j the j-th
+    component."""
+    point = {VarId(KIND_X, j): c for j, c in enumerate(comps, 1)}
+    point.update({VarId(KIND_P, k): s for k, s in enumerate(power_sums_of(comps, _top_power_sum(source)), 1)})
+    return source.poly.substitute(point)
+
+
 def untruncated_residue(source, m: int):
     """U_n at y = 1 for a relations source held in the power sums, with F(t)
     formed in full before the parts the closed form keeps are picked out.
@@ -117,10 +154,11 @@ def untruncated_residue(source, m: int):
     """
     t_var = VarId(KIND_Y, 1)
     t = MultiPoly.variable(t_var)
-    p = [MultiPoly.constant(m)] + [power_sum_in(r, m) for r in range(1, source.top + 1)]
+    top = _top_power_sum(source)
+    p = [MultiPoly.constant(m)] + [power_sum_in(r, m) for r in range(1, top + 1)]
     shifted = {
         VarId(KIND_P, k): sum((comb(k, r) * (-t) ** (k - r) * p[r] for r in range(k + 1)), t**k)
-        for k in range(1, source.top + 1)
+        for k in range(1, top + 1)
     }
     by_power: dict = {}
     for mono, coeff in source.poly.substitute(shifted).terms.items():
@@ -194,7 +232,7 @@ def x_variable_residue(source, m: int):
     t = MultiPoly.variable(t_var)
     comps = [t] + [MultiPoly.x(i) - t for i in range(1, m + 1)]
     by_power: dict = {}
-    for mono, coeff in source.scaled(comps).terms.items():
+    for mono, coeff in scaled(source, comps).terms.items():
         e = dict(mono).get(t_var, 0)
         if e >= m:
             by_power.setdefault(e, {})[tuple(f for f in mono if f[0] != t_var)] = coeff
@@ -202,7 +240,7 @@ def x_variable_residue(source, m: int):
         (MultiPoly(terms) * complete_homogeneous(e - m, m) for e, terms in by_power.items()),
         MultiPoly.zero(),
     )
-    residue = source.unscale(-residue if m % 2 else residue)
+    residue = (-residue if m % 2 else residue) / source.denominator
     return to_power_sum_basis(residue, m, max_part=m, weight=source.n - m)
 
 
@@ -250,13 +288,13 @@ def lcd_frame(m: int, y_one: bool) -> LcdFrame:
 
 def lcd_numerator(source, frame: LcdFrame, exponent: int) -> MultiPoly:
     """S(x) * W - sum_i (-1)^(i-1) * y_i^exponent * S(s_i) * c_i, one product at a time."""
-    total = source.scaled(frame.xs) * frame.pair_product
+    total = scaled(source, frame.xs) * frame.pair_product
     for i, (row, cofactor) in enumerate(zip(frame.rows, frame.cofactors)):
-        term = source.scaled(row) * cofactor
+        term = scaled(source, row) * cofactor
         if exponent:
             term = term * frame.ys[i] ** exponent
         total = total - term if i % 2 == 0 else total + term
-    return source.unscale(total)
+    return total / source.denominator
 
 
 def lcd_residue(source, m: int):
@@ -312,6 +350,28 @@ def sequential_ratfunc_combine(parts: Sequence) -> tuple:
     return numerator, prod(denominators, start=MultiPoly.one())
 
 
+def orbit_residual(poly: MultiPoly, m: int) -> dict:
+    """The coefficients of Alt(poly) on sorted orbit representatives, each
+    term sent through ``relations._alternate`` with its exponent pairs
+    (deg x_j, deg y_j), j = 1..m.  Alt(poly) = 0 exactly when every key's
+    signed sum is 0, which leaves the result empty."""
+    residual: dict = {}
+    for mono, coeff in poly.terms.items():
+        x_exps = [0] * m
+        y_exps = [0] * m
+        rest = ()  # x and y lead every monomial (x < y < a < p)
+        for pos, (var, e) in enumerate(mono):
+            if var.kind == KIND_X:
+                x_exps[var.index - 1] += e
+            elif var.kind == KIND_Y:
+                y_exps[var.index - 1] += e
+            else:
+                rest = mono[pos:]
+                break
+        _alternate(residual, list(zip(x_exps, y_exps)), rest, coeff)
+    return {key: c for key, c in residual.items() if c}
+
+
 def alternate(poly: MultiPoly, m: int) -> MultiPoly:
     """Alt(poly) = sum over g in S_m of sgn(g) * g(poly), where g sends x_j to
     x_g(j) and y_j to y_g(j) together and leaves every other variable alone."""
@@ -342,23 +402,26 @@ def alternant_term(source, m: int, y_one: bool, exponent: int) -> MultiPoly:
         (xs[j] ** j * ys[j] ** (m - 1 - j) for j in range(1, m)), start=MultiPoly.one()
     )
     return (
-        staircase * ys[0] ** (m - 1) * source.scaled(xs)
-        - staircase * ys[0] ** exponent * source.scaled(rows[0])
+        staircase * ys[0] ** (m - 1) * scaled(source, xs)
+        - staircase * ys[0] ** exponent * scaled(source, rows[0])
     )
 
 
-def orbit_certificate(source, m: int, residue) -> tuple:
-    """(len(H), _orbit_residual(H, m)) with H formed in full: the alternant
-    term at general y with e = m - n - 1 when ``residue`` is None, and
-    otherwise the one at y = 1 minus M * pi(x) * G, G the residue times the
-    source's denominator."""
+def certified_term(source, m: int, residue) -> MultiPoly:
+    """H formed in full: the alternant term at general y with
+    e = m - n - 1 when ``residue`` is None, and otherwise the one at y = 1
+    minus M * pi(x) * G, G the residue times the source's denominator."""
     if residue is None:
-        poly = alternant_term(source, m, False, m - source.n - 1)
-    else:
-        xs = _symbolic_rows(m, True)[0]
-        weight = prod((x ** (j + 1) for j, x in enumerate(xs)), start=MultiPoly.one())
-        poly = alternant_term(source, m, True, 0) - weight * residue.to_polynomial() * source.denominator
-    return len(poly), _orbit_residual(poly, m)
+        return alternant_term(source, m, False, m - source.n - 1)
+    xs = _symbolic_rows(m, True)[0]
+    weight = prod((x ** (j + 1) for j, x in enumerate(xs)), start=MultiPoly.one())
+    return alternant_term(source, m, True, 0) - weight * residue.to_polynomial() * source.denominator
+
+
+def orbit_certificate(source, m: int, residue) -> tuple:
+    """(len(H), orbit_residual(H, m)) for H = ``certified_term``."""
+    poly = certified_term(source, m, residue)
+    return len(poly), orbit_residual(poly, m)
 
 
 def euler_poly_at_zero(n_max: int) -> list:

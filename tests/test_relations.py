@@ -31,10 +31,9 @@ from symmrel.polyring import (
 from symmrel.relations import (
     PreconditionError,
     _ResidueEngine,
+    _Source,
     _certificate,
     _make_source,
-    _orbit_residual,
-    _row_expansion_certificate,
     _row_terms,
     _symbolic_rows,
     _y_one_residue,
@@ -58,12 +57,15 @@ from oracles import (
     alternant_term,
     alternate,
     bell_family_polynomial,
+    certified_term,
     complete_homogeneous,
     lcd_frame,
     lcd_numerator,
     lcd_residue,
     orbit_certificate,
+    orbit_residual,
     read_power_sums,
+    scaled,
     u_at_point,
     untruncated_residue,
     x_variable_residue,
@@ -132,7 +134,7 @@ class TestFrame:
         ]
         nonzero = 0
         for spec, n, m, y_one in cases:
-            poly = _instantiate(_make_source(spec, n), _x_vars(m))
+            poly = _instantiate(_held(spec, n), _x_vars(m))
             u = u_function(poly, n, m, specialize_y=y_one)
             symmetric = y_one and isinstance(spec, str)
             residue = verify_conjecture2(spec, n, m).extracted if symmetric else None
@@ -154,7 +156,8 @@ class TestFrame:
     def test_numerator_products_stay_integral(self, monkeypatch, name, n, m):
         # The orbit certificate is built on the source's integral form: every
         # step of the p -> m transition and every coefficient of S(x) in the
-        # monomial basis is an int, and no polynomial product is formed.
+        # monomial basis that the weighting loop reads is an int, and no
+        # polynomial product is formed.
         step = symmfunc._times_power_sum
         seen, products = [], []
 
@@ -163,11 +166,12 @@ class TestFrame:
             seen.append(all(type(c) is int for c in (*by_nu.values(), *out.values())))
             return out
 
-        expansion = relations._row_expansion_certificate
+        weigh = relations._weigh
 
-        def spy_expansion(s_x, m):
-            seen.append(all(type(c) is int for bucket in s_x.values() for c in bucket.values()))
-            return expansion(s_x, m)
+        def spy_weigh(made, parts, m):
+            for s_x, _ in parts:
+                seen.append(all(type(c) is int for bucket in s_x.values() for c in bucket.values()))
+            return weigh(made, parts, m)
 
         def refuse(a, b):
             products.append((a, b))
@@ -175,7 +179,7 @@ class TestFrame:
 
         assert _make_source(name, n).denominator > 1
         monkeypatch.setattr(symmfunc, "_times_power_sum", spy)
-        monkeypatch.setattr(relations, "_row_expansion_certificate", spy_expansion)
+        monkeypatch.setattr(relations, "_weigh", spy_weigh)
         monkeypatch.setattr(MultiPoly, "__mul__", refuse)
         monkeypatch.setattr(MultiPoly, "__rmul__", refuse)
         report = verify_conjecture1(name, n, m)
@@ -202,14 +206,18 @@ class TestFrame:
         assert bool(nonzero) == (y_one and spec != "bernoulli")
 
     def test_raw_source_witness_matches_sequential_products(self):
-        # A non-symmetric C3 source: the witness is the numerator of
-        # u_function, which sums the products one at a time.
+        # A raw source that is not symmetric is refused by the zero relation
+        # before any stage runs.  Its U_n is not 0: the numerator of
+        # u_function, which sums the products one at a time, is the
+        # oracle's over pi(x) * W, by cross-multiplication.
         raw = x1**2 - F(1, 3) * x1 * x2 + 2 * MultiPoly.x(3) ** 2
-        report = verify_conjecture1(raw, 2, 3)
-        assert (report.conjecture_id, report.verdict) == ("C3-zero", "falsified")
-        expected = u_function(raw, 2, 3).numerator
-        assert str(report.witness) == str(expected) != "0"
-        assert report.stages[-1].detail == f"{len(expected)} numerator terms"
+        with pytest.raises(PreconditionError, match="not symmetric in x_1..x_3"):
+            verify_conjecture1(raw, 2, 3)
+        u = u_function(raw, 2, 3)
+        frame = lcd_frame(3, False)
+        expected = lcd_numerator(_held(raw, 2), frame, 0)
+        assert u.numerator * frame.pi_x * frame.pair_product == expected * u.denominator
+        assert not expected.is_zero()
 
 
 def _zero_relation_source(spec, n, m):
@@ -239,8 +247,8 @@ class TestOrbitResidual:
                     for e in {0} if y_one else {e for e in (0, 1, 2, m - n - 1) if e >= 0}:
                         term = alternant_term(source, m, y_one, e)
                         expected = lcd_numerator(source, frame, e)
-                        assert source.unscale(alternate(term, m)) == expected, (m, n, e, y_one)
-                        assert (not _orbit_residual(term, m)) == expected.is_zero(), (m, n, e)
+                        assert alternate(term, m) / source.denominator == expected, (m, n, e, y_one)
+                        assert (not orbit_residual(term, m)) == expected.is_zero(), (m, n, e)
                         counts[expected.is_zero()] += 1
         assert counts[True] and counts[False]
 
@@ -249,19 +257,19 @@ class TestOrbitResidual:
         # pairs ((1, 0), (0, 1)); x_2 y_1 is the same orbit with the opposite
         # sign, and x_1 x_2 has two equal pairs.
         a1 = MultiPoly.a(1)
-        assert _orbit_residual(x1 * y2, 2) == {(((1, 0), (0, 1)), ()): 1}
-        assert _orbit_residual(x1 * y2 + x2 * y1, 2) == {}
-        assert _orbit_residual(x1 * y2 - x2 * y1, 2) == {(((1, 0), (0, 1)), ()): 2}
-        assert _orbit_residual(x1 * x2 * a1, 2) == {}
+        assert orbit_residual(x1 * y2, 2) == {(((1, 0), (0, 1)), ()): 1}
+        assert orbit_residual(x1 * y2 + x2 * y1, 2) == {}
+        assert orbit_residual(x1 * y2 - x2 * y1, 2) == {(((1, 0), (0, 1)), ()): 2}
+        assert orbit_residual(x1 * x2 * a1, 2) == {}
         # x_2 x_3^2 a_1: sorting (0, 0), (1, 0), (2, 0) takes three swaps.
         key = (((2, 0), (1, 0), (0, 0)), ((VarId(KIND_A, 1), 1),))
-        assert _orbit_residual(x2 * MultiPoly.x(3) ** 2 * a1, 3) == {key: -1}
+        assert orbit_residual(x2 * MultiPoly.x(3) ** 2 * a1, 3) == {key: -1}
 
 
 class TestCertificateAgainstOracle:
     """``_certificate`` adds the staircase monomial's exponents to each term
-    as it sorts, without forming H: its term count and orbit residual equal
-    those of H formed in full by the oracle."""
+    as it sorts, without forming H: its orbit residual equals that of H
+    formed in full by the oracle, and so does its term count at general y."""
 
     def test_every_zero_sweep_case(self):
         # The 8 families at m = 2..5 and symbolic at m = 2..4, n = 0..m-1.
@@ -277,15 +285,30 @@ class TestCertificateAgainstOracle:
         assert cases == 121
 
     def test_residue_relation_for_every_family(self):
-        # C2 at m = 2..4 over the CLI's default degrees n = m..8.
+        # C2 at m = 2..4 over the CLI's default degrees n = m..8: the residual
+        # of H formed in full, empty, and as count the terms the pass makes,
+        # once per distinct orbit: sum_b prod_{j>=2} (b_j + 1) over the
+        # orderings b of each mu of S(x), and one term per ordering of each
+        # nu + 1^m of pi(x) * G.
+        def orderings(mu):
+            return set(permutations(mu))
+
         for spec in FAMILY_NAMES + ("symbolic",):
             for m in range(2, 5):
                 for n in range(m, 9):
                     source = _make_source(spec, n, m)
                     residue = _y_one_residue(source, m)
-                    folded = _certificate(source, m, residue)
-                    assert folded == orbit_certificate(source, m, residue), (spec, n, m)
-                    assert folded[1] == {}
+                    terms, residual = _certificate(source, m, residue)
+                    assert residual == orbit_certificate(source, m, residue)[1] == {}, (spec, n, m)
+                    s_x = symmfunc.monomial_expansion(source.poly, m)
+                    g = symmfunc.monomial_expansion(residue.in_power_sums(), m)
+                    made = sum(
+                        prod(e + 1 for e in b[1:])
+                        for mu in set().union(*s_x.values())
+                        for b in orderings(mu)
+                    )
+                    made += sum(len(orderings(nu)) for nu in set().union(*g.values()))
+                    assert terms == made, (spec, n, m)
 
     @pytest.mark.parametrize("spec", ["bernoulli", "symbolic", "key"])
     def test_perturbed_residue(self, spec):
@@ -298,9 +321,9 @@ class TestCertificateAgainstOracle:
                 coefficients = dict(residue.coefficients)
                 coefficients[key] = coefficients[key] + F(1, 3)
                 perturbed = PowerSumExpansion(n - m, m, coefficients)
-                folded = _certificate(source, m, perturbed)
-                assert folded[1], (spec, n, m, key)
-                assert folded == orbit_certificate(source, m, perturbed), (spec, n, m, key)
+                residual = _certificate(source, m, perturbed)[1]
+                assert residual, (spec, n, m, key)
+                assert residual == orbit_certificate(source, m, perturbed)[1], (spec, n, m, key)
 
 
     @pytest.mark.parametrize("spec", ["bernoulli", "symbolic"])
@@ -364,13 +387,12 @@ class TestRowExpansion:
             m = rng.randint(1, 5)
             n = rng.randrange(m)
             poly = _random_homogeneous(rng, m, n)
-            source = _make_source(poly, n)
-            expected = orbit_certificate(source, m, None)
-            assert _row_residual(source.poly, m) == expected[1], (poly, m)
+            raw = _held(poly, n)
+            expected = orbit_certificate(raw, m, None)
+            assert _row_residual(raw.poly, m) == expected[1], (poly, m)
             if symmfunc.is_symmetric(poly, m):
                 held = _make_source(poly, n, m)
-                folded = _row_expansion_certificate(symmfunc.monomial_expansion(held.poly, m), m)
-                assert folded == orbit_certificate(held, m, None), (poly, m)
+                assert _certificate(held, m, None) == orbit_certificate(held, m, None), (poly, m)
                 counted += 1
             residuals.add(bool(expected[1]))
             free_of_x1.add(any(VarId(KIND_X, 1) not in dict(mono) for mono in poly.terms))
@@ -489,7 +511,7 @@ class TestUFunction:
         ]
         for poly, n, m, y_one in cases:
             rf = u_function(poly, n, m, specialize_y=y_one)
-            num = lcd_numerator(_make_source(poly, n), lcd_frame(m, y_one), 0 if y_one else m - n - 1)
+            num = lcd_numerator(_held(poly, n), lcd_frame(m, y_one), 0 if y_one else m - n - 1)
             x_vars = [MultiPoly.x(i) for i in range(1, m + 1)]
             lcm_den = _product(x_vars) * lcd_frame(m, y_one).pair_product
             assert rf.numerator * lcm_den == num * rf.denominator
@@ -504,7 +526,13 @@ def _product(components):
 
 
 def _instantiate(source, comps):
-    return source.unscale(source.scaled(comps))
+    return scaled(source, comps) / source.denominator
+
+
+def _held(spec, n):
+    """A source for the oracles: a raw MultiPoly held in x as it stands,
+    any other spelling as the relations hold it."""
+    return _Source(n, "raw", spec) if isinstance(spec, MultiPoly) else _make_source(spec, n)
 
 
 def _random_rationals(rng, count):
@@ -625,103 +653,123 @@ class TestZeroRelation:
             assert report.verified, (name, n, report.verdict)
 
     def test_symmetric_source_is_decided_on_orbit_representatives(self, monkeypatch):
-        # The reference route never runs for a source held in the power sums,
-        # or for a raw one symmetric in x_1..x_m: the orbit certificate
-        # decides, and the report names it.
+        # Every input of either relation, a family, the symbolic family, a
+        # key, an expansion or a raw polynomial symmetric in x_1..x_m, is
+        # decided in the one stage: no u_function, substitution or exact
+        # division runs, and the row's power sums are formed nowhere in the
+        # library.
         def refuse(name):
             def spy(*args, **kwargs):
                 raise AssertionError(f"{name} called for a symmetric source")
 
             return spy
 
-        monkeypatch.setattr(relations, "u_function", refuse("u_function"))
         expansion = PowerSumExpansion(2, 3, {(2, 0): F(1, 2), (0, 1): -3})
-        raw = family_polynomial("laguerre", 2, 3) * MultiPoly.a(1)
-        cases = [("bernoulli", 2, 4), ("symbolic", 1, 3), ((0, 1), 2, 3), (expansion, 2, 3)]
-        cases.append((raw, 2, 3))
-        for spec, n, m in cases:
-            report = verify_conjecture1(spec, n, m)
-            assert report.verified, (spec, n, m)
-            assert [stage.name for stage in report.stages] == ["orbit-certificate"]
-            assert report.stages[-1].detail.startswith("Alt(H) = 0 on "), report.stages[-1]
+        heavier = PowerSumExpansion(4, 3, {(4, 0, 0, 0): F(1, 2), (1, 0, 1, 0): -3})
+        zero_cases = [("bernoulli", 2, 4), ("symbolic", 1, 3), ((0, 1), 2, 3), (expansion, 2, 3)]
+        zero_cases.append((family_polynomial("laguerre", 2, 3) * MultiPoly.a(1), 2, 3))
+        residue_cases = [("laguerre", 5, 2), ("symbolic", 6, 3), ((0, 2, 0, 0), 4, 4), (heavier, 4, 3)]
+        residue_cases.append((family_polynomial("t", 5, 3) * F(2, 7), 5, 3))
+        monkeypatch.setattr(relations, "u_function", refuse("u_function"))
+        monkeypatch.setattr(MultiPoly, "substitute", refuse("substitute"))
+        monkeypatch.setattr(MultiPoly, "exact_divide", refuse("exact_divide"))
+        for module in (relations, symmfunc):
+            assert not hasattr(module, "power_sums_of"), module
+        for verify, cases, detail in [
+            (verify_conjecture1, zero_cases, "Alt(H) = 0 on "),
+            (verify_conjecture2, residue_cases, "closed-form residue G; Alt(H - M*pi(x)*G) = 0 on "),
+        ]:
+            for spec, n, m in cases:
+                report = verify(spec, n, m)
+                assert report.verified, (spec, n, m)
+                assert [stage.name for stage in report.stages] == ["orbit-certificate"]
+                assert report.stages[-1].detail.startswith(detail), report.stages[-1]
 
     def test_term_cap_names_the_running_stage(self):
-        # In both relations a symmetric source meets the cap in the orbit
-        # pass, and a raw source that is not symmetric meets it in the
-        # reference expansion.  No stage is recorded twice.
+        # In both relations every source meets the cap in the one stage,
+        # the orbit pass: a family, and a power-sum expansion.  A raw source
+        # that is not symmetric is refused before any stage runs, under the
+        # cap as without it.  No stage is recorded twice.
+        expansion = PowerSumExpansion(3, 2, {(3, 0, 0): F(1, 2), (1, 1, 0): -3, (0, 0, 1): 1})
         cap = get_term_cap()
         set_term_cap(1)
         try:
-            cases = [
-                (verify_conjecture1("bernoulli", 2, 3), "orbit-certificate"),
-                (verify_conjecture1(x1**2 - 2 * x1 * x2, 2, 3), "expand"),
-                (verify_conjecture2("bernoulli", 4, 2), "orbit-certificate"),
-                (verify_conjecture2(x1**3 + x1**2 * x2, 3, 2), "expand"),
+            reports = [
+                verify_conjecture1("bernoulli", 2, 3),
+                verify_conjecture1(expansion, 3, 4),
+                verify_conjecture2("bernoulli", 4, 2),
+                verify_conjecture2(expansion, 3, 2),
             ]
+            for verify, poly, n, m in [
+                (verify_conjecture1, x1**2 - 2 * x1 * x2, 2, 3),
+                (verify_conjecture2, x1**3 + x1**2 * x2, 3, 2),
+            ]:
+                with pytest.raises(PreconditionError, match=f"not symmetric in x_1..x_{m}"):
+                    verify(poly, n, m)
         finally:
             set_term_cap(cap)
-        for report, stage in cases:
+        for report in reports:
             assert report.verdict == "resource-limited"
-            assert report.stages[-1].name == stage
+            assert [s.name for s in report.stages] == ["orbit-certificate"]
             assert "exceeds the cap" in report.stages[-1].detail, report.stages[-1]
-            names = [s.name for s in report.stages]
-            assert len(names) == len(set(names)), names
 
     def test_nonzero_residual_takes_the_kernel_witness(self, monkeypatch):
-        # A nonzero residual hands the case to the reference route, whose
-        # numerator decides it and is the witness.  The residual is patched
-        # in on a raw source that is routed down the symmetric path.
-        raw = x1**2 - F(1, 3) * x1 * x2 + 2 * MultiPoly.x(3) ** 2
-        source = _make_source(raw, 2)
-        source.symmetric = True
-        monkeypatch.setattr(relations, "_make_source", lambda spec, n, m: source)
-        monkeypatch.setattr(
-            relations, "_certificate", lambda source, m, residue: (0, {((), ()): 1})
-        )
-        report = verify_conjecture1(raw, 2, 3)
-        expected = u_function(raw, 2, 3).numerator
+        # A nonzero residual falsifies the relation in its one stage, and is
+        # the witness over the source's denominator: each coefficient times
+        # its sorted representative monomial and its monomial in the a_k.
+        a1, x3, y3 = MultiPoly.a(1), MultiPoly.x(3), MultiPoly.y(3)
+        residual = {
+            (((2, 0), (1, 1), (0, 2)), ((VarId(KIND_A, 1), 1),)): 3,
+            (((1, 2), (0, 1), (0, 0)), ()): F(-1, 2),
+        }
+        monkeypatch.setattr(relations, "_certificate", lambda source, m, residue: (0, residual))
+        denominator = _make_source("bernoulli", 2).denominator
+        assert denominator > 1
+        report = verify_conjecture1("bernoulli", 2, 3)
+        expected = (3 * x1**2 * x2 * y2 * y3**2 * a1 - F(1, 2) * x1 * y1**2 * y2) / denominator
         assert report.verdict == "falsified"
-        assert str(report.witness) == str(expected) != "0"
+        assert report.witness == expected
+        assert report.to_json()["witness"] == str(expected)
+        assert [(s.name, s.detail) for s in report.stages] == [
+            ("orbit-certificate", "2 orbit representatives left")
+        ]
 
     def test_nonzero_residual_hands_a_symmetric_source_to_the_expansion(self, monkeypatch):
-        # The reference route decides the case: for a symmetric source the
-        # numerator of u_function is 0, so the patched residual cannot
-        # falsify it.
-        expanded = []
-        expand = relations.u_function
-
-        def spy(*args, **kwargs):
-            expanded.append(args[1:])
-            return expand(*args, **kwargs)
+        # No reference route follows a nonzero residual: in both relations
+        # the one stage falsifies the case, u_function never runs, and no
+        # residue is returned.
+        def refuse(*args, **kwargs):
+            raise AssertionError("u_function called")
 
         monkeypatch.setattr(
             relations, "_certificate", lambda source, m, residue: (0, {((), ()): 1})
         )
-        monkeypatch.setattr(relations, "u_function", spy)
+        monkeypatch.setattr(relations, "u_function", refuse)
         expansion = PowerSumExpansion(2, 3, {(2, 0): F(1, 2) * MultiPoly.a(1), (0, 1): -3})
-        report = verify_conjecture1(expansion, 2, 3)
-        assert expanded == [(2, 3)]
-        assert report.verified
-        names = [stage.name for stage in report.stages]
-        assert names == ["orbit-certificate", "expand"], names
-        assert report.stages[0].detail == "1 orbit representatives left; reference route"
-        assert report.stages[-1].detail == "0 numerator terms"
+        for verify, n, m in [(verify_conjecture1, 2, 3), (verify_conjecture2, 2, 2)]:
+            report = verify(expansion, n, m)
+            assert report.verdict == "falsified", (n, m)
+            assert report.witness == MultiPoly.constant(F(1, 2))
+            assert report.extracted is None
+            names = [stage.name for stage in report.stages]
+            assert names == ["orbit-certificate"], names
+            assert report.stages[0].detail == "1 orbit representatives left"
 
     def test_asymmetric_input_is_falsified_by_its_numerator(self):
-        # x_1 is not symmetric: the reference expansion decides, and the
-        # nonzero numerator of u_function is the witness.
-        report = verify_conjecture1(x1, 1, 2)
-        assert report.verdict == "falsified"
-        assert [stage.name for stage in report.stages] == ["expand"]
-        expected = u_function(x1, 1, 2).numerator
-        assert report.witness == expected != 0
-        assert report.to_json()["witness"] == str(expected)
+        # x_1 is not symmetric: both relations refuse it, as they refuse a
+        # bad (n, m), with PreconditionError.  Its U_n is not 0: the
+        # numerator of u_function, the reference form, is nonzero.
+        with pytest.raises(PreconditionError, match="not symmetric in x_1..x_2"):
+            verify_conjecture1(x1, 1, 2)
+        with pytest.raises(PreconditionError, match="not symmetric in x_1..x_2"):
+            verify_conjecture2(x1**2, 2, 2)
+        assert not u_function(x1, 1, 2).numerator.is_zero()
 
     def test_differential_random_cases(self):
         # The exact verdict against U_n from its definition at a random
-        # point: expansions are verified by the orbit certificate alone and
-        # read 0 there; raw polynomials in x are verified exactly when they
-        # read 0.
+        # point: expansions, and raw polynomials symmetric in x_1..x_m, are
+        # verified by the orbit certificate alone and read 0 there; a raw
+        # polynomial that is not symmetric is refused.
         rng = random.Random(11)
         verdicts = set()
         for i in range(25):
@@ -735,20 +783,24 @@ class TestZeroRelation:
                     (rng.randint(-3, 3) * _product(rng.choices(_x_vars(m), k=n)) for _ in range(3)),
                     MultiPoly.zero(),
                 )
+            if not i % 2 and not symmfunc.is_symmetric(spec, m):
+                with pytest.raises(PreconditionError, match="not symmetric"):
+                    verify_conjecture1(spec, n, m)
+                verdicts.add("refused")
+                continue
             report = verify_conjecture1(spec, n, m)
-            poly = _instantiate(_make_source(spec, n), _x_vars(m))
+            poly = _instantiate(_held(spec, n), _x_vars(m))
             value = u_at_point(poly, n, m, *_nonsingular_point(rng, m), {})
-            assert report.verdict == ("verified" if value == 0 else "falsified"), (spec, n, m)
-            if i % 2:
-                assert [stage.name for stage in report.stages] == ["orbit-certificate"]
+            assert report.verified and value == 0, (spec, n, m)
+            assert [stage.name for stage in report.stages] == ["orbit-certificate"]
             verdicts.add(report.verdict)
-        assert verdicts == {"verified", "falsified"}
+        assert verdicts == {"verified", "refused"}
 
     def test_cli_cases_against_the_definition(self):
         # Every zero-relation case the CLI can build is verified by the
         # orbit certificate alone, and U_n from its definition reads 0 at
-        # three random points.  Inputs that are not symmetric are falsified,
-        # and U_n is nonzero at one of three.
+        # three random points.  Inputs that are not symmetric, which the CLI
+        # cannot build, are refused, and U_n is nonzero at one of three.
         rng = random.Random(21)
         grids = [(1, name, "2..5") for name in FAMILY_NAMES] + [(1, "symbolic", "2..4")]
         grids.append((3, None, "1..4"))
@@ -770,7 +822,8 @@ class TestZeroRelation:
                 assert value == 0, (spec, n, m)
         raw = x1**2 - F(1, 3) * x1 * x2 + 2 * MultiPoly.x(3) ** 2
         for poly, n, m in [(x1, 1, 2), (x1 * MultiPoly.a(1), 1, 2), (raw, 2, 3)]:
-            assert verify_conjecture1(poly, n, m).verdict == "falsified", poly
+            with pytest.raises(PreconditionError, match="not symmetric"):
+                verify_conjecture1(poly, n, m)
             values = [
                 u_at_point(poly, n, m, *_nonsingular_point(rng, m), {1: F(rng.randint(1, 9))})
                 for _ in range(3)
@@ -801,23 +854,37 @@ class TestResidueRelation:
         with pytest.raises(PreconditionError):
             verify_conjecture2("bernoulli", 1, 2)
 
-    def test_falsification_carries_remainder_witness(self):
-        report = verify_conjecture2(MultiPoly.x(1) ** 3, 3, 2)
-        assert report.verdict == "falsified"
+    def test_falsification_carries_remainder_witness(self, monkeypatch):
+        # A wrong G leaves a residual: the case is falsified, and the
+        # witness, the residual over the source's denominator, alternates to
+        # pi(x) * W * (U_n - G), as H formed in full by the oracle does.
+        source = _make_source("bernoulli", 5)
+        residue = _y_one_residue(source, 3)
+        coefficients = dict(residue.coefficients)
+        coefficients[(2, 0)] += F(1, 3)
+        wrong = PowerSumExpansion(2, 3, coefficients)
+        monkeypatch.setattr(relations, "_y_one_residue", lambda source, m: wrong)
+        report = verify_conjecture2("bernoulli", 5, 3)
+        assert report.verdict == "falsified" and report.extracted is None
         assert isinstance(report.witness, MultiPoly)
         assert not report.witness.is_zero()
+        h = certified_term(source, 3, wrong)
+        assert alternate(report.witness, 3) == alternate(h, 3) / source.denominator
 
     def test_quotient_that_is_not_symmetric(self):
-        # These numerators divide exactly; the quotient itself is the witness.
+        # These raw sources are not symmetric, so the residue relation
+        # refuses them before any stage runs.  Their U_n at y = 1 is a
+        # polynomial that is not symmetric: the numerator of the reference
+        # form u_function divides exactly, with that quotient.
         x3 = MultiPoly.x(3)
-        for poly, n, m, witness in [
+        for poly, n, m, quotient in [
             (x1 * x2**2, 3, 2, x1 - x2),
             (x1 * x2 * x3**2, 4, 3, x1 + x2 - 2 * x3),
         ]:
-            report = verify_conjecture2(poly, n, m)
-            assert report.verdict == "falsified"
-            assert report.witness == witness
-            assert [stage.name for stage in report.stages] == ["expand", "divide"]
+            with pytest.raises(PreconditionError, match=f"not symmetric in x_1..x_{m}"):
+                verify_conjecture2(poly, n, m)
+            u = u_function(poly, n, m, specialize_y=True)
+            assert u.numerator.exact_divide(u.denominator) == quotient
 
     def test_scale_covariance(self):
         # A raw symmetric source is rewritten in the power sums, so it takes
@@ -833,12 +900,14 @@ class TestResidueRelation:
 
 class TestResidueCertificate:
     """The closed-form residue certified on orbit representatives, and the
-    reference route it hands a case to when the residual is not empty."""
+    verdict a residual that is not empty gives."""
 
     @pytest.mark.parametrize("n, m", [(4, 2), (5, 3)])
     def test_perturbed_residue_leaves_a_residual(self, monkeypatch, n, m):
         # G plus one symmetric term: the residual is no longer empty, and the
-        # case is decided by u_function, which returns the true residue.
+        # case is falsified in its one stage, with that residual over the
+        # source's denominator as the witness, whose alternant is that of H
+        # formed in full by the oracle.
         for spec in ("symbolic", "bernoulli", (n,) + (0,) * (n - 1)):
             source = _make_source(spec, n)
             residue = _y_one_residue(source, m)
@@ -847,27 +916,18 @@ class TestResidueCertificate:
             coefficients = dict(residue.coefficients)
             coefficients[key] = coefficients[key] + 1
             perturbed = PowerSumExpansion(n - m, m, coefficients)
-            assert _certificate(source, m, perturbed)[1], (spec, n, m)
-
-            expected = verify_conjecture2(spec, n, m)
-            references = []
-            reference = relations.u_function
-
-            def spy(*args, **kwargs):
-                references.append(args[1:3])
-                return reference(*args, **kwargs)
+            residual = _certificate(source, m, perturbed)[1]
+            assert residual, (spec, n, m)
 
             with monkeypatch.context() as patch:
                 patch.setattr(relations, "_y_one_residue", lambda source, m: perturbed)
-                patch.setattr(relations, "u_function", spy)
                 report = verify_conjecture2(spec, n, m)
-            assert references == [(n, m)]
-            assert report.verified
-            assert report.extracted == expected.extracted != perturbed
-            assert list(report.extracted.coefficients) == list(expected.extracted.coefficients)
-            names = [stage.name for stage in report.stages]
-            assert names == ["orbit-certificate", "expand", "divide", "basis"], names
-            assert "reference route" in report.stages[0].detail
+            assert report.verdict == "falsified" and report.extracted is None
+            assert len(report.witness) == len(residual)
+            h = certified_term(source, m, perturbed)
+            assert alternate(report.witness, m) == alternate(h, m) / source.denominator
+            stages = [(stage.name, stage.detail) for stage in report.stages]
+            assert stages == [("orbit-certificate", f"{len(residual)} orbit representatives left")]
 
     def test_power_sum_source_takes_no_reference_layer(self, monkeypatch):
         # A source held in the power sums is decided by the closed form and

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmrel import symmfunc
+from symmrel import relations, symmfunc
 from symmrel.exactnum import bernoulli_numbers
 from symmrel.families import (
     FAMILY_NAMES,
@@ -26,6 +26,7 @@ from symmrel.partitions import exponent_vectors
 from symmrel.symmfunc import (
     NotHomogeneousError,
     NotSymmetricError,
+    PowerSumExpansion,
     in_variables,
     is_symmetric,
     monomial_expansion,
@@ -34,7 +35,13 @@ from symmrel.symmfunc import (
     to_power_sum_basis,
 )
 
-from oracles import complete_bell, complete_bell_sequence, series_exp, substituted_in_variables
+from oracles import (
+    complete_bell,
+    complete_bell_sequence,
+    orbit_certificate,
+    series_exp,
+    substituted_in_variables,
+)
 
 x1, x2, x3 = MultiPoly.x(1), MultiPoly.x(2), MultiPoly.x(3)
 
@@ -81,13 +88,24 @@ class TestMonomialKernel:
     the monomial basis, against substituting the power sums."""
 
     @settings(max_examples=150, deadline=None)
-    @given(power_sum_forms())
-    def test_matches_the_substitution_route(self, case):
+    @given(power_sum_forms(), st.data())
+    def test_matches_the_substitution_route(self, case, data):
         form, m = case
         got = in_variables(form, m)
         assert got == substituted_in_variables(form, m)
         # An integral Fraction is stored as the int it equals.
         assert not any(type(c) is F and c.denominator == 1 for c in got.terms.values())
+        # At y = 1 the orbit certificate reads S(s_1) off the same monomial
+        # expansion, s_1 = (x_1, x_2 - x_1, ...): its residual for
+        # H = M (S(x) - S(s_1) - pi(x) G) equals that of H with S(s_1)
+        # substituted, for a random G.
+        weight = data.draw(st.integers(0, 3), label="weight of G")
+        fractions = st.fractions(-5, 5, max_denominator=3)
+        keys = exponent_vectors(weight, m)
+        g = PowerSumExpansion(weight, m, {k: data.draw(fractions, label=str(k)) for k in keys})
+        source = relations._Source(0, "form", form)
+        residual = relations._certificate(source, m, g)[1]
+        assert residual == orbit_certificate(source, m, g)[1]
 
     @pytest.mark.parametrize(
         "form, m, vanishes",
