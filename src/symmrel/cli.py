@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import __version__
 from .families import FAMILY_NAMES, SYMBOLIC_NAME, get_family
@@ -126,11 +127,13 @@ def _render_json(document) -> str:
 
 
 def _emit(document, fmt: str, text_lines) -> None:
+    """Print the document as JSON, or the lines ``text_lines()`` yields: the
+    text is made only under ``--format text``."""
     try:
         if fmt == "json":
             print(_render_json(document))
         else:
-            for line in text_lines:
+            for line in text_lines():
                 print(line)
         sys.stdout.flush()
     except BrokenPipeError:
@@ -271,20 +274,22 @@ def cmd_verify(args) -> int:
             "resource_limited": len(limited),
         },
     }
-    lines = []
-    for r in results:
-        line = f"{_case_label(r)}: {r['verdict']}"
-        if r["verdict"] == "falsified" and "witness" in r:
-            line += f" (witness: {r['witness']})"
-        if r["verdict"] == "verified" and "extracted" in r:
-            entries = r["extracted"]["entries"]
-            nonzero = [e for e in entries if e["coeff"] not in ("0",)]
-            line += f" (residue: {len(nonzero)} nonzero of {len(entries)} entries)"
-        lines.append(line)
-    lines.append(
-        f"summary: {verified}/{len(results)} verified, "
-        f"{len(falsified)} falsified, {len(limited)} resource-limited"
-    )
+
+    def lines():
+        for r in results:
+            line = f"{_case_label(r)}: {r['verdict']}"
+            if r["verdict"] == "falsified" and "witness" in r:
+                line += f" (witness: {r['witness']})"
+            if r["verdict"] == "verified" and "extracted" in r:
+                entries = r["extracted"]["entries"]
+                nonzero = [e for e in entries if e["coeff"] not in ("0",)]
+                line += f" (residue: {len(nonzero)} nonzero of {len(entries)} entries)"
+            yield line
+        yield (
+            f"summary: {verified}/{len(results)} verified, "
+            f"{len(falsified)} falsified, {len(limited)} resource-limited"
+        )
+
     _emit(document, args.format, lines)
     if limited:
         return EXIT_RESOURCE
@@ -314,11 +319,15 @@ def cmd_table(args) -> int:
             for key, coeff in expansion.coefficients.items()
         ]
         document = {"table": "Z", "n": args.n, "m": args.m, "entries": entries}
-        lines = [
-            f"z^{args.m}_{{{','.join(map(str, key)) or '0'}}} = {coeff}"
-            for key, coeff in expansion.coefficients.items()
-        ]
-        _emit(document, args.format, lines)
+        # Each coefficient is formatted once, for the document, and read from it.
+        _emit(
+            document,
+            args.format,
+            lambda: (
+                f"z^{args.m}_{{{','.join(map(str, e['key'])) or '0'}}} = {e['coeff']}"
+                for e in entries
+            ),
+        )
         return EXIT_OK
     if not args.key:
         raise UsageError("table Y requires --key")
@@ -339,8 +348,7 @@ def cmd_table(args) -> int:
         "entries": entries,
     }
     label = f"Y_{{{args.n - args.m},{{{','.join(map(str, key))}}}}}"
-    lines = [f"{label} = {_format_powersum(expansion)}"]
-    _emit(document, args.format, lines)
+    _emit(document, args.format, lambda: [f"{label} = {_format_powersum(expansion)}"])
     return EXIT_OK
 
 
@@ -360,22 +368,18 @@ def cmd_solve_c(args) -> int:
         raise UsageError(f"tabulated free values cover n <= 5; got n = {args.n}")
     _check_keys(args.n, args.n)
     solution = solve_c_coefficients(args.n)
-    relations = []
-    lines = [
-        f"n = {args.n}: {len(solution.key_order)} unknowns, "
-        f"{solution.equations} equations, nullspace dimension {solution.nullspace_dimension}",
-        "free: " + ", ".join(_key_text(args.n, k) for k in solution.free_keys),
-    ]
     # In key order: the pivots are stored in reverse column order.  Each form
     # is already in key order.
-    for key in solution.key_order:
-        if key not in solution.dependent:
-            continue
-        form = solution.dependent[key]
-        terms = [{"free": list(fk), "coeff": format_rational(c)} for fk, c in form.items()]
-        relations.append({"key": list(key), "terms": terms})
-        text = format_terms((_key_text(args.n, fk), c) for fk, c in form.items())
-        lines.append(f"{_key_text(args.n, key)} = {text}")
+    forms = [
+        (key, solution.dependent[key]) for key in solution.key_order if key in solution.dependent
+    ]
+    relations = [
+        {
+            "key": list(key),
+            "terms": [{"free": list(fk), "coeff": format_rational(c)} for fk, c in form.items()],
+        }
+        for key, form in forms
+    ]
     document = {
         "command": "solve-c",
         "n": args.n,
@@ -385,18 +389,26 @@ def cmd_solve_c(args) -> int:
         "free_keys": [list(k) for k in solution.free_keys],
         "relations": relations,
     }
-    exit_code = EXIT_OK
+    matches = None
     if args.check_bernoulli:
         matches = bernoulli_reconstruction_check(args.n)
         document["bernoulli_check"] = {"n": args.n, "matches": matches}
-        lines.append(
-            f"Bernoulli reconstruction for n={args.n}: "
-            + ("confirmed" if matches else "MISMATCH")
+
+    def lines():
+        yield (
+            f"n = {args.n}: {len(solution.key_order)} unknowns, "
+            f"{solution.equations} equations, nullspace dimension {solution.nullspace_dimension}"
         )
-        if not matches:
-            exit_code = EXIT_FALSIFIED
+        yield "free: " + ", ".join(_key_text(args.n, k) for k in solution.free_keys)
+        for key, form in forms:
+            text = format_terms((_key_text(args.n, fk), c) for fk, c in form.items())
+            yield f"{_key_text(args.n, key)} = {text}"
+        if matches is not None:
+            verdict = "confirmed" if matches else "MISMATCH"
+            yield f"Bernoulli reconstruction for n={args.n}: {verdict}"
+
     _emit(document, args.format, lines)
-    return exit_code
+    return EXIT_FALSIFIED if matches is False else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +427,17 @@ def cmd_bernoulli_relations(args) -> int:
         "elimination": identity.to_json(),
         "all_ok": nonlinear.all_ok and identity.all_ok,
     }
-    lines = []
-    for label, value, ok in nonlinear.entries:
-        lines.append(f"{label} = {format_rational(value)} [{'ok' if ok else 'FAIL'}]")
-    for index, computed, expected, ok in identity.entries:
-        lines.append(
-            f"a_{index} = {computed} "
-            f"[{'matches' if ok else 'DIFFERS FROM'} -(2*a_1)^{index}*B_{index}/{index}]"
-        )
-    lines.append("all relations hold" if document["all_ok"] else "FAILURES present")
+
+    def lines():
+        # Every value is read from the document, where it is formatted once.
+        for rel in document["nonlinear"]["relations"]:
+            yield f"{rel['relation']} = {rel['value']} [{'ok' if rel['ok'] else 'FAIL'}]"
+        for e in document["elimination"]["entries"]:
+            k = e["index"]
+            verdict = "matches" if e["ok"] else "DIFFERS FROM"
+            yield f"a_{k} = {e['computed']} [{verdict} -(2*a_1)^{k}*B_{k}/{k}]"
+        yield "all relations hold" if document["all_ok"] else "FAILURES present"
+
     _emit(document, args.format, lines)
     return EXIT_OK if document["all_ok"] else EXIT_FALSIFIED
 
@@ -456,11 +470,14 @@ def cmd_families(args) -> int:
         }
     )
     document = {"command": "families", "families": rows}
-    lines = [
-        f"{row['name']:<10} {row['generating_function']:<28} {row['coefficients']}"
-        for row in rows
-    ]
-    _emit(document, args.format, lines)
+    _emit(
+        document,
+        args.format,
+        lambda: (
+            f"{row['name']:<10} {row['generating_function']:<28} {row['coefficients']}"
+            for row in rows
+        ),
+    )
     return EXIT_OK
 
 
@@ -469,7 +486,10 @@ def cmd_families(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it holds no state of a call, and
+    every ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="symmrel",
         description="Exact checks and tables for relations of homogeneous symmetric polynomials",

@@ -619,11 +619,11 @@ class MultiPoly:
 
 
 def format_rational(coeff: Scalar) -> str:
-    """p/q in lowest terms, or the integer when q = 1."""
-    frac = Fraction(coeff)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    """p/q in lowest terms, or the integer when q = 1.  An int and a Fraction
+    both carry their numerator and denominator, so neither is converted."""
+    if coeff.denominator == 1:
+        return str(coeff.numerator)
+    return f"{coeff.numerator}/{coeff.denominator}"
 
 
 def _format_monomial(mono: Monomial) -> str:
@@ -641,24 +641,20 @@ def format_poly(poly: MultiPoly) -> str:
 
 def format_terms(terms: Iterable) -> str:
     """The sum of coeff * body over (body, coeff) pairs, zero terms left out."""
-    chunks = []
+    out = []
     for body, coeff in terms:
-        frac = Fraction(coeff)
-        if frac == 0:
+        if not coeff:
             continue
-        sign = "-" if frac < 0 else "+"
-        mag = abs(frac)
-        if not body:
-            text = format_rational(mag)
-        elif mag == 1:
-            text = body
+        num, den = coeff.numerator, coeff.denominator
+        if out:
+            out.append(" - " if num < 0 else " + ")
+        elif num < 0:
+            out.append("-")
+        num = abs(num)
+        if den != 1:
+            out.append(f"{num}/{den}*{body}" if body else f"{num}/{den}")
+        elif num != 1 or not body:
+            out.append(f"{num}*{body}" if body else str(num))
         else:
-            text = f"{format_rational(mag)}*{body}"
-        chunks.append((sign, text))
-    if not chunks:
-        return "0"
-    first_sign, first_text = chunks[0]
-    out = first_text if first_sign == "+" else f"-{first_text}"
-    for sign, text in chunks[1:]:
-        out += f" {sign} {text}"
-    return out
+            out.append(body)
+    return "".join(out) or "0"

@@ -110,7 +110,8 @@ Reference form: :func:`u_function` builds U_n over the full product of
 denominators by substitution, for any polynomial in x, symmetric or not.
 Neither relation calls it: a raw MultiPoly they are given must be
 symmetric in x_1..x_m, or PreconditionError is raised, and is rewritten
-once in p_1..p_m.
+once in p_1..p_m, inside the stage, so a term cap met there makes a
+resource-limited report.
 
 Residues in closed form: at y = 1, S(s_i) = F(x_i) with F(t) = S(t, x_1 - t,
 ..., x_m - t), and pi(s_i) = (-1)^(m-1) x_i prod_{j != i} (x_i - x_j), so the
@@ -159,7 +160,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from math import comb, gcd, lcm, prod
 from typing import NamedTuple, Optional, Sequence
 
@@ -236,15 +237,30 @@ class _Source:
 
     ``poly`` is the polynomial times the common ``denominator`` of its
     coefficients, so every product runs on integral data and the
-    denominator is divided out once, at the end.  A source is never changed
-    once built, so a family's is shared (``_family_source``).
+    denominator is divided out once, at the end.  ``make`` builds the
+    polynomial when it is first read, inside the stage that reads it, so a
+    term cap met on the way (a raw input's rewrite in the p_k) is reported
+    by that stage.  A source is never changed once built, so a family's is
+    shared (``_family_source``).
     """
 
-    def __init__(self, n, label, poly, family=False):
+    def __init__(self, n, label, make, family=False):
         self.n = n
         self.label = label
         self.family = family  # a registry or symbolic family: C1/C2, not C3
-        self.poly, self.denominator = poly.integral_form()
+        self._make = make
+
+    @cached_property
+    def _integral(self) -> tuple:
+        return self._make().integral_form()
+
+    @property
+    def poly(self) -> MultiPoly:
+        return self._integral[0]
+
+    @property
+    def denominator(self) -> int:
+        return self._integral[1]
 
 
 def _raw_degree(poly: MultiPoly) -> int:
@@ -270,15 +286,16 @@ def _family_source(spec: Optional[FamilySpec], n: int) -> _Source:
     cap meets the same work whatever ran before."""
     if spec is None:
         a = [MultiPoly.a(k) for k in range(1, n + 1)]
-        return _Source(n, SYMBOLIC_NAME, bell_form(n, a), family=True)
-    return _Source(n, spec.name, family_form(spec, n), family=True)
+        return _Source(n, SYMBOLIC_NAME, partial(bell_form, n, a), family=True)
+    return _Source(n, spec.name, partial(family_form, spec, n), family=True)
 
 
 def _make_source(poly_source, n: int, m: Optional[int] = None) -> _Source:
     """Normalize the accepted source spellings into a _Source.
 
-    A raw MultiPoly needs m: it may hold x_1..x_m and the a_k alone, must be
-    symmetric in x_1..x_m, and is rewritten once in p_1..p_m.
+    A raw MultiPoly needs m: it may hold x_1..x_m and the a_k alone, and
+    must be symmetric in x_1..x_m, which is checked here; it is rewritten
+    once in p_1..p_m, when the source is first read.
     """
     if isinstance(poly_source, str) and poly_source.lower() == SYMBOLIC_NAME:
         source = _family_source(None, n)
@@ -287,20 +304,23 @@ def _make_source(poly_source, n: int, m: Optional[int] = None) -> _Source:
         source = _family_source(spec, n)
     elif isinstance(poly_source, PowerSumExpansion):
         label = f"expansion(weight={poly_source.weight})"
-        source = _Source(poly_source.weight, label, poly_source.in_power_sums())
+        source = _Source(poly_source.weight, label, poly_source.in_power_sums)
     elif isinstance(poly_source, tuple):
         weight = vector_weight(poly_source)
         check_vector(poly_source, weight)
         label = "P_" + "{" + ",".join(map(str, poly_source)) + "}"
-        source = _Source(weight, label, power_sum_monomial(poly_source))
+        source = _Source(weight, label, partial(power_sum_monomial, poly_source))
     elif isinstance(poly_source, MultiPoly) and m is not None:
         # The zero polynomial is homogeneous of every degree.
         degree = _raw_degree(poly_source) if poly_source else n
         _check_raw_variables(poly_source, m)
         if not is_symmetric(poly_source, m):
             raise PreconditionError(f"raw polynomial is not symmetric in x_1..x_{m}")
-        poly = to_power_sum_basis(poly_source, m, max_part=m, weight=degree).in_power_sums()
-        source = _Source(degree, "raw", poly)
+        source = _Source(
+            degree,
+            "raw",
+            lambda: to_power_sum_basis(poly_source, m, max_part=m, weight=degree).in_power_sums(),
+        )
     else:
         raise TypeError(f"cannot interpret {poly_source!r} as a polynomial source")
     if source.n != n:

@@ -49,7 +49,11 @@
   truncated power series as coefficient lists, for generating-function checks;
 * :func:`gauss_jordan` -- exact ``Fraction`` Gauss-Jordan elimination,
   against which the certified multimodular kernel
-  ``symmfunc._certified_rref`` is checked, and with it the C system.
+  ``symmfunc._certified_rref`` is checked, and with it the C system;
+* :func:`format_rational` and :func:`format_terms` -- the text of a scalar
+  and of a sum of terms, each coefficient taken through ``Fraction``,
+  against which ``polyring``'s formatters, which read an int's or a
+  Fraction's numerator and denominator as they stand, are checked.
 """
 
 from __future__ import annotations
@@ -498,3 +502,36 @@ def gauss_jordan(matrix, columns, rhs=None):
                 if values is not None:
                     values[r] = values[r] - factor * values[pivot]
     return pivots, rows, values
+
+
+def format_rational(coeff) -> str:
+    """p/q in lowest terms, or the integer when q = 1."""
+    frac = Fraction(coeff)
+    if frac.denominator == 1:
+        return str(frac.numerator)
+    return f"{frac.numerator}/{frac.denominator}"
+
+
+def format_terms(terms) -> str:
+    """The sum of coeff * body over (body, coeff) pairs, zero terms left out."""
+    chunks = []
+    for body, coeff in terms:
+        frac = Fraction(coeff)
+        if frac == 0:
+            continue
+        sign = "-" if frac < 0 else "+"
+        mag = abs(frac)
+        if not body:
+            text = format_rational(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{format_rational(mag)}*{body}"
+        chunks.append((sign, text))
+    if not chunks:
+        return "0"
+    first_sign, first_text = chunks[0]
+    out = first_text if first_sign == "+" else f"-{first_text}"
+    for sign, text in chunks[1:]:
+        out += f" {sign} {text}"
+    return out

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -452,6 +453,92 @@ class TestBernoulliRelationsCommand:
         document = json.loads(out)
         assert document["all_ok"] is True
         assert len(document["nonlinear"]["relations"]) == 6
+
+
+_TERM = re.compile(r"(^-|^| \+ | - )(.+?)(?= \+ | - |$)")
+
+
+def _terms(text):
+    """'3/2*p_1^2 - p_2 + 4' -> [('p_1^2', 3/2), ('p_2', -1), ('', 4)], in
+    text order.  Bodies hold no ' + ' or ' - ' and begin with no digit."""
+    out, pos = [], 0
+    for match in _TERM.finditer(text):
+        assert match.start() == pos, text
+        pos = match.end()
+        sign, term = match.groups()
+        coeff, _, body = term.partition("*") if term[0].isdigit() else ("1", "", term)
+        out.append((body, -Fraction(coeff) if "-" in sign else Fraction(coeff)))
+    assert pos == len(text), text
+    return out
+
+
+class TestTextAgreesWithJson:
+    """Each command's text lines carry the coefficients of its JSON document,
+    every one, in the same order."""
+
+    def both(self, capsys, *argv):
+        code, text, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        code, out, err = run_cli(capsys, "--format", "json", *argv)
+        assert (code, err) == (0, ""), argv
+        return text.splitlines(), json.loads(out)
+
+    def test_z_table(self, capsys):
+        lines, document = self.both(capsys, "table", "Z", "--n", "4", "--m", "3")
+        expected = [
+            f"z^3_{{{','.join(map(str, e['key']))}}} = {e['coeff']}" for e in document["entries"]
+        ]
+        assert len(expected) == 5
+        assert lines == expected
+
+    def test_y_table(self, capsys):
+        lines, document = self.both(capsys, "table", "Y", "--n", "5", "--m", "3", "--key", "1,2,0,0,0")
+        (line,) = lines
+        label, _, text = line.partition(" = ")
+        assert label == "Y_{2,{1,2,0,0,0}}"
+        got = []
+        for body, coeff in _terms(text):
+            key = [0] * (document["n"] - document["m"])
+            for factor in body.split("*"):
+                index, _, power = factor.removeprefix("p_").partition("^")
+                key[int(index) - 1] += int(power or 1)
+            got.append((key, coeff))
+        expected = [
+            (e["key"], Fraction(e["coeff"])) for e in document["entries"] if Fraction(e["coeff"])
+        ]
+        assert expected and got == expected
+
+    def test_solve_c(self, capsys):
+        lines, document = self.both(capsys, "solve-c", "--n", "6")
+        assert lines[0] == "n = 6: 11 unknowns, 10 equations, nullspace dimension 3"
+        free = ", ".join(_c_key(6, k) for k in document["free_keys"])
+        assert lines[1] == f"free: {free}"
+        assert len(lines) == 2 + len(document["relations"])
+        for line, relation in zip(lines[2:], document["relations"]):
+            label, _, text = line.partition(" = ")
+            assert label == _c_key(6, relation["key"])
+            expected = [
+                (_c_key(6, t["free"]), Fraction(t["coeff"]))
+                for t in relation["terms"]
+                if Fraction(t["coeff"])
+            ]
+            assert _terms(text) == expected, line
+
+    def test_bernoulli_relations(self, capsys):
+        lines, document = self.both(capsys, "bernoulli-relations", "--max-index", "8")
+        nonlinear = document["nonlinear"]["relations"]
+        elimination = document["elimination"]["entries"]
+        assert len(lines) == len(nonlinear) + len(elimination) + 1 == 6 + 7 + 1
+        for line, rel in zip(lines, nonlinear):
+            assert line == f"{rel['relation']} = {rel['value']} [ok]"
+        for line, e in zip(lines[len(nonlinear):], elimination):
+            k = e["index"]
+            assert line == f"a_{k} = {e['computed']} [matches -(2*a_1)^{k}*B_{k}/{k}]"
+        assert lines[-1] == "all relations hold"
+
+
+def _c_key(n, key):
+    return f"C_{{{n},{{{', '.join(map(str, key))}}}}}"
 
 
 class TestFamiliesCommand:

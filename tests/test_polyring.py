@@ -21,6 +21,7 @@ from symmrel.polyring import (
 )
 from symmrel.relations import _symbolic_rows
 
+import oracles
 from oracles import sequential_ratfunc_combine
 
 x1, x2, x3 = MultiPoly.x(1), MultiPoly.x(2), MultiPoly.x(3)
@@ -488,3 +489,48 @@ class TestMultiplicationKernel:
         assert all(type(c) is int for c in p.terms.values())
         assert all(type(c) is int for c in (F(1, 2) * (2 * x1 + 4)).terms.values())
         assert hash(MultiPoly.constant(F(2))) == hash(2)
+
+
+def scalars():
+    """ints and Fractions: zero, +-1, integral Fractions, large numerators."""
+    big = st.integers(-(2**200), 2**200)
+    return st.one_of(
+        st.sampled_from([0, 1, -1, F(0), F(1), F(-1), F(4, 2), F(-6, 3)]),
+        st.integers(-30, 30),
+        big,
+        st.builds(F, st.integers(-30, 30), st.integers(1, 7)),
+        st.builds(F, big, st.integers(1, 2**70)),
+    )
+
+
+BODIES = st.sampled_from(["", "x_1", "a_1^2*x_3", "p_1*p_2^3", "C_{4,{1, 0, 1, 0}}"])
+
+
+class TestFormatting:
+    @settings(max_examples=300, deadline=None)
+    @given(scalars())
+    def test_rational_matches_the_fraction_oracle(self, coeff):
+        assert polyring.format_rational(coeff) == oracles.format_rational(coeff)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(BODIES, scalars()), max_size=6))
+    def test_terms_match_the_fraction_oracle(self, terms):
+        assert polyring.format_terms(terms) == oracles.format_terms(terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys())
+    def test_poly_text_matches_the_fraction_oracle(self, p):
+        expected = oracles.format_terms(
+            (polyring._format_monomial(mono), c) for mono, c in p.sorted_terms()
+        )
+        assert str(p) == expected
+
+    def test_fixed_cases(self):
+        assert polyring.format_terms([]) == "0"
+        assert polyring.format_terms([("x_1", 0), ("", F(0))]) == "0"
+        assert polyring.format_terms([("x_1", -1), ("", F(6, 3)), ("y_1", F(-3, 2))]) == (
+            "-x_1 + 2 - 3/2*y_1"
+        )
+        assert polyring.format_terms([("", -1), ("x_1", 1)]) == "-1 + x_1"
+        assert polyring.format_rational(F(-10, 4)) == "-5/2"
+        assert polyring.format_rational(-(10**30)) == f"-{10**30}"

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations
 from argparse import Namespace
 from fractions import Fraction as F
@@ -532,7 +533,7 @@ def _instantiate(source, comps):
 def _held(spec, n):
     """A source for the oracles: a raw MultiPoly held in x as it stands,
     any other spelling as the relations hold it."""
-    return _Source(n, "raw", spec) if isinstance(spec, MultiPoly) else _make_source(spec, n)
+    return _Source(n, "raw", lambda: spec) if isinstance(spec, MultiPoly) else _make_source(spec, n)
 
 
 def _random_rationals(rng, count):
@@ -712,6 +713,26 @@ class TestZeroRelation:
             assert report.verdict == "resource-limited"
             assert [s.name for s in report.stages] == ["orbit-certificate"]
             assert "exceeds the cap" in report.stages[-1].detail, report.stages[-1]
+
+    @pytest.mark.parametrize("verify, n", [(verify_conjecture1, 2), (verify_conjecture2, 4)])
+    def test_raw_source_rewrite_meets_the_cap_in_the_stage(self, verify, n):
+        # A raw symmetric input is rewritten in the power sums inside the
+        # stage: a cap met by an expansion in x_1..x_3 on the way makes a
+        # resource-limited report whose detail is the cap's message, and the
+        # same input verifies under the default cap afterwards.
+        poly = family_polynomial("laguerre", n, 3)
+        cap = get_term_cap()
+        set_term_cap(3)
+        try:
+            report = verify(poly, n, 3)
+        finally:
+            set_term_cap(cap)
+        assert report.verdict == "resource-limited"
+        assert report.source_label == "raw"
+        (stage,) = report.stages
+        assert stage.name == "orbit-certificate"
+        assert re.fullmatch(r"expansion in x_1\.\.x_3 of \d+ terms exceeds the cap of 3", stage.detail)
+        assert verify(poly, n, 3).verdict == "verified"
 
     def test_nonzero_residual_takes_the_kernel_witness(self, monkeypatch):
         # A nonzero residual falsifies the relation in its one stage, and is

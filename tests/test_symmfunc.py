@@ -103,7 +103,7 @@ class TestMonomialKernel:
         fractions = st.fractions(-5, 5, max_denominator=3)
         keys = exponent_vectors(weight, m)
         g = PowerSumExpansion(weight, m, {k: data.draw(fractions, label=str(k)) for k in keys})
-        source = relations._Source(0, "form", form)
+        source = relations._Source(0, "form", lambda: form)
         residual = relations._certificate(source, m, g)[1]
         assert residual == orbit_certificate(source, m, g)[1]
 
