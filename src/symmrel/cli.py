@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .families import FAMILY_NAMES, SYMBOLIC_NAME, get_family
@@ -122,8 +123,33 @@ def _format_powersum(expansion) -> str:
     )
 
 
-def _render_json(document) -> str:
-    return json.dumps(document, indent=2, sort_keys=False)
+def _render_json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, with no pure-Python
+    encoder: with an indent, ``json.dumps`` runs its Python encoder, so the
+    2-space layout is built here and each string is encoded by the C
+    ``encode_basestring_ascii``.  Dicts with str or int keys, lists, str,
+    int, bool and None are rendered here; any other value, or a dict with
+    another key, by ``json.dumps``, indented to where it stands."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    inner = indent + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        items = [_render_json(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if kind is dict and all(type(key) is str or type(key) is int for key in value):
+        if not value:
+            return "{}"
+        items = [_quote(str(key)) + ": " + _render_json(item, inner) for key, item in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    # A JSON text holds no raw newline in a string, so each one starts a line.
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
 def _emit(document, fmt: str, text_lines) -> None:

@@ -136,7 +136,6 @@ def power_sum(k: int, m: int) -> MultiPoly:
     return MultiPoly({(((VarId(KIND_X, i), k),), 1) for i in range(1, m + 1)})
 
 
-@lru_cache(maxsize=None)
 def power_sum_product(k: ExponentVector, m: int) -> MultiPoly:
     """The expanded product p_1^k_1 * p_2^k_2 * ... over m variables."""
     return in_variables(power_sum_monomial(k), m)

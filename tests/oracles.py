@@ -35,7 +35,13 @@
   ``relations._certificate`` is checked;
 * :func:`alternate` -- the full signed sum over S_m, and
   :func:`orbit_residual` -- its coefficients on sorted orbit
-  representatives, term by term through ``relations._alternate``;
+  representatives, term by term through :func:`sorted_alternant`, which
+  sorts each term's exponent pairs and counts the sort's parity;
+* :func:`orbit_image` with :func:`row_terms`, :func:`y_one_terms` and
+  :func:`staircase_terms` -- the orbit residual of H for S = m_mu, each
+  ordering of mu expanded term by term through :func:`sorted_alternant`,
+  against which the int-key images of ``relations._certificate`` are
+  checked, read back by :func:`decoded`;
 * :func:`alternant_term`, :func:`certified_term` and
   :func:`orbit_certificate` -- the polynomial H
   whose alternant is the numerator of U_n (minus that of the residue G),
@@ -67,11 +73,12 @@ from typing import NamedTuple, Sequence
 from symmrel.exactnum import bernoulli_numbers
 from symmrel.partitions import exponent_vectors
 from symmrel.polyring import KIND_A, KIND_P, KIND_X, KIND_Y, MultiPoly, VarId
-from symmrel.relations import _alternate, _symbolic_rows, build_s_matrix
+from symmrel.relations import _symbolic_rows, build_s_matrix
 from symmrel.symmfunc import (
     NotRepresentableError,
     PowerSumExpansion,
     _normalize_coefficient,
+    _orderings,
     power_sum,
     to_power_sum_basis,
 )
@@ -356,7 +363,7 @@ def sequential_ratfunc_combine(parts: Sequence) -> tuple:
 
 def orbit_residual(poly: MultiPoly, m: int) -> dict:
     """The coefficients of Alt(poly) on sorted orbit representatives, each
-    term sent through ``relations._alternate`` with its exponent pairs
+    term sent through :func:`sorted_alternant` with its exponent pairs
     (deg x_j, deg y_j), j = 1..m.  Alt(poly) = 0 exactly when every key's
     signed sum is 0, which leaves the result empty."""
     residual: dict = {}
@@ -372,8 +379,125 @@ def orbit_residual(poly: MultiPoly, m: int) -> dict:
             else:
                 rest = mono[pos:]
                 break
-        _alternate(residual, list(zip(x_exps, y_exps)), rest, coeff)
+        sorted_alternant(residual, list(zip(x_exps, y_exps)), rest, coeff)
     return {key: c for key, c in residual.items() if c}
+
+
+def sorted_alternant(residual: dict, pairs: list, rest: tuple, coeff) -> None:
+    """Add Alt of one term to ``residual``: nothing when two of its exponent
+    ``pairs`` are equal, and otherwise sgn(g) * coeff on the key of its pairs
+    in descending order and ``rest``, the rest of its monomial, g the sort:
+    the term is g(t') for the term t' with sorted pairs, and alternates to
+    sgn(g) * Alt(t')."""
+    m = len(pairs)
+    if len(set(pairs)) < m:
+        return
+    order = sorted(range(m), key=pairs.__getitem__, reverse=True)
+    key = (tuple([pairs[i] for i in order]), rest)
+    # The sort's parity: each swap puts one more position in place.
+    odd = False
+    for i in range(m):
+        while order[i] != i:
+            k = order[i]
+            order[i] = order[k]
+            order[k] = k
+            odd = not odd
+    residual[key] = residual.get(key, 0) + (-coeff if odd else coeff)
+
+
+def orbit_image(mu: tuple, m: int, terms) -> dict:
+    """The orbit residual of H for S = m_mu, {sorted pairs: coefficient},
+    from the terms x^b of m_mu, b the orderings of mu, each sent through
+    ``terms``: :func:`row_terms` at general y, :func:`y_one_terms` at
+    y = 1, :func:`staircase_terms` for the G term."""
+    part: dict = {}
+    for b in _orderings(mu):
+        terms(part, b, 1, m)
+    return {pairs: c for (pairs, _), c in part.items() if c}
+
+
+def row_terms(part: dict, b: Sequence, coeff, m: int) -> None:
+    """Add to the orbit residual ``part`` the terms of H made from one term
+    coeff * x^b of S(x), b the exponents of x_1..x_m: y_1^n times the term
+    itself, and the terms of S(s_1) it gives by the binomial theorem, each
+    sent through :func:`sorted_alternant` as it is made."""
+    b_1 = b[0]
+    pairs = [(b_1, m - 1)] + [(b[j] + j, m - 1 - j) for j in range(1, m)]
+    if b_1:
+        sorted_alternant(part, pairs, (), coeff)
+    # Only the x_j y_j with b_j > 0 have a choice of r_j.  Their pairs sum to
+    # more than m - 1 and the others to m - 1, so a repeated pair among them
+    # alternates to 0 whatever the other r_j: such a choice is dropped at once.
+    moving = [j for j in range(1, m) if b[j]]
+    partial = [((), 0, -coeff)]  # (their pairs so far, R so far, coefficient)
+    for j in moving:
+        e = b[j]
+        choices = [((e - r + j, r + m - 1 - j), r, (-1) ** r * comb(e, r)) for r in range(e + 1)]
+        partial = [
+            (tail + (pair,), shift + r, c * f)
+            for tail, shift, c in partial
+            for pair, r, f in choices
+            if pair not in tail
+        ]
+    for tail, shift, c in partial:
+        if shift or b_1:
+            pairs[0] = (b_1 + shift, m - 1 - b_1 - shift)
+            for j, pair in zip(moving, tail):
+                pairs[j] = pair
+            sorted_alternant(part, pairs, (), c)
+
+
+def y_one_terms(part: dict, b: Sequence, coeff, m: int) -> None:
+    """Add to the orbit residual ``part`` the terms of M * coeff * (x^b -
+    x^b(s_1)) at y = 1, s_1 = (x_1, x_2 - x_1, ..., x_m - x_1).  By the
+    binomial theorem x^b(s_1) is the sum over 0 <= r_j <= b_j of
+    prod_{j>=2} C(b_j, r_j) (-1)^r_j x_1^(b_1 + R) x_j^(b_j - r_j),
+    R = sum r_j, and its r = 0 term is x^b, which cancels.  Each term, M's
+    exponent j - 1 added to that of x_j, is sent through
+    :func:`sorted_alternant` with the pairs (deg x_j, 0) as it is made."""
+    b_1 = b[0]
+    exponents = [b_1] + list(range(1, m))
+    # Only the x_j with b_j > 0 have a choice of r_j.  A choice that repeats
+    # an exponent, one of theirs or the j - 1 of an x_j with b_j = 0,
+    # alternates to 0 whatever the other r_j, so it is dropped at once.
+    moving = [j for j in range(1, m) if b[j]]
+    fixed = set(range(1, m)).difference(moving)
+    partial = [((), 0, -coeff)]  # (their exponents so far, R so far, coefficient)
+    for j in moving:
+        e = b[j]
+        choices = [(e - r + j, r, (-1) ** r * comb(e, r)) for r in range(e + 1) if e - r + j not in fixed]
+        partial = [
+            (tail + (x,), shift + r, c * f)
+            for tail, shift, c in partial
+            for x, r, f in choices
+            if x not in tail
+        ]
+    for tail, shift, c in partial:
+        if shift:
+            exponents[0] = b_1 + shift
+            for j, x in zip(moving, tail):
+                exponents[j] = x
+            sorted_alternant(part, [(x, 0) for x in exponents], (), c)
+
+
+def staircase_terms(part: dict, b: Sequence, coeff, m: int) -> None:
+    """Add to the orbit residual ``part`` the term M * coeff * x^b at y = 1,
+    M's exponent j - 1 added to that of x_j."""
+    sorted_alternant(part, [(v + j, 0) for j, v in enumerate(b)], (), coeff)
+
+
+def decoded(residual: dict, width: int) -> dict:
+    """A residual keyed by int keys, or by (int key, rest), rekeyed by the
+    sorted exponent pairs they stand for: bit x * width + y of a key is the
+    pair (x, y), and the pairs run from the highest bit down."""
+
+    def pairs(key: int) -> tuple:
+        return tuple(divmod(i, width) for i in range(key.bit_length() - 1, -1, -1) if key >> i & 1)
+
+    return {
+        (pairs(key[0]), key[1]) if isinstance(key, tuple) else pairs(key): c
+        for key, c in residual.items()
+    }
 
 
 def alternate(poly: MultiPoly, m: int) -> MultiPoly:

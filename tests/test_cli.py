@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symmrel import cli, exactnum, families, partitions, polyring, relations, solver, symmfunc
 from symmrel.cli import main
@@ -617,3 +619,42 @@ def test_bad_term_cap_environment_is_usage_error(value):
     assert result.stderr.splitlines() == [
         f"error: SYMMREL_TERM_CAP must be a positive integer, got {value!r}"
     ]
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.text()
+    | st.floats(allow_nan=False)
+)
+_json_documents = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6) | st.integers(-5, 5), children, max_size=4)
+    | st.dictionaries(st.booleans() | st.none(), children, max_size=2)
+    | st.tuples(children, children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_documents)
+def test_json_rendering_matches_the_standard_encoder(document):
+    # Nested empty containers, non-ASCII and control characters, large
+    # ints, bools, None and int dict keys are rendered by the 2-space
+    # renderer; floats, tuples and other dict keys go through json.dumps at
+    # their depth.  Either way the bytes are json.dumps(doc, indent=2)'s.
+    assert cli._render_json(document) == json.dumps(document, indent=2)
+
+
+def test_json_rendering_of_edge_cases():
+    document = {
+        "empty": [[], {}, [[]], {"x": {}}],
+        "text": "é☃\U0001f600 \x00\x1f\"\\\n\t",
+        "ints": [10**40, -(10**40), 0],
+        "flags": [True, False, None],
+        3: {-1: "int keys", "1": "str key"},
+        "nested": {"float": 1.5, "tuple": (1, [2, {}])},
+    }
+    assert cli._render_json(document) == json.dumps(document, indent=2)

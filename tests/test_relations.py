@@ -1,5 +1,4 @@
 import random
-import re
 from itertools import permutations
 from argparse import Namespace
 from fractions import Fraction as F
@@ -35,8 +34,10 @@ from symmrel.relations import (
     _Source,
     _certificate,
     _make_source,
+    _row_image,
     _row_terms,
     _symbolic_rows,
+    _y_one_image,
     _y_one_residue,
     build_s_matrix,
     extract_y_basis,
@@ -60,16 +61,22 @@ from oracles import (
     bell_family_polynomial,
     certified_term,
     complete_homogeneous,
+    decoded,
     lcd_frame,
     lcd_numerator,
     lcd_residue,
     orbit_certificate,
+    orbit_image,
     orbit_residual,
     read_power_sums,
+    row_terms,
     scaled,
+    sorted_alternant,
+    staircase_terms,
     u_at_point,
     untruncated_residue,
     x_variable_residue,
+    y_one_terms,
 )
 from reference_tables import y_tables, z_table, Z3_FLAGGED_KEY, z3_flagged_printed
 
@@ -279,7 +286,7 @@ class TestCertificateAgainstOracle:
             for m in range(2, 5 if spec == "symbolic" else 6):
                 for n in range(m):
                     source = _make_source(spec, n, m)
-                    terms, residual = _certificate(source, m, None)
+                    terms, residual = _pair_certificate(source, m, None)
                     assert (terms, residual) == orbit_certificate(source, m, None), (spec, n, m)
                     assert residual == {}
                     cases += 1
@@ -299,7 +306,7 @@ class TestCertificateAgainstOracle:
                 for n in range(m, 9):
                     source = _make_source(spec, n, m)
                     residue = _y_one_residue(source, m)
-                    terms, residual = _certificate(source, m, residue)
+                    terms, residual = _pair_certificate(source, m, residue)
                     assert residual == orbit_certificate(source, m, residue)[1] == {}, (spec, n, m)
                     s_x = symmfunc.monomial_expansion(source.poly, m)
                     g = symmfunc.monomial_expansion(residue.in_power_sums(), m)
@@ -322,7 +329,7 @@ class TestCertificateAgainstOracle:
                 coefficients = dict(residue.coefficients)
                 coefficients[key] = coefficients[key] + F(1, 3)
                 perturbed = PowerSumExpansion(n - m, m, coefficients)
-                residual = _certificate(source, m, perturbed)[1]
+                residual = _pair_certificate(source, m, perturbed)[1]
                 assert residual, (spec, n, m, key)
                 assert residual == orbit_certificate(source, m, perturbed)[1], (spec, n, m, key)
 
@@ -331,7 +338,7 @@ class TestCertificateAgainstOracle:
     def test_six_variables(self, spec):
         # At (5, 6) the oracle forms H, 2031 and 8925 terms, in well under a second.
         source = _make_source(spec, 5, 6)
-        folded = _certificate(source, 6, None)
+        folded = _pair_certificate(source, 6, None)
         assert folded == orbit_certificate(source, 6, None)
         assert folded[1] == {}
 
@@ -355,9 +362,18 @@ def _random_homogeneous(rng, m, n):
     return poly
 
 
+def _pair_certificate(source, m, residue):
+    """``_certificate`` with its residual keyed by sorted exponent pairs, as
+    the oracle keys it: its int keys have width n + m at general y and 1 at
+    y = 1."""
+    terms, residual = _certificate(source, m, residue)
+    return terms, decoded(residual, source.n + m if residue is None else 1)
+
+
 def _row_residual(poly, m):
     """The orbit residual of H from the terms c x^b of S(x) = ``poly``, a
-    polynomial in x_1..x_m and the a_k, one term at a time by ``_row_terms``."""
+    polynomial in x_1..x_m and the a_k, one term at a time by the oracle's
+    ``row_terms``."""
     parts = {}  # the a-monomial of a term -> its part of the residual
     for mono, coeff in poly.terms.items():
         b, rest = [0] * m, ()
@@ -366,14 +382,14 @@ def _row_residual(poly, m):
                 rest = mono[pos:]
                 break
             b[var.index - 1] = e
-        _row_terms(parts.setdefault(rest, {}), b, coeff, m)
+        row_terms(parts.setdefault(rest, {}), b, coeff, m)
     return {(pairs, rest): c for rest, part in parts.items() for (pairs, _), c in part.items() if c}
 
 
 class TestRowExpansion:
-    """``_row_expansion_certificate`` reads H's term count and orbit residual
-    off S(x) alone, with S(s_1) expanded term by term by the binomial
-    theorem."""
+    """``_certificate`` reads H's term count and orbit residual off S(x)
+    alone, with S(s_1) expanded by the binomial theorem; the oracle's
+    ``row_terms`` expands it term by term."""
 
     def test_matches_h_formed_in_full(self):
         # Raw homogeneous polynomials, symmetric or not, with and without
@@ -393,7 +409,7 @@ class TestRowExpansion:
             assert _row_residual(raw.poly, m) == expected[1], (poly, m)
             if symmfunc.is_symmetric(poly, m):
                 held = _make_source(poly, n, m)
-                assert _certificate(held, m, None) == orbit_certificate(held, m, None), (poly, m)
+                assert _pair_certificate(held, m, None) == orbit_certificate(held, m, None), (poly, m)
                 counted += 1
             residuals.add(bool(expected[1]))
             free_of_x1.add(any(VarId(KIND_X, 1) not in dict(mono) for mono in poly.terms))
@@ -465,6 +481,79 @@ class TestRowExpansion:
         for spec, n, m in [("bernoulli", 5, 3), ("symbolic", 4, 2), ((1, 1, 0), 3, 2)]:
             report = verify_conjecture2(spec, n, m)
             assert report.verified and [s.name for s in report.stages] == ["orbit-certificate"]
+
+
+def _partitions(n, m):
+    """The partitions of n into at most m parts, as m descending parts."""
+    return sorted({tuple(sorted(b, reverse=True)) for b in _compositions(n, m)})
+
+
+def _compositions(n, m):
+    if m == 1:
+        return [(n,)]
+    return [(v,) + rest for v in range(n + 1) for rest in _compositions(n - v, m - 1)]
+
+
+class TestIntKeyImages:
+    """The orbit images on int keys against the oracle's, which sorts every
+    term's exponent pairs: at general y on every orbit with n < m <= 7, at
+    y = 1 on m <= 5 and n = m..m+4."""
+
+    def test_general_y_images(self):
+        # Every zero-relation image is empty, so the control is the row part
+        # alone, the terms of -M y_1^e m_mu(s_1) without the one that cancels
+        # y_1^n x^b: nonempty, and equal key by key to the oracle's row terms
+        # less the term y_1^n x^b.
+        orbits = nonempty = 0
+        for m in range(1, 8):
+            for n in range(m):
+                width = n + m
+                for mu in _partitions(n, m):
+                    assert decoded(dict(_row_image(mu, m)), width) == orbit_image(mu, m, row_terms) == {}
+                    part, oracle = {}, {}
+                    for b in set(permutations(mu)):
+                        _row_terms(part, b, m, width)
+                        row_terms(oracle, b, 1, m)
+                        if b[0]:
+                            own = [(b[0], m - 1)] + [(b[j] + j, m - 1 - j) for j in range(1, m)]
+                            sorted_alternant(oracle, own, (), -1)
+                    oracle = {pairs: c for (pairs, _), c in oracle.items() if c}
+                    assert decoded({k: c for k, c in part.items() if c}, width) == oracle, (mu, m)
+                    orbits += 1
+                    nonempty += bool(oracle)
+        assert (orbits, nonempty) == (75, 68)
+
+    def test_y_one_images(self):
+        # The walk over positions, once per orbit, against the oracle's
+        # expansion once per ordering: the row image, and the staircase image
+        # of each nu + 1^m that a residue of weight n - m brings.
+        nonempty = 0
+        for m in range(1, 6):
+            for n in range(m, m + 5):
+                for mu in _partitions(n, m):
+                    image = decoded(dict(_y_one_image(mu, m, True)), 1)
+                    assert image == orbit_image(mu, m, y_one_terms), (mu, m)
+                    nonempty += bool(image)
+                for nu in _partitions(n - m, m):
+                    shifted = tuple(v + 1 for v in nu)
+                    image = decoded(dict(_y_one_image(shifted, m, False)), 1)
+                    assert image == orbit_image(shifted, m, staircase_terms), (nu, m)
+                    nonempty += bool(image)
+        assert nonempty == 188  # of 212 images
+
+    def test_signs_of_the_int_keys(self):
+        # m_(1, 0) at (n, m) = (1, 2): M = x_2 and keys of width 3.  The
+        # term y_1 x_1 x_2 has the pairs (1, 1), (1, 0), bits 4 and 3, in
+        # order.  x_1's row term -x_1 x_2 has two equal pairs, and x_2's,
+        # -x_2 (y_1 x_2 - y_2 x_1) less the -y_1 x_2^2 that cancels
+        # y_1 x_2^2, is x_1 x_2 y_2: position 1 holds (1, 0) and is placed
+        # below position 2's (1, 1), one swap, so it cancels the first term.
+        part = {}
+        _row_terms(part, (1, 0), 2, 3)
+        assert part == {}
+        _row_terms(part, (0, 1), 2, 3)
+        assert part == {1 << 4 | 1 << 3: -1}
+        assert _row_image((1, 0), 2) == ()
 
 
 class TestUFunction:
@@ -719,8 +808,12 @@ class TestZeroRelation:
         # A raw symmetric input is rewritten in the power sums inside the
         # stage: a cap met by an expansion in x_1..x_3 on the way makes a
         # resource-limited report whose detail is the cap's message, and the
-        # same input verifies under the default cap afterwards.
+        # same input verifies under the default cap afterwards.  The basis
+        # products the rewrite expands are made afresh, so the cap meets the
+        # same expansion after they were made once in the process.
         poly = family_polynomial("laguerre", n, 3)
+        for key in exponent_vectors(n, 3):
+            power_sum_product(key, 3)
         cap = get_term_cap()
         set_term_cap(3)
         try:
@@ -729,19 +822,21 @@ class TestZeroRelation:
             set_term_cap(cap)
         assert report.verdict == "resource-limited"
         assert report.source_label == "raw"
-        (stage,) = report.stages
-        assert stage.name == "orbit-certificate"
-        assert re.fullmatch(r"expansion in x_1\.\.x_3 of \d+ terms exceeds the cap of 3", stage.detail)
+        terms = {2: 6, 4: 15}[n]  # of p_1^n in x_1..x_3, the first basis product
+        assert [(stage.name, stage.detail) for stage in report.stages] == [
+            ("orbit-certificate", f"expansion in x_1..x_3 of {terms} terms exceeds the cap of 3")
+        ]
         assert verify(poly, n, 3).verdict == "verified"
 
     def test_nonzero_residual_takes_the_kernel_witness(self, monkeypatch):
         # A nonzero residual falsifies the relation in its one stage, and is
         # the witness over the source's denominator: each coefficient times
         # its sorted representative monomial and its monomial in the a_k.
+        # Its keys have width n + m = 5: bit 5x + y is the pair (x, y).
         a1, x3, y3 = MultiPoly.a(1), MultiPoly.x(3), MultiPoly.y(3)
         residual = {
-            (((2, 0), (1, 1), (0, 2)), ((VarId(KIND_A, 1), 1),)): 3,
-            (((1, 2), (0, 1), (0, 0)), ()): F(-1, 2),
+            (1 << 10 | 1 << 6 | 1 << 2, ((VarId(KIND_A, 1), 1),)): 3,  # (2, 0), (1, 1), (0, 2)
+            (1 << 7 | 1 << 1 | 1 << 0, ()): F(-1, 2),  # (1, 2), (0, 1), (0, 0)
         }
         monkeypatch.setattr(relations, "_certificate", lambda source, m, residue: (0, residual))
         denominator = _make_source("bernoulli", 2).denominator
@@ -763,7 +858,7 @@ class TestZeroRelation:
             raise AssertionError("u_function called")
 
         monkeypatch.setattr(
-            relations, "_certificate", lambda source, m, residue: (0, {((), ()): 1})
+            relations, "_certificate", lambda source, m, residue: (0, {(0, ()): 1})
         )
         monkeypatch.setattr(relations, "u_function", refuse)
         expansion = PowerSumExpansion(2, 3, {(2, 0): F(1, 2) * MultiPoly.a(1), (0, 1): -3})
