@@ -560,14 +560,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # SYMMREL_TERM_CAP, as set at this call, and --term-cap hold for this call
+    # alone: an in-process caller's next call runs under the cap it had before.
+    previous_cap = get_term_cap()
     try:
-        term_cap_from_environment()
+        set_term_cap(term_cap_from_environment(previous_cap))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # --term-cap holds for this call alone: an in-process caller's next call
-    # runs under the cap it had before.
-    previous_cap = get_term_cap()
     try:
         return _run(args)
     finally:

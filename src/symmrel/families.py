@@ -29,11 +29,10 @@ symbols, so identities can be verified for all coefficient streams at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .exactnum import bernoulli_numbers
 from .partitions import exponent_vectors
@@ -53,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     name: str
     a_coeff: Callable[[int], Fraction]
     b_norm: Callable[[int], Fraction]

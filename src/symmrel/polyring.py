@@ -119,14 +119,14 @@ class MissingVariableError(ValueError):
 _DEFAULT_TERM_CAP = 10**7
 
 
-def term_cap_from_environment() -> int:
-    """The term cap SYMMREL_TERM_CAP asks for; the default when it is unset.
+def term_cap_from_environment(default: int = _DEFAULT_TERM_CAP) -> int:
+    """The term cap SYMMREL_TERM_CAP asks for; ``default`` when it is unset.
 
     Raises ValueError when the variable holds anything but a positive integer.
     """
     text = os.environ.get("SYMMREL_TERM_CAP")
     if text is None:
-        return _DEFAULT_TERM_CAP
+        return default
     try:
         cap = int(text)
     except ValueError:

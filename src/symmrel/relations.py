@@ -183,7 +183,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from math import comb, gcd, lcm, prod
@@ -358,27 +357,55 @@ def _make_source(poly_source, n: int, m: Optional[int] = None) -> _Source:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Stage:
-    name: str
-    detail: str
-    seconds: float
+class _Record:
+    """A mutable record over its ``__slots__``: equal to a record of the same
+    class with equal fields, and unhashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+
+class Stage(_Record):
+    __slots__ = ("name", "detail", "seconds")
+
+    def __init__(self, name: str, detail: str, seconds: float):
+        self.name = name
+        self.detail = detail
+        self.seconds = seconds
 
     def to_json(self):
         # The wall-clock time stays off the document, which is byte-deterministic.
         return {"name": self.name, "detail": self.detail}
 
 
-@dataclass
-class RelationReport:
-    conjecture_id: str  # C1 | C2 | C3-zero | C3-poly
-    n: int
-    m: int
-    source_label: str
-    verdict: str  # verified | falsified | resource-limited
-    witness: Optional[MultiPoly] = None
-    extracted: Optional[PowerSumExpansion] = None
-    stages: list = field(default_factory=list)
+class RelationReport(_Record):
+    __slots__ = (
+        "conjecture_id", "n", "m", "source_label", "verdict", "witness", "extracted", "stages"
+    )
+
+    def __init__(
+        self,
+        conjecture_id: str,  # C1 | C2 | C3-zero | C3-poly
+        n: int,
+        m: int,
+        source_label: str,
+        verdict: str,  # verified | falsified | resource-limited
+        witness: Optional[MultiPoly] = None,
+        extracted: Optional[PowerSumExpansion] = None,
+        stages: Optional[list] = None,
+    ):
+        self.conjecture_id = conjecture_id
+        self.n = n
+        self.m = m
+        self.source_label = source_label
+        self.verdict = verdict
+        self.witness = witness
+        self.extracted = extracted
+        self.stages = [] if stages is None else stages
 
     @property
     def verified(self) -> bool:

@@ -20,15 +20,14 @@ the free keys the columns left without a pivot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .exactnum import bernoulli_numbers
 from .partitions import ExponentVector, exponent_vectors
 from .polyring import KIND_A, MultiPoly, VarId
-from .relations import _make_source, _ResidueEngine, extract_z
+from .relations import _make_source, _Record, _ResidueEngine, extract_z
 from .symmfunc import PowerSumExpansion, _certified_rref
 
 __all__ = [
@@ -56,8 +55,7 @@ class EliminationError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CSolution:
+class CSolution(NamedTuple):
     """Parametrized solution of the residue-vanishing system for one n.
 
     ``dependent`` maps each non-free key to the linear form giving its value
@@ -247,10 +245,12 @@ def sequential_a_elimination(max_index: int) -> dict[int, MultiPoly]:
     return {k: resolved[k] for k in sorted(resolved) if k <= max_index}
 
 
-@dataclass
-class AEliminationReport:
-    entries: list = field(default_factory=list)  # (index, computed, expected, ok)
-    all_ok: bool = True
+class AEliminationReport(_Record):
+    __slots__ = ("entries", "all_ok")
+
+    def __init__(self, entries: Optional[list] = None, all_ok: bool = True):
+        self.entries = [] if entries is None else entries  # (index, computed, expected, ok)
+        self.all_ok = all_ok
 
     def to_json(self):
         return {
@@ -347,10 +347,12 @@ NONLINEAR_RELATIONS: list[tuple[str, list]] = [
 ]
 
 
-@dataclass
-class NonlinearRelationReport:
-    entries: list = field(default_factory=list)  # (label, value, ok)
-    all_ok: bool = True
+class NonlinearRelationReport(_Record):
+    __slots__ = ("entries", "all_ok")
+
+    def __init__(self, entries: Optional[list] = None, all_ok: bool = True):
+        self.entries = [] if entries is None else entries  # (label, value, ok)
+        self.all_ok = all_ok
 
     def to_json(self):
         return {

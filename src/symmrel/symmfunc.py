@@ -41,7 +41,6 @@ independent, the forms of the pivot rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -81,7 +80,6 @@ class NotRepresentableError(ValueError):
     """No exact representation exists in the requested basis."""
 
 
-@dataclass(frozen=True)
 class PowerSumExpansion:
     """A symmetric polynomial written as sum c_k * p_1^k_1 ... p_n^k_n.
 
@@ -89,16 +87,35 @@ class PowerSumExpansion:
     rationals, or to MultiPoly values in the a_i symbols in symbolic mode.
     The dict carries every key of its key set in listing order, including
     explicit zeros, so serialized tables have a stable positional layout.
+    An expansion is immutable: its attributes refuse assignment.
     """
 
-    weight: int
-    num_vars: int
-    coefficients: Mapping[ExponentVector, Coefficient] = field(default_factory=dict)
+    __slots__ = ("weight", "num_vars", "coefficients")
 
-    def __post_init__(self):
-        for key in self.coefficients:
-            if vector_weight(key) != self.weight:
-                raise ValueError(f"key {key} does not have weight {self.weight}")
+    def __init__(
+        self,
+        weight: int,
+        num_vars: int,
+        coefficients: Optional[Mapping[ExponentVector, Coefficient]] = None,
+    ):
+        if coefficients is None:
+            coefficients = {}
+        for key in coefficients:
+            if vector_weight(key) != weight:
+                raise ValueError(f"key {key} does not have weight {weight}")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a PowerSumExpansion is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a PowerSumExpansion is immutable")
+
+    def __reduce__(self):
+        # Slot state would be restored by setattr, which an expansion refuses.
+        return PowerSumExpansion, (self.weight, self.num_vars, self.coefficients)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients.values())

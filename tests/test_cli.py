@@ -551,6 +551,33 @@ class TestFamiliesCommand:
             assert name in out
 
 
+SUBCOMMANDS = ("verify", "table", "solve-c", "bernoulli-relations", "families")
+
+
+class TestParser:
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == "symmrel 0.1.0\n"
+
+    def test_top_level_help_names_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: symmrel ")
+        for name in SUBCOMMANDS:
+            assert name in out
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_subcommand_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: symmrel {command} ")
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

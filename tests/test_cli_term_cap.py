@@ -1,4 +1,4 @@
-"""``--term-cap`` holds for its own call of ``cli.main`` alone.
+"""``--term-cap`` and SYMMREL_TERM_CAP hold for their own call of ``cli.main`` alone.
 
 No fixture here restores the cap after a test, so each test sees what an
 in-process caller of ``main`` sees.
@@ -17,6 +17,20 @@ def test_the_cap_ends_with_its_call(capsys):
     assert "exceeds the cap of 5" in capsys.readouterr().err
     assert get_term_cap() == cap
     assert main(["table", "Z", "--n", "3", "--m", "2"]) == 0
+    assert get_term_cap() == cap
+
+
+def test_the_environment_cap_is_read_at_each_call(capsys, monkeypatch):
+    # SYMMREL_TERM_CAP set after import holds for the call, as in a fresh
+    # process, and ends with it; --term-cap still wins over it.
+    cap = get_term_cap()
+    monkeypatch.setenv("SYMMREL_TERM_CAP", "5")
+    extract_z.cache_clear()
+    assert main(["table", "Z", "--n", "2", "--m", "2"]) == 3
+    assert "exceeds the cap of 5" in capsys.readouterr().err
+    assert get_term_cap() == cap
+    extract_z.cache_clear()
+    assert main(["--term-cap", "100", "table", "Z", "--n", "2", "--m", "2"]) == 0
     assert get_term_cap() == cap
 
 

@@ -52,3 +52,23 @@ def test_cli_import_leaves_process_pools_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_cli_start_leaves_dataclasses_and_inspect_unloaded():
+    # The start of every command: importing the package and building its
+    # parser.  dataclasses and inspect (with ast, dis and tokenize) cost
+    # ~12 ms there, and no computation needs them.
+    script = (
+        "import sys, symmrel, symmrel.cli\n"
+        "symmrel.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    src = Path(symmrel.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
