@@ -6,8 +6,9 @@ Four variable families exist, ordered x < y < a < p with ascending index:
 * ``y_i`` -- the auxiliary variables of the row-substitution matrix,
 * ``a_i`` -- free coefficient symbols for fully symbolic expansions,
 * ``p_k`` -- power sums held as indeterminates, so that a symmetric
-  polynomial can stay in Q[p_1, p_2, ..., a_1, ...] until it is
-  substituted into components or read off as a power-sum expansion.
+  polynomial can stay in Q[p_1, p_2, ..., a_1, ...] until it is taken to
+  the monomial symmetric functions of x_1..x_m
+  (``symmfunc.monomial_expansion``) or read off as a power-sum expansion.
 
 A monomial is a tuple of ``(VarId, exponent)`` pairs sorted by variable with
 no zero exponents; a polynomial is a dict monomial -> nonzero coefficient.
@@ -43,9 +44,9 @@ order, over the ring of the others (Geddes, Czapor & Labahn, *Algorithms for
 Computer Algebra*, 1992, ch. 2): each quotient coefficient is the running
 remainder's top coefficient in u divided, recursively, by the divisor's
 leading coefficient.  A single-term divisor subtracts exponents in one pass;
-a constant one scales.  The residue relation divides only on its reference
-route, where U_n's numerator over the full product of denominators is
-divided by that product.
+a constant one scales.  No library path divides: the test oracles do, to
+form the residue from U_n's numerator over the full product of
+denominators.
 
 Expansions are guarded by a configurable term cap (default 10**7 terms,
 overridable via ``set_term_cap`` or the SYMMREL_TERM_CAP environment

@@ -78,10 +78,12 @@ with (``_weigh``).  By the binomial theorem a term c x^b of S(x) becomes at
 s_1 = (x_1, y_1 x_2 - y_2 x_1, ...) the terms
 c prod_{j>=2} C(b_j, r_j) (-1)^r_j x_1^(b_1 + R) y_1^(n - b_1 - R)
 prod_{j>=2} x_j^(b_j - r_j) y_j^r_j, 0 <= r_j <= b_j, R = sum r_j.  At
-general y the image of m_mu makes them ordering by ordering (``_row_image``,
-``_row_terms``).  The pairs (b_j - r_j, r_j), j >= 2, fix b and r, and S is
-homogeneous, so no two of them merge, and one meets a term of y_1^n S(x)
-only at b_1 = 0 and r = 0, where the two cancel.  So H has exactly
+general y the image of m_mu is made ordering by ordering (``_row_image``),
+and each ordering b makes its row terms and, from the one at r = 0, the
+term y_1^n c x^b of S(x) itself (``_row_terms``).  The pairs
+(b_j - r_j, r_j), j >= 2, fix b and r, and S is homogeneous, so no two of
+them merge, and one meets a term of y_1^n S(x) only at b_1 = 0 and r = 0,
+where the two cancel and neither is made.  So H has exactly
 len(S(x)) + sum_t prod_{j>=2} (b_j + 1) - 2 #{t : b_1 = 0} terms, with no
 product, no substitution on the row and no term map of H.  Each of the
 three sums is fixed per orbit: over the orbit of mu, prod_{j>=2} (b_j + 1)
@@ -579,31 +581,24 @@ def _orbit_counts(mu: tuple) -> tuple:
 
 def _row_image(mu: tuple, m: int) -> tuple:
     """The orbit residual of H at general y for S = m_mu, as (int key,
-    coefficient) items of width Y = n + m: for each ordering b of mu, the
-    term M y_1^(e + n) x^b itself, left out at b_1 = 0, where a row term
-    cancels it, and then its row terms (``_row_terms``)."""
+    coefficient) items of width Y = n + m: the terms of each ordering b of
+    mu (``_row_terms``)."""
     width = sum(mu) + m
     part: dict = {}
     for b in _orderings(mu):
-        if b[0]:
-            # Its pairs (b_j + j - 1, m - j) have distinct y degrees, so none meet.
-            key, sign = 0, 1
-            for j, v in enumerate(b):
-                bit = 1 << ((v + j) * width + m - 1 - j)
-                if (key & (bit - 1)).bit_count() & 1:
-                    sign = -sign
-                key |= bit
-            part[key] = part.get(key, 0) + sign
         _row_terms(part, b, m, width)
     return tuple((key, c) for key, c in part.items() if c)
 
 
 def _row_terms(part: dict, b: Sequence, m: int, width: int) -> None:
-    """Add to the orbit residual ``part`` the terms of -M * y_1^e * x^b(s_1)
-    at general y, keyed at ``width``: by the binomial theorem, over
-    0 <= r_j <= b_j, -prod_{j>=2} C(b_j, r_j) (-1)^r_j
-    x_1^(b_1 + R) y_1^(n - b_1 - R) x_j^(b_j - r_j) y_j^r_j, R = sum r_j,
-    leaving out the one at b_1 = R = 0, which cancels y_1^n x^b.
+    """Add to the orbit residual ``part`` the terms of
+    M * y_1^e * (y_1^n * x^b - x^b(s_1)) at general y, keyed at ``width``:
+    by the binomial theorem x^b(s_1) gives, over 0 <= r_j <= b_j,
+    prod_{j>=2} C(b_j, r_j) (-1)^r_j x_1^(b_1 + R) y_1^(n - b_1 - R)
+    x_j^(b_j - r_j) y_j^r_j, R = sum r_j, and its term at R = 0 has the
+    pairs of y_1^n x^b at positions 2..m.  So y_1^n x^b is made from that
+    state, with (b_1, m - 1) at position 1 and the opposite coefficient; at
+    b_1 = 0 the two are equal and cancel, and neither is made.
 
     The pairs (j - 1, m - j) of the x_j with b_j = 0 are placed first: each
     lies below those after it, so they make C(f, 2) inversions among
@@ -615,7 +610,9 @@ def _row_terms(part: dict, b: Sequence, m: int, width: int) -> None:
     are inversions when above it, the parity of that count is off by the
     number of them, which the choice's coefficient carries.  Position 1's
     pair (b_1 + R, m - 1 - b_1 - R) has total degree m - 1, so it can meet a
-    fixed pair only, and that is decided before the term is made.
+    fixed pair only, and that is decided before the term is made; the pair
+    (b_1, m - 1) of y_1^n x^b has a y degree above every other, so it meets
+    none.  Position 1 flips the sign once per placed pair above it.
     """
     top = m - 1
     fixed = 0
@@ -646,6 +643,10 @@ def _row_terms(part: dict, b: Sequence, m: int, width: int) -> None:
         x_1 = b[0] + shift
         if not x_1:
             continue
+        if not shift:
+            index = x_1 * width + top
+            own = key | 1 << index
+            part[own] = get(own, 0) + (c if (key >> index).bit_count() & 1 else -c)
         index = x_1 * width + top - x_1
         if fixed >> index & 1:
             continue

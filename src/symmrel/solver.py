@@ -162,13 +162,15 @@ TABULATED_BERNOULLI_FREE_VALUES: dict[int, dict] = {
 
 
 def bernoulli_reconstruction_check(n: int) -> bool:
-    """True iff the tabulated free values reconstruct the Bernoulli expansion."""
-    from .families import family_polynomial
+    """True iff the tabulated free values reconstruct the Bernoulli expansion.
 
-    values = TABULATED_BERNOULLI_FREE_VALUES[n]
-    expansion = reconstruct_s_bar(n, values)
-    reconstructed = expansion.to_polynomial()
-    return reconstructed == family_polynomial("bernoulli", n, expansion.num_vars)
+    The two are compared in the power sums: the products of weight n are
+    independent in n variables, so the forms are equal exactly when the
+    polynomials in x_1..x_n are."""
+    from .families import family_form
+
+    expansion = reconstruct_s_bar(n, TABULATED_BERNOULLI_FREE_VALUES[n])
+    return expansion.in_power_sums() == family_form("bernoulli", n)
 
 
 # ---------------------------------------------------------------------------

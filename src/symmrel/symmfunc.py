@@ -20,9 +20,12 @@ and ``PowerSumExpansion.to_polynomial`` go through it.
 
 From x monomials, the route of raw input, :func:`to_power_sum_basis` checks
 symmetry and homogeneity and inverts the basis by an exact linear solve on
-monomial coefficients.  Coefficients may themselves be polynomials in the
-``a_i`` symbols (symbolic mode): the matrix of the solve is always rational,
-and the right-hand side enters it as one rational column per a-monomial.
+the monomial symmetric functions: the input's coefficient on m_mu is that of
+its term x^mu, and each basis product's is read off by
+:func:`monomial_expansion`, so no basis product is expanded in x.
+Coefficients may themselves be polynomials in the ``a_i`` symbols (symbolic
+mode): the matrix of the solve is always rational, and the right-hand side
+enters it as one rational column per a-monomial.
 
 Both exact solves of the library, this one and the C system of ``solver``,
 run through one certified multimodular kernel, :func:`_certified_rref`: the
@@ -87,7 +90,8 @@ class PowerSumExpansion:
     rationals, or to MultiPoly values in the a_i symbols in symbolic mode.
     The dict carries every key of its key set in listing order, including
     explicit zeros, so serialized tables have a stable positional layout.
-    An expansion is immutable: its attributes refuse assignment.
+    An expansion is immutable: it keeps a copy of the mapping it is given,
+    and its attributes refuse assignment.
     """
 
     __slots__ = ("weight", "num_vars", "coefficients")
@@ -98,8 +102,7 @@ class PowerSumExpansion:
         num_vars: int,
         coefficients: Optional[Mapping[ExponentVector, Coefficient]] = None,
     ):
-        if coefficients is None:
-            coefficients = {}
+        coefficients = dict(coefficients or {})
         for key in coefficients:
             if vector_weight(key) != weight:
                 raise ValueError(f"key {key} does not have weight {weight}")
@@ -325,37 +328,6 @@ def x_degrees(p: MultiPoly) -> set:
     return {sum(e for v, e in mono if v.kind == KIND_X) for mono in p.terms}
 
 
-def _split_x_part(p: MultiPoly):
-    """Split every term into its x-monomial and the residual coefficient.
-
-    Returns a dict x-monomial -> MultiPoly in the remaining (a) variables.
-    Rejects any other variable, naming it: basis conversion is only defined
-    for the x ring with optional a-symbol coefficients.
-    """
-    rows: dict = {}
-    for mono, coeff in p.terms.items():
-        x_part = []
-        rest = []
-        for var, exp in mono:
-            if var.kind == KIND_X:
-                x_part.append((var, exp))
-            elif var.kind == KIND_A:
-                rest.append((var, exp))
-            else:
-                raise ValueError(
-                    f"basis conversion got variable {var!r}; it takes the x_i and the a_k alone"
-                )
-        bucket = rows.setdefault(tuple(x_part), {})
-        key = tuple(rest)
-        bucket[key] = bucket.get(key, 0) + coeff
-    out = {}
-    for mono, bucket in rows.items():
-        poly = MultiPoly(bucket)
-        if not poly.is_zero():
-            out[mono] = poly
-    return out
-
-
 def to_power_sum_basis(
     p: MultiPoly,
     m: int,
@@ -364,12 +336,16 @@ def to_power_sum_basis(
 ) -> PowerSumExpansion:
     """Write a symmetric homogeneous polynomial in the power-sum-product basis.
 
-    Solves the exact linear system matching monomial coefficients against
-    the basis products with parts <= max_part.  The basis must be
-    independent (guaranteed for max_part <= m); an underdetermined system
-    is rejected rather than resolved arbitrarily.  ``weight`` fixes the
-    degree of the zero polynomial; a nonzero p of another degree raises
-    NotHomogeneousError, as a p of mixed degrees does.
+    Solves the exact linear system on the monomial symmetric functions m_mu,
+    one row per partition mu of the degree into at most m parts: p's
+    coefficient on m_mu is that of its term x^mu, and each basis product's
+    comes from :func:`monomial_expansion`.  The basis holds the products
+    with parts <= max_part and must be independent (guaranteed for
+    max_part <= m); an underdetermined system is rejected rather than
+    resolved arbitrarily.  A term in an x_j with j > m lies outside every
+    basis product.  ``weight`` fixes the degree of the zero polynomial; a
+    nonzero p of another degree raises NotHomogeneousError, as a p of mixed
+    degrees does.
     """
     if m < 1:
         raise ValueError("need at least one variable")
@@ -390,28 +366,43 @@ def to_power_sum_basis(
         raise NotSymmetricError(f"polynomial is not symmetric in x_1..x_{m}")
 
     keys = exponent_vectors(degree, max_part)
-    basis_rows = [_split_x_part(power_sum_product(k, m)) for k in keys]
-    target = _split_x_part(p)
-
-    monomials = set(target)
-    for row in basis_rows:
-        monomials.update(row)
-    monomials = sorted(monomials)
+    columns = [monomial_expansion(power_sum_monomial(k), m)[()] for k in keys]
+    target: dict = {}  # mu -> {monomial in the a_k: p's coefficient on m_mu}
+    stray = False
+    for mono, coeff in p.terms.items():
+        b, rest, outside = [0] * m, [], False
+        for var, exp in mono:
+            if var.kind == KIND_A:
+                rest.append((var, exp))
+            elif var.kind != KIND_X:
+                raise ValueError(
+                    f"basis conversion got variable {var!r}; it takes the x_i and the a_k alone"
+                )
+            elif var.index <= m:
+                b[var.index - 1] = exp
+            else:
+                outside = True
+        if outside:
+            stray = True
+        elif all(b[j] >= b[j + 1] for j in range(m - 1)):
+            target.setdefault(tuple(b), {})[tuple(rest)] = coeff
+    # The partitions into at most m parts are the conjugates of those with
+    # parts <= m: part j is the number of parts >= j.
+    partitions = [tuple(sum(k[j:]) for j in range(m)) for k in exponent_vectors(degree, m)]
 
     # One rational column per basis key, then one per a-monomial alpha of
     # the right-hand side, holding the coefficient of alpha in each row.
-    zero = MultiPoly.zero()
-    a_monomials = sorted({alpha for row in target.values() for alpha in row.terms})
+    a_monomials = sorted({alpha for row in target.values() for alpha in row})
     matrix = [
-        [Fraction(row.get(mono, zero).constant_term()) for row in basis_rows]
-        + [Fraction(target.get(mono, zero).coefficient(alpha)) for alpha in a_monomials]
-        for mono in monomials
+        [Fraction(column.get(mu, 0)) for column in columns]
+        + [Fraction(target.get(mu, {}).get(alpha, 0)) for alpha in a_monomials]
+        for mu in partitions
     ]
 
     forms, _ = _certified_rref(matrix, range(len(keys) + len(a_monomials)))
     if any(col not in forms for col in range(len(keys))):
         raise NotRepresentableError("basis is not independent: underdetermined column")
-    if any(col >= len(keys) for col in forms):
+    if stray or any(col >= len(keys) for col in forms):
         raise NotRepresentableError("polynomial is outside the span of the requested basis")
     # M v_f = 0 for the column f of alpha says that column is the sum of
     # form[k][f] times key k's column, so key k carries form[k][f] * alpha.

@@ -29,6 +29,12 @@
 * :func:`sequential_ratfunc_combine` -- fractions combined over the product
   of their denominators one product at a time, against which the running
   prefix and suffix products of ``relations.u_function`` are checked;
+* :func:`x_monomial_basis` -- a symmetric polynomial in x written in the
+  power-sum-product basis by the system on every x-monomial, each basis
+  product expanded by :func:`substituted_in_variables` and the system solved
+  by :func:`gauss_jordan`, against which ``symmfunc.to_power_sum_basis``,
+  which solves on the monomial symmetric functions, is checked, its
+  exceptions and their messages included;
 * :func:`power_sums_of` and :func:`scaled` -- a source instantiated on any
   component vector by substituting the power sums of the components, the
   row s_1 at y = 1 included, against which the monomial-basis route of
@@ -75,7 +81,9 @@ from symmrel.partitions import exponent_vectors
 from symmrel.polyring import KIND_A, KIND_P, KIND_X, KIND_Y, MultiPoly, VarId
 from symmrel.relations import _symbolic_rows, build_s_matrix
 from symmrel.symmfunc import (
+    NotHomogeneousError,
     NotRepresentableError,
+    NotSymmetricError,
     PowerSumExpansion,
     _normalize_coefficient,
     _orderings,
@@ -121,6 +129,61 @@ def substituted_in_variables(form: MultiPoly, m: int) -> MultiPoly:
     integral, denominator = form.integral_form()
     sums = {v: power_sum(v.index, m) for v in form.variables() if v.kind == KIND_P}
     return integral.substitute(sums) / denominator
+
+
+def x_monomial_basis(poly: MultiPoly, m: int, max_part: int, weight=None) -> PowerSumExpansion:
+    """``poly``, symmetric and homogeneous in x_1..x_m over Q[a], in the
+    products p^k with parts <= max_part: one equation per x-monomial of
+    ``poly`` or of a product, each product expanded by
+    :func:`substituted_in_variables`, and ``poly``'s coefficients, in the
+    a_k, as the right-hand side of :func:`gauss_jordan`.  It raises what
+    ``to_power_sum_basis`` raises, in the same order and with the same
+    messages."""
+    if m < 1:
+        raise ValueError("need at least one variable")
+    if poly.is_zero():
+        if weight is None:
+            raise ValueError("the zero polynomial needs an explicit weight")
+        keys = exponent_vectors(weight, max_part)
+        return PowerSumExpansion(weight, m, {k: Fraction(0) for k in keys})
+    degrees = {sum(e for v, e in mono if v.kind == KIND_X) for mono in poly.terms}
+    if len(degrees) > 1:
+        raise NotHomogeneousError("polynomial is not homogeneous in the x variables")
+    degree = degrees.pop()
+    if weight is not None and weight != degree:
+        raise NotHomogeneousError(f"stated weight {weight} does not match degree {degree}")
+    for image in permutations(range(1, m + 1)):
+        moved = {VarId(KIND_X, j): VarId(KIND_X, i) for j, i in enumerate(image, 1)}
+        renamed = MultiPoly(
+            (tuple((moved.get(v, v), e) for v, e in mono), c) for mono, c in poly.terms.items()
+        )
+        if renamed != poly:
+            raise NotSymmetricError(f"polynomial is not symmetric in x_1..x_{m}")
+    keys, one = exponent_vectors(degree, max_part), MultiPoly.one()
+    products = [
+        substituted_in_variables(prod((MultiPoly.p(i) ** e for i, e in enumerate(k, 1)), start=one), m)
+        for k in keys
+    ]
+    rhs: dict = {}  # x-monomial -> {monomial in the a_k: coefficient}
+    for mono, coeff in poly.terms.items():
+        for var, _ in mono:
+            if var.kind not in (KIND_X, KIND_A):
+                raise ValueError(
+                    f"basis conversion got variable {var!r}; it takes the x_i and the a_k alone"
+                )
+        x_part = tuple((v, e) for v, e in mono if v.kind == KIND_X)
+        rhs.setdefault(x_part, {})[tuple((v, e) for v, e in mono if v.kind == KIND_A)] = coeff
+    monomials = sorted(set(rhs).union(*(product.terms for product in products)))
+    matrix = [[product.terms.get(mono, 0) for product in products] for mono in monomials]
+    targets = [MultiPoly(rhs.get(mono, {})) for mono in monomials]
+    pivots, _, values = gauss_jordan(matrix, range(len(keys)), targets)
+    if len(pivots) < len(keys):
+        raise NotRepresentableError("basis is not independent: underdetermined column")
+    if any(not values[r].is_zero() for r in range(len(monomials)) if r not in pivots.values()):
+        raise NotRepresentableError("polynomial is outside the span of the requested basis")
+    return PowerSumExpansion(
+        degree, m, {k: _normalize_coefficient(values[pivots[col]]) for col, k in enumerate(keys)}
+    )
 
 
 def power_sums_of(values: Sequence, up_to: int) -> list:

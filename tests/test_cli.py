@@ -410,6 +410,17 @@ class TestSolveCCommand:
         assert code == 0
         assert "confirmed" in out
 
+    def test_bernoulli_check_expands_nothing_in_x(self, capsys, monkeypatch):
+        # The reconstruction is compared with the family in the power sums.
+        def refuse(*args):
+            raise AssertionError("a symmetric polynomial was expanded in x")
+
+        monkeypatch.setattr(symmfunc, "in_variables", refuse)
+        monkeypatch.setattr(families, "in_variables", refuse)
+        code, out, _ = run_cli(capsys, "solve-c", "--n", "5", "--check-bernoulli")
+        assert code == 0
+        assert "Bernoulli reconstruction for n=5: confirmed" in out
+
     def test_sextic_counts(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "solve-c", "--n", "6")
         document = json.loads(out)

@@ -79,7 +79,17 @@ class TestPowerSumExpansion:
         coefficients = {(2, 0): F(1, 2), (0, 1): F(-3)}
         by_keyword = PowerSumExpansion(weight=2, num_vars=3, coefficients=coefficients)
         assert PowerSumExpansion(2, 3, coefficients) == by_keyword
-        assert by_keyword.coefficients is coefficients
+        assert by_keyword.coefficients == coefficients
+        assert by_keyword.coefficients is not coefficients
+
+    def test_the_callers_mapping_is_copied(self):
+        # A caller that changes its own dict afterwards changes neither the
+        # expansion nor its weight.
+        c = {(2, 0): F(1)}
+        e = PowerSumExpansion(2, 3, c)
+        c[(1,)] = F(5)
+        assert e.coefficients == {(2, 0): F(1)}
+        assert e.to_polynomial() == (MultiPoly.x(1) + MultiPoly.x(2) + MultiPoly.x(3)) ** 2
 
     def test_default_coefficients_are_empty_and_not_shared(self):
         first, second = PowerSumExpansion(2, 3), PowerSumExpansion(4, 1)

@@ -71,7 +71,6 @@ from oracles import (
     read_power_sums,
     row_terms,
     scaled,
-    sorted_alternant,
     staircase_terms,
     u_at_point,
     untruncated_residue,
@@ -500,28 +499,26 @@ class TestIntKeyImages:
     y = 1 on m <= 5 and n = m..m+4."""
 
     def test_general_y_images(self):
-        # Every zero-relation image is empty, so the control is the row part
-        # alone, the terms of -M y_1^e m_mu(s_1) without the one that cancels
-        # y_1^n x^b: nonempty, and equal key by key to the oracle's row terms
-        # less the term y_1^n x^b.
-        orbits = nonempty = 0
+        # Every zero-relation image is empty, so the control is each
+        # ordering b alone: its terms, y_1^n x^b with its row terms, are
+        # nonempty, and equal key by key to the oracle's row terms of x^b,
+        # which make y_1^n x^b the same way.
+        orbits = orderings = nonempty = 0
         for m in range(1, 8):
             for n in range(m):
                 width = n + m
                 for mu in _partitions(n, m):
                     assert decoded(dict(_row_image(mu, m)), width) == orbit_image(mu, m, row_terms) == {}
-                    part, oracle = {}, {}
                     for b in set(permutations(mu)):
+                        part, oracle = {}, {}
                         _row_terms(part, b, m, width)
                         row_terms(oracle, b, 1, m)
-                        if b[0]:
-                            own = [(b[0], m - 1)] + [(b[j] + j, m - 1 - j) for j in range(1, m)]
-                            sorted_alternant(oracle, own, (), -1)
-                    oracle = {pairs: c for (pairs, _), c in oracle.items() if c}
-                    assert decoded({k: c for k, c in part.items() if c}, width) == oracle, (mu, m)
+                        oracle = {pairs: c for (pairs, _), c in oracle.items() if c}
+                        assert decoded({k: c for k, c in part.items() if c}, width) == oracle, (b, m)
+                        orderings += 1
+                        nonempty += bool(oracle)
                     orbits += 1
-                    nonempty += bool(oracle)
-        assert (orbits, nonempty) == (75, 68)
+        assert (orbits, orderings, nonempty) == (75, 2353, 2289)
 
     def test_y_one_images(self):
         # The walk over positions, once per orbit, against the oracle's
@@ -544,15 +541,16 @@ class TestIntKeyImages:
     def test_signs_of_the_int_keys(self):
         # m_(1, 0) at (n, m) = (1, 2): M = x_2 and keys of width 3.  The
         # term y_1 x_1 x_2 has the pairs (1, 1), (1, 0), bits 4 and 3, in
-        # order.  x_1's row term -x_1 x_2 has two equal pairs, and x_2's,
-        # -x_2 (y_1 x_2 - y_2 x_1) less the -y_1 x_2^2 that cancels
-        # y_1 x_2^2, is x_1 x_2 y_2: position 1 holds (1, 0) and is placed
-        # below position 2's (1, 1), one swap, so it cancels the first term.
+        # order, and x_1's row term -x_1 x_2 has two equal pairs.  x_2's
+        # row term, -x_2 (y_1 x_2 - y_2 x_1) less the -y_1 x_2^2 that
+        # cancels y_1 x_2^2, is x_1 x_2 y_2: position 1 holds (1, 0) and is
+        # placed below position 2's (1, 1), one swap, so it cancels the
+        # first term.
         part = {}
         _row_terms(part, (1, 0), 2, 3)
-        assert part == {}
+        assert part == {1 << 4 | 1 << 3: 1}
         _row_terms(part, (0, 1), 2, 3)
-        assert part == {1 << 4 | 1 << 3: -1}
+        assert part == {1 << 4 | 1 << 3: 0}
         assert _row_image((1, 0), 2) == ()
 
 

@@ -42,6 +42,7 @@ from oracles import (
     orbit_certificate,
     series_exp,
     substituted_in_variables,
+    x_monomial_basis,
 )
 
 x1, x2, x3 = MultiPoly.x(1), MultiPoly.x(2), MultiPoly.x(3)
@@ -325,6 +326,103 @@ class TestBasisConversion:
         assert expansion.coefficient((2, 0)) == MultiPoly.a(3)
         assert type(expansion.coefficient((0, 1))) is F
         assert expansion.coefficient((0, 1)) == big
+
+
+def _outcome(convert, poly, m, max_part, weight=None):
+    """What a basis conversion returns, every key and coefficient in order
+    with the coefficient's type, or the type and message of what it raises."""
+    try:
+        expansion = convert(poly, m, max_part, weight)
+    except Exception as error:
+        return type(error), str(error)
+    items = [(key, type(c), c) for key, c in expansion.coefficients.items()]
+    return expansion.weight, expansion.num_vars, items
+
+
+class TestBasisConversionOracle:
+    """``to_power_sum_basis`` solves on the monomial symmetric functions; the
+    oracle's ``x_monomial_basis`` solves the system on every x-monomial, each
+    basis product expanded by substitution, by ``Fraction`` Gauss-Jordan
+    elimination.  Results, exceptions and messages agree."""
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES + (SYMBOLIC_NAME,))
+    def test_family_members(self, name):
+        for m in range(1, 5):
+            for n in range(0, 7):
+                if name == SYMBOLIC_NAME:
+                    poly = symbolic_family_polynomial(n, m)
+                else:
+                    poly = family_polynomial(name, n, m)
+                for max_part in (m, m + 1):
+                    got = _outcome(to_power_sum_basis, poly, m, max_part, n)
+                    assert got == _outcome(x_monomial_basis, poly, m, max_part, n), (n, m, max_part)
+
+    def test_edge_cases(self):
+        x4, x5 = MultiPoly.x(4), MultiPoly.x(5)
+        y1, p1, a1 = MultiPoly.y(1), MultiPoly.p(1), MultiPoly.a(1)
+        cases = [
+            # max_part below the weight: in the span, and outside it
+            (power_sum_product((2, 1, 0, 0), 3), 3, 2, None),
+            (family_polynomial("bernoulli", 4, 4), 4, 2, None),
+            (a1 * power_sum_product((1, 0, 1, 0), 3), 3, 3, None),
+            # an x_j with j > m, alone, with a dependent basis, and in a's
+            (x1**2 + x2**2 + x5**2, 2, 2, None),
+            (x4 * (x1 + x2), 2, 2, None),
+            (x4**3 + power_sum(3, 2), 2, 3, None),
+            (a1 * (x1**2 + x2**2) + MultiPoly.a(2) * x3**2, 2, 2, None),
+            # y and p variables
+            (y1 * (x1 + x2), 2, 2, None),
+            (p1 * (x1 + x2) + x1 + x2, 2, 2, None),
+            (MultiPoly.p(2), 2, 2, None),
+            (y1 * a1, 2, 2, None),
+            # the zero polynomial
+            (MultiPoly.zero(), 2, 2, None),
+            (MultiPoly.zero(), 2, 2, 0),
+            (MultiPoly.zero(), 3, 2, 4),
+            # a constant, and the precondition checks
+            (3 * a1, 3, 2, None),
+            (x1**2 + 2 * x2**2, 2, 2, None),
+            (x1**2 + x2, 2, 2, None),
+            (x1 * x2, 2, 2, 3),
+            (x1 + x2, 0, 2, None),
+        ]
+        outcomes = set()
+        for poly, m, max_part, weight in cases:
+            got = _outcome(to_power_sum_basis, poly, m, max_part, weight)
+            assert got == _outcome(x_monomial_basis, poly, m, max_part, weight), (poly, m)
+            outcomes.add(got[0] if isinstance(got[0], type) else "expansion")
+        assert outcomes == {
+            "expansion",
+            ValueError,
+            NotHomogeneousError,
+            NotSymmetricError,
+            symmfunc.NotRepresentableError,
+        }
+
+    def test_builds_no_x_polynomial(self, monkeypatch):
+        # The inputs are built first; then the conversion runs with every
+        # route into x refused, and solves one equation per partition of the
+        # degree into at most m parts: 9 for degree 6 and m = 4.
+        poly = family_polynomial("bernoulli", 6, 4)
+        symbolic = symbolic_family_polynomial(5, 3)
+        expected = [_outcome(x_monomial_basis, p, m, m) for p, m in ((poly, 4), (symbolic, 3))]
+
+        def refuse(*args):
+            raise AssertionError("a symmetric polynomial was expanded in x")
+
+        kernel = symmfunc._certified_rref
+        rows = []
+
+        def spy(matrix, columns):
+            rows.append(len(matrix))
+            return kernel(matrix, columns)
+
+        monkeypatch.setattr(symmfunc, "power_sum_product", refuse)
+        monkeypatch.setattr(symmfunc, "in_variables", refuse)
+        monkeypatch.setattr(symmfunc, "_certified_rref", spy)
+        got = [_outcome(to_power_sum_basis, p, m, m) for p, m in ((poly, 4), (symbolic, 3))]
+        assert got == expected
+        assert rows == [9, 5]
 
 
 def _fact(n):
