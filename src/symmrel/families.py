@@ -6,9 +6,11 @@ the degree-n member over m variables is
     F_n(x_1..x_m) = b_n * BellPoly_n(f_1, ..., f_n),   f_k = a_k * p_k(x)
 
 where p_k is the k-th power sum.  :func:`bell_form` builds it once, in the
-power-sum variables p_k, by the closed form: p_1^k_1 * ... * p_n^k_n has
-coefficient n! / prod_i (k_i! (i!)^k_i) * prod_i a_i^k_i.  The relations
-engine keeps that form; :func:`family_polynomial` and
+power-sum variables p_k, by the closed form (Comtet 1974, *Advanced
+Combinatorics*, §3.3): p_1^k_1 * ... * p_n^k_n has coefficient
+n! / prod_i (k_i! (i!)^k_i) * prod_i a_i^k_i, each term written directly,
+with the a_k rationals or, for the symbolic family, free symbols.  The
+relations engine keeps that form; :func:`family_polynomial` and
 :func:`symbolic_family_polynomial` take it to x_1..x_m through the monomial
 basis (``symmfunc.in_variables``), with no substitution.
 The streams come from the classical
@@ -32,12 +34,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .exactnum import bernoulli_numbers
 from .partitions import exponent_vectors
-from .polyring import KIND_A, MultiPoly, VarId
-from .symmfunc import in_variables, power_sum_monomial
+from .polyring import KIND_A, KIND_P, MultiPoly, VarId, _coerce_scalar
+from .symmfunc import in_variables
 
 __all__ = [
     "FamilySpec",
@@ -142,21 +144,33 @@ def get_family(name: str) -> FamilySpec:
         raise KeyError(f"unknown family {name!r}; known families: {known}") from None
 
 
-def bell_form(n: int, a: Sequence, scale=1) -> MultiPoly:
+def bell_form(n: int, a: Optional[Sequence], scale=1) -> MultiPoly:
     """scale * B_n(a_1 p_1, ..., a_n p_n) in the power-sum variables p_k.
 
-    The a_k may be rationals or polynomials in the a symbols.
+    ``a`` lists the rationals a_1..a_n, or is None for the a_k as free
+    symbols.  Each term is written directly: p^k has coefficient
+    n! / prod_i (k_i! (i!)^k_i) * scale, times prod_i a_i^k_i for rational
+    a_k, or in front of the monomial a^k for symbolic ones (the a_k sort
+    before the p_k, so a^k p^k is canonical as it stands).  A coefficient
+    is an int when it is integral, and zero terms are left out.
     """
-    terms = []
+    terms = {}
     for key in exponent_vectors(n, max(n, 1)):
         divisor = 1
         coeff = scale
+        a_part, p_part = [], []
         for i, e in enumerate(key, 1):
             if e:
                 divisor *= factorial(e) * factorial(i) ** e
-                coeff = coeff * a[i - 1] ** e
-        terms.extend((factorial(n) // divisor * coeff * power_sum_monomial(key)).terms.items())
-    return MultiPoly(terms)
+                if a is None:
+                    a_part.append((VarId(KIND_A, i), e))
+                else:
+                    coeff = coeff * a[i - 1] ** e
+                p_part.append((VarId(KIND_P, i), e))
+        coeff = _coerce_scalar(factorial(n) // divisor * coeff)
+        if coeff:
+            terms[tuple(a_part + p_part)] = coeff
+    return MultiPoly._raw(terms)
 
 
 def family_form(family: Union[FamilySpec, str], n: int) -> MultiPoly:
@@ -182,7 +196,7 @@ def symbolic_family_polynomial(n: int, m: int) -> MultiPoly:
         raise ValueError("n must be >= 0")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return in_variables(bell_form(n, [MultiPoly.a(k) for k in range(1, n + 1)]), m)
+    return in_variables(bell_form(n, None), m)
 
 
 def symbolic_coefficient_values(family: Union[FamilySpec, str], up_to: int) -> dict:

@@ -311,8 +311,7 @@ def _family_source(spec: Optional[FamilySpec], n: int) -> _Source:
     for None, built once per process: building it meets no term cap, so a
     cap meets the same work whatever ran before."""
     if spec is None:
-        a = [MultiPoly.a(k) for k in range(1, n + 1)]
-        return _Source(n, SYMBOLIC_NAME, partial(bell_form, n, a), family=True)
+        return _Source(n, SYMBOLIC_NAME, partial(bell_form, n, None), family=True)
     return _Source(n, spec.name, partial(family_form, spec, n), family=True)
 
 
@@ -1051,8 +1050,15 @@ def _lowest(poly: dict, denominator: int) -> tuple:
 
 
 def _coefficient(bucket: dict, scale: Fraction):
-    """scale * the polynomial {monomial in the a_k: int} ``bucket``: a
-    Fraction when it has no a-monomial, as ``_normalize_coefficient`` gives."""
+    """scale * the polynomial {monomial in the a_k: int} ``bucket``, whose
+    monomials are canonical: a Fraction when it has no a-monomial, as
+    ``_normalize_coefficient`` gives.  Each value is reduced by one gcd."""
     if bucket.keys() <= {()}:
         return scale * bucket.get((), 0)
-    return _normalize_coefficient(MultiPoly({a: c * scale for a, c in bucket.items()}))
+    num, den = scale.numerator, scale.denominator
+    terms = {}
+    for a, c in bucket.items():
+        if c:
+            value = Fraction(c * num, den)
+            terms[a] = value.numerator if value.denominator == 1 else value
+    return _normalize_coefficient(MultiPoly._raw(terms))

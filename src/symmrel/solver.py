@@ -10,7 +10,9 @@ Two solvers live here:
   coefficients in increasing total order and eliminates each a_k in turn,
   which pins every a_k as a polynomial in a_1 and exposes the nonlinear
   relations among Bernoulli numbers checked by
-  :func:`verify_nonlinear_bernoulli`.
+  :func:`verify_nonlinear_bernoulli`.  Each a-monomial of the equations is
+  substituted once per resolved index, by ``MultiPoly.substitute``, and
+  its image kept until the next index is resolved.
 
 The C system is eliminated by the library's one exact-elimination kernel,
 :func:`symmrel.symmfunc._certified_rref`, which the power-sum basis
@@ -198,15 +200,28 @@ def sequential_a_elimination(max_index: int) -> dict[int, MultiPoly]:
     indices, must be linear in its highest unresolved a_k with a nonzero
     rational coefficient; anything else is reported as an error rather than
     guessed around.  Equations that reduce to zero are consistency checks.
+    An equation is reduced term by term through a memo of a-monomial images,
+    cleared at each newly resolved index, so each product and term-cap check
+    of ``substitute`` is first met at the same equation as a whole-equation
+    substitution would meet it.
     """
     if max_index < 2:
         raise ValueError("max_index must be >= 2")
     resolved: dict[int, MultiPoly] = {}
+    substitution: dict = {}  # a_k -> resolved[k], for the indices resolved so far
+    images: dict = {}  # a-monomial -> its image under ``substitution``
     for total, m, n, key, coeff in _a_equations(max_index):
         equation = coeff if isinstance(coeff, MultiPoly) else MultiPoly.constant(coeff)
         if resolved:
-            substitution = {VarId(KIND_A, k): poly for k, poly in resolved.items()}
-            equation = equation.substitute(substitution)
+            out: dict = {}
+            for mono, c in equation.terms.items():
+                image = images.get(mono)
+                if image is None:
+                    image = images[mono] = MultiPoly._raw({mono: 1}).substitute(substitution)
+                for m2, c2 in image.terms.items():
+                    acc = out.get(m2)
+                    out[m2] = c * c2 if acc is None else acc + c * c2
+            equation = MultiPoly._raw({m2: c2 for m2, c2 in out.items() if c2})
         if equation.is_zero():
             continue
         top = max(
@@ -238,6 +253,8 @@ def sequential_a_elimination(max_index: int) -> dict[int, MultiPoly]:
                 f"equation ({n}, {m}, key {key}) has zero coefficient on a_{top}"
             )
         resolved[top] = rest.scale(Fraction(-1) / linear_coeff)
+        substitution[top_var] = resolved[top]
+        images.clear()
         if all(k in resolved for k in range(2, max_index + 1)):
             # Later equations only re-confirm; stop once everything is pinned.
             break

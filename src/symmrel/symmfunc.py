@@ -343,27 +343,28 @@ def to_power_sum_basis(
     with parts <= max_part and must be independent (guaranteed for
     max_part <= m); an underdetermined system is rejected rather than
     resolved arbitrarily.  A term in an x_j with j > m lies outside every
-    basis product.  ``weight`` fixes the degree of the zero polynomial; a
-    nonzero p of another degree raises NotHomogeneousError, as a p of mixed
-    degrees does.
+    basis product.  ``weight`` fixes the degree of the zero polynomial, which
+    is solved like any other p, so over a dependent basis it is rejected
+    too; a nonzero p of another degree raises NotHomogeneousError, as a p
+    of mixed degrees does.
     """
     if m < 1:
         raise ValueError("need at least one variable")
     if p.is_zero():
         if weight is None:
             raise ValueError("the zero polynomial needs an explicit weight")
-        keys = exponent_vectors(weight, max_part)
-        return PowerSumExpansion(weight, m, {k: Fraction(0) for k in keys})
-    # Homogeneity is measured in the x variables only; a-symbol factors in
-    # the coefficients carry their own independent grading.
-    degrees = x_degrees(p)
-    if len(degrees) > 1:
-        raise NotHomogeneousError("polynomial is not homogeneous in the x variables")
-    degree = degrees.pop()
-    if weight is not None and weight != degree:
-        raise NotHomogeneousError(f"stated weight {weight} does not match degree {degree}")
-    if not is_symmetric(p, m):
-        raise NotSymmetricError(f"polynomial is not symmetric in x_1..x_{m}")
+        degree = weight
+    else:
+        # Homogeneity is measured in the x variables only; a-symbol factors
+        # in the coefficients carry their own independent grading.
+        degrees = x_degrees(p)
+        if len(degrees) > 1:
+            raise NotHomogeneousError("polynomial is not homogeneous in the x variables")
+        degree = degrees.pop()
+        if weight is not None and weight != degree:
+            raise NotHomogeneousError(f"stated weight {weight} does not match degree {degree}")
+        if not is_symmetric(p, m):
+            raise NotSymmetricError(f"polynomial is not symmetric in x_1..x_{m}")
 
     keys = exponent_vectors(degree, max_part)
     columns = [monomial_expansion(power_sum_monomial(k), m)[()] for k in keys]

@@ -3,6 +3,15 @@
 * :func:`complete_bell` / :func:`complete_bell_sequence` -- the complete Bell
   polynomials by their recurrence, independent of the closed form that
   ``families.bell_form`` uses;
+* :func:`product_bell_form` -- scale * B_n(a_1 p_1, ..., a_n p_n) with each
+  term formed as a product of MultiPoly values, the a_k rationals or
+  polynomials, against which the closed-form terms of ``families.bell_form``
+  are checked;
+* :func:`substituted_a_elimination` -- the sequential a_k elimination with
+  every resolved a_k substituted into each whole equation by one
+  ``MultiPoly.substitute`` call, against which
+  ``solver.sequential_a_elimination``, which substitutes each a-monomial
+  once per resolved index, is checked, its errors included;
 * :func:`substituted_in_variables` -- a form in the power sums taken to
   x_1..x_m by substituting p_k -> p_k(x_1..x_m), against which the monomial
   basis kernel ``symmfunc.in_variables`` is checked;
@@ -73,9 +82,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import NamedTuple, Sequence
 
+from symmrel import solver
 from symmrel.exactnum import bernoulli_numbers
 from symmrel.partitions import exponent_vectors
 from symmrel.polyring import KIND_A, KIND_P, KIND_X, KIND_Y, MultiPoly, VarId
@@ -88,6 +98,7 @@ from symmrel.symmfunc import (
     _normalize_coefficient,
     _orderings,
     power_sum,
+    power_sum_monomial,
     to_power_sum_basis,
 )
 
@@ -123,6 +134,74 @@ def bell_family_polynomial(a: Sequence, scale, n: int, m: int) -> MultiPoly:
     return value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
 
 
+def product_bell_form(n: int, a: Sequence, scale=1) -> MultiPoly:
+    """scale * B_n(a_1 p_1, ..., a_n p_n) in the p_k: each term the product
+    of n! / prod_i (k_i! (i!)^k_i), scale, the powers a_i^k_i (rationals or
+    MultiPoly values) and p^k, summed by the checking constructor."""
+    terms = []
+    for key in exponent_vectors(n, max(n, 1)):
+        divisor = 1
+        coeff = scale
+        for i, e in enumerate(key, 1):
+            if e:
+                divisor *= factorial(e) * factorial(i) ** e
+                coeff = coeff * a[i - 1] ** e
+        terms.extend((factorial(n) // divisor * coeff * power_sum_monomial(key)).terms.items())
+    return MultiPoly(terms)
+
+
+def substituted_a_elimination(max_index: int) -> dict:
+    """a_2..a_max_index through a_1, eliminated from the equations of
+    ``solver._a_equations`` one index per step, each equation taken through
+    one ``MultiPoly.substitute`` of every index resolved so far.  It raises
+    what ``solver.sequential_a_elimination`` raises, with the same messages."""
+    if max_index < 2:
+        raise ValueError("max_index must be >= 2")
+    resolved: dict = {}
+    for total, m, n, key, coeff in solver._a_equations(max_index):
+        equation = coeff if isinstance(coeff, MultiPoly) else MultiPoly.constant(coeff)
+        if resolved:
+            substitution = {VarId(KIND_A, k): poly for k, poly in resolved.items()}
+            equation = equation.substitute(substitution)
+        if equation.is_zero():
+            continue
+        top = max(
+            (v.index for mono in equation.terms for v, _ in mono if v.kind == KIND_A),
+            default=0,
+        )
+        if top <= 1 or top in resolved:
+            raise solver.EliminationError(
+                f"equation ({n}, {m}, key {key}) reduced to a nonzero constraint "
+                f"on already-resolved symbols: {equation}"
+            )
+        linear_coeff = Fraction(0)
+        rest = MultiPoly.zero()
+        top_var = VarId(KIND_A, top)
+        for mono, c in equation.terms.items():
+            exps = dict(mono)
+            power = exps.get(top_var, 0)
+            if power == 0:
+                rest = rest + MultiPoly({(mono, c)})
+            elif power == 1 and len(exps) == 1:
+                linear_coeff += Fraction(c)
+            else:
+                raise solver.EliminationError(
+                    f"equation ({n}, {m}, key {key}) is not linear in a_{top} "
+                    f"with a rational coefficient: {equation}"
+                )
+        if linear_coeff == 0:
+            raise solver.EliminationError(
+                f"equation ({n}, {m}, key {key}) has zero coefficient on a_{top}"
+            )
+        resolved[top] = rest.scale(Fraction(-1) / linear_coeff)
+        if all(k in resolved for k in range(2, max_index + 1)):
+            break
+    missing = [k for k in range(2, max_index + 1) if k not in resolved]
+    if missing:
+        raise solver.EliminationError(f"equations up to total {max_index} left {missing} unresolved")
+    return {k: resolved[k] for k in sorted(resolved) if k <= max_index}
+
+
 def substituted_in_variables(form: MultiPoly, m: int) -> MultiPoly:
     """``form``, a polynomial in the p_k over Q[a], with each p_k ->
     p_k(x_1..x_m) substituted into its integral multiple and divided once."""
@@ -144,14 +223,14 @@ def x_monomial_basis(poly: MultiPoly, m: int, max_part: int, weight=None) -> Pow
     if poly.is_zero():
         if weight is None:
             raise ValueError("the zero polynomial needs an explicit weight")
-        keys = exponent_vectors(weight, max_part)
-        return PowerSumExpansion(weight, m, {k: Fraction(0) for k in keys})
-    degrees = {sum(e for v, e in mono if v.kind == KIND_X) for mono in poly.terms}
-    if len(degrees) > 1:
-        raise NotHomogeneousError("polynomial is not homogeneous in the x variables")
-    degree = degrees.pop()
-    if weight is not None and weight != degree:
-        raise NotHomogeneousError(f"stated weight {weight} does not match degree {degree}")
+        degree = weight
+    else:
+        degrees = {sum(e for v, e in mono if v.kind == KIND_X) for mono in poly.terms}
+        if len(degrees) > 1:
+            raise NotHomogeneousError("polynomial is not homogeneous in the x variables")
+        degree = degrees.pop()
+        if weight is not None and weight != degree:
+            raise NotHomogeneousError(f"stated weight {weight} does not match degree {degree}")
     for image in permutations(range(1, m + 1)):
         moved = {VarId(KIND_X, j): VarId(KIND_X, i) for j, i in enumerate(image, 1)}
         renamed = MultiPoly(

@@ -6,6 +6,7 @@ import pytest
 from symmrel import exactnum
 from symmrel.families import (
     FAMILY_NAMES,
+    bell_form,
     family_polynomial,
     get_family,
     symbolic_coefficient_values,
@@ -14,7 +15,14 @@ from symmrel.families import (
 from symmrel.polyring import MultiPoly
 from symmrel.symmfunc import is_symmetric, power_sum
 
-from oracles import complete_bell, euler_poly_at_zero, series_exp, series_inverse, series_mul
+from oracles import (
+    complete_bell,
+    euler_poly_at_zero,
+    product_bell_form,
+    series_exp,
+    series_inverse,
+    series_mul,
+)
 from reference_tables import BERNOULLI_EXPANSIONS
 
 
@@ -170,3 +178,33 @@ class TestSymbolicFamily:
                 expected = family_polynomial(name, n, m)
                 b_n = get_family(name).b_norm(n)
                 assert specialized * b_n == expected
+
+
+def _stored(poly):
+    """Every term of ``poly`` with its coefficient's type, in storage order."""
+    return [(mono, c, type(c)) for mono, c in poly.terms.items()]
+
+
+class TestBellForm:
+    """``bell_form`` writes each term in closed form; the oracle forms it as a
+    product of MultiPoly values summed by the checking constructor.  The term
+    maps agree in order and in coefficient types, so no integral Fraction is
+    stored."""
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_registry_families(self, name):
+        spec = get_family(name)
+        for n in range(13):
+            a = spec.coefficients(n) if n else []
+            for scale in (spec.b_norm(n), F(-3, 7)):
+                got = bell_form(n, a, scale)
+                assert _stored(got) == _stored(product_bell_form(n, a, scale)), (n, scale)
+                assert not any(type(c) is F and c.denominator == 1 for c in got.terms.values())
+
+    def test_symbolic_family(self):
+        for n in range(13):
+            a = [MultiPoly.a(k) for k in range(1, n + 1)]
+            for scale in (1, F(5, 2), 4):
+                got = bell_form(n, None, scale)
+                assert _stored(got) == _stored(product_bell_form(n, a, scale)), (n, scale)
+                assert not any(type(c) is F and c.denominator == 1 for c in got.terms.values())

@@ -1099,6 +1099,23 @@ class TestExtractZ:
         with pytest.raises(PreconditionError):
             extract_z(2, 1)
 
+    def test_coefficients_are_canonical(self):
+        # A coefficient is built from the engine's buckets without the
+        # checking constructor; rebuilding it by that constructor changes
+        # nothing: the same terms in the same order, each an int where it is
+        # integral, and a constant is a Fraction, not a MultiPoly.
+        def stored(poly):
+            return [(mono, c, type(c)) for mono, c in poly.terms.items()]
+
+        for n in range(5):
+            for m in range(2, 5):
+                for key, coeff in extract_z(n, m).coefficients.items():
+                    if isinstance(coeff, MultiPoly):
+                        assert not coeff.terms.keys() <= {()}, (n, m, key)
+                        assert stored(coeff) == stored(MultiPoly(coeff.terms)), (n, m, key)
+                    else:
+                        assert type(coeff) is F, (n, m, key)
+
     def test_keys_cover_unrestricted_set(self):
         expansion = extract_z(3, 2)
         assert list(expansion.coefficients) == exponent_vectors(3, 3)

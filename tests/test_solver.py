@@ -4,14 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from symmrel import symmfunc
+from symmrel import solver, symmfunc
 from symmrel.families import family_polynomial
 from symmrel.partitions import exponent_vectors
-from symmrel.polyring import MultiPoly
+from symmrel.polyring import KIND_A, MultiPoly, VarId
 from symmrel.relations import extract_y_basis
-from symmrel.symmfunc import _certified_rref, _primes, to_power_sum_basis
+from symmrel.symmfunc import PowerSumExpansion, _certified_rref, _primes, to_power_sum_basis
 from symmrel.solver import (
     CSolution,
+    EliminationError,
     NONLINEAR_RELATIONS,
     TABULATED_BERNOULLI_FREE_VALUES,
     bernoulli_reconstruction_check,
@@ -23,7 +24,7 @@ from symmrel.solver import (
     verify_nonlinear_bernoulli,
 )
 
-from oracles import gauss_jordan
+from oracles import gauss_jordan, substituted_a_elimination
 from reference_tables import (
     BERNOULLI_C_VALUES,
     BERNOULLI_EXPANSIONS,
@@ -391,6 +392,82 @@ class TestSequentialElimination:
         report = verify_bernoulli_identity(8)
         assert report.all_ok
         assert [entry[0] for entry in report.entries] == list(range(2, 9))
+
+
+def _elimination_outcome(eliminate, max_index):
+    """The stream, every term with its coefficient's type in storage order,
+    or the type and message of what the elimination raises."""
+    try:
+        stream = eliminate(max_index)
+    except Exception as error:
+        return type(error), str(error)
+    return {k: [(mono, c, type(c)) for mono, c in poly.terms.items()] for k, poly in stream.items()}
+
+
+def _serve_tables(monkeypatch, tables):
+    """Serve ``tables``, {(n, m): {key: coefficient}}, as the Z tables; every
+    other (n, m) has no coefficient."""
+    monkeypatch.setattr(
+        solver, "extract_z", lambda n, m: PowerSumExpansion(n, m, tables.get((n, m), {}))
+    )
+
+
+class TestEliminationAgainstOracle:
+    """Each a-monomial's image is substituted once per resolved index; the
+    oracle substitutes every resolved a_k into each whole equation."""
+
+    def test_streams(self):
+        for max_index in range(2, 15):
+            got = _elimination_outcome(sequential_a_elimination, max_index)
+            assert isinstance(got, dict), got
+            assert got == _elimination_outcome(substituted_a_elimination, max_index), max_index
+
+    a1, a2, a3 = (MultiPoly.a(k) for k in (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "tables, max_index, message",
+        [
+            # a constraint on a_1 alone, before and after a substitution
+            ({(0, 2): {(): MultiPoly.constant(3)}}, 2,
+             "equation (0, 2, key ()) reduced to a nonzero constraint on already-resolved symbols: 3"),
+            ({(0, 2): {(): a1**2 + 3 * a2}, (1, 2): {(1,): a2 + a1}}, 3,
+             "equation (1, 2, key (1,)) reduced to a nonzero constraint on already-resolved "
+             "symbols: -1/3*a_1^2 + a_1"),
+            # an equation on an index resolved earlier
+            ({(0, 2): {(): a1**2 + 3 * a2}, (0, 3): {(): a3 + a2 * a1}, (1, 3): {(1,): a3 * 2}}, 4,
+             "equation (1, 3, key (1,)) reduced to a nonzero constraint on already-resolved "
+             "symbols: 2/3*a_1^3"),
+            # a_top squared, and a_top times another symbol
+            ({(0, 2): {(): a2**2 + a1}}, 2,
+             "equation (0, 2, key ()) is not linear in a_2 with a rational coefficient: a_2^2 + a_1"),
+            ({(0, 2): {(): a1**2 + 3 * a2}, (1, 2): {(1,): a1 * a3 + a2}}, 3,
+             "equation (1, 2, key (1,)) is not linear in a_3 with a rational coefficient: "
+             "-1/3*a_1^2 + a_1*a_3"),
+            # a stored zero on a_2: only a term map the constructors never
+            # make reaches this check
+            ({(0, 2): {(): MultiPoly._raw({((VarId(KIND_A, 2), 1),): 0, ((VarId(KIND_A, 1), 1),): 1})}}, 2,
+             "equation (0, 2, key ()) has zero coefficient on a_2"),
+            # no equation, and none on a_3
+            ({}, 3, "equations up to total 3 left [2, 3] unresolved"),
+            ({(0, 2): {(): a1**2 + 3 * a2}, (1, 2): {(1,): MultiPoly.zero()}}, 3,
+             "equations up to total 3 left [3] unresolved"),
+        ],
+        ids=["constant", "substituted", "resolved-index", "square", "product",
+             "zero-coefficient", "no-equation", "unresolved-index"],
+    )
+    def test_errors(self, monkeypatch, tables, max_index, message):
+        _serve_tables(monkeypatch, tables)
+        got = _elimination_outcome(sequential_a_elimination, max_index)
+        assert got == (EliminationError, message)
+        assert got == _elimination_outcome(substituted_a_elimination, max_index)
+
+    def test_crafted_tables_resolve(self, monkeypatch):
+        # The control: the same route resolves a consistent crafted system.
+        a1, a2, a3 = self.a1, self.a2, self.a3
+        _serve_tables(monkeypatch, {(0, 2): {(): a1**2 + 3 * a2}, (1, 2): {(1,): a3 - a2 * a1}})
+        got = _elimination_outcome(sequential_a_elimination, 3)
+        assert got == _elimination_outcome(substituted_a_elimination, 3)
+        assert sequential_a_elimination(3) == {2: a1**2 * F(-1, 3), 3: a1**3 * F(-1, 3)}
 
 
 class TestNonlinearRelations:

@@ -278,6 +278,15 @@ class TestBasisConversion:
         assert expansion.is_zero()
         assert set(expansion.coefficients) == set(exponent_vectors(3, 2))
 
+    def test_zero_over_a_dependent_basis_is_refused(self):
+        # p_1^3, p_1 p_2 and p_3 are dependent in two variables: the zero
+        # polynomial is refused over them, as every nonzero input is.
+        message = "^basis is not independent: underdetermined column$"
+        with pytest.raises(symmfunc.NotRepresentableError, match=message):
+            to_power_sum_basis(MultiPoly.zero(), 2, 3, weight=3)
+        with pytest.raises(symmfunc.NotRepresentableError, match=message):
+            to_power_sum_basis(power_sum(1, 2) ** 3, 2, 3)
+
     def test_symbolic_coefficients(self):
         a1, a2 = MultiPoly.a(1), MultiPoly.a(2)
         poly = a1 * power_sum_product((2, 0), 2) + (a2**2 - a1) * power_sum_product((0, 1), 2)
@@ -379,6 +388,8 @@ class TestBasisConversionOracle:
             (MultiPoly.zero(), 2, 2, None),
             (MultiPoly.zero(), 2, 2, 0),
             (MultiPoly.zero(), 3, 2, 4),
+            (MultiPoly.zero(), 2, 3, 3),  # over a dependent basis
+            (MultiPoly.zero(), 1, 2, 2),
             # a constant, and the precondition checks
             (3 * a1, 3, 2, None),
             (x1**2 + 2 * x2**2, 2, 2, None),
