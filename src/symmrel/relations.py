@@ -163,10 +163,15 @@ weight-d keys with parts <= m.  The residue is the sum of F's coefficients
 times their images, one int vector per monomial in the a_k, read off with no
 linear solve and divided by one denominator at the end.  All of it is int
 arithmetic on exponents packed into one int (``_ResidueEngine``), with no
-MultiPoly but the source and the result.  An engine holds the q_k powers,
-the tables, the p^nu and the images of one (m, d): the C system uses one per
-m for all its keys, every other residue one of its own, and nothing outlives
-the call, so a term cap meets the same products whatever ran before.
+MultiPoly but the source and the result.  The int part ends in the sum's
+vectors over one signed denominator (``vectors``); only a residue returned
+as a PowerSumExpansion (``residue``) is divided into Fractions.  The C
+system takes the vectors themselves: each key's, lifted to the lcm of one
+m's denominators, is a column of its int rows.  An engine holds the q_k
+powers, the tables, the p^nu and the images of one (m, d): the C system uses
+one per m for all its keys, every other residue one of its own, and nothing
+outlives the call, so a term cap meets the same products whatever ran
+before.
 
 Sources: every accepted input becomes one ``_Source``, a single MultiPoly
 in the power-sum variables p_k over Q[a], which makes it symmetric by
@@ -1009,12 +1014,13 @@ class _ResidueEngine:
             self._images[nu] = image.get(self.d, {}), denominator
         return self._images[nu]
 
-    def residue(self, source: _Source) -> PowerSumExpansion:
-        """(-1)^m sum_nu F[nu] image(nu), over every weight-d key with parts <= m.
+    def vectors(self, source: _Source) -> tuple:
+        """(-1)^m sum_nu F[nu] image(nu), over every weight-d key with parts
+        <= m, as ({monomial in the a_k: {packed key: int}}, denominator): the
+        denominator is signed, (-1)^m times the source's and the images'.
 
         Each image is brought to the least common denominator of the images
-        used, which is divided out once at the end with the source's.  The
-        sum is one int vector per monomial in the a_k, over packed keys.
+        used, so the sum is one int vector per monomial in the a_k.
         """
         free = self.free_form(source)
         images = [(self.image(nu, w), coeffs) for w, by_nu in free.items() for nu, coeffs in by_nu.items()]
@@ -1028,7 +1034,13 @@ class _ResidueEngine:
                 c *= lift
                 for key, v in vector.items():
                     acc[key] = get(key, 0) + c * v
-        scale = Fraction((-1) ** self.m, source.denominator * common)
+        return totals, (-1) ** self.m * source.denominator * common
+
+    def residue(self, source: _Source) -> PowerSumExpansion:
+        """The residue of ``vectors`` as a PowerSumExpansion, its
+        denominator divided out once per coefficient."""
+        totals, denominator = self.vectors(source)
+        scale = Fraction(1, denominator)
         coefficients = {}
         for key, packed in zip(self.keys, self._packed_keys):
             bucket = {a: acc[packed] for a, acc in totals.items() if packed in acc}

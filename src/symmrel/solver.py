@@ -3,7 +3,8 @@
 Two solvers live here:
 
 * :func:`solve_c_coefficients` -- assembles the homogeneous linear system
-  that makes every degree-(n-m) residue vanish for all 2 <= m <= n and
+  that makes every degree-(n-m) residue vanish for all 2 <= m <= n, as int
+  rows read straight off the residue engine's int vectors, and
   parametrizes its solutions with the table's free-key convention (earliest
   keys in listing order stay free);
 * :func:`sequential_a_elimination` -- walks the symbolic residue
@@ -17,13 +18,17 @@ Two solvers live here:
 The C system is eliminated by the library's one exact-elimination kernel,
 :func:`symmrel.symmfunc._certified_rref`, which the power-sum basis
 conversion shares: certified multimodular Gauss-Jordan elimination, with
-the free keys the columns left without a pivot.
+the free keys the columns left without a pivot.  Scaling a row by a nonzero
+int leaves its result unchanged, so each row of one m may carry that m's
+common denominator; :func:`residue_system` is the rational view of the same
+rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .exactnum import bernoulli_numbers
@@ -91,23 +96,41 @@ class CSolution(NamedTuple):
         return out
 
 
-def residue_system(n: int) -> tuple[list[list[Fraction]], tuple]:
-    """The equations 'every residue basis coefficient vanishes', as a matrix.
+def _integer_system(n: int) -> tuple[list[list[int]], list[int], tuple]:
+    """The equations 'every residue basis coefficient vanishes', as int rows.
 
     One column per weight-n exponent vector in listing order; one row per
-    (m, weight-(n-m) basis key with parts <= m) for m = 2..n.  The residues
-    of one m share one engine, so each power q_k^e and each rewritten free
-    monomial is formed once per m; each key's source is made once.
+    (m, weight-(n-m) basis key with parts <= m) for m = 2..n, with its
+    scale: the row over its scale is that basis key's coefficient in the
+    residue of each column's key.  The residues of one m share one engine,
+    so each power q_k^e and each image is formed once per m; each key's
+    source is made once.  Each key's int vector is lifted to the lcm of
+    that m's denominators, which is the scale of every row of that m.
     """
     keys = tuple(exponent_vectors(n, n))
     sources = [_make_source(k, n) for k in keys]
-    rows = []
+    rows, scales = [], []
     for m in range(2, n + 1):
         engine = _ResidueEngine(m, n - m)
-        residues = {k: engine.residue(source) for k, source in zip(keys, sources)}
-        for basis_key in exponent_vectors(n - m, m):
-            rows.append([residues[k].coefficient(basis_key) for k in keys])
-    return rows, keys
+        vectors = [engine.vectors(source) for source in sources]
+        scale = lcm(*(abs(denominator) for _, denominator in vectors))
+        columns = []
+        for totals, denominator in vectors:
+            lift = scale // denominator
+            # A power-sum product has no a_k, so () is its one monomial in them.
+            columns.append({key: v * lift for key, v in totals.get((), {}).items()})
+        for packed in engine._packed_keys:
+            rows.append([column.get(packed, 0) for column in columns])
+            scales.append(scale)
+    return rows, scales, keys
+
+
+def residue_system(n: int) -> tuple[list[list[Fraction]], tuple]:
+    """The C system as rational rows: each int row of ``_integer_system``
+    over its scale, so the row of (m, basis key) holds that basis key's
+    coefficient in the residue of each weight-n key."""
+    rows, scales, keys = _integer_system(n)
+    return [[Fraction(v, scale) for v in row] for row, scale in zip(rows, scales)], keys
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +145,7 @@ def solve_c_coefficients(n: int) -> CSolution:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    rows, keys = residue_system(n)
+    rows, _, keys = _integer_system(n)
     forms, _ = _certified_rref(rows, range(len(keys) - 1, -1, -1))
     free_keys = tuple(key for col, key in enumerate(keys) if col not in forms)
     dependent = {

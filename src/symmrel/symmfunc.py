@@ -516,22 +516,25 @@ def _rational(residue: int, modulus: int) -> Optional[Fraction]:
 
 
 def _certified_rref(matrix, columns) -> tuple[dict, int]:
-    """The reduced row echelon form of a rational matrix over Q, pivoting on
-    ``columns`` in the order given, by certified multimodular elimination.
+    """The reduced row echelon form over Q of a matrix of integer or
+    rational rows, pivoting on ``columns`` in the order given, by certified
+    multimodular elimination.
 
     Returns ({pivot column: {free column: entry}}, primes used).  The pivot
     columns come in elimination order, and each pivot row's nonzero entries
     at free columns in ascending column order: the pivot row is 1 at its
     pivot and 0 at every other pivot column.
 
-    Each row is scaled to integers by the lcm of its denominators.  For each
-    prime in ``_primes()`` order the rows are reduced mod p; a prime whose
-    pivot positions are fewer, or as many but later, than the best so far
-    is skipped, one with a better set restarts the combination, and the
-    rest are combined by CRT.  Then the entries are rationally reconstructed
-    and certified: for every free column f, the vector v_f that is 1 at f
-    and minus the entry at each pivot row is checked to give M v_f = 0 in
-    integers.  If a reconstruction or a check fails, another prime is added.
+    Each row is scaled to integers by the lcm of its denominators (1 for an
+    int row); the form is that of the rows over Q, so it is the same for a
+    row times any nonzero int.  For each prime in ``_primes()`` order the
+    rows are reduced mod p; a prime whose pivot positions are fewer, or as
+    many but later, than the best so far is skipped, one with a better set
+    restarts the combination, and the rest are combined by CRT.  Then the
+    entries are rationally reconstructed and certified: for every free
+    column f, the vector v_f that is 1 at f and minus the entry at each
+    pivot row is checked to give M v_f = 0 in integers.  If a
+    reconstruction or a check fails, another prime is added.
     """
     columns = list(columns)
     permuted = []

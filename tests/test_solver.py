@@ -3,12 +3,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from symmrel import solver, symmfunc
+from symmrel import relations, solver, symmfunc
 from symmrel.families import family_polynomial
 from symmrel.partitions import exponent_vectors
 from symmrel.polyring import KIND_A, MultiPoly, VarId
-from symmrel.relations import extract_y_basis
+from symmrel.relations import _make_source, extract_y_basis
 from symmrel.symmfunc import PowerSumExpansion, _certified_rref, _primes, to_power_sum_basis
 from symmrel.solver import (
     CSolution,
@@ -24,7 +26,7 @@ from symmrel.solver import (
     verify_nonlinear_bernoulli,
 )
 
-from oracles import gauss_jordan, substituted_a_elimination
+from oracles import gauss_jordan, substituted_a_elimination, untruncated_residue
 from reference_tables import (
     BERNOULLI_C_VALUES,
     BERNOULLI_EXPANSIONS,
@@ -223,6 +225,56 @@ class TestModularKernel:
         # The perturbed answer failed M v = 0, so a second prime was added.
         assert len(perturbed) == 1 and primes == 2
         assert_same_forms(forms, expected)
+
+
+_ENTRIES = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_MULTIPLIERS = st.integers(-(2**70), 2**70).filter(bool)
+# A matrix and one nonzero int per row.
+_SCALED_MATRICES = st.integers(1, 6).flatmap(
+    lambda cols: st.lists(st.lists(_ENTRIES, min_size=cols, max_size=cols), min_size=1, max_size=6)
+).flatmap(lambda matrix: st.tuples(st.just(matrix), st.lists(_MULTIPLIERS, min_size=len(matrix), max_size=len(matrix))))
+
+
+class TestIntegerSystem:
+    """The C system's int rows, each the residue coefficients times its scale."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rows_over_their_scales_are_the_residues(self, n):
+        rows, scales, keys = solver._integer_system(n)
+        assert all(type(v) is int for row in rows for v in row)
+        assert all(type(s) is int and s > 0 for s in scales)
+        rational = [[F(v, s) for v in row] for row, s in zip(rows, scales)]
+        assert (rational, keys) == residue_system(n)
+        expected = []
+        for m in range(2, n + 1):
+            residues = [untruncated_residue(_make_source(k, n), m) for k in keys]
+            for basis_key in exponent_vectors(n - m, m):
+                expected.append([F(r.coefficient(basis_key)) for r in residues])
+        assert rational == expected
+
+    def test_solve_c_forms_no_rational_residue(self, monkeypatch):
+        # The rows go from the engine's int vectors to the kernel with no
+        # Fraction coefficient and no PowerSumExpansion on the way.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the C system made a rational residue")
+
+        monkeypatch.setattr(relations, "_coefficient", refuse)
+        monkeypatch.setattr(PowerSumExpansion, "__init__", refuse)
+        for n in range(2, 9):
+            assert solve_c_coefficients.__wrapped__(n).nullspace_dimension == n // 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SCALED_MATRICES)
+    @example(([[F(1), F(2)], [F(1, 2), F(1)]], [next(_primes()), -3]))
+    def test_row_scaling_leaves_the_forms(self, scaled_matrix):
+        # The integer system relies on this: each row times any nonzero int,
+        # negative ones and multiples of the kernel's primes included, has
+        # the same reduced row echelon form.
+        matrix, multipliers = scaled_matrix
+        scaled = [[v * c for v in row] for row, c in zip(matrix, multipliers)]
+        cols = len(matrix[0])
+        for order in (range(cols), range(cols - 1, -1, -1)):
+            assert _certified_rref(scaled, order)[0] == _certified_rref(matrix, order)[0]
 
 
 def assert_bernoulli_satisfies_relations(n):
