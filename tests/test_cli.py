@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -348,6 +349,85 @@ def test_term_cap_verdicts_do_not_depend_on_earlier_runs(capsys):
         for m in range(2, 6):
             extract_z(n, m)
     assert exit_codes(clear_caches) == cold
+
+
+# n -> sha256 of the stdout of `solve-c --n N` and of `--format json solve-c
+# --n N`, recorded before the C system was assembled from int rows: a change to
+# the free keys, the forms, the equation count or the rendering changes them.
+_SOLVE_C_SHA256 = {
+    2: (
+        "9fd63544ef8e4e54f86acef627afe330bdef92f862a1398527d0595fc90b9526",
+        "4da6329282d179a1030008e4248529f86ec7fc554472b3d8b5baa922b78d407a",
+    ),
+    3: (
+        "6abad86e31812743551ad9304ba888bd3450c4f9537c4e8cf31385a43d8200c1",
+        "2100402ddfd9802427693361968e5ee781a6fc33830629979985dc909f84987f",
+    ),
+    4: (
+        "a20676674b038c0d4ce58f34b55ab6e91e209b4098fd82f337933309203a5fa0",
+        "84c1fd5d87580ca1bff620efba3cc4a01b90fffff04d1d663a179866386f53c6",
+    ),
+    5: (
+        "c4a7d5b0348eac6fd70ba6075c74a84d298f995518e3a37bffa3e91569f5d07a",
+        "425044c238d3db18724c869c196950fc6b65da7ac6925d8f7184cade8c0e15b1",
+    ),
+    6: (
+        "f214c9abcae66180860ae97fffe2dbac2f51b27708e7df3f8c3d22f62c5de305",
+        "a1e656ac9973b6f5935f6dddd703c65b401f61c5a3fc89bff64bb5cf0f26616b",
+    ),
+    7: (
+        "62d6fa0fb340238429cbf307aefb83fa03ba95551005306f94616974d6e3fe41",
+        "638c5d76e095216b66f5739b365364b8ee9699bf11ddb7a180cfca390eec4e20",
+    ),
+    8: (
+        "42328786f465400f561eddc3a0478e9c24a3775c13e3a960e25dad4edd14ae7d",
+        "4e98d7af17551b66eb45947e7c8939adb8cd86fb820f6ee1277112bb595acb4c",
+    ),
+    9: (
+        "a186ab34337f06b80220acf72274bb16e7235e9b413743c1d9d28330f7324cac",
+        "2d90cdd5305d10622a88b055cf1875a62da27202e9f34034b49ea19d48ea0a33",
+    ),
+    10: (
+        "30ef0f6d17bba6b30437f7543c1a47be4f81da0c37352bccc5743819e4c83a64",
+        "db2467dcee433300b103478dbf0c5797b926c870e42688bb3c2bf4a815718390",
+    ),
+    11: (
+        "620ea9af48db15c6a75b06876c6db1850d4ca375d4103a61acd42fdbf8339a46",
+        "8aaae54456eb7eb80d1d46c4c10c991d8dee0afd6ba2012a8a34852a5376459b",
+    ),
+    12: (
+        "2ff3fd730297231416c986c9d34bdaaa01a3ce9f47cbd3639e844a1c0e7dba08",
+        "d228cc28bb7c33e4b81806fcc9911ce643fd7e95564e6794ad54ba6ecf033810",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_SOLVE_C_SHA256))
+def test_solve_c_output_is_byte_identical(capsys, n):
+    digests = []
+    for argv in (["solve-c", "--n", str(n)], ["--format", "json", "solve-c", "--n", str(n)]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == _SOLVE_C_SHA256[n]
+
+
+@pytest.mark.parametrize(
+    "cap, n, message",
+    [
+        (5, 4, "product of 2 x 3 terms exceeds the cap of 5"),
+        (10, 5, "product of 3 x 4 terms exceeds the cap of 10"),
+        (20, 7, "product of 4 x 6 terms exceeds the cap of 20"),
+        (50, 10, "product of 4 x 13 terms exceeds the cap of 50"),
+    ],
+)
+def test_solve_c_cap_thresholds(capsys, cap, n, message):
+    # The degrees the README states, on cold caches: the cap is met first
+    # at n and not below it.
+    clear_every_cache()
+    assert run_cli(capsys, "--term-cap", str(cap), "solve-c", "--n", str(n - 1))[0] == 0
+    clear_every_cache()
+    assert run_cli(capsys, "--term-cap", str(cap), "solve-c", "--n", str(n)) == (3, "", f"resource cap: {message}\n")
 
 
 @pytest.mark.parametrize("conjecture", ["1", "2"])

@@ -230,9 +230,11 @@ class TestModularKernel:
 _ENTRIES = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _MULTIPLIERS = st.integers(-(2**70), 2**70).filter(bool)
 # A matrix and one nonzero int per row.
-_SCALED_MATRICES = st.integers(1, 6).flatmap(
-    lambda cols: st.lists(st.lists(_ENTRIES, min_size=cols, max_size=cols), min_size=1, max_size=6)
-).flatmap(lambda matrix: st.tuples(st.just(matrix), st.lists(_MULTIPLIERS, min_size=len(matrix), max_size=len(matrix))))
+_SCALED_MATRICES = (
+    st.integers(1, 6)
+    .flatmap(lambda cols: st.lists(st.lists(_ENTRIES, min_size=cols, max_size=cols), min_size=1, max_size=6))
+    .flatmap(lambda rows: st.tuples(st.just(rows), st.lists(_MULTIPLIERS, min_size=len(rows), max_size=len(rows))))
+)
 
 
 class TestIntegerSystem:
